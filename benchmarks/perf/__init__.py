@@ -53,8 +53,6 @@ TARGETS = {
 SCALES = {
     "full": {
         "engine_events": 409_600,
-        "shard_duration_s": 0.05,
-        "shard_qps": 120_000,
         "cache_accesses": 200_000,
         "sweep_accesses": 60_000,
         "branch_updates": 100_000,
@@ -64,8 +62,6 @@ SCALES = {
     },
     "smoke": {
         "engine_events": 163_840,
-        "shard_duration_s": 0.02,
-        "shard_qps": 60_000,
         "cache_accesses": 20_000,
         "sweep_accesses": 8_000,
         "branch_updates": 20_000,
@@ -154,38 +150,6 @@ def bench_engine(n: int) -> int:
     env.process(pingpong(n_ping))
     env.run()
     return env.dispatched_events
-
-
-def bench_engine_sharded(duration_s: float, qps: float, repeat: int = 3,
-                         shards: int = 2) -> float:
-    """Events/s through the deterministic sharded runner.
-
-    Drives the social-network DAG spread over four nodes through
-    ``ExperimentConfig(shards=N)`` — fork-hosted partitions, windowed
-    cross-shard delivery — and reports engine dispatches per wall
-    second, summed across every partition (the runner records them in
-    ``RunResult.events_dispatched``). Includes worker spawn and window
-    coordination, so this measures the mode as deployed, not just its
-    inner loops; scaling with ``shards`` requires as many free cores.
-    """
-    from repro import (ExperimentConfig, LoadSpec, PLATFORM_A,
-                       build_social_network, social_network_deployment)
-    from repro.runtime.experiment import run_experiment
-
-    names = list(build_social_network())
-    placement = {name: f"node{i % 4}" for i, name in enumerate(names)}
-    deployment = social_network_deployment(placement=placement)
-    load = LoadSpec.open_loop(qps)
-    best = 0.0
-    for _ in range(repeat):
-        config = ExperimentConfig(platform=PLATFORM_A,
-                                  duration_s=duration_s, seed=7,
-                                  shards=shards)
-        start = time.perf_counter()
-        result = run_experiment(deployment, load, config)
-        elapsed = time.perf_counter() - start
-        best = max(best, (result.events_dispatched or 0) / elapsed)
-    return best
 
 
 def bench_cache(n: int) -> int:
@@ -282,18 +246,12 @@ def run_suite(scale: str = "full", repeat: int = 3) -> Dict[str, object]:
             lambda: bench_branch_updates(sizes["branch_updates"]), repeat),
         "branch_gen_per_s": best_rate(
             lambda: bench_branch_gen(sizes["branch_gen"]), repeat),
-        "engine_sharded_events_per_s": bench_engine_sharded(
-            sizes["shard_duration_s"], sizes["shard_qps"], repeat),
         "clone_wall_s": bench_clone(sizes["clone_duration_s"],
                                     sizes["clone_qps"], repeat),
     }
     speedups = {}
     for name, value in metrics.items():
-        base = BASELINE.get(name)
-        if base is None:
-            # metric introduced by this PR (e.g. the sharded runner) —
-            # there is no pre-optimization rate to compare against
-            continue
+        base = BASELINE[name]
         # rates (_per_s) improve upward, wall-clock improves downward
         speedups[name] = (value / base if name.endswith("_per_s")
                           else base / value)
@@ -310,11 +268,8 @@ def run_suite(scale: str = "full", repeat: int = 3) -> Dict[str, object]:
             "vectorization; speedups at other scales or on other machines "
             "are indicative only. engine_events_per_s drives the mixed "
             "workload in ENGINE_MIX and counts actual engine dispatches. "
-            "engine_sharded_events_per_s is new with the sharded runner "
-            "(no pre-PR baseline exists); it includes worker spawn and "
-            "window coordination and only scales with shard count when "
-            "as many cores are free. Bit-level correctness of the "
-            "optimized paths is enforced by tests/test_perf_equivalence.py."
+            "Bit-level correctness of the optimized paths is enforced by "
+            "tests/test_perf_equivalence.py."
         ),
     }
 

@@ -18,9 +18,8 @@ measurements, so parallel and serial clones are bit-identical.
 from __future__ import annotations
 
 import contextlib
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 from repro.app.service import Deployment, Placement, ServiceSpec
 from repro.core.body_gen import GeneratorConfig
@@ -83,17 +82,9 @@ class CloneReport:
         return sorted(self.features)
 
 
-class CloneResult(NamedTuple):
-    """A finished clone. Use attribute access: ``result.synthetic``,
-    ``result.report``.
-
-    .. deprecated::
-        2-tuple unpacking (``synthetic, report = result``) is a
-        compatibility affordance for pre-``CloneResult`` call sites and
-        is deprecated; it will keep working for the 1.x line but new
-        code (and the repo's own examples/benchmarks) must use the named
-        fields.
-    """
+@dataclass(frozen=True)
+class CloneResult:
+    """A finished clone: ``result.synthetic`` and ``result.report``."""
 
     synthetic: Deployment
     report: CloneReport
@@ -298,43 +289,19 @@ class DittoCloner:
         if self.observer is not None:
             self.observer.on_phase(phase, attempt=attempt, reason=reason)
 
-    def clone(
-        self,
-        deployment: Union[Deployment, CloneRequest],
-        profiling_load: Optional[LoadSpec] = None,
-        profiling_config: Optional[ExperimentConfig] = None,
-    ) -> CloneResult:
-        """Clone a deployment; returns a :class:`CloneResult`.
+    def clone(self, request: CloneRequest) -> CloneResult:
+        """Clone the request's deployment; returns a :class:`CloneResult`.
 
-        The canonical form takes one :class:`CloneRequest` — option
-        fields set on the request override this cloner's knobs for the
-        call. The legacy positional form
-        ``clone(deployment, profiling_load, profiling_config)`` still
-        works through a shim (it builds an override-free request) but
-        is deprecated.
-
-        Profiling happens once, at the request's load on its
-        ``config.platform`` — the synthetic deployment then runs on any
-        platform or load without reprofiling.
+        Option fields set on the :class:`CloneRequest` override this
+        cloner's knobs for the call. Profiling happens once, at the
+        request's load on its ``config.platform`` — the synthetic
+        deployment then runs on any platform or load without
+        reprofiling.
         """
-        if isinstance(deployment, CloneRequest):
-            if profiling_load is not None or profiling_config is not None:
-                raise ConfigurationError(
-                    "clone(request) takes no further arguments — put the "
-                    "load and config on the CloneRequest")
-            request = deployment
-        else:
-            warnings.warn(
-                "clone(deployment, profiling_load, profiling_config) is "
-                "deprecated; pass a repro.CloneRequest instead",
-                DeprecationWarning, stacklevel=2)
-            if profiling_load is None or profiling_config is None:
-                raise ConfigurationError(
-                    "legacy clone() needs deployment, profiling_load and "
-                    "profiling_config")
-            request = CloneRequest(deployment=deployment,
-                                   load=profiling_load,
-                                   config=profiling_config)
+        if not isinstance(request, CloneRequest):
+            raise ConfigurationError(
+                f"clone() takes a repro.CloneRequest, got "
+                f"{type(request).__name__}")
         cloner = self._effective(request)
         config = request.effective_config()
         with cloner._observed():
@@ -615,12 +582,9 @@ class DittoCloner:
             # Tuning must measure the tier's clean behaviour: carrying
             # the profiling run's fault plan or resilience policy into
             # the calibration loop would fit knobs to injected noise.
-            # shards=None: single-tier calibration is a one-node
-            # simulation — the sharded runner would only add window
-            # overhead to each of the many tiny tuning runs.
             tune_config = replace(
                 profiling_config, tracer=None,
-                fault_plan=None, resilience=None, shards=None,
+                fault_plan=None, resilience=None,
                 seed=derive_tier_seed(seed, name, "finetune"),
             )
         return TierTask(

@@ -19,9 +19,7 @@ executors), so none of it belongs in the digest that decides whether
 two jobs are the same experiment.
 
 Option fields default to ``None``, meaning "inherit from the executing
-cloner" — a request only pins what it cares about. The legacy
-positional ``cloner.clone(deployment, load, config)`` form still works
-through a shim that builds a request on the fly (and warns).
+cloner" — a request only pins what it cares about.
 """
 
 from __future__ import annotations

@@ -128,8 +128,7 @@ def _build_request(args: argparse.Namespace) -> CloneRequest:
     deployment = _build_deployment(args.workload)
     load = LoadSpec.open_loop(args.qps)
     config = ExperimentConfig(platform=platform_by_name(args.platform),
-                              duration_s=args.duration, seed=args.seed,
-                              shards=args.shards)
+                              duration_s=args.duration, seed=args.seed)
     validate: Optional[FidelityGate] = None
     if args.validate:
         tolerances = _parse_tolerances(args.tolerance)
@@ -405,10 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--platform", default="A",
                         choices=sorted(_PLATFORMS))
     submit.add_argument("--seed", type=int, default=17)
-    submit.add_argument("--shards", type=int, default=None,
-                        help="partition the profiling simulation across "
-                             "N shard processes (deterministic: the "
-                             "result is identical for any N)")
     submit.add_argument("--fast", action="store_true",
                         help="smoke-test profiling budget")
     submit.add_argument("--validate", action="store_true",

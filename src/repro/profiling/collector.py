@@ -534,15 +534,9 @@ def profile_deployment(
     """Run one instrumented profiling session over a deployment."""
     budget = budget if budget is not None else ProfilingBudget()
     tracer = Tracer(sample_rate=1.0, seed=seed)
-    # shards=None: the instrumented run needs one process-global tracer
-    # (spans from every tier feed dependency extraction), which the
-    # sharded runner cannot provide. Any shards setting on the config
-    # still applies to the non-instrumented runs downstream (fidelity
-    # gate sweeps).
     instrumented = replace(
         config,
         tracer=tracer,
-        shards=None,
         duration_s=budget.profile_duration_s,
         trace_sample_rate=1.0,
     )

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.app.service import Deployment
@@ -58,18 +58,10 @@ class ExperimentConfig:
     #: watchdog: livelock detector — consecutive dispatches allowed
     #: without the simulated clock advancing
     max_stalled_events: Optional[int] = None
-    #: partition the deployment's nodes across this many simulation
-    #: shards (processes) with deterministic cross-shard messaging —
-    #: see :mod:`repro.sim.shard`. ``None`` keeps the single-process
-    #: runner; any value (including 1) selects the sharded runner,
-    #: whose result digest is independent of the shard count.
-    shards: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.duration_s <= 0:
             raise ConfigurationError("duration must be positive")
-        if self.shards is not None and self.shards < 1:
-            raise ConfigurationError("shards must be >= 1")
         if self.max_sim_events is not None and self.max_sim_events < 1:
             raise ConfigurationError("max_sim_events must be >= 1")
         if self.sim_deadline_s is not None \
@@ -107,8 +99,7 @@ def run_experiment(
     """
     session = current_session()
     timeline_run = None
-    if (session is not None and session.timeline is not None
-            and config.shards is None):
+    if session is not None and session.timeline is not None:
         load_text = (f"open {load.qps:g} qps" if load.kind == "open"
                      else f"closed {load.connections} conns")
         timeline_run = session.timeline.begin_run(
@@ -116,11 +107,7 @@ def run_experiment(
     with span("run_experiment", category="experiment",
               service=deployment.entry_service,
               duration_s=config.duration_s):
-        if config.shards is not None:
-            from repro.sim.shard import run_sharded_experiment
-            result = run_sharded_experiment(deployment, load, config)
-        else:
-            result = _run_experiment(deployment, load, config, timeline_run)
+        result = _run_experiment(deployment, load, config, timeline_run)
     if session is not None:
         session.registry.counter(
             "ditto_experiments_total",
@@ -134,42 +121,12 @@ def run_experiment(
     return result
 
 
-@dataclass
-class SimulationBuild:
-    """One assembled simulation: environment, devices, services, load.
-
-    Produced by :func:`_build_simulation` for both the single-process
-    runner (all nodes in one environment) and the sharded runner (one
-    build per partition, services on non-local nodes replaced by
-    cross-shard stubs; ``generator``/``recorder`` are ``None`` when the
-    entry service lives elsewhere).
-    """
-
-    env: Environment
-    injector: Optional[FaultInjector]
-    tracer: Tracer
-    nodes: Dict[str, Node]
-    registry: Dict[str, ServiceRuntime]
-    recorder: Optional[LatencyRecorder]
-    generator: Optional[object]
-
-
-def _build_simulation(
+def _run_experiment(
     deployment: Deployment,
     load: LoadSpec,
     config: ExperimentConfig,
     timeline_run=None,
-    local_nodes: Optional[frozenset] = None,
-    remote_stub=None,
-) -> SimulationBuild:
-    """Assemble one simulation (or one shard partition of it).
-
-    ``local_nodes`` limits the build to a subset of the deployment's
-    nodes; services placed elsewhere are registered as
-    ``remote_stub(service_name, node_name)`` proxies instead of
-    runtimes, and the load generator is only built when the entry
-    service is local. ``None`` builds everything (the classic runner).
-    """
+) -> RunResult:
     env = Environment(timeline=timeline_run)
     stream = RngStream(config.seed, "experiment")
     # Fault injection: the injector draws exclusively from streams under
@@ -189,8 +146,6 @@ def _build_simulation(
     nodes: Dict[str, Node] = {}
     node_states: Dict[str, NodeState] = {}
     for node_name in deployment.node_names():
-        if local_nodes is not None and node_name not in local_nodes:
-            continue
         factors_probe = contention_factors(0.0, corunners)
         node = Node(
             env, platform, name=node_name,
@@ -220,17 +175,13 @@ def _build_simulation(
     # Service runtimes share one registry for RPC routing.
     registry: Dict[str, ServiceRuntime] = {}
     for service_name, spec in deployment.services.items():
-        service_node = deployment.node_of(service_name)
-        if local_nodes is not None and service_node not in local_nodes:
-            registry[service_name] = remote_stub(service_name, service_node)
-            continue
-        node = nodes[service_node]
+        node = nodes[deployment.node_of(service_name)]
         factors = contention_factors(spec.program.resident_bytes, corunners)
         runtime = ServiceRuntime(
             env=env,
             spec=spec,
             node=node,
-            node_state=node_states[service_node],
+            node_state=node_states[deployment.node_of(service_name)],
             pricer=pricer,
             tracer=tracer,
             base_factors=factors,
@@ -249,13 +200,7 @@ def _build_simulation(
             node.filesystem.page_cache.write(
                 file_spec, min(file_spec.size_bytes, capacity))
     for runtime in registry.values():
-        if isinstance(runtime, ServiceRuntime):
-            runtime.start()
-    entry_node = deployment.node_of(deployment.entry_service)
-    if local_nodes is not None and entry_node not in local_nodes:
-        return SimulationBuild(env=env, injector=injector, tracer=tracer,
-                               nodes=nodes, registry=registry,
-                               recorder=None, generator=None)
+        runtime.start()
     entry = registry[deployment.entry_service]
     recorder = LatencyRecorder()
 
@@ -278,73 +223,42 @@ def _build_simulation(
         rng_stream=stream,
         recorder=recorder,
     )
-    return SimulationBuild(env=env, injector=injector, tracer=tracer,
-                           nodes=nodes, registry=registry,
-                           recorder=recorder, generator=generator)
-
-
-def _device_utilisations(
-    nodes: Dict[str, Node], duration: float,
-) -> Tuple[Dict[str, float], Dict[str, float]]:
-    """Per-node CPU and disk utilisation over ``duration`` seconds."""
-    cpu = {
-        name: node.cpu.utilisation(duration)
-        for name, node in nodes.items()
-    }
-    disk = {
-        name: min(1.0, (node.disk.read_bytes + node.disk.write_bytes)
-                  / (node.disk.spec.bandwidth_bytes_per_s * duration))
-        for name, node in nodes.items()
-    }
-    return cpu, disk
-
-
-def _breaker_summary(registry: Dict[str, ServiceRuntime]) -> Dict:
-    """Per-service circuit-breaker end states (empty entries omitted)."""
-    return {
-        name: {
-            target: {"state": breaker.state,
-                     "open_transitions": breaker.open_transitions,
-                     "rejections": breaker.rejections}
-            for target, breaker in rt._breakers.items()
-        }
-        for name, rt in registry.items()
-        if isinstance(rt, ServiceRuntime) and rt._breakers
-    }
-
-
-def _run_experiment(
-    deployment: Deployment,
-    load: LoadSpec,
-    config: ExperimentConfig,
-    timeline_run=None,
-) -> RunResult:
-    build = _build_simulation(deployment, load, config, timeline_run)
-    build.generator.start()
+    generator.start()
     # Run until all injected requests drain (workers blocked on empty
     # queues schedule no events, so the event queue empties naturally).
     # With any watchdog configured the engine runs its guarded loop and
     # raises SimBudgetExceededError naming the stuck entry; with none,
     # this is the historical (bit-identical) fast path.
-    build.env.run(until=None,
-                  max_events=config.max_sim_events,
-                  deadline=config.sim_deadline_s,
-                  max_stalled_events=config.max_stalled_events)
+    env.run(until=None,
+            max_events=config.max_sim_events,
+            deadline=config.sim_deadline_s,
+            max_stalled_events=config.max_stalled_events)
     duration = max(config.duration_s, 1e-9)
-    cpu_util, disk_util = _device_utilisations(build.nodes, duration)
-    injector = build.injector
-    result = RunResult(
+    return RunResult(
         duration_s=duration,
-        services={name: rt.metrics
-                  for name, rt in build.registry.items()},
-        latency=build.recorder,
-        node_utilisation=cpu_util,
-        disk_utilisation=disk_util,
+        services={name: rt.metrics for name, rt in registry.items()},
+        latency=recorder,
+        node_utilisation={
+            name: node.cpu.utilisation(duration)
+            for name, node in nodes.items()
+        },
+        disk_utilisation={
+            name: min(1.0, (node.disk.read_bytes + node.disk.write_bytes)
+                      / (node.disk.spec.bandwidth_bytes_per_s * duration))
+            for name, node in nodes.items()
+        },
         faults=injector.timeline if injector is not None else None,
-        breakers=_breaker_summary(build.registry),
-        events_dispatched=build.env.dispatched_events,
+        breakers={
+            name: {
+                target: {"state": breaker.state,
+                         "open_transitions": breaker.open_transitions,
+                         "rejections": breaker.rejections}
+                for target, breaker in rt._breakers.items()
+            }
+            for name, rt in registry.items() if rt._breakers
+        },
+        events_dispatched=env.dispatched_events,
     )
-    return result
 
 
 def sweep_load(

@@ -175,10 +175,10 @@ class RunResult:
     #: deliberately excluded from result digests)
     breakers: Dict[str, Dict[str, Dict[str, object]]] = field(
         default_factory=dict)
-    #: total queue entries the engine dispatched to produce this result,
-    #: summed across every shard in a sharded run (observability for the
-    #: perf harness; deliberately excluded from result digests — it is a
-    #: property of the runner, not of the simulated system)
+    #: total queue entries the engine dispatched to produce this result
+    #: (observability for the perf harness; deliberately excluded from
+    #: result digests — it is a property of the runner, not of the
+    #: simulated system)
     events_dispatched: Optional[int] = None
 
     def service(self, name: str) -> ServiceMetrics:

@@ -62,9 +62,6 @@ class Request:
     arrival: float
     trace_id: int = 0
     parent_span_id: Optional[int] = None
-    #: reply handle for requests that arrived from another simulation
-    #: shard (see :mod:`repro.sim.shard`); ``None`` for local requests
-    remote: Optional[object] = None
 
 
 @dataclass
@@ -226,7 +223,6 @@ class ServiceRuntime:
         src_node: str = "client",
         trace_id: int = 0,
         parent_span_id: Optional[int] = None,
-        remote=None,
     ) -> Event:
         """Enqueue a request; returns the response event.
 
@@ -237,24 +233,15 @@ class ServiceRuntime:
         a request arriving at a full queue is shed with
         :class:`~repro.util.errors.LoadSheddedError` instead of growing
         the queue without bound.
-
-        ``remote`` is a reply handle for requests delivered from another
-        simulation shard (:mod:`repro.sim.shard`): outcomes — including
-        admission rejections — then travel back over the shard boundary
-        instead of the local response event.
         """
         self.spec.program.handler(handler)  # validate
         response = self.env.event()
         faults = self.env.faults
         if faults is not None and faults.node_down(self.node.name):
             self.metrics.failed_requests += 1
-            error = FaultInjectionError(
+            response.fail(FaultInjectionError(
                 f"{self.spec.name}: node {self.node.name} is down",
-                kind="node_down", scope=self.node.name)
-            if remote is not None:
-                remote.reply(ok=False, error=error)
-            else:
-                response.fail(error)
+                kind="node_down", scope=self.node.name))
             return response
         if (self.resilience is not None
                 and self.resilience.max_queue_depth is not None
@@ -264,13 +251,9 @@ class ServiceRuntime:
                 "ditto_requests_shed_total",
                 "requests rejected at admission by load shedding",
                 service=self.spec.name)
-            error = LoadSheddedError(
+            response.fail(LoadSheddedError(
                 f"{self.spec.name}: queue at shedding bound",
-                service=self.spec.name, queue_depth=len(self.queue))
-            if remote is not None:
-                remote.reply(ok=False, error=error)
-            else:
-                response.fail(error)
+                service=self.spec.name, queue_depth=len(self.queue)))
             return response
         request = Request(
             handler=handler,
@@ -279,7 +262,6 @@ class ServiceRuntime:
             arrival=self.env.now,
             trace_id=trace_id,
             parent_span_id=parent_span_id,
-            remote=remote,
         )
         self.queue.put(request)
         return response
@@ -473,16 +455,7 @@ class ServiceRuntime:
                 self.env.now - serve_start, **detail)
         if span is not None:
             span.finish(self.env.now)
-        if request.remote is not None:
-            # Shard-remote request: the outcome crosses the shard
-            # boundary (one cross-node latency) instead of the local
-            # response event. Successful replies land at exactly the
-            # time _delayed_reply would deliver them.
-            if failure is not None:
-                request.remote.reply(ok=False, error=failure)
-            else:
-                request.remote.reply(ok=True)
-        elif failure is not None:
+        if failure is not None:
             if not request.response.triggered:
                 request.response.fail(failure)
         elif request.src_node != self.node.name:
@@ -643,37 +616,22 @@ class ServiceRuntime:
             tags=tags,
         )
         try:
-            cross_node = target.node.name != self.node.name
-            remote_submit = (getattr(target, "remote_submit", None)
-                             if cross_node else None)
             self.metrics.net_tx_bytes += rpc.request_bytes
-            if cross_node:
+            if target.node.name != self.node.name:
                 # Request serialisation on our NIC, then the wire.
                 yield self._nic_transmit(rpc.request_bytes)
-                if remote_submit is not None:
-                    # Target lives on another shard: ship the request
-                    # now (it arrives one wire latency from now, i.e.
-                    # exactly when the local-path submit would run)
-                    # while we wait out the same latency here.
-                    response = remote_submit(
-                        rpc.handler,
-                        src_node=self.node.name,
-                        trace_id=request.trace_id,
-                        request_bytes=rpc.request_bytes,
-                    )
                 yield self.env.timeout(self.cross_node_latency_s)
             else:
                 self.node.nic.tx_bytes += rpc.request_bytes
-            if remote_submit is None:
-                target.metrics.net_rx_bytes += rpc.request_bytes
-                target.node.nic.account_rx(rpc.request_bytes)
-                response = target.submit(
-                    rpc.handler,
-                    src_node=self.node.name,
-                    trace_id=request.trace_id,
-                    parent_span_id=(client_span.span_id
-                                    if client_span is not None else None),
-                )
+            target.metrics.net_rx_bytes += rpc.request_bytes
+            target.node.nic.account_rx(rpc.request_bytes)
+            response = target.submit(
+                rpc.handler,
+                src_node=self.node.name,
+                trace_id=request.trace_id,
+                parent_span_id=(client_span.span_id
+                                if client_span is not None else None),
+            )
             if timeout_s is None:
                 yield response
             else:

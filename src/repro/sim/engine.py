@@ -549,9 +549,8 @@ class Environment:
         """Invoke ``fn()`` at simulated time ``when``.
 
         The cheapest scheduling primitive — one bucket slot, no
-        ``Event``, nothing to wait on. The sharded-simulation router
-        uses it to inject cross-shard deliveries at their exact
-        timestamps.
+        ``Event``, nothing to wait on — for fire-and-forget callbacks
+        that must land at an exact timestamp.
         """
         when = float(when)
         if when < self._now:
@@ -779,8 +778,8 @@ class Environment:
         session is active. Returns the retained pool size.
 
         :meth:`run` calls this automatically whenever a run drains the
-        queue; long-lived environments driven by ``run(until=horizon)``
-        windows (the sharded coordinator) may call it explicitly.
+        queue; long-lived environments driven in ``run(until=horizon)``
+        windows may call it explicitly.
         """
         pool = self._timeout_pool
         keep = max(_TIMEOUT_POOL_KEEP, self._pool_served)

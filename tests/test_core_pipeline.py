@@ -114,22 +114,17 @@ class TestCloneReportTelemetry:
 
 
 class TestCloneResultApi:
-    def test_unpacks_as_pair(self, executor_clones):
-        result = executor_clones["serial"]
-        synthetic, report = result
-        assert synthetic is result.synthetic
-        assert report is result.report
-        assert isinstance(result, CloneResult)
-        assert isinstance(report, CloneReport)
-
-    def test_legacy_positional_clone_warns_but_works(self):
+    def test_clone_takes_only_a_request(self):
         deployment = Deployment.single(build_memcached())
-        cloner = DittoCloner(fine_tune_tiers=False, budget=FAST_BUDGET)
-        with pytest.warns(DeprecationWarning, match="CloneRequest"):
-            result = cloner.clone(deployment, LoadSpec.open_loop(100000),
-                                  SOCIALNET_CONFIG)
+        with pytest.raises(ConfigurationError, match="CloneRequest"):
+            DittoCloner().clone(deployment)
+
+    def test_result_does_not_unpack(self, executor_clones):
+        result = executor_clones["serial"]
         assert isinstance(result, CloneResult)
-        assert result.report.executor == "serial"  # single tier
+        assert isinstance(result.report, CloneReport)
+        with pytest.raises(TypeError):
+            synthetic, report = result
 
 
 class TestConstructionValidation:

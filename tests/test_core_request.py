@@ -1,4 +1,4 @@
-"""CloneRequest: validation, digests, option plumbing, the legacy shim."""
+"""CloneRequest: validation, digests, option plumbing."""
 
 import pickle
 from dataclasses import FrozenInstanceError, replace
@@ -172,10 +172,5 @@ class TestClonerIntegration:
         assert cloner._effective(_request()) is cloner
 
     def test_clone_rejects_request_plus_positionals(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(TypeError):
             DittoCloner().clone(_request(), LOAD)
-
-    def test_legacy_positional_requires_all_three(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError):
-                DittoCloner().clone(_deployment(), LOAD)

@@ -188,6 +188,10 @@ REFERENCE_DIGESTS = {
         "405ea31291dd15f022a460fffab9419812f64d81b88d09899684a834b3c58f27",
     "memcached_clone_probe":
         "1012d89ce423a37913c832830d25e077bddca290f388a66b841b6f120e92d018",
+    # The only multi-tier pin: 14-tier social network spread round-robin
+    # over three nodes, so cross-node RPC fan-out is on the digest path.
+    "socialnet_three_node":
+        "3cde58baa5c44565f2686d38872d09f2bbfcdebd4eb793e5f27529ab35878c0e",
 }
 
 
@@ -206,6 +210,17 @@ def _result_digest(result):
     return stable_digest(*parts)
 
 
+def _assert_conserved(result, deployment):
+    """Every issued request ends in exactly one client outcome, and the
+    entry service accounts for each one as served, failed or shed."""
+    issued = result.latency.issued
+    assert issued > 0
+    assert sum(result.outcome_counts().values()) == issued
+    entry = result.services[deployment.entry_service]
+    assert (entry.requests + entry.failed_requests
+            + entry.shed_requests) == issued
+
+
 class TestDigestEquivalence:
     def test_memcached_fault_free_digest_unchanged(self):
         from repro.app.service import Deployment
@@ -214,12 +229,14 @@ class TestDigestEquivalence:
         from repro.loadgen import LoadSpec
         from repro.runtime import ExperimentConfig, run_experiment
 
+        deployment = Deployment.single(build_memcached())
         result = run_experiment(
-            Deployment.single(build_memcached()),
+            deployment,
             LoadSpec.open_loop(50_000),
             ExperimentConfig(platform=PLATFORM_A, duration_s=0.01, seed=7))
         assert _result_digest(result) == \
             REFERENCE_DIGESTS["memcached_fault_free"]
+        _assert_conserved(result, deployment)
 
     def test_faulted_gateway_digests_unchanged(self):
         from repro.app.workloads.asyncgw import async_gateway_deployment
@@ -240,31 +257,49 @@ class TestDigestEquivalence:
             platform=PLATFORM_A, duration_s=0.01, seed=7, fault_plan=plan,
             resilience=ResilienceConfig(rpc_timeout_s=2e-3,
                                         max_queue_depth=64))
-        result = run_experiment(async_gateway_deployment(),
-                                LoadSpec.open_loop(2_000), config)
+        deployment = async_gateway_deployment()
+        result = run_experiment(deployment, LoadSpec.open_loop(2_000), config)
         assert _result_digest(result) == REFERENCE_DIGESTS["gateway_faulted"]
         assert result.faults.digest() == \
             REFERENCE_DIGESTS["gateway_fault_timeline"]
+        _assert_conserved(result, deployment)
 
     def test_clone_probe_digest_unchanged(self):
-        from repro import (Deployment, DittoCloner, ExperimentConfig,
-                           LoadSpec, build_memcached)
+        from repro import (CloneRequest, Deployment, DittoCloner,
+                           ExperimentConfig, LoadSpec, build_memcached)
         from repro.hw import PLATFORM_A
-        from repro.loadgen import LoadSpec
         from repro.profiling import ProfilingBudget
-        from repro.runtime import ExperimentConfig, run_experiment
+        from repro.runtime import run_experiment
 
         cloner = DittoCloner(
             fine_tune_tiers=True, max_tune_iterations=3,
             budget=ProfilingBudget(sampled_requests=8,
                                    profile_duration_s=0.015),
             executor="serial")
-        clone = cloner.clone(
-            Deployment.single(build_memcached()),
-            LoadSpec.open_loop(100_000),
-            ExperimentConfig(platform=PLATFORM_A, duration_s=0.02, seed=5))
+        clone = cloner.clone(CloneRequest(
+            deployment=Deployment.single(build_memcached()),
+            load=LoadSpec.open_loop(100_000),
+            config=ExperimentConfig(platform=PLATFORM_A, duration_s=0.02,
+                                    seed=5)))
         probe = run_experiment(
             clone.synthetic, LoadSpec.open_loop(50_000),
             ExperimentConfig(platform=PLATFORM_A, duration_s=0.01, seed=7))
         assert _result_digest(probe) == \
             REFERENCE_DIGESTS["memcached_clone_probe"]
+        _assert_conserved(probe, clone.synthetic)
+
+    def test_socialnet_three_node_digest_unchanged(self):
+        from repro import (ExperimentConfig, LoadSpec, PLATFORM_A,
+                           build_social_network, social_network_deployment)
+        from repro.runtime import run_experiment
+
+        names = list(build_social_network())
+        deployment = social_network_deployment(
+            placement={name: f"node{i % 3}" for i, name in enumerate(names)})
+        result = run_experiment(
+            deployment, LoadSpec.open_loop(25_000),
+            ExperimentConfig(platform=PLATFORM_A, duration_s=0.02, seed=11))
+        assert _result_digest(result) == \
+            REFERENCE_DIGESTS["socialnet_three_node"]
+        assert result.events_dispatched > 0
+        _assert_conserved(result, deployment)
