@@ -233,6 +233,10 @@ def _run_experiment(
             max_events=config.max_sim_events,
             deadline=config.sim_deadline_s,
             max_stalled_events=config.max_stalled_events)
+    # Services fold their charge logs in chunks; fold what is left so the
+    # result holds every charge and no log.
+    for runtime in registry.values():
+        runtime.fold()
     duration = max(config.duration_s, 1e-9)
     return RunResult(
         duration_s=duration,

@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
+
+import numpy as np
 
 from repro.hw.core import BlockTiming
 from repro.hw.topdown import TopDownBreakdown
 from repro.loadgen.generator import LatencyRecorder
+from repro.runtime.pricing import row_timing, timing_row
 from repro.util.errors import ConfigurationError
+
+#: charge-log entries a service folds at a time; bounds the fold's
+#: scratch array (the folded totals do not depend on it)
+FOLD_CHUNK = 1024
 
 
 @dataclass
@@ -39,6 +46,21 @@ class ServiceMetrics:
     def absorb(self, timing: BlockTiming) -> None:
         """Fold one block execution's counters in."""
         self.timing = self.timing + timing
+
+    def fold(self, table: np.ndarray, rows: Sequence[int]) -> None:
+        """Fold the pricing rows ``table[rows]`` in, in order.
+
+        ``np.add.accumulate`` along axis 0 is a strict left fold: each
+        output row is the previous output row plus the next input row,
+        with no pairwise regrouping. Every field therefore sees the same
+        sequence of ``+`` as one :meth:`absorb` per row, and the totals
+        are bit-identical to that chain.
+        """
+        if len(rows) == 0:
+            return
+        stacked = np.vstack((timing_row(self.timing), table[rows]))
+        totals = np.add.accumulate(stacked, axis=0)[-1]
+        self.timing = row_timing(totals.tolist())
 
     # ------------------------------------------------------------------ #
     # derived metrics (the Fig. 5/7 radar axes)

@@ -3,23 +3,71 @@
 Pricing a block through the analytical core model is cheap but not free
 (the branch oracle runs Monte-Carlo simulations on first use), and a run
 executes the same handful of blocks millions of times. The pricer
-memoises :class:`~repro.hw.core.BlockTiming` per (block, quantised
-execution state): concurrency is bucketed to powers of two and cache/SMT
-factors to two decimals, so a run touches only a few dozen distinct
-pricings while timing still responds to load, colocation and
-interference.
+memoises every (block, quantised execution state) pricing as one dense
+row of a float table: concurrency is bucketed to powers of two and
+cache/SMT factors to two decimals, so a run touches only a few dozen
+distinct pricings while timing still responds to load, colocation and
+interference. The service model charges a block by logging its row
+index; :meth:`repro.runtime.metrics.ServiceMetrics.fold` later sums
+logged rows into counters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.hw.core import BlockTiming, CoreModel, ExecutionContext
 from repro.hw.ir import BlockSpec
 from repro.hw.platform import PlatformSpec
+from repro.hw.topdown import TopDownBreakdown
 from repro.util.errors import ConfigurationError
 from repro.util.quantize import next_pow2
+
+#: the scalar :class:`BlockTiming` fields, in row-column order
+TIMING_FIELDS = (
+    "cycles", "instructions", "uops", "branches", "branch_mispredictions",
+    "l1i_accesses", "l1i_misses", "l1d_accesses", "l1d_misses",
+    "l2_accesses", "l2_misses", "llc_accesses", "llc_misses",
+    "memory_bytes",
+)
+#: the top-down buckets, in the columns after :data:`TIMING_FIELDS`
+TOPDOWN_FIELDS = ("retiring", "frontend", "bad_speculation", "backend")
+#: columns of a pricing row
+ROW_WIDTH = len(TIMING_FIELDS) + len(TOPDOWN_FIELDS)
+
+
+def timing_row(timing: BlockTiming) -> List[float]:
+    """``timing`` flattened into one pricing row."""
+    topdown = timing.topdown
+    return ([getattr(timing, name) for name in TIMING_FIELDS]
+            + [getattr(topdown, name) for name in TOPDOWN_FIELDS])
+
+
+def row_timing(row: Sequence[float]) -> BlockTiming:
+    """The :class:`BlockTiming` a pricing row (of Python floats) encodes.
+
+    Like :meth:`BlockTiming.__add__`, this skips the dataclass
+    initialisers: rows only ever hold prices and sums of prices, which
+    were validated when they were first built.
+    """
+    topdown = object.__new__(TopDownBreakdown)
+    topdown.__dict__.update(zip(TOPDOWN_FIELDS, row[len(TIMING_FIELDS):]))
+    timing = BlockTiming.__new__(BlockTiming)
+    timing.__dict__ = dict(zip(TIMING_FIELDS, row), topdown=topdown)
+    return timing
+
+
+def code_reuse_steps(code_reuse_bytes: float) -> int:
+    """Code reuse in the 64 KiB steps a :class:`PricingKey` keeps.
+
+    Fine enough to keep cache-boundary distinctions (a 680KB reuse must
+    stay below a 1MB L2 and above a 256KB one), coarse enough to memoise
+    well.
+    """
+    return max(1, round(code_reuse_bytes / 1024 / 64))
 
 
 @dataclass(frozen=True)
@@ -57,16 +105,21 @@ class PricingKey:
             l1d_factor=round(l1d, 2),
             l2_factor=round(l2, 2),
             llc_factor=round(llc, 2),
-            # 64KB steps: fine enough to keep cache-boundary distinctions
-            # (a 680KB reuse must stay below a 1MB L2 and above a 256KB
-            # one), coarse enough to memoise well.
-            code_reuse_kb=64 * max(1, round(code_reuse_bytes / 1024 / 64)),
+            code_reuse_kb=64 * code_reuse_steps(code_reuse_bytes),
             static_branch_sites=next_pow2(max(1, static_branch_sites)),
         )
 
 
 class BlockPricer:
-    """Memoised CoreModel frontend for one platform/frequency."""
+    """Memoised CoreModel frontend for one platform/frequency.
+
+    Each distinct (block, key) pricing gets one dense row index. Rows
+    live in :attr:`table`, one column per :data:`TIMING_FIELDS` scalar
+    and then per :data:`TOPDOWN_FIELDS` bucket; the table grows by
+    doubling, so read it through the pricer rather than holding the
+    array. :attr:`row_cycles` repeats each row's cycles as a plain list
+    for the charging loop.
+    """
 
     def __init__(
         self,
@@ -81,7 +134,9 @@ class BlockPricer:
         )
         self.prefetch_coverage = prefetch_coverage
         self._base_hierarchy = platform.hierarchy(self.frequency_ghz)
-        self._cache: Dict[Tuple[int, PricingKey], BlockTiming] = {}
+        self._rows: Dict[Tuple[int, PricingKey], int] = {}
+        self.table = np.zeros((64, ROW_WIDTH))
+        self.row_cycles: List[float] = []
         self._context_cache: Dict[PricingKey, ExecutionContext] = {}
 
     def context_for(self, key: PricingKey) -> ExecutionContext:
@@ -108,14 +163,33 @@ class BlockPricer:
         self._context_cache[key] = ctx
         return ctx
 
+    def row(self, block: BlockSpec, key: PricingKey) -> int:
+        """Row index of ``block`` under state ``key``, pricing it once."""
+        row = self._rows.get((id(block), key))
+        if row is None:
+            self.price(block, key)
+            row = len(self.row_cycles) - 1
+        return row
+
     def price(self, block: BlockSpec, key: PricingKey) -> BlockTiming:
-        """Memoised timing of ``block`` under state ``key``."""
+        """Memoised timing of ``block`` under state ``key``.
+
+        A first pricing runs the core model and appends a row; a repeat
+        rebuilds an equal timing from that row.
+        """
         cache_key = (id(block), key)
-        cached = self._cache.get(cache_key)
-        if cached is not None:
-            return cached
+        row = self._rows.get(cache_key)
+        if row is not None:
+            return row_timing(self.table[row].tolist())
         timing = CoreModel(self.context_for(key)).time_block(block)
-        self._cache[cache_key] = timing
+        row = len(self.row_cycles)
+        if row == len(self.table):
+            grown = np.zeros((2 * row, ROW_WIDTH))
+            grown[:row] = self.table
+            self.table = grown
+        self.table[row] = timing_row(timing)
+        self.row_cycles.append(timing.cycles)
+        self._rows[cache_key] = row
         return timing
 
     def seconds(self, cycles: float) -> float:
@@ -125,4 +199,4 @@ class BlockPricer:
     @property
     def cache_size(self) -> int:
         """Number of distinct pricings computed so far."""
-        return len(self._cache)
+        return len(self.row_cycles)

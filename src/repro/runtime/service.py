@@ -17,8 +17,8 @@ from repro.kernelsim.syscalls import (
     kernel_block_for,
     kernel_code_footprint,
 )
-from repro.runtime.metrics import ServiceMetrics
-from repro.runtime.pricing import BlockPricer, PricingKey
+from repro.runtime.metrics import FOLD_CHUNK, ServiceMetrics
+from repro.runtime.pricing import BlockPricer, PricingKey, code_reuse_steps
 from repro.runtime.resilience import CircuitBreaker, ResilienceConfig
 from repro.sim import Environment, Event, Store
 from repro.telemetry.context import current_session
@@ -95,17 +95,13 @@ class NodeState:
 class ServiceRuntime:
     """Executes one service's skeleton and handlers on a node.
 
-    ``fast_ops`` selects the engine path for the inner device loops
-    (CPU execute, NIC transmit, disk I/O): ``True`` (the default) uses
-    the compiled generator-free continuations
-    (:meth:`~repro.kernelsim.scheduler.CpuDevice.execute_op` and
-    friends), ``False`` the original generator processes. Both schedule
-    bit-identically — the flag exists so the equivalence suite can run
-    the same workload down both paths and compare digests.
+    Charging a block appends its pricing row (see
+    :mod:`repro.runtime.pricing`) to the service's charge log and adds
+    its cycles to the request's pending CPU work. The log folds into
+    :attr:`metrics` every :data:`~repro.runtime.metrics.FOLD_CHUNK`
+    charges and on :meth:`fold`, which the experiment calls when the run
+    ends; until then ``metrics.timing`` lags the charges.
     """
-
-    #: class-wide default for the device-op fast path (see class doc)
-    fast_ops: bool = True
 
     def __init__(
         self,
@@ -143,26 +139,26 @@ class ServiceRuntime:
             self._retry_rng = stream.rng("resilience", spec.name)
         self.queue: Store = Store(env, name=f"{spec.name}-queue")
         self.metrics = ServiceMetrics()
+        #: pricing rows charged since the last fold, in charge order
+        self._log: List[int] = []
+        #: execution state -> (PricingKey, {id(block): pricing row})
+        self._state_rows: Dict[tuple, Tuple[PricingKey, Dict[int, int]]] = {}
         self.active = 0
         self._started = False
         # Telemetry timeline, bound once at construction (attach-time
         # guard): an untimed run pays no per-request check at all.
         self._timeline = env.timeline
-        # Device-op entry points, resolved once: the compiled
-        # continuations or the generator processes (bit-identical
-        # schedules — see the class docstring).
-        if self.fast_ops:
-            self._cpu_execute = node.cpu.execute_op
-            self._disk_io = node.disk.io_op
-            self._nic_transmit = node.nic.transmit_op
-        else:
-            self._cpu_execute = (
-                lambda cycles: env.process(node.cpu.execute(cycles)))
-            self._disk_io = (
-                lambda nbytes, write=False: env.process(
-                    node.disk.io(nbytes, write=write)))
-            self._nic_transmit = (
-                lambda nbytes: env.process(node.nic.transmit(nbytes)))
+        # Device-op entry points (generator-free continuations), resolved
+        # once.
+        self._cpu_execute = node.cpu.execute_op
+        self._disk_io = node.disk.io_op
+        self._nic_transmit = node.nic.transmit_op
+        # Co-located tiers are fixed for the run, and so is their share
+        # of every pricing key.
+        self._llc_bytes = float(pricer.platform.llc.size_bytes)
+        self._other_code_bytes = node_state.other_code_bytes(spec.name)
+        self._other_pressure = node_state.other_resident_pressure(
+            spec.name, self._llc_bytes)
         # Static execution-state ingredients.
         program = spec.program
         syscall_names: List[str] = [spec.skeleton.wait_syscall()]
@@ -178,7 +174,8 @@ class ServiceRuntime:
         self._static_branches = (program.static_branch_sites()
                                  + KERNEL_STATIC_BRANCHES)
         self._switch_block = context_switch_block()
-        self._wait_invocation = SyscallInvocation(spec.skeleton.wait_syscall())
+        self._wait_block = _cached_kernel_block(
+            SyscallInvocation(spec.skeleton.wait_syscall()))
         # Per-handler concurrent data footprint (for LLC competition).
         self._handler_footprint = {
             hname: handler.data_footprint_bytes()
@@ -308,41 +305,90 @@ class ServiceRuntime:
                 served += 1
 
     def _background(self, cls):
+        blocks = self.spec.program.background_blocks
         while True:
             yield self.env.timeout(cls.background_period_s)
-            key = self._pricing_key(cold=True)
-            cycles = 0.0
-            for block in self.spec.program.background_blocks:
-                timing = self.pricer.price(block, key)
-                self.metrics.absorb(timing)
-                cycles += timing.cycles
-            if cycles > 0:
+            pending = [0.0]
+            charge = self._charger(pending, cold=True)
+            for block in blocks:
+                charge(block)
+            if pending[0] > 0:
                 try:
-                    yield self._cpu_execute(cycles)
+                    yield self._cpu_execute(pending[0])
                 except FaultInjectionError:
                     # Node down: this period's background work is lost,
                     # the thread survives to run again after restart.
                     continue
 
     # ------------------------------------------------------------------ #
-    # execution-state -> pricing key
+    # execution-state -> pricing key -> charges
     # ------------------------------------------------------------------ #
-    def _pricing_key(self, cold: bool, idle_s: float = 0.0) -> PricingKey:
+    def _rows_for(self, cold: bool, idle_s: float = 0.0
+                  ) -> Tuple[PricingKey, Dict[int, int]]:
+        """The (key, {id(block): pricing row}) memo of the current state.
+
+        A pricing key depends only on ``cold``, this tier's and the
+        node's active threads, and — for cold requests — the code reuse
+        in the key's 64 KiB steps. Requests that agree on those share
+        one memo entry, so the key is built once per state.
+        """
+        if cold:
+            reuse = (self._cold_reuse
+                     + min(MAX_IDLE_POLLUTION_BYTES,
+                           idle_s * IDLE_POLLUTION_BYTES_PER_S)
+                     + self._other_code_bytes)
+            state = (True, self.active, self.node_state.active_threads,
+                     code_reuse_steps(reuse))
+        else:
+            reuse = self._warm_reuse
+            state = (False, self.active, self.node_state.active_threads)
+        entry = self._state_rows.get(state)
+        if entry is None:
+            entry = self._state_rows[state] = (
+                self._pricing_key(cold, reuse), {})
+        return entry
+
+    def _charger(self, pending: List[float], cold: bool,
+                 idle_s: float = 0.0):
+        """``charge(block)`` for the current execution state.
+
+        A charge appends the block's pricing row to the log (folding it
+        every :data:`FOLD_CHUNK` entries) and adds the block's cycles to
+        ``pending[0]``.
+        """
+        key, rows = self._rows_for(cold, idle_s)
+        pricer = self.pricer
+        row_cycles = pricer.row_cycles
+        log = self._log
+        fold = self.fold
+
+        def charge(block) -> None:
+            row = rows.get(id(block))
+            if row is None:
+                row = rows[id(block)] = pricer.row(block, key)
+            log.append(row)
+            if len(log) >= FOLD_CHUNK:
+                fold()
+            pending[0] += row_cycles[row]
+
+        return charge
+
+    def fold(self) -> None:
+        """Fold the charge log into :attr:`metrics` and empty it."""
+        if self._log:
+            self.metrics.fold(self.pricer.table, self._log)
+            self._log.clear()
+
+    def _pricing_key(self, cold: bool, reuse: float) -> PricingKey:
         conc = max(1, self.active)
-        llc_bytes = float(self.pricer.platform.llc.size_bytes)
+        llc_bytes = self._llc_bytes
         # Other in-flight requests and co-located tiers compete for LLC.
         pressure = ((conc - 1) * min(self._mean_footprint, llc_bytes)
-                    + self.node_state.other_resident_pressure(
-                        self.spec.name, llc_bytes))
+                    + self._other_pressure)
         llc_dyn = max(0.2, llc_bytes / (llc_bytes + pressure))
         oversub = self.node_state.oversubscription()
         l2_dyn = max(0.3, 1.0 / (1.0 + 0.35 * (oversub - 1.0)))
         l1_dyn = max(0.5, 1.0 / (1.0 + 0.15 * (oversub - 1.0)))
-        reuse = self._cold_reuse if cold else self._warm_reuse
-        if cold:
-            reuse += min(MAX_IDLE_POLLUTION_BYTES,
-                         idle_s * IDLE_POLLUTION_BYTES_PER_S)
-            reuse += self.node_state.other_code_bytes(self.spec.name)
         factors = self.base_factors
         return PricingKey.build(
             cold=cold,
@@ -371,13 +417,8 @@ class ServiceRuntime:
             request.trace_id, self.spec.name, request.handler,
             SpanKind.SERVER, self.env.now, parent_id=request.parent_span_id,
         )
-        key = self._pricing_key(cold, idle_s)
         pending = [0.0]  # cycles awaiting a CPU grant
-
-        def charge(block) -> None:
-            timing = self.pricer.price(block, key)
-            self.metrics.absorb(timing)
-            pending[0] += timing.cycles
+        charge = self._charger(pending, cold, idle_s)
 
         def flush():
             cycles, pending[0] = pending[0], 0.0
@@ -389,10 +430,8 @@ class ServiceRuntime:
             self.metrics.cold_wakeups += 1
             self.metrics.context_switches += 1
             self.node.cpu.context_switches += 1
-            switch = self.pricer.price(self._switch_block, key)
-            self.metrics.absorb(switch)
-            pending[0] += switch.cycles
-            charge(_cached_kernel_block(self._wait_invocation))
+            charge(self._switch_block)
+            charge(self._wait_block)
 
         loopback = request.src_node == self.node.name
         failure: Optional[ReproError] = None
@@ -405,8 +444,25 @@ class ServiceRuntime:
                     charge(op.block)
                     index += 1
                 elif isinstance(op, SyscallOp):
-                    yield from self._do_syscall(op.invocation, charge, flush,
-                                                loopback)
+                    invocation = op.invocation
+                    charge(_cached_kernel_block(invocation))
+                    device = invocation.spec.device
+                    # Syscalls that cannot block run inline: receives,
+                    # device-less calls and reads the page cache serves.
+                    if device == "net_rx":
+                        self.metrics.net_rx_bytes += invocation.nbytes
+                        self.node.nic.account_rx(invocation.nbytes)
+                    elif (device == "disk" and invocation.file is not None
+                          and not invocation.write):
+                        miss = self.node.filesystem.read(invocation.file,
+                                                         invocation.nbytes)
+                        if miss > 0:
+                            yield flush()
+                            yield self._disk_io(miss, write=False)
+                            self.metrics.disk_read_bytes += miss
+                    elif device is not None:
+                        yield from self._device_syscall(invocation, flush,
+                                                        loopback)
                     index += 1
                 elif isinstance(op, RpcOp):
                     group = [op]
@@ -470,24 +526,17 @@ class ServiceRuntime:
         yield self.env.timeout(self.cross_node_latency_s)
         response.succeed(self.env.now)
 
-    def _do_syscall(self, invocation: SyscallInvocation, charge, flush,
-                    loopback: bool = False):
-        charge(_cached_kernel_block(invocation))
+    def _device_syscall(self, invocation: SyscallInvocation, flush,
+                        loopback: bool = False):
+        """Device side of a charged file write, fsync or send."""
         device = invocation.spec.device
         if device == "disk" and invocation.file is not None:
-            if invocation.write:
-                miss = self.node.filesystem.write(invocation.file,
-                                                  invocation.nbytes)
-            else:
-                miss = self.node.filesystem.read(invocation.file,
-                                                 invocation.nbytes)
+            miss = self.node.filesystem.write(invocation.file,
+                                              invocation.nbytes)
             if miss > 0:
                 yield flush()
-                yield self._disk_io(miss, write=invocation.write)
-                if invocation.write:
-                    self.metrics.disk_write_bytes += miss
-                else:
-                    self.metrics.disk_read_bytes += miss
+                yield self._disk_io(miss, write=True)
+                self.metrics.disk_write_bytes += miss
         elif device == "disk" and invocation.name == "fsync":
             yield flush()
             yield self._disk_io(invocation.nbytes, write=True)
@@ -500,9 +549,6 @@ class ServiceRuntime:
             else:
                 yield flush()
                 yield self._nic_transmit(invocation.nbytes)
-        elif device == "net_rx":
-            self.metrics.net_rx_bytes += invocation.nbytes
-            self.node.nic.account_rx(invocation.nbytes)
 
     def _do_rpcs(self, group: List[RpcOp], request: Request, span, charge,
                  flush, asynchronous: bool = False):

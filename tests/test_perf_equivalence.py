@@ -192,6 +192,14 @@ REFERENCE_DIGESTS = {
     # over three nodes, so cross-node RPC fan-out is on the digest path.
     "socialnet_three_node":
         "3cde58baa5c44565f2686d38872d09f2bbfcdebd4eb793e5f27529ab35878c0e",
+    # MongoDB, closed loop: a cold blocking server whose preads the page
+    # cache serves; then the same run with a 1 MiB page cache, so preads
+    # miss and wait on a saturated disk. Both pinned before the service
+    # model's charging moved to the tally log.
+    "mongodb_closed_loop":
+        "eb63abe67abff0c297a755f1776d9961e8228f92a8b836e71c7442cc2e85b1a4",
+    "mongodb_disk_miss":
+        "8bcb7c2409970c72e98cba437f3f206872c2e30f1c4380395e83cd73ce297386",
 }
 
 
@@ -210,42 +218,147 @@ def _result_digest(result):
     return stable_digest(*parts)
 
 
-def _assert_conserved(result, deployment):
-    """Every issued request ends in exactly one client outcome, and the
-    entry service accounts for each one as served, failed or shed."""
+def _metered_run(monkeypatch, deployment, load, config):
+    """``run_experiment`` plus the cycles each node's CPU executed.
+
+    Runtimes bind ``CpuDevice.execute_op`` at construction, so patching
+    the class first meters every CPU grant of the run. Returns the result
+    and ``{cpu device name: executed cycles}``.
+    """
+    from repro.kernelsim.scheduler import CpuDevice
+    from repro.runtime import run_experiment
+
+    executed = {}
+    execute_op = CpuDevice.execute_op
+
+    def metered(self, cycles, switch=None):
+        executed[self.name] = executed.get(self.name, 0.0) + cycles
+        return execute_op(self, cycles, switch)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CpuDevice, "execute_op", metered)
+        return run_experiment(deployment, load, config), executed
+
+
+def _close(a, b, rel=1e-12):
+    return abs(a - b) <= rel * max(abs(a), abs(b))
+
+
+def _assert_conserved(result, deployment, executed, platform,
+                      aborts=False):
+    """Conservation laws every run must satisfy.
+
+    * Every issued request ends in exactly one client outcome, and the
+      entry service accounts for each one as served, failed or shed.
+    * Per node, the cycles its services charged equal the cycles its CPU
+      executed. An aborted handler drops its unflushed cycles, so with
+      ``aborts`` the CPU may only have executed less.
+    * Per service, the top-down slots cover every cycle at issue width.
+    """
     issued = result.latency.issued
     assert issued > 0
     assert sum(result.outcome_counts().values()) == issued
     entry = result.services[deployment.entry_service]
     assert (entry.requests + entry.failed_requests
             + entry.shed_requests) == issued
+    for node in deployment.node_names():
+        charged = sum(result.services[name].timing.cycles
+                      for name in deployment.services_on(node))
+        ran = executed.get(f"{node}-cpu", 0.0)
+        assert charged > 0, node
+        if aborts:
+            assert charged >= ran * (1 - 1e-12), (node, charged, ran)
+        else:
+            assert _close(charged, ran), (node, charged, ran)
+    width = platform.uarch.issue_width
+    for name, metrics in result.services.items():
+        timing = metrics.timing
+        assert _close(timing.topdown.total_slots, timing.cycles * width), \
+            (name, timing.topdown.total_slots, timing.cycles * width)
+
+
+class TestChargeFoldEquivalence:
+    """Folding a charge log equals a chain of ``BlockTiming.__add__``."""
+
+    @staticmethod
+    def _table(rng, rows, exponents):
+        from repro.runtime.pricing import ROW_WIDTH
+
+        low, high = exponents
+        table = (10.0 ** rng.uniform(low, high, size=(rows, ROW_WIDTH))
+                 * rng.choice([-1.0, 1.0], size=(rows, ROW_WIDTH)))
+        specials = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-310, 1e300]
+        mask = rng.random((rows, ROW_WIDTH)) < 0.2
+        table[mask] = rng.choice(specials, size=int(mask.sum()))
+        return table
+
+    @pytest.mark.parametrize("exponents", [(-300, 300), (-323, -300),
+                                           (-3, 3)])
+    @pytest.mark.parametrize("start", ["zero", "negative_zero", "random"])
+    def test_fold_matches_add_chain(self, exponents, start):
+        from repro.hw.core import BlockTiming
+        from repro.runtime.metrics import FOLD_CHUNK, ServiceMetrics
+        from repro.runtime.pricing import ROW_WIDTH, row_timing, timing_row
+
+        rng = np.random.default_rng([exponents[0] + 400, len(start)])
+        table = self._table(rng, 97, exponents)
+        log = rng.integers(0, len(table),
+                           size=2 * FOLD_CHUNK + 37).tolist()
+        initial = {"zero": BlockTiming(),
+                   "negative_zero": row_timing([-0.0] * ROW_WIDTH),
+                   "random": row_timing(table[0].tolist())}[start]
+        expected = initial
+        for row in log:
+            expected = expected + row_timing(table[row].tolist())
+        want = [value.hex() for value in timing_row(expected)]
+        # any chunking folds to the same totals, chunk boundaries included
+        for chunk in (FOLD_CHUNK, 7, 1):
+            metrics = ServiceMetrics(timing=initial)
+            for begin in range(0, len(log), chunk):
+                metrics.fold(table, log[begin:begin + chunk])
+            assert [value.hex() for value in timing_row(metrics.timing)] \
+                == want
+
+    def test_folded_metrics_hold_plain_floats(self):
+        from repro import (Deployment, ExperimentConfig, LoadSpec,
+                           PLATFORM_A, build_mongodb)
+        from repro.runtime import run_experiment
+        from repro.runtime.pricing import timing_row
+
+        result = run_experiment(
+            Deployment.single(build_mongodb()), LoadSpec.closed_loop(4),
+            ExperimentConfig(platform=PLATFORM_A, duration_s=0.01, seed=3))
+        metrics = result.service("mongodb")
+        assert metrics.timing.cycles > 0
+        assert all(type(value) is float
+                   for value in timing_row(metrics.timing))
+        assert all(isinstance(value, (int, float, type(metrics.timing)))
+                   for value in vars(metrics).values())
 
 
 class TestDigestEquivalence:
-    def test_memcached_fault_free_digest_unchanged(self):
+    def test_memcached_fault_free_digest_unchanged(self, monkeypatch):
         from repro.app.service import Deployment
         from repro.app.workloads import build_memcached
         from repro.hw import PLATFORM_A
         from repro.loadgen import LoadSpec
-        from repro.runtime import ExperimentConfig, run_experiment
+        from repro.runtime import ExperimentConfig
 
         deployment = Deployment.single(build_memcached())
-        result = run_experiment(
-            deployment,
-            LoadSpec.open_loop(50_000),
+        result, executed = _metered_run(
+            monkeypatch, deployment, LoadSpec.open_loop(50_000),
             ExperimentConfig(platform=PLATFORM_A, duration_s=0.01, seed=7))
         assert _result_digest(result) == \
             REFERENCE_DIGESTS["memcached_fault_free"]
-        _assert_conserved(result, deployment)
+        _assert_conserved(result, deployment, executed, PLATFORM_A)
 
-    def test_faulted_gateway_digests_unchanged(self):
+    def test_faulted_gateway_digests_unchanged(self, monkeypatch):
         from repro.app.workloads.asyncgw import async_gateway_deployment
         from repro.faults import (FaultPlan, FaultWindow, LatencySpikeFault,
                                   NodeCrashFault, PacketLossFault)
         from repro.hw import PLATFORM_A
         from repro.loadgen import LoadSpec
-        from repro.runtime import (ExperimentConfig, ResilienceConfig,
-                                   run_experiment)
+        from repro.runtime import ExperimentConfig, ResilienceConfig
 
         plan = FaultPlan((
             PacketLossFault(rate=0.2, retransmit_delay_s=100e-6),
@@ -258,18 +371,19 @@ class TestDigestEquivalence:
             resilience=ResilienceConfig(rpc_timeout_s=2e-3,
                                         max_queue_depth=64))
         deployment = async_gateway_deployment()
-        result = run_experiment(deployment, LoadSpec.open_loop(2_000), config)
+        result, executed = _metered_run(
+            monkeypatch, deployment, LoadSpec.open_loop(2_000), config)
         assert _result_digest(result) == REFERENCE_DIGESTS["gateway_faulted"]
         assert result.faults.digest() == \
             REFERENCE_DIGESTS["gateway_fault_timeline"]
-        _assert_conserved(result, deployment)
+        _assert_conserved(result, deployment, executed, PLATFORM_A,
+                          aborts=True)
 
-    def test_clone_probe_digest_unchanged(self):
+    def test_clone_probe_digest_unchanged(self, monkeypatch):
         from repro import (CloneRequest, Deployment, DittoCloner,
                            ExperimentConfig, LoadSpec, build_memcached)
         from repro.hw import PLATFORM_A
         from repro.profiling import ProfilingBudget
-        from repro.runtime import run_experiment
 
         cloner = DittoCloner(
             fine_tune_tiers=True, max_tune_iterations=3,
@@ -281,25 +395,44 @@ class TestDigestEquivalence:
             load=LoadSpec.open_loop(100_000),
             config=ExperimentConfig(platform=PLATFORM_A, duration_s=0.02,
                                     seed=5)))
-        probe = run_experiment(
-            clone.synthetic, LoadSpec.open_loop(50_000),
+        probe, executed = _metered_run(
+            monkeypatch, clone.synthetic, LoadSpec.open_loop(50_000),
             ExperimentConfig(platform=PLATFORM_A, duration_s=0.01, seed=7))
         assert _result_digest(probe) == \
             REFERENCE_DIGESTS["memcached_clone_probe"]
-        _assert_conserved(probe, clone.synthetic)
+        _assert_conserved(probe, clone.synthetic, executed, PLATFORM_A)
 
-    def test_socialnet_three_node_digest_unchanged(self):
+    def test_socialnet_three_node_digest_unchanged(self, monkeypatch):
         from repro import (ExperimentConfig, LoadSpec, PLATFORM_A,
                            build_social_network, social_network_deployment)
-        from repro.runtime import run_experiment
 
         names = list(build_social_network())
         deployment = social_network_deployment(
             placement={name: f"node{i % 3}" for i, name in enumerate(names)})
-        result = run_experiment(
-            deployment, LoadSpec.open_loop(25_000),
+        result, executed = _metered_run(
+            monkeypatch, deployment, LoadSpec.open_loop(25_000),
             ExperimentConfig(platform=PLATFORM_A, duration_s=0.02, seed=11))
         assert _result_digest(result) == \
             REFERENCE_DIGESTS["socialnet_three_node"]
         assert result.events_dispatched > 0
-        _assert_conserved(result, deployment)
+        _assert_conserved(result, deployment, executed, PLATFORM_A)
+
+    @pytest.mark.parametrize("pin,page_cache_bytes", [
+        ("mongodb_closed_loop", None),
+        ("mongodb_disk_miss", 1 << 20),
+    ])
+    def test_mongodb_digests_unchanged(self, monkeypatch, pin,
+                                       page_cache_bytes):
+        from repro import (Deployment, ExperimentConfig, LoadSpec,
+                           PLATFORM_A, build_mongodb)
+
+        deployment = Deployment.single(build_mongodb())
+        result, executed = _metered_run(
+            monkeypatch, deployment, LoadSpec.closed_loop(16),
+            ExperimentConfig(platform=PLATFORM_A, duration_s=0.02, seed=7,
+                             page_cache_bytes=page_cache_bytes))
+        assert _result_digest(result) == REFERENCE_DIGESTS[pin]
+        # the page-cache-hit path, then the miss path that waits on disk
+        disk_read = result.service("mongodb").disk_read_bytes
+        assert (disk_read > 0) == (page_cache_bytes is not None)
+        _assert_conserved(result, deployment, executed, PLATFORM_A)
