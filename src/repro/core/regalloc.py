@@ -14,8 +14,9 @@ the *realised* dependency profile (for the timing IR).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+import math
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -46,13 +47,6 @@ class AllocationResult:
     realized: DependencyProfile
 
 
-def _sample_from(hist: Optional[Histogram], rng: np.random.Generator,
-                 default: float) -> float:
-    if hist is None:
-        return default
-    return float(hist.sample(rng, 1)[0])
-
-
 def assign_registers(
     slots: int,
     profile: DependencyDistanceProfile,
@@ -66,48 +60,59 @@ def assign_registers(
     pool = [reg.name for reg in rf.free_gprs()]
     if len(pool) < 2:
         raise ConfigurationError("register pool too small")
-    last_write: Dict[str, float] = {name: -64.0 for name in pool}
-    last_read: Dict[str, float] = {name: -64.0 for name in pool}
+    # Per pool position, the slot of the register's last write / read.
+    last_write: List[float] = [-64.0] * len(pool)
+    last_read: List[float] = [-64.0] * len(pool)
     assignments: List[RegisterAssignment] = []
     raw_hist: Dict[int, float] = {}
     war_hist: Dict[int, float] = {}
     waw_hist: Dict[int, float] = {}
-    # Build the three samplers once; their sorted key order (and hence
-    # every draw) is identical to rebuilding a Histogram per slot.
-    raw_sampler = Histogram(dict(profile.raw)) if profile.raw else None
-    war_sampler = Histogram(dict(profile.war)) if profile.war else None
-    waw_sampler = Histogram(dict(profile.waw)) if profile.waw else None
-    for index in range(slots):
-        target_raw = _sample_from(raw_sampler, rng, default=24.0)
-        target_war = _sample_from(war_sampler, rng, default=32.0)
-        target_waw = _sample_from(waw_sampler, rng, default=48.0)
+    edges: Dict[float, int] = {}  # realised distance -> its bin edge
+    # One batch of uniforms for the whole allocation: per slot, one draw
+    # for each non-empty distribution in (RAW, WAR, WAW) order, the
+    # stream three per-slot ``Histogram.sample(rng, 1)`` calls consume.
+    # An empty distribution draws nothing and targets its default.
+    streams = ((profile.raw, 24.0), (profile.war, 32.0), (profile.waw, 48.0))
+    width = sum(1 for counts, _ in streams if counts)
+    draws = rng.random(width * slots) if width else None
+    targets: List[List[float]] = []
+    column = 0
+    for counts, default in streams:
+        if counts:
+            keys = Histogram(dict(counts)).keys_at(draws[column::width])
+            targets.append([float(key) for key in keys])
+            column += 1
+        else:
+            targets.append([default] * slots)
+    for index, target_raw, target_war, target_waw in zip(
+            range(slots), *targets):
         # Source: the register whose last write sits closest to the RAW
-        # target distance behind us.
-        source = min(
-            pool,
-            key=lambda name: abs((index - last_write[name]) - target_raw),
-        )
+        # target distance behind us. ``min`` then ``index`` picks the
+        # first register in pool order on a tie.
+        scores = [abs((index - write) - target_raw) for write in last_write]
+        source = scores.index(min(scores))
         # Destination: balance WAR (since its last read) and WAW (since
         # its last write); never clobber the chosen source.
-        def waw_war_score(name: str) -> float:
-            war = index - last_read[name]
-            waw = index - last_write[name]
-            return abs(war - target_war) + abs(waw - target_waw)
-
-        dest_candidates = [name for name in pool if name != source]
-        dest = min(dest_candidates, key=waw_war_score)
+        scores = [abs((index - read) - target_war)
+                  + abs((index - write) - target_waw)
+                  for read, write in zip(last_read, last_write)]
+        scores[source] = math.inf
+        dest = scores.index(min(scores))
         realized_raw = index - last_write[source]
         realized_war = index - last_read[dest]
         realized_waw = index - last_write[dest]
         assignments.append(RegisterAssignment(
-            index=index, dest=dest, source=source,
+            index=index, dest=pool[dest], source=pool[source],
             raw_distance=realized_raw, war_distance=realized_war,
             waw_distance=realized_waw,
         ))
         for hist, value in ((raw_hist, realized_raw),
                             (war_hist, realized_war),
                             (waw_hist, realized_waw)):
-            edge = DependencyProfile.quantize_distance(max(1.0, value))
+            edge = edges.get(value)
+            if edge is None:
+                edge = edges[value] = DependencyProfile.quantize_distance(
+                    max(1.0, value))
             hist[edge] = hist.get(edge, 0.0) + 1.0
         last_read[source] = float(index)
         last_write[dest] = float(index)

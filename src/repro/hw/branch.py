@@ -88,32 +88,6 @@ def generate_branch_outcomes(
     return outcomes
 
 
-def generate_branch_outcomes_reference(
-    taken_rate: float,
-    transition_rate: float,
-    length: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Scalar reference for :func:`generate_branch_outcomes` (tests)."""
-    if length <= 0:
-        raise ConfigurationError("stream length must be positive")
-    if not 0.0 <= taken_rate <= 1.0 or not 0.0 <= transition_rate <= 1.0:
-        raise ConfigurationError("rates must be within [0, 1]")
-    p = min(max(taken_rate, 1e-6), 1.0 - 1e-6)
-    t = min(transition_rate, 2.0 * min(p, 1.0 - p))
-    a = min(1.0, t / (2.0 * p))
-    b = min(1.0, t / (2.0 * (1.0 - p)))
-    outcomes = np.empty(length, dtype=bool)
-    state = rng.random() < p
-    randoms = rng.random(length)
-    for i in range(length):
-        outcomes[i] = state
-        flip = randoms[i] < (a if state else b)
-        if flip:
-            state = not state
-    return outcomes
-
-
 class GsharePredictor:
     """Global-history two-bit-counter predictor with a shared table."""
 

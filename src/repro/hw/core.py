@@ -169,6 +169,81 @@ class BlockTiming:
         )
 
 
+class BlockStatics:
+    """The terms of a block's pricing that no execution state changes.
+
+    They depend on the block and the core's :class:`UArch` alone, so a
+    caller pricing one block under many contexts of one uarch computes
+    them once and passes them to every :meth:`CoreModel.time_block`.
+    Pinned pricing digests depend on each term's float operations and
+    their order; keep both when editing.
+    """
+
+    __slots__ = ("total_uops", "issue_cycles", "port_cycles", "dep_cycles",
+                 "instructions", "code_bytes", "lines", "loop_spec",
+                 "first_weight", "loop_weight", "mem_mlp")
+
+    def __init__(self, block: BlockSpec, uarch: UArch) -> None:
+        # Compute bound, per iteration: uops per port group, then the
+        # issue-width, port and dependency-chain bounds.
+        port_uops: Dict[PortGroup, float] = {}
+        weighted_latency = 0.0
+        for name, count in block.iform_counts.items():
+            form = iform(name)
+            for group, uops in form.port_uops.items():
+                port_uops[group] = port_uops.get(group, 0.0) + uops * count
+            if form.is_rep:
+                extra = form.rep_uops_per_element * block.rep_elements * count
+                port_uops[PortGroup.STRING] = (
+                    port_uops.get(PortGroup.STRING, 0.0) + extra)
+            weighted_latency += form.latency * count
+        self.total_uops = total_uops = sum(port_uops.values())
+        self.issue_cycles = total_uops / uarch.issue_width
+        port_cycles = 0.0
+        for group, uops in port_uops.items():
+            port_cycles = max(port_cycles, uarch.group(group).cycles_for(uops))
+        #: the port bound before the SMT sibling's scaling
+        self.port_cycles = port_cycles
+        # Dependency-chain (ILP) bound: with mean RAW distance d, the
+        # stream decomposes into ~d independent chains of n/d hops with
+        # the mix's average producing latency per hop.
+        self.instructions = instructions = block.instructions_per_iteration
+        self.dep_cycles = 0.0
+        if instructions > 0:
+            avg_latency = max(0.5, weighted_latency / instructions)
+            distance = max(1.0, block.deps.mean_raw_distance())
+            chain_parallelism = min(distance, float(uarch.issue_width) * 2.0)
+            self.dep_cycles = instructions * avg_latency / chain_parallelism
+        # Instruction side: lines actually fetched per loop pass —
+        # instructions lay out densely (4B each, 16 per line), so a pass
+        # touches at most instructions/16 lines, capped by the block
+        # footprint — and the loop passes' reuse, the block body itself.
+        # Only the first pass's reuse depends on the context.
+        self.code_bytes = code_bytes = float(block.static_code_bytes())
+        self.lines = self.first_weight = self.loop_weight = 0.0
+        self.loop_spec: Optional[MemAccessSpec] = None
+        if code_bytes > 0:
+            self.lines = max(1.0, min(code_bytes, 4.0 * max(1.0, instructions))
+                             / LINE_BYTES)
+            self.loop_spec = MemAccessSpec(
+                wset_bytes=max(64, int(code_bytes)), accesses=self.lines,
+                pattern=MemPattern.SEQUENTIAL,
+            )
+            iterations = max(1.0, block.iterations)
+            self.first_weight = 1.0 / iterations
+            self.loop_weight = (iterations - 1.0) / iterations
+        # Achievable memory-level parallelism of each data access spec:
+        # pointer chases serialise at MLP=1; otherwise a harmonic blend —
+        # the block's chasing fraction at MLP=1, the rest enjoying the
+        # full miss-handling capacity.
+        chase = block.deps.pointer_chase_frac
+        mshr = float(uarch.mshr_count)
+        self.mem_mlp = tuple(
+            1.0 if spec.pattern is MemPattern.POINTER_CHASE
+            else 1.0 / (chase / 1.0 + (1.0 - chase) / mshr)
+            for spec in block.mem)
+
+
 class CoreModel:
     """Prices BlockSpecs on an ExecutionContext."""
 
@@ -181,63 +256,10 @@ class CoreModel:
         self.ctx = ctx
 
     # ------------------------------------------------------------------ #
-    # compute-bound components
-    # ------------------------------------------------------------------ #
-    def _port_uops(self, block: BlockSpec) -> Dict[PortGroup, float]:
-        totals: Dict[PortGroup, float] = {}
-        for name, count in block.iform_counts.items():
-            form = iform(name)
-            for group, uops in form.port_uops.items():
-                totals[group] = totals.get(group, 0.0) + uops * count
-            if form.is_rep:
-                extra = form.rep_uops_per_element * block.rep_elements * count
-                totals[PortGroup.STRING] = totals.get(PortGroup.STRING, 0.0) + extra
-        return totals
-
-    def _compute_cycles(
-        self, block: BlockSpec, port_uops: Dict[PortGroup, float]
-    ) -> tuple[float, float]:
-        """Return (compute_cycles, total_uops) for one iteration."""
-        uarch = self.ctx.uarch
-        total_uops = sum(port_uops.values())
-        issue_cycles = total_uops / uarch.issue_width
-        port_cycles = 0.0
-        for group, uops in port_uops.items():
-            cycles = uarch.group(group).cycles_for(uops)
-            port_cycles = max(port_cycles, cycles)
-        # SMT sibling competes for the same issue ports.
-        port_cycles *= self.ctx.smt_contention
-        # Dependency-chain (ILP) bound: with mean RAW distance d, the
-        # stream decomposes into ~d independent chains of n/d hops with
-        # the mix's average producing latency per hop.
-        instructions = block.instructions_per_iteration
-        dep_cycles = 0.0
-        if instructions > 0:
-            weighted_latency = 0.0
-            for name, count in block.iform_counts.items():
-                weighted_latency += iform(name).latency * count
-            avg_latency = max(0.5, weighted_latency / instructions)
-            distance = max(1.0, block.deps.mean_raw_distance())
-            chain_parallelism = min(distance, float(uarch.issue_width) * 2.0)
-            dep_cycles = instructions * avg_latency / chain_parallelism
-        return max(issue_cycles, port_cycles, dep_cycles), total_uops
-
-    # ------------------------------------------------------------------ #
     # memory subsystem
     # ------------------------------------------------------------------ #
-    def _memory_mlp(self, block: BlockSpec, spec: MemAccessSpec) -> float:
-        """Achievable memory-level parallelism for ``spec``'s misses."""
-        uarch = self.ctx.uarch
-        if spec.pattern is MemPattern.POINTER_CHASE:
-            return 1.0
-        chase = block.deps.pointer_chase_frac
-        mshr = float(uarch.mshr_count)
-        # Harmonic blend: chasing fraction is serialised at MLP=1, the rest
-        # enjoys the full miss-handling capacity.
-        return 1.0 / (chase / 1.0 + (1.0 - chase) / mshr)
-
     def _memory_component(
-        self, block: BlockSpec, timing: BlockTiming
+        self, block: BlockSpec, statics: BlockStatics, timing: BlockTiming
     ) -> float:
         caches = self.ctx.caches
         stall = 0.0
@@ -246,7 +268,7 @@ class CoreModel:
         lat_llc = caches.llc.latency_cycles
         lat_mem = caches.memory_latency_cycles
         other_threads = max(0, self.ctx.active_threads - 1)
-        for spec in block.mem:
+        for spec, mlp in zip(block.mem, statics.mem_mlp):
             accesses = spec.accesses
             if accesses <= 0:
                 continue
@@ -269,7 +291,6 @@ class CoreModel:
             )
             if spec.is_regular:
                 extra_latency *= 1.0 - self.ctx.prefetch_coverage
-            mlp = self._memory_mlp(block, spec)
             stall += accesses * extra_latency / mlp
             # Counters.
             timing.l1d_accesses += accesses
@@ -285,33 +306,24 @@ class CoreModel:
     # frontend / instruction side
     # ------------------------------------------------------------------ #
     def _frontend_component(
-        self, block: BlockSpec, timing: BlockTiming
+        self, statics: BlockStatics, timing: BlockTiming
     ) -> float:
-        caches = self.ctx.caches
-        code_bytes = float(block.static_code_bytes())
+        code_bytes = statics.code_bytes
         if code_bytes <= 0:
             return 0.0
-        instructions = block.instructions_per_iteration
-        # Lines actually fetched per loop pass: instructions lay out
-        # densely (4B each, 16 per line), so a pass touches at most
-        # instructions/16 lines, capped by the block footprint.
-        lines = max(1.0, min(code_bytes, 4.0 * max(1.0, instructions))
-                    / LINE_BYTES)
-        iterations = max(1.0, block.iterations)
+        caches = self.ctx.caches
+        lines = statics.lines
         # Two reuse regimes: the first pass of a visit re-fetches lines
         # last seen one full visit ago (block + everything run in
         # between); subsequent loop passes re-fetch with the block body
-        # itself as the reuse distance.
+        # itself as the reuse distance (``statics.loop_spec``).
         first_spec = MemAccessSpec(
             wset_bytes=max(64, int(code_bytes + self.ctx.code_reuse_bytes)),
             accesses=lines, pattern=MemPattern.SEQUENTIAL,
         )
-        loop_spec = MemAccessSpec(
-            wset_bytes=max(64, int(code_bytes)), accesses=lines,
-            pattern=MemPattern.SEQUENTIAL,
-        )
-        first_weight = 1.0 / iterations
-        loop_weight = (iterations - 1.0) / iterations
+        loop_spec = statics.loop_spec
+        first_weight = statics.first_weight
+        loop_weight = statics.loop_weight
 
         def blended(cache_bytes: float) -> float:
             return (miss_fraction(first_spec, cache_bytes) * first_weight
@@ -333,7 +345,8 @@ class CoreModel:
             + lines * (m2 - m3) * lat_llc
             + lines * m3 * lat_mem
         ) * self.FETCH_OVERLAP
-        timing.l1i_accesses += max(1.0, instructions * 4.0 / self.FETCH_BYTES)
+        timing.l1i_accesses += max(
+            1.0, statics.instructions * 4.0 / self.FETCH_BYTES)
         timing.l1i_misses += miss_l1
         timing.l2_accesses += miss_l1
         timing.l2_misses += miss_l2
@@ -366,19 +379,29 @@ class CoreModel:
     # ------------------------------------------------------------------ #
     # public API
     # ------------------------------------------------------------------ #
-    def time_block(self, block: BlockSpec) -> BlockTiming:
-        """Price all iterations of ``block`` under this context."""
+    def time_block(self, block: BlockSpec,
+                   statics: Optional[BlockStatics] = None) -> BlockTiming:
+        """Price all iterations of ``block`` under this context.
+
+        ``statics`` are ``block``'s :class:`BlockStatics` on this
+        context's uarch, passed by callers that price one block under
+        many contexts; computed here when absent.
+        """
+        if statics is None:
+            statics = BlockStatics(block, self.ctx.uarch)
         timing = BlockTiming()
-        port_uops = self._port_uops(block)
-        compute_cycles, total_uops = self._compute_cycles(block, port_uops)
-        mem_stall = self._memory_component(block, timing)
-        fe_stall = self._frontend_component(block, timing)
+        # SMT sibling competes for the same issue ports.
+        compute_cycles = max(statics.issue_cycles,
+                             statics.port_cycles * self.ctx.smt_contention,
+                             statics.dep_cycles)
+        mem_stall = self._memory_component(block, statics, timing)
+        fe_stall = self._frontend_component(statics, timing)
         bs_stall = self._branch_component(block, timing)
         cycles_per_iter = compute_cycles + mem_stall + fe_stall + bs_stall
-        instructions = block.instructions_per_iteration
-        timing.instructions = instructions
+        total_uops = statics.total_uops
+        timing.instructions = statics.instructions
         timing.uops = total_uops
-        timing.cycles = max(cycles_per_iter, total_uops / self.ctx.uarch.issue_width)
+        timing.cycles = max(cycles_per_iter, statics.issue_cycles)
         width = self.ctx.uarch.issue_width
         total_slots = timing.cycles * width
         retiring = min(total_slots, total_uops)

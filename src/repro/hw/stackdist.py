@@ -6,9 +6,8 @@ same value (``-1`` on first touch). Under (fully associative) LRU, an
 access hits a cache of ``C`` lines iff its stack distance is ``< C`` —
 the inclusion property that lets one pass price every cache size.
 
-The classic online computation (Fenwick tree over marked positions,
-see :mod:`repro.profiling.wset`'s reference implementation) is an
-O(N log N) *Python* loop, which dominated profiling sweeps. This module
+The classic online computation (a Fenwick tree over marked positions,
+kept as the tests' reference) is an O(N log N) *Python* loop, which dominated profiling sweeps. This module
 computes the same distances with NumPy only:
 
 with ``prev[i]`` the previous-occurrence index, the duplicates inside

@@ -5,12 +5,18 @@ agglomerative clustering with an unknown cluster count), classifies each
 cluster's role, lifecycle, and trigger, and detects connection-scaling
 classes by comparing thread counts across the two connection settings the
 prober experimented with.
+
+Threads of one class usually share a call-tree shape, so a service's dozens of
+observations carry only a handful of distinct trees. The distance of two
+observations depends on their shapes alone; it is computed once per
+ordered pair of shapes and reused for every other pair of observations
+with the same shapes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.analysis.clustering import agglomerative_cluster
 from repro.analysis.treedit import CallTree, normalized_tree_distance
@@ -19,6 +25,12 @@ from repro.util.errors import ProfilingError
 
 #: normalised tree-edit distance below which threads share a class
 CLUSTER_THRESHOLD = 0.4
+
+
+def _shape_key(tree: CallTree) -> tuple:
+    """The nested ``(label, children)`` tuple of ``tree``: equal keys,
+    equal trees."""
+    return (tree.label, tuple(_shape_key(child) for child in tree.children))
 
 
 def _tree_labels(tree: CallTree) -> List[str]:
@@ -75,12 +87,27 @@ def profile_thread_model(artifacts: ServiceArtifacts) -> ThreadModelProfile:
     if not artifacts.threads:
         raise ProfilingError(f"{artifacts.service}: no thread observations")
     observations = artifacts.threads
+    # Number each distinct shape; observation -> shape number.
+    shape_ids: Dict[tuple, int] = {}
+    shape_of: Dict[int, int] = {
+        id(obs): shape_ids.setdefault(_shape_key(obs.call_tree),
+                                      len(shape_ids))
+        for obs in observations
+    }
+    memo: Dict[Tuple[int, int], float] = {}
+
+    def distance(a: ThreadObservation, b: ThreadObservation) -> float:
+        pair = (shape_of[id(a)], shape_of[id(b)])
+        found = memo.get(pair)
+        if found is None:
+            found = memo[pair] = normalized_tree_distance(a.call_tree,
+                                                          b.call_tree)
+        return found
+
+    # The clustering still sees every observation, in order, with the
+    # same distances, so it sums linkages and merges exactly as before.
     clusters = agglomerative_cluster(
-        observations,
-        distance=lambda a, b: normalized_tree_distance(a.call_tree,
-                                                       b.call_tree),
-        threshold=CLUSTER_THRESHOLD,
-    )
+        observations, distance=distance, threshold=CLUSTER_THRESHOLD)
     connection_settings = sorted(
         {obs.connections_at_observation for obs in observations})
     profile = ThreadModelProfile()

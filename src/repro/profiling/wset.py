@@ -6,12 +6,11 @@ sweep computes Mattson reuse distances (distinct lines touched since the
 previous access to the same line) in one pass: under fully-associative
 LRU an access hits a cache of C lines iff its reuse distance is < C, so
 one pass yields the hit counts H(s) for *every* size at once. Distances
-come from the vectorized kernel in :mod:`repro.hw.stackdist`; the
-original O(N log N) Fenwick-tree loop survives as
-:func:`reuse_distances_reference` for cross-validation and as the perf
-harness's scalar baseline. The paper notes associativity changes move miss rates by only
-~1.9%, justifying the fully-associative sweep; tests cross-validate it
-against the explicit set-associative simulator.
+come from the vectorized kernel in :mod:`repro.hw.stackdist`, which the
+tests cross-validate against the classic O(N log N) Fenwick-tree loop.
+The paper notes associativity changes move miss rates by only ~1.9%,
+justifying the fully-associative sweep; tests cross-validate it against
+the explicit set-associative simulator.
 
 The inversions recover the generator's working-set histograms:
 
@@ -22,7 +21,7 @@ The inversions recover the generator's working-set histograms:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -36,59 +35,15 @@ from repro.util.quantize import pow2_bins
 INSTRUCTIONS_PER_LINE = 16
 
 
-class _Fenwick:
-    """Prefix-sum tree over positions."""
-
-    def __init__(self, size: int) -> None:
-        self._tree = np.zeros(size + 1, dtype=np.int64)
-        self._size = size
-
-    def add(self, index: int, delta: int) -> None:
-        index += 1
-        while index <= self._size:
-            self._tree[index] += delta
-            index += index & (-index)
-
-    def prefix(self, index: int) -> int:
-        """Sum of [0, index)."""
-        total = 0
-        while index > 0:
-            total += self._tree[index]
-            index -= index & (-index)
-        return int(total)
-
-
 def reuse_distances(addresses: np.ndarray) -> np.ndarray:
     """Per-access LRU reuse distance in cache lines (-1 = first touch).
 
     Delegates to the vectorized stack-distance kernel
-    (:func:`repro.hw.stackdist.stack_distances`); bit-identical to the
-    online Fenwick formulation kept in
-    :func:`reuse_distances_reference`, which tests and the perf harness
-    cross-validate against.
+    (:func:`repro.hw.stackdist.stack_distances`); the tests check it is
+    bit-identical to the online Fenwick-tree formulation.
     """
     lines = np.asarray(addresses, dtype=np.int64) // LINE_BYTES
     return stack_distances(lines)
-
-
-def reuse_distances_reference(addresses: np.ndarray) -> np.ndarray:
-    """Scalar (Fenwick-tree) reference for :func:`reuse_distances`."""
-    lines = np.asarray(addresses, dtype=np.int64) // LINE_BYTES
-    n = len(lines)
-    distances = np.full(n, -1, dtype=np.int64)
-    tree = _Fenwick(n)
-    last_position: Dict[int, int] = {}
-    for i in range(n):
-        line = int(lines[i])
-        previous = last_position.get(line)
-        if previous is not None:
-            # Distinct lines touched strictly between the two accesses =
-            # marked last-occurrence positions in (previous, i).
-            distances[i] = tree.prefix(i) - tree.prefix(previous + 1)
-            tree.add(previous, -1)
-        tree.add(i, +1)
-        last_position[line] = i
-    return distances
 
 
 @dataclass

@@ -2,14 +2,20 @@
 
 Pricing a block through the analytical core model is cheap but not free
 (the branch oracle runs Monte-Carlo simulations on first use), and a run
-executes the same handful of blocks millions of times. The pricer
+executes the same blocks hundreds of thousands of times. The pricer
 memoises every (block, quantised execution state) pricing as one dense
 row of a float table: concurrency is bucketed to powers of two and
-cache/SMT factors to two decimals, so a run touches only a few dozen
-distinct pricings while timing still responds to load, colocation and
-interference. The service model charges a block by logging its row
-index; :meth:`repro.runtime.metrics.ServiceMetrics.fold` later sums
-logged rows into counters.
+cache/SMT factors to two decimals, so timing still responds to load,
+colocation and interference while repeats cost a lookup. Distinct
+pricings still number in the thousands on multi-tier runs — 5,735 in
+one second of the 4-node social network at 4k qps, 9,795 in one clone
+of it — because each tier's and node's concurrency buckets cross with
+the 64 KiB code-reuse steps of cold dispatches, and every (block,
+state) pair is priced once. A pricing's block-only terms
+(:class:`~repro.hw.core.BlockStatics`) are therefore computed once per
+block, not once per state. The service model charges a block by
+logging its row index; :meth:`repro.runtime.metrics.ServiceMetrics.fold`
+later sums logged rows into counters.
 """
 
 from __future__ import annotations
@@ -19,7 +25,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.hw.core import BlockTiming, CoreModel, ExecutionContext
+from repro.hw.core import (
+    BlockStatics,
+    BlockTiming,
+    CoreModel,
+    ExecutionContext,
+)
 from repro.hw.ir import BlockSpec
 from repro.hw.platform import PlatformSpec
 from repro.hw.topdown import TopDownBreakdown
@@ -119,6 +130,12 @@ class BlockPricer:
     doubling, so read it through the pricer rather than holding the
     array. :attr:`row_cycles` repeats each row's cycles as a plain list
     for the charging loop.
+
+    The pricer holds every block it has priced, next to the block's
+    :class:`~repro.hw.core.BlockStatics`, for its own lifetime. Memos
+    keyed on ``id(block)`` — its own and the service runtime's — stay
+    valid because no priced block can be freed and its id reused by a
+    new block.
     """
 
     def __init__(
@@ -134,7 +151,9 @@ class BlockPricer:
         )
         self.prefetch_coverage = prefetch_coverage
         self._base_hierarchy = platform.hierarchy(self.frequency_ghz)
-        self._rows: Dict[Tuple[int, PricingKey], int] = {}
+        #: id(block) -> (block, its statics, {key: row})
+        self._blocks: Dict[int, Tuple[BlockSpec, BlockStatics,
+                                      Dict[PricingKey, int]]] = {}
         self.table = np.zeros((64, ROW_WIDTH))
         self.row_cycles: List[float] = []
         self._context_cache: Dict[PricingKey, ExecutionContext] = {}
@@ -163,9 +182,17 @@ class BlockPricer:
         self._context_cache[key] = ctx
         return ctx
 
+    def _entry(self, block: BlockSpec
+               ) -> Tuple[BlockSpec, BlockStatics, Dict[PricingKey, int]]:
+        entry = self._blocks.get(id(block))
+        if entry is None:
+            entry = self._blocks[id(block)] = (
+                block, BlockStatics(block, self.platform.uarch), {})
+        return entry
+
     def row(self, block: BlockSpec, key: PricingKey) -> int:
         """Row index of ``block`` under state ``key``, pricing it once."""
-        row = self._rows.get((id(block), key))
+        row = self._entry(block)[2].get(key)
         if row is None:
             self.price(block, key)
             row = len(self.row_cycles) - 1
@@ -174,14 +201,14 @@ class BlockPricer:
     def price(self, block: BlockSpec, key: PricingKey) -> BlockTiming:
         """Memoised timing of ``block`` under state ``key``.
 
-        A first pricing runs the core model and appends a row; a repeat
-        rebuilds an equal timing from that row.
+        A first pricing runs the core model on the block's statics and
+        appends a row; a repeat rebuilds an equal timing from that row.
         """
-        cache_key = (id(block), key)
-        row = self._rows.get(cache_key)
+        _, statics, rows = self._entry(block)
+        row = rows.get(key)
         if row is not None:
             return row_timing(self.table[row].tolist())
-        timing = CoreModel(self.context_for(key)).time_block(block)
+        timing = CoreModel(self.context_for(key)).time_block(block, statics)
         row = len(self.row_cycles)
         if row == len(self.table):
             grown = np.zeros((2 * row, ROW_WIDTH))
@@ -189,7 +216,7 @@ class BlockPricer:
             self.table = grown
         self.table[row] = timing_row(timing)
         self.row_cycles.append(timing.cycles)
-        self._rows[cache_key] = row
+        rows[key] = row
         return timing
 
     def seconds(self, cycles: float) -> float:

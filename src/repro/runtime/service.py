@@ -141,7 +141,8 @@ class ServiceRuntime:
         self.metrics = ServiceMetrics()
         #: pricing rows charged since the last fold, in charge order
         self._log: List[int] = []
-        #: execution state -> (PricingKey, {id(block): pricing row})
+        #: execution state -> (PricingKey, {id(block): pricing row});
+        #: ids stay unique because the pricer holds every priced block
         self._state_rows: Dict[tuple, Tuple[PricingKey, Dict[int, int]]] = {}
         self.active = 0
         self._started = False

@@ -196,10 +196,17 @@ class Histogram:
         ``rng.choice`` formulation it replaces — and inverts the cached
         CDF, so fixed seeds keep producing identical draws.
         """
+        return self.keys_at(rng.random(size))
+
+    def keys_at(self, uniforms: np.ndarray) -> List[object]:
+        """The key whose slice of the cached CDF holds each uniform draw.
+
+        :meth:`sample` is ``keys_at(rng.random(size))``; a caller that
+        draws one batch for several histograms inverts its own slices.
+        """
         _, keys, _, cdf = self._ensure_sampler()
         indices = np.minimum(
-            np.searchsorted(cdf, rng.random(size), side="right"),
-            len(keys) - 1)
+            np.searchsorted(cdf, uniforms, side="right"), len(keys) - 1)
         return [keys[i] for i in indices]
 
     def most_common(self, n: int | None = None) -> List[tuple[object, float]]:

@@ -13,23 +13,98 @@ observable result. These tests pin that down two ways:
   float summation order fails loudly.
 """
 
+from typing import Dict
+
 import numpy as np
 import pytest
 
-from repro.hw.branch import (
-    GsharePredictor,
-    generate_branch_outcomes,
-    generate_branch_outcomes_reference,
+from repro.hw.branch import GsharePredictor, generate_branch_outcomes
+from repro.hw.cache import (
+    LINE_BYTES,
+    CacheConfig,
+    SetAssociativeCache,
+    generate_access_stream,
 )
-from repro.hw.cache import CacheConfig, SetAssociativeCache, generate_access_stream
 from repro.hw.ir import MemAccessSpec, MemPattern
 from repro.hw.stackdist import stack_distances
-from repro.profiling.wset import reuse_distances, reuse_distances_reference
+from repro.profiling.wset import reuse_distances
+from repro.util.errors import ConfigurationError
 from repro.util.rng import make_rng
 from repro.util.stats import Histogram
 
 PATTERNS = [MemPattern.SEQUENTIAL, MemPattern.STRIDED, MemPattern.RANDOM,
             MemPattern.POINTER_CHASE]
+
+
+# --------------------------------------------------------------------- #
+# scalar references for the vectorized kernels
+# --------------------------------------------------------------------- #
+class _Fenwick:
+    """Prefix-sum tree over positions."""
+
+    def __init__(self, size: int) -> None:
+        self._tree = np.zeros(size + 1, dtype=np.int64)
+        self._size = size
+
+    def add(self, index: int, delta: int) -> None:
+        index += 1
+        while index <= self._size:
+            self._tree[index] += delta
+            index += index & (-index)
+
+    def prefix(self, index: int) -> int:
+        """Sum of [0, index)."""
+        total = 0
+        while index > 0:
+            total += self._tree[index]
+            index -= index & (-index)
+        return int(total)
+
+
+def reuse_distances_reference(addresses: np.ndarray) -> np.ndarray:
+    """Online Fenwick-tree reference for :func:`reuse_distances`."""
+    lines = np.asarray(addresses, dtype=np.int64) // LINE_BYTES
+    n = len(lines)
+    distances = np.full(n, -1, dtype=np.int64)
+    tree = _Fenwick(n)
+    last_position: Dict[int, int] = {}
+    for i in range(n):
+        line = int(lines[i])
+        previous = last_position.get(line)
+        if previous is not None:
+            # Distinct lines touched strictly between the two accesses =
+            # marked last-occurrence positions in (previous, i).
+            distances[i] = tree.prefix(i) - tree.prefix(previous + 1)
+            tree.add(previous, -1)
+        tree.add(i, +1)
+        last_position[line] = i
+    return distances
+
+
+def generate_branch_outcomes_reference(
+    taken_rate: float,
+    transition_rate: float,
+    length: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Sequential-loop reference for :func:`generate_branch_outcomes`."""
+    if length <= 0:
+        raise ConfigurationError("stream length must be positive")
+    if not 0.0 <= taken_rate <= 1.0 or not 0.0 <= transition_rate <= 1.0:
+        raise ConfigurationError("rates must be within [0, 1]")
+    p = min(max(taken_rate, 1e-6), 1.0 - 1e-6)
+    t = min(transition_rate, 2.0 * min(p, 1.0 - p))
+    a = min(1.0, t / (2.0 * p))
+    b = min(1.0, t / (2.0 * (1.0 - p)))
+    outcomes = np.empty(length, dtype=bool)
+    state = rng.random() < p
+    randoms = rng.random(length)
+    for i in range(length):
+        outcomes[i] = state
+        flip = randoms[i] < (a if state else b)
+        if flip:
+            state = not state
+    return outcomes
 
 
 # --------------------------------------------------------------------- #
