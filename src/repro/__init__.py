@@ -25,7 +25,7 @@ Subpackages, bottom-up:
 - :mod:`repro.isa` — x86-flavoured instruction-set model
 - :mod:`repro.hw` — caches, branch prediction, analytical OoO core,
   platforms A/B/C, contention
-- :mod:`repro.kernelsim` — syscalls, VFS/page cache, network fabric,
+- :mod:`repro.kernelsim` — syscalls, VFS/page cache, NICs,
   scheduling
 - :mod:`repro.app` — application models (the paper's six workloads)
 - :mod:`repro.loadgen` — open/closed-loop drivers

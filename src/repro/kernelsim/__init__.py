@@ -9,7 +9,7 @@ Cloud services spend a large fraction of their execution in the kernel
   code — kernel code competes for the i-cache, which is why cloud services
   are frontend-bound) plus device side-effects (disk or NIC work);
 - a VFS with a page cache whose hit rate shapes disk traffic;
-- a network fabric with per-node NIC bandwidth and per-message latency;
+- per-node NICs that serialise sends at the link bandwidth;
 - CPU scheduling with explicit context-switch costs.
 """
 
@@ -22,7 +22,7 @@ from repro.kernelsim.syscalls import (
     kernel_code_footprint,
 )
 from repro.kernelsim.filesystem import FileSystem, PageCache
-from repro.kernelsim.netstack import NetworkFabric, NicDevice
+from repro.kernelsim.netstack import NicDevice
 from repro.kernelsim.scheduler import ContextSwitchModel, CpuDevice
 from repro.kernelsim.node import Node
 
@@ -31,7 +31,6 @@ __all__ = [
     "CpuDevice",
     "DeviceOp",
     "FileSystem",
-    "NetworkFabric",
     "NicDevice",
     "Node",
     "PageCache",

@@ -1,35 +1,33 @@
-"""Network devices and inter-node fabric.
+"""Network devices.
 
 Each node owns a :class:`NicDevice` — a DES resource serialising wire
 transmission at the platform's link bandwidth, with byte counters for the
-bandwidth numbers Fig. 5/7 report. :class:`NetworkFabric` moves messages
-between nodes: base latency plus egress serialisation plus (optionally
-shared) ingress.
-
-Loopback messages (same node) skip the wire but still pay the stack
-traversal, matching how the paper deploys multi-tier services both
-locally and across a cluster.
+bandwidth numbers Fig. 5/7 report. Cross-node latency and which sends
+reach the wire are decided by the service runtime
+(:mod:`repro.runtime.service`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Generator
-
 from repro.hw.platform import NetworkSpec
 from repro.sim import Environment, Event, Resource
-from repro.sim.engine import NOOP
 from repro.util.errors import ConfigurationError
 
 
 class _NicTransmitOp:
-    """Compiled continuation equivalent of :meth:`NicDevice.transmit`.
+    """One NIC send: serialise its bytes onto the wire, as queue entries.
 
-    Pushes exactly the queue entries the generator path would — same
-    bucket slots, same times, and crucially the ``nic_penalty`` fault
-    draw at the same dispatch — so runs are bit-identical (see
-    ``_CpuExecuteOp`` for the slot map) while skipping the Process
-    wrapper and generator frame per send.
+    A state machine in ``_stage`` that fires once per queue slot it
+    owns. Slot map (T = issue time, W = wire time plus fault penalty):
+
+      bootstrap   stage 0 @ T    fault penalty draw, acquire the wire
+      ``NOOP``    @ T            the idle-wire grant (dispatches empty)
+      grant       stage 1 @ T    resume on the grant
+      hold        stage 2 @ T+W  release the wire, count the bytes
+      completion  @ T+W          ``completion`` succeeds
+
+    On a busy wire there are no ``NOOP``/stage-1 slots: ``release()``
+    pushes the grant event, whose dispatch runs stage 1.
     """
 
     __slots__ = ("device", "completion", "label", "_stage", "_nbytes",
@@ -60,21 +58,12 @@ class _NicTransmitOp:
             except Exception as error:
                 self.completion.fail(error)
                 return
-            wire = device._wire
-            if wire._in_use < wire.capacity:
-                wire._in_use += 1
-                wire.total_grants += 1
-                env._push(NOOP)
-                self._stage = 1
-                env._push(self)
-            else:
-                grant = Event(env)
-                grant.callbacks.append(self._granted)
-                wire._waiters.append((grant, env.now))
-                wire.peak_queue_length = max(wire.peak_queue_length,
-                                             len(wire._waiters))
+            self._stage = 1
+            device._wire.acquire(self)
         elif stage == 1:
-            self._start_hold(env)
+            self._stage = 2
+            env._push(self, delay=self._nbytes
+                      / self.device.effective_bandwidth + self._penalty)
         else:
             device = self.device
             device._wire.release()
@@ -85,14 +74,6 @@ class _NicTransmitOp:
                                   env.now - self._issued,
                                   nbytes=self._nbytes)
             self.completion.succeed(None)
-
-    def _granted(self, grant: Event) -> None:
-        self._start_hold(self.device.env)
-
-    def _start_hold(self, env: Environment) -> None:
-        self._stage = 2
-        env._push(self, delay=self._nbytes / self.device.effective_bandwidth
-                  + self._penalty)
 
 
 class NicDevice:
@@ -125,41 +106,16 @@ class NicDevice:
         """Usable bandwidth in bytes/s after external contention."""
         return self.spec.bandwidth_bytes_per_s * self.bandwidth_share
 
-    def transmit(self, nbytes: float) -> Generator[Event, None, None]:
-        """DES process body: serialise ``nbytes`` onto the wire.
+    def transmit_op(self, nbytes: float) -> Event:
+        """Serialise ``nbytes`` onto the wire; returns the completion.
 
         Injection point: an attached
         :class:`~repro.faults.injector.FaultInjector` may declare the
-        node down (raises
+        node down (fails the completion with
         :class:`~repro.util.errors.FaultInjectionError`) or charge this
         send extra delay for latency spikes and packet-loss
-        retransmissions. The penalty folds into the serialisation
-        timeout, so a zero penalty schedules identically to no injector.
-        """
-        if nbytes < 0:
-            raise ConfigurationError("nbytes must be non-negative")
-        issued = self.env.now
-        faults = self.env.faults
-        penalty = 0.0 if faults is None else faults.nic_penalty(self.name)
-        grant = self._wire.request()
-        yield grant
-        try:
-            yield self.env.timeout(nbytes / self.effective_bandwidth
-                                   + penalty)
-        finally:
-            self._wire.release()
-        self.tx_bytes += nbytes
-        timeline = self._timeline
-        if timeline is not None:
-            timeline.complete(self.name, "tx", issued,
-                              self.env.now - issued, nbytes=nbytes)
-
-    def transmit_op(self, nbytes: float) -> Event:
-        """Generator-free :meth:`transmit`: returns the completion event.
-
-        ``yield nic.transmit_op(n)`` schedules bit-identically to
-        ``yield env.process(nic.transmit(n))`` (see
-        :class:`_NicTransmitOp`) without the generator machinery.
+        retransmissions. The penalty folds into the serialisation hold,
+        so a zero penalty schedules identically to no injector.
         """
         return _NicTransmitOp(self, nbytes).completion
 
@@ -167,63 +123,3 @@ class NicDevice:
         """Count received bytes (ingress is not a serialising bottleneck
         at the message sizes simulated here)."""
         self.rx_bytes += nbytes
-
-
-@dataclass
-class Message:
-    """A payload in flight between two services."""
-
-    src: str
-    dst: str
-    nbytes: float
-    payload: object = None
-
-
-class NetworkFabric:
-    """Moves messages between named nodes."""
-
-    def __init__(self, env: Environment) -> None:
-        self.env = env
-        self._nics: Dict[str, NicDevice] = {}
-
-    def attach(self, node_name: str, nic: NicDevice) -> None:
-        """Register a node's NIC on the fabric."""
-        if node_name in self._nics:
-            raise ConfigurationError(f"node {node_name!r} already attached")
-        self._nics[node_name] = nic
-
-    def nic(self, node_name: str) -> NicDevice:
-        """The NIC of a registered node."""
-        nic = self._nics.get(node_name)
-        if nic is None:
-            raise ConfigurationError(f"node {node_name!r} not attached")
-        return nic
-
-    def deliver(self, message: Message) -> Generator[Event, None, None]:
-        """DES process body: move ``message`` from src node to dst node.
-
-        Same-node messages pay no wire time (loopback); cross-node
-        messages pay source egress serialisation plus base link latency.
-        The byte counters on both NICs advance either way, matching how
-        ifstat-style tools report loopback traffic for locally-deployed
-        microservices.
-
-        Injection point: delivery to a crashed destination node raises
-        :class:`~repro.util.errors.FaultInjectionError` (the message is
-        lost with its node); egress faults surface through the source
-        NIC's ``transmit``.
-        """
-        src_nic = self.nic(message.src)
-        dst_nic = self.nic(message.dst)
-        faults = self.env.faults
-        if faults is not None:
-            faults.check_node_up(message.src)
-            faults.check_node_up(message.dst)
-        if message.src == message.dst:
-            # Loopback: stack traversal only (charged via syscalls).
-            src_nic.tx_bytes += message.nbytes
-            dst_nic.account_rx(message.nbytes)
-            return
-        yield self.env.process(src_nic.transmit(message.nbytes))
-        yield self.env.timeout(src_nic.spec.base_latency_s)
-        dst_nic.account_rx(message.nbytes)

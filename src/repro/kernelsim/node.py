@@ -2,25 +2,36 @@
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Optional
 
 from repro.hw.platform import PlatformSpec
 from repro.kernelsim.filesystem import FileSystem, PageCache
 from repro.kernelsim.netstack import NicDevice
 from repro.kernelsim.scheduler import CpuDevice
 from repro.sim import Environment, Event, Resource
-from repro.sim.engine import NOOP
 from repro.util.errors import ConfigurationError
 
 
 class _DiskIoOp:
-    """Compiled continuation equivalent of :meth:`DiskDevice.io`.
+    """One disk I/O: queue slot, access latency, then transfer channel.
 
-    Two acquire→hold phases (queue slot, then transfer channel) driven
-    as a five-stage state machine that pushes exactly the queue entries
-    the generator path would — same bucket slots, same times, fault
-    draws (``disk_check``/``disk_factor``) at the same dispatch — so
-    runs are bit-identical while skipping the generator machinery.
+    A state machine in ``_stage`` that fires once per queue slot it
+    owns; two acquire→hold phases. Slot map (T = issue time, L =
+    access latency, X = transfer time, both stretched by a fault
+    slowdown):
+
+      bootstrap   stage 0 @ T      fault draws, acquire the queue
+      ``NOOP``    @ T              the idle-queue grant
+      grant       stage 1 @ T      resume on the queue grant
+      latency     stage 2 @ T+L    acquire the channel
+      ``NOOP``    @ T+L            the idle-channel grant
+      grant       stage 3 @ T+L    resume on the channel grant
+      transfer    stage 4 @ T+L+X  release both, count the bytes
+      completion  @ T+L+X          ``completion`` succeeds
+
+    Waiting on a busy queue or channel replaces its ``NOOP`` and grant
+    slots: ``release()`` pushes the grant event, whose dispatch runs
+    stage 1 or 3.
     """
 
     __slots__ = ("device", "completion", "label", "_stage", "_nbytes",
@@ -54,13 +65,22 @@ class _DiskIoOp:
             except Exception as error:
                 self.completion.fail(error)
                 return
-            self._acquire(env, device._queue, 1)
+            self._stage = 1
+            device._queue.acquire(self)
         elif stage == 1:
-            self._queue_granted(env)
+            spec = device.spec
+            latency = (spec.write_latency_s if self._write
+                       else spec.read_latency_s)
+            self._stage = 2
+            env._push(self, delay=latency * self._slowdown)
         elif stage == 2:
-            self._acquire(env, device._channel, 3)
+            self._stage = 3
+            device._channel.acquire(self)
         elif stage == 3:
-            self._channel_granted(env)
+            xfer = self._nbytes / (device.spec.bandwidth_bytes_per_s
+                                   * device.bandwidth_share)
+            self._stage = 4
+            env._push(self, delay=xfer * self._slowdown)
         else:
             device._channel.release()
             device._queue.release()
@@ -76,42 +96,6 @@ class _DiskIoOp:
                                   self._issued, env.now - self._issued,
                                   nbytes=self._nbytes)
             self.completion.succeed(None)
-
-    def _acquire(self, env: Environment, resource: Resource,
-                 next_stage: int) -> None:
-        if resource._in_use < resource.capacity:
-            resource._in_use += 1
-            resource.total_grants += 1
-            env._push(NOOP)
-            self._stage = next_stage
-            env._push(self)
-        else:
-            grant = Event(env)
-            grant.callbacks.append(self._queue_grant_cb if next_stage == 1
-                                   else self._channel_grant_cb)
-            resource._waiters.append((grant, env.now))
-            resource.peak_queue_length = max(resource.peak_queue_length,
-                                             len(resource._waiters))
-
-    def _queue_grant_cb(self, grant: Event) -> None:
-        self._queue_granted(self.device.env)
-
-    def _channel_grant_cb(self, grant: Event) -> None:
-        self._channel_granted(self.device.env)
-
-    def _queue_granted(self, env: Environment) -> None:
-        spec = self.device.spec
-        latency = (spec.write_latency_s if self._write
-                   else spec.read_latency_s)
-        self._stage = 2
-        env._push(self, delay=latency * self._slowdown)
-
-    def _channel_granted(self, env: Environment) -> None:
-        device = self.device
-        xfer = self._nbytes / (device.spec.bandwidth_bytes_per_s
-                               * device.bandwidth_share)
-        self._stage = 4
-        env._push(self, delay=xfer * self._slowdown)
 
 
 class DiskDevice:
@@ -137,58 +121,16 @@ class DiskDevice:
         self.write_bytes = 0.0
         self.operations = 0
 
-    def io(self, nbytes: float, write: bool = False
-           ) -> Generator[Event, None, None]:
-        """DES process body: one device I/O of ``nbytes``.
+    def io_op(self, nbytes: float, write: bool = False) -> Event:
+        """One device I/O of ``nbytes``; returns the completion event.
 
         Injection point: an attached
         :class:`~repro.faults.injector.FaultInjector` may fail the
-        operation outright (injected IO error or crashed node, raised
-        as :class:`~repro.util.errors.FaultInjectionError`) or stretch
-        its access latency and transfer time by a brown-out factor.
-        A factor of 1.0 schedules identically to no injector.
-        """
-        if nbytes < 0:
-            raise ConfigurationError("nbytes must be non-negative")
-        issued = self.env.now
-        faults = self.env.faults
-        slowdown = 1.0
-        if faults is not None:
-            faults.disk_check(self.name)
-            slowdown = faults.disk_factor(self.name)
-        grant = self._queue.request()
-        yield grant
-        try:
-            latency = (self.spec.write_latency_s if write
-                       else self.spec.read_latency_s)
-            yield self.env.timeout(latency * slowdown)
-            channel = self._channel.request()
-            yield channel
-            try:
-                xfer = nbytes / (self.spec.bandwidth_bytes_per_s
-                                 * self.bandwidth_share)
-                yield self.env.timeout(xfer * slowdown)
-            finally:
-                self._channel.release()
-        finally:
-            self._queue.release()
-        self.operations += 1
-        if write:
-            self.write_bytes += nbytes
-        else:
-            self.read_bytes += nbytes
-        timeline = self._timeline
-        if timeline is not None:
-            timeline.complete(self.name, "write" if write else "read",
-                              issued, self.env.now - issued,
-                              nbytes=nbytes)
-
-    def io_op(self, nbytes: float, write: bool = False) -> Event:
-        """Generator-free :meth:`io`: returns the completion event.
-
-        ``yield disk.io_op(n)`` schedules bit-identically to
-        ``yield env.process(disk.io(n))`` (see :class:`_DiskIoOp`)
-        without the generator machinery.
+        operation outright (injected IO error or crashed node, failing
+        the completion with
+        :class:`~repro.util.errors.FaultInjectionError`) or stretch its
+        access latency and transfer time by a brown-out factor. A
+        factor of 1.0 schedules identically to no injector.
         """
         return _DiskIoOp(self, nbytes, write).completion
 

@@ -9,34 +9,28 @@ one of the effects prior user-level cloning work misses).
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Optional
 
 from repro.hw.core import CoreModel, ExecutionContext
 from repro.kernelsim.syscalls import context_switch_block
 from repro.sim import Environment, Event, Resource
-from repro.sim.engine import NOOP
 from repro.util.errors import ConfigurationError
 
 
 class _CpuExecuteOp:
-    """Compiled continuation equivalent of :meth:`CpuDevice.execute`.
+    """One CPU operation: occupy a core for its cycles, as queue entries.
 
-    A generator-free state machine that pushes *exactly* the queue
-    entries the ``yield env.process(cpu.execute(...))`` path would —
-    same bucket slots, same times, same fault-draw points — so a run
-    using it is bit-identical to the generator path (asserted by
-    tests/test_perf_equivalence.py) while skipping the Process wrapper,
-    the generator frame and two send() round-trips per operation.
+    A state machine in ``_stage`` that fires once per queue slot it
+    owns. Slot map (T = issue time, H = hold):
 
-    Slot map vs the generator (T = issue time, H = hold):
-      stage 0 @ T       — process bootstrap ``_Resume``
-      NOOP @ T          — the idle-path grant event (dispatches empty)
-      stage 1 @ T       — the waiter's ``_Resume`` on the grant
-      stage 2 @ T+H     — the hold ``Timeout``
-      completion @ T+H  — the Process-completion event
-    On a busy pool there are no NOOP/stage-1 slots: the grant event is
-    pushed by ``release()`` and resumes the op from its callback, just
-    as the generator resumes inline from the grant's callback.
+      bootstrap   stage 0 @ T    price the hold, crash check, acquire
+      ``NOOP``    @ T            the idle-core grant (dispatches empty)
+      grant       stage 1 @ T    resume on the grant: steal factor
+      hold        stage 2 @ T+H  release the core, account busy time
+      completion  @ T+H          ``completion`` succeeds
+
+    On a busy pool there are no ``NOOP``/stage-1 slots: ``release()``
+    pushes the grant event, whose dispatch runs stage 1.
     """
 
     __slots__ = ("device", "completion", "label", "_stage", "_hold",
@@ -71,41 +65,24 @@ class _CpuExecuteOp:
                 self.completion.fail(error)
                 return
             self._hold = hold
-            pool = device._pool
-            if pool._in_use < pool.capacity:
-                pool._in_use += 1
-                pool.total_grants += 1
-                env._push(NOOP)
-                self._stage = 1
-                env._push(self)
-            else:
-                grant = Event(env)
-                grant.callbacks.append(self._granted)
-                pool._waiters.append((grant, env.now))
-                pool.peak_queue_length = max(pool.peak_queue_length,
-                                             len(pool._waiters))
+            self._stage = 1
+            device._pool.acquire(self)
         elif stage == 1:
-            self._start_hold(env)
+            try:
+                faults = env.faults
+                if faults is not None:
+                    self._hold *= faults.cpu_factor(self.device.name)
+            except Exception as error:
+                self.device._pool.release()
+                self.completion.fail(error)
+                return
+            self._stage = 2
+            env._push(self, delay=self._hold)
         else:
             device = self.device
             device._pool.release()
             device.busy_seconds += self._hold
             self.completion.succeed(None)
-
-    def _granted(self, grant: Event) -> None:
-        self._start_hold(self.device.env)
-
-    def _start_hold(self, env: Environment) -> None:
-        try:
-            faults = env.faults
-            if faults is not None:
-                self._hold *= faults.cpu_factor(self.device.name)
-        except Exception as error:
-            self.device._pool.release()
-            self.completion.fail(error)
-            return
-        self._stage = 2
-        env._push(self, delay=self._hold)
 
 
 class ContextSwitchModel:
@@ -174,52 +151,23 @@ class CpuDevice:
             raise ConfigurationError("cycles must be non-negative")
         return cycles / self.frequency_hz
 
-    def execute(
+    def execute_op(
         self,
         cycles: float,
         switch: Optional[ContextSwitchModel] = None,
-    ) -> Generator[Event, None, None]:
-        """DES process body: occupy one core for ``cycles`` of work.
+    ) -> Event:
+        """Occupy one core for ``cycles`` of work; returns the completion.
 
         When ``switch`` is given, the dispatch pays one context switch
         (the thread was blocked and is being scheduled back in).
 
         Injection point: an attached
         :class:`~repro.faults.injector.FaultInjector` may declare the
-        node crashed (raises
+        node crashed (fails the completion with
         :class:`~repro.util.errors.FaultInjectionError`) or stretch the
         hold time by a CPU-steal factor — the vmstat ``%steal`` effect
         of a noisy hypervisor co-tenant. A factor of 1.0 schedules
         identically to no injector.
-        """
-        total_cycles = cycles
-        if switch is not None:
-            total_cycles += switch.cycles
-            self.context_switches += 1
-        hold = self.seconds_for_cycles(total_cycles)
-        faults = self.env.faults
-        if faults is not None:
-            faults.check_node_up(self.name)
-        grant = self._pool.request()
-        yield grant
-        try:
-            if faults is not None:
-                hold *= faults.cpu_factor(self.name)
-            yield self.env.timeout(hold)
-        finally:
-            self._pool.release()
-        self.busy_seconds += hold
-
-    def execute_op(
-        self,
-        cycles: float,
-        switch: Optional[ContextSwitchModel] = None,
-    ) -> Event:
-        """Generator-free :meth:`execute`: returns the completion event.
-
-        ``yield cpu.execute_op(c)`` schedules bit-identically to
-        ``yield env.process(cpu.execute(c))`` (see :class:`_CpuExecuteOp`)
-        but skips the generator machinery — the service-loop fast path.
         """
         return _CpuExecuteOp(self, cycles, switch).completion
 

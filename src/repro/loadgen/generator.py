@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -128,6 +129,11 @@ class LoadSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("open", "closed"):
             raise ConfigurationError(f"unknown load kind {self.kind!r}")
+        for name in ("qps", "connections", "think_time_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(
+                    f"{name} must be finite, got {value!r}")
         if self.kind == "open" and self.qps <= 0:
             raise ConfigurationError("open-loop load needs qps > 0")
         if self.kind == "closed" and self.connections < 1:

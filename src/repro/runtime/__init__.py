@@ -2,7 +2,7 @@
 
 The runtime binds an application model (service specs), a hardware
 platform (analytical core + caches + devices), the kernel substrate
-(syscalls, VFS, network fabric, scheduling) and a load generator into a
+(syscalls, VFS, NICs, scheduling) and a load generator into a
 discrete-event simulation, producing the measurements the paper reports:
 per-service performance counters (IPC, miss rates, branch mispredictions,
 top-down breakdown), network/disk bandwidth, and latency percentiles.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -60,12 +61,14 @@ class ExperimentConfig:
     max_stalled_events: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ConfigurationError("duration must be positive")
+        if not 0 < self.duration_s < math.inf:
+            raise ConfigurationError(
+                f"duration must be positive and finite, "
+                f"got {self.duration_s!r}")
         if self.max_sim_events is not None and self.max_sim_events < 1:
             raise ConfigurationError("max_sim_events must be >= 1")
         if self.sim_deadline_s is not None \
-                and self.sim_deadline_s < self.duration_s:
+                and not self.sim_deadline_s >= self.duration_s:
             raise ConfigurationError(
                 f"sim_deadline_s ({self.sim_deadline_s!r}) must cover "
                 f"duration_s ({self.duration_s!r})")

@@ -47,6 +47,9 @@ _TIMEOUT_POOL_MAX = 8192
 #: pin a burst's worth of dead Timeout objects.
 _TIMEOUT_POOL_KEEP = 32
 
+#: the horizon of a run with no ``until``: every scheduled time is below it
+_INFINITY = float("inf")
+
 
 class Event:
     """A one-shot occurrence at a point in simulated time.
@@ -115,7 +118,7 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"negative timeout delay: {delay}")
         super().__init__(env)
         self.delay = delay
@@ -125,22 +128,13 @@ class Timeout(Event):
         env._schedule(self, delay=delay)
 
 
-class Interrupt(Exception):
-    """Raised inside a process when another process interrupts it."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
 class _Resume:
     """Queue entry resuming a process whose yield target already triggered.
 
     Replaces the former proxy-``Event`` mechanism: one slotted object, no
     callback list, no closure — but the same single bucket slot, so the
     dispatch order is identical. ``target is None`` marks the process
-    bootstrap (first ``send(None)``). ``process`` is cleared to cancel
-    the entry (e.g. when an interrupt supersedes the pending resume).
+    bootstrap (first ``send(None)``).
     """
 
     __slots__ = ("process", "target")
@@ -150,39 +144,13 @@ class _Resume:
         self.target = target
 
     def fire(self, env: "Environment") -> None:
-        process = self.process
-        if process is None:
-            return
-        process._pending = None
         target = self.target
         if target is None:
-            process._step_send(None)
+            self.process._step_send(None)
+        elif target._ok:
+            self.process._step_send(target._value)
         else:
-            process._waiting_on = None
-            if target._ok:
-                process._step_send(target._value)
-            else:
-                process._step_throw(target._value)
-
-
-class _Throw:
-    """Queue entry delivering an :class:`Interrupt` into a process."""
-
-    __slots__ = ("process", "cause")
-
-    def __init__(self, process: "Process", cause: Any) -> None:
-        self.process = process
-        self.cause = cause
-
-    def fire(self, env: "Environment") -> None:
-        process = self.process
-        if process._triggered:
-            return
-        # Detach again at fire time: a registration created between the
-        # interrupt() call and this dispatch (e.g. the process was only
-        # bootstrapping when interrupted) must not double-step it later.
-        process._detach()
-        process._step_throw(Interrupt(self.cause))
+            self.process._step_throw(target._value)
 
 
 class _Deferred:
@@ -206,12 +174,9 @@ class _Deferred:
 class _Noop:
     """Queue entry that does nothing when dispatched.
 
-    The compiled device continuations (:mod:`repro.kernelsim`) push the
-    shared :data:`NOOP` instance wherever the generator path they
-    replace would have scheduled an event whose dispatch has no effect —
-    an idle-resource grant whose waiter resumed via :class:`_Resume` —
-    so both paths consume identical bucket slots and dispatch in the
-    same order.
+    :meth:`~repro.sim.resources.Resource.acquire` pushes the shared
+    :data:`NOOP` instance as the grant of an idle server, ahead of the
+    acquiring device op's own resume entry.
     """
 
     __slots__ = ()
@@ -254,7 +219,7 @@ class Process(Event):
     waits on is dropped with the process.
     """
 
-    __slots__ = ("_generator", "_waiting_on", "_pending", "_on_target", "name")
+    __slots__ = ("_generator", "_on_target", "name")
 
     def __init__(
         self,
@@ -266,49 +231,18 @@ class Process(Event):
         if not hasattr(generator, "send"):
             raise SimulationError("Process requires a generator")
         self._generator = generator
-        self._waiting_on: Optional[Event] = None
         # The one bound-method callback this process registers on yield
         # targets — allocated once instead of per yield.
         self._on_target = self._resume
         self.name = name or getattr(generator, "__name__", "process")
-        entry = _Resume(self, None)
-        self._pending: Optional[_Resume] = entry
-        env._push(entry)
+        env._push(_Resume(self, None))
 
     @property
     def is_alive(self) -> bool:
         """True while the underlying generator has not finished."""
         return not self._triggered
 
-    def _detach(self) -> None:
-        """Forget the current wait: deregister callback, cancel resumes."""
-        waiting = self._waiting_on
-        if waiting is not None:
-            callbacks = waiting.callbacks
-            if callbacks:
-                try:
-                    callbacks.remove(self._on_target)
-                except ValueError:
-                    pass
-        pending = self._pending
-        if pending is not None and pending.target is not None:
-            # Cancel a pending fast-resume so the interrupt below is the
-            # only thing that steps the generator (a cancelled bootstrap,
-            # by contrast, would mean the process body never ran at all —
-            # bootstraps stay scheduled).
-            pending.process = None
-            self._pending = None
-        self._waiting_on = None
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current yield."""
-        if self._triggered:
-            return
-        self._detach()
-        self.env._push(_Throw(self, cause))
-
     def _resume(self, event: Event) -> None:
-        self._waiting_on = None
         if event._ok:
             self._step_send(event._value)
         else:
@@ -320,11 +254,6 @@ class Process(Event):
         except StopIteration as stop:
             if not self._triggered:
                 self.succeed(stop.value)
-            return
-        except Interrupt:
-            # An un-caught interrupt terminates the process quietly.
-            if not self._triggered:
-                self.succeed(None)
             return
         except Exception as error:
             # The generator died: fail the process event so waiters see
@@ -340,10 +269,6 @@ class Process(Event):
         except StopIteration as stop:
             if not self._triggered:
                 self.succeed(stop.value)
-            return
-        except Interrupt:
-            if not self._triggered:
-                self.succeed(None)
             return
         except Exception as error:
             if not self._triggered:
@@ -365,15 +290,11 @@ class Process(Event):
             if target._triggered:
                 # Already-triggered non-timeout events resume the process
                 # on the next scheduling round (value already available).
-                entry = _Resume(self, target)
-                self._pending = entry
-                self._waiting_on = target
-                self.env._push(entry)
+                self.env._push(_Resume(self, target))
                 return
         elif target.env is not self.env:
             raise SimulationError(
                 "process yielded an event from another Environment")
-        self._waiting_on = target
         target.callbacks.append(self._on_target)
 
 
@@ -426,22 +347,6 @@ class Environment:
         """Current simulated time."""
         return self._now
 
-    @property
-    def _queue(self) -> List[float]:
-        """Back-compat truthiness shim: the heap of pending times.
-
-        Non-empty exactly when queue entries are pending (buckets are
-        created with at least one entry and deleted when drained).
-        """
-        return self._times
-
-    def queue_size(self) -> int:
-        """Number of queue entries still pending dispatch."""
-        total = 0
-        for bucket in self._buckets.values():
-            total += len(bucket) - bucket[0]
-        return total
-
     def event(self) -> Event:
         """Create a new untriggered event."""
         return Event(self)
@@ -456,7 +361,7 @@ class Environment:
         """
         pool = self._timeout_pool
         if pool:
-            if delay < 0:
+            if not delay >= 0:
                 raise SimulationError(f"negative timeout delay: {delay}")
             timeout = pool.pop()
             self._pool_served += 1
@@ -508,7 +413,7 @@ class Environment:
         last_when: Optional[float] = None
         last_append: Optional[Callable[[Timeout], None]] = None
         for delay in delays:
-            if delay < 0:
+            if not delay >= 0:
                 self._pool_served += initial - avail
                 raise SimulationError(f"negative timeout delay: {delay}")
             if avail:
@@ -553,7 +458,7 @@ class Environment:
         that must land at an exact timestamp.
         """
         when = float(when)
-        if when < self._now:
+        if not when >= self._now:
             raise SimulationError(
                 f"call_at({when:g}) is in the past (now={self._now:g})")
         bucket = self._buckets.get(when)
@@ -565,7 +470,7 @@ class Environment:
 
     def call_after(self, delay: float, fn: Callable[[], None]) -> None:
         """Invoke ``fn()`` after ``delay`` time units."""
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"negative call_after delay: {delay}")
         self.call_at(self._now + delay, fn)
 
@@ -675,18 +580,7 @@ class Environment:
     def _push(self, entry: Any, delay: float = 0.0) -> None:
         """Schedule a raw queue entry (event or lightweight resume)."""
         when = self._now + delay
-        if when < self._now:
-            raise SimulationError("event scheduled in the past")
-        bucket = self._buckets.get(when)
-        if bucket is None:
-            self._buckets[when] = [1, entry]
-            heapq.heappush(self._times, when)
-        else:
-            bucket.append(entry)
-
-    def _push_at(self, when: float, entry: Any) -> None:
-        """Schedule a raw queue entry at an absolute time."""
-        if when < self._now:
+        if not when >= self._now:
             raise SimulationError("event scheduled in the past")
         bucket = self._buckets.get(when)
         if bucket is None:
@@ -700,7 +594,7 @@ class Environment:
             return
         event._scheduled = True
         when = self._now + delay
-        if when < self._now:
+        if not when >= self._now:
             raise SimulationError("event scheduled in the past")
         bucket = self._buckets.get(when)
         if bucket is None:
@@ -806,7 +700,8 @@ class Environment:
     ) -> Any:
         """Run the simulation.
 
-        - ``until`` is a number: run until the clock reaches it.
+        - ``until`` is a number: run until the clock reaches it (NaN is
+          rejected).
         - ``until`` is an Event: run until that event triggers *and its
           callbacks have dispatched*; its value is returned (its
           exception raised when it failed). The run stops there — queue
@@ -834,6 +729,10 @@ class Environment:
         naming the queue entry that was running — the stuck process —
         plus the event count and simulated time at the trip.
         """
+        if until is not None and not isinstance(until, Event):
+            until = float(until)
+            if until != until:
+                raise SimulationError("run(until=nan) has no horizon")
         if (max_events is not None or deadline is not None
                 or max_stalled_events is not None):
             return self._run_guarded(until, max_events, deadline,
@@ -851,6 +750,7 @@ class Environment:
             if not until.ok:
                 raise until.value
             return until.value
+        horizon = _INFINITY if until is None else until
         times = self._times
         buckets = self._buckets
         pop_time = heapq.heappop
@@ -859,61 +759,15 @@ class Environment:
         pool_append = pool.append
         refcount = getrefcount
         timeout_cls = Timeout
-        if until is None:
-            # Drain everything, bucket by bucket: entries pushed at the
-            # current time while draining append to the live bucket and
-            # are picked up by the same inner loop — the dominant
-            # zero-delay traffic never touches the heap. Timeout
-            # dispatch is inlined (the hottest entry kind by far); the
-            # refcount bar is 2 here — the loop local plus getrefcount's
-            # argument; the bucket slot was overwritten with None above
-            # — where _dispatch (one call deeper) requires 3.
-            pool_max = _TIMEOUT_POOL_MAX
-            while times:
-                when = times[0]
-                bucket = buckets[when]
-                if when < self._now:
-                    raise SimulationError("event scheduled in the past")
-                self._now = when
-                cursor = bucket[0]
-                # The live cursor stays in the loop local; bucket[0] is
-                # refreshed only at batch boundaries (try/finally keeps
-                # it consistent if a callback raises). Nothing reads
-                # bucket[0] mid-drain — pushes only append.
-                try:
-                    size = len(bucket)
-                    while cursor < size:
-                        while cursor < size:
-                            item = bucket[cursor]
-                            bucket[cursor] = None
-                            cursor += 1
-                            if item.__class__ is timeout_cls:
-                                item._scheduled = False
-                                callbacks = item.callbacks
-                                if callbacks:
-                                    if len(callbacks) == 1:
-                                        callback = callbacks[0]
-                                        callbacks.clear()
-                                        callback(item)
-                                    else:
-                                        item.callbacks = []
-                                        for callback in callbacks:
-                                            callback(item)
-                                if (refcount(item) == 2
-                                        and len(pool) < pool_max):
-                                    pool_append(item)
-                            else:
-                                dispatch(item)
-                        size = len(bucket)
-                finally:
-                    bucket[0] = cursor
-                self.dispatched_events += cursor - 1
-                del buckets[when]
-                pop_time(times)
-            self.trim_timeout_pool()
-            return None
-        horizon = float(until)
         pool_max = _TIMEOUT_POOL_MAX
+        # Drain bucket by bucket up to the horizon: entries pushed at the
+        # current time while draining append to the live bucket and are
+        # picked up by the same inner loop — the dominant zero-delay
+        # traffic never touches the heap. Timeout dispatch is inlined
+        # (the hottest entry kind by far); the refcount bar is 2 here —
+        # the loop local plus getrefcount's argument; the bucket slot was
+        # overwritten with None above — where _dispatch (one call
+        # deeper) requires 3.
         while times:
             when = times[0]
             if when > horizon:
@@ -923,6 +777,10 @@ class Environment:
                 raise SimulationError("event scheduled in the past")
             self._now = when
             cursor = bucket[0]
+            # The live cursor stays in the loop local; bucket[0] is
+            # refreshed only at batch boundaries (try/finally keeps it
+            # consistent if a callback raises). Nothing reads bucket[0]
+            # mid-drain — pushes only append.
             try:
                 size = len(bucket)
                 while cursor < size:
@@ -953,7 +811,8 @@ class Environment:
             self.dispatched_events += cursor - 1
             del buckets[when]
             pop_time(times)
-        self._now = max(self._now, horizon)
+        if until is not None:
+            self._now = max(self._now, horizon)
         if not times:
             self.trim_timeout_pool()
         return None
@@ -989,7 +848,7 @@ class Environment:
         times = self._times
         awaited = until if isinstance(until, Event) else None
         horizon = None if (until is None or awaited is not None) \
-            else float(until)
+            else until
         dispatched = 0
         stalled = 0
         while True:
@@ -1054,11 +913,8 @@ class Environment:
         """Human-readable identity of one queue entry (for watchdogs)."""
         if isinstance(item, Process):
             return f"process {item.name!r}"
-        if isinstance(item, (_Resume, _Throw)):
-            process = item.process
-            if process is not None:
-                return f"process {process.name!r}"
-            return "cancelled resume"
+        if isinstance(item, _Resume):
+            return f"process {item.process.name!r}"
         if isinstance(item, _Deferred):
             return f"deferred delivery of {type(item.event).__name__}"
         if isinstance(item, Event):

@@ -8,24 +8,19 @@ bounded FIFO of items (request queues, mailboxes between threads).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, List, Optional
+from typing import Any, Deque, List, Optional
 
-from repro.sim.engine import Environment, Event
+from repro.sim.engine import NOOP, Environment, Event
 from repro.util.errors import SimulationError
 
 
 class Resource:
     """A pool of ``capacity`` identical servers with a FIFO wait queue.
 
-    Usage from a process::
-
-        grant = resource.request()
-        yield grant
-        ...  # hold the resource
-        resource.release()
-
-    The grant event's value is the resource itself. Waiting time statistics
-    are accumulated so callers can report queueing delay.
+    The one grant policy of the kernel devices (:mod:`repro.kernelsim`):
+    a device op claims a server with :meth:`acquire`, holds it for its
+    service time and hands it back with :meth:`release`. Waiting time
+    statistics are accumulated so callers can report queueing delay.
     """
 
     def __init__(self, env: Environment, capacity: int, name: str = "") -> None:
@@ -50,17 +45,29 @@ class Resource:
         """Number of requests waiting for a server."""
         return len(self._waiters)
 
-    def request(self) -> Event:
-        """Return an event that fires once a server is granted."""
-        grant = self.env.event()
+    def acquire(self, op: Any) -> None:
+        """Claim a server for ``op``, a queue entry with a ``fire(env)``.
+
+        ``op`` must already be at the stage that runs once it holds the
+        server. With a server idle the grant is immediate and costs two
+        queue slots at the current time: the shared :data:`NOOP` (the
+        grant) and then ``op`` itself (the resume). Otherwise ``op``
+        joins the FIFO on a grant event that :meth:`release` succeeds
+        when the server is handed over; the grant's dispatch fires
+        ``op``.
+        """
+        env = self.env
         if self._in_use < self.capacity:
             self._in_use += 1
             self.total_grants += 1
-            grant.succeed(self)
+            env._push(NOOP)
+            env._push(op)
         else:
-            self._waiters.append((grant, self.env.now))
-            self.peak_queue_length = max(self.peak_queue_length, len(self._waiters))
-        return grant
+            grant = Event(env)
+            grant.callbacks.append(lambda grant: op.fire(env))
+            self._waiters.append((grant, env._now))
+            self.peak_queue_length = max(self.peak_queue_length,
+                                         len(self._waiters))
 
     def release(self) -> None:
         """Release one held server, waking the oldest waiter if any."""
@@ -73,15 +80,6 @@ class Resource:
             grant.succeed(self)
         else:
             self._in_use -= 1
-
-    def use(self, hold_time: float) -> Generator[Event, Any, None]:
-        """A ready-made process body: acquire, hold ``hold_time``, release."""
-        grant = self.request()
-        yield grant
-        try:
-            yield self.env.timeout(hold_time)
-        finally:
-            self.release()
 
     @property
     def mean_wait_time(self) -> float:

@@ -7,13 +7,11 @@ from repro.kernelsim import (
     ContextSwitchModel,
     CpuDevice,
     FileSystem,
-    NetworkFabric,
     NicDevice,
     Node,
     PageCache,
 )
 from repro.kernelsim.filesystem import FileSpec
-from repro.kernelsim.netstack import Message
 from repro.sim import Environment
 from repro.util.errors import ConfigurationError
 
@@ -96,7 +94,7 @@ class TestNicAndFabric:
         done = {}
 
         def proc():
-            yield env.process(nic.transmit(125_000_000))
+            yield nic.transmit_op(125_000_000)
             done["t"] = env.now
 
         env.process(proc())
@@ -110,58 +108,28 @@ class TestNicAndFabric:
         done = {}
 
         def proc():
-            yield env.process(nic.transmit(125_000_000))
+            yield nic.transmit_op(125_000_000)
             done["t"] = env.now
 
         env.process(proc())
         env.run()
         assert done["t"] == pytest.approx(2.0, rel=0.01)
 
-    def test_fabric_cross_node_latency(self):
+    def test_sends_serialise_on_the_wire(self):
         env = Environment()
-        fabric = NetworkFabric(env)
-        fabric.attach("n1", NicDevice(env, PLATFORM_A.network, name="n1"))
-        fabric.attach("n2", NicDevice(env, PLATFORM_A.network, name="n2"))
-        done = {}
+        nic = NicDevice(env, PLATFORM_B.network)
+        finish = []
 
         def proc():
-            yield env.process(fabric.deliver(Message("n1", "n2", 1250)))
-            done["t"] = env.now
+            yield nic.transmit_op(125_000_000)
+            finish.append(env.now)
 
         env.process(proc())
-        env.run()
-        # 1250B at 1.25GB/s = 1us, plus 30us base latency.
-        assert done["t"] == pytest.approx(31e-6, rel=0.05)
-        assert fabric.nic("n2").rx_bytes == 1250
-
-    def test_loopback_is_instant_but_counted(self):
-        env = Environment()
-        fabric = NetworkFabric(env)
-        fabric.attach("n1", NicDevice(env, PLATFORM_A.network))
-        done = {}
-
-        def proc():
-            yield env.process(fabric.deliver(Message("n1", "n1", 5000)))
-            done["t"] = env.now
-
         env.process(proc())
         env.run()
-        assert done["t"] == 0.0
-        assert fabric.nic("n1").tx_bytes == 5000
-        assert fabric.nic("n1").rx_bytes == 5000
-
-    def test_duplicate_attach_rejected(self):
-        env = Environment()
-        fabric = NetworkFabric(env)
-        fabric.attach("n1", NicDevice(env, PLATFORM_A.network))
-        with pytest.raises(ConfigurationError):
-            fabric.attach("n1", NicDevice(env, PLATFORM_A.network))
-
-    def test_unknown_node_rejected(self):
-        env = Environment()
-        with pytest.raises(ConfigurationError):
-            NetworkFabric(env).nic("ghost")
-
+        assert finish == [pytest.approx(1.0, rel=0.01),
+                          pytest.approx(2.0, rel=0.01)]
+        assert nic.tx_bytes == 250_000_000
 
 class TestCpuDevice:
     def test_execute_holds_core_for_cycles(self):
@@ -170,7 +138,7 @@ class TestCpuDevice:
         done = {}
 
         def proc():
-            yield env.process(cpu.execute(cycles=2e9))
+            yield cpu.execute_op(cycles=2e9)
             done["t"] = env.now
 
         env.process(proc())
@@ -184,7 +152,7 @@ class TestCpuDevice:
         finish = []
 
         def proc():
-            yield env.process(cpu.execute(cycles=1e9))
+            yield cpu.execute_op(cycles=1e9)
             finish.append(env.now)
 
         env.process(proc())
@@ -199,7 +167,7 @@ class TestCpuDevice:
         done = {}
 
         def proc():
-            yield env.process(cpu.execute(cycles=0, switch=switch))
+            yield cpu.execute_op(cycles=0, switch=switch)
             done["t"] = env.now
 
         env.process(proc())
@@ -212,7 +180,7 @@ class TestCpuDevice:
         cpu = CpuDevice(env, cores=2, frequency_hz=1e9)
 
         def proc():
-            yield env.process(cpu.execute(cycles=1e9))
+            yield cpu.execute_op(cycles=1e9)
 
         env.process(proc())
         env.run()
@@ -250,7 +218,7 @@ class TestNode:
         done = {}
 
         def proc():
-            yield env.process(node.disk.io(1_000_000))
+            yield node.disk.io_op(1_000_000)
             done["t"] = env.now
 
         env.process(proc())
@@ -267,10 +235,34 @@ class TestNode:
 
         def proc(node, tag):
             start = env.now
-            yield env.process(node.disk.io(4096))
+            yield node.disk.io_op(4096)
             times[tag] = env.now - start
 
         env.process(proc(ssd_node, "ssd"))
         env.process(proc(hdd_node, "hdd"))
         env.run()
         assert times["hdd"] > 10 * times["ssd"]
+
+    @pytest.mark.parametrize("platform", [PLATFORM_A, PLATFORM_B])
+    def test_concurrent_ios_wait_for_queue_and_channel(self, platform):
+        # SSD: both reads overlap their access latency, then serialise on
+        # the transfer channel. HDD: the second read waits for the queue.
+        env = Environment()
+        node = Node(env, platform)
+        spec = platform.disk
+        finish = []
+
+        def proc():
+            yield node.disk.io_op(1_000_000)
+            finish.append(env.now)
+
+        env.process(proc())
+        env.process(proc())
+        env.run()
+        xfer = 1_000_000 / spec.bandwidth_bytes_per_s
+        latency = spec.read_latency_s
+        second = (latency + 2 * xfer if spec.kind == "ssd"
+                  else 2 * (latency + xfer))
+        assert finish == [pytest.approx(latency + xfer),
+                          pytest.approx(second)]
+        assert node.disk.operations == 2

@@ -85,6 +85,18 @@ class TestLoadSpec:
         with pytest.raises(ConfigurationError):
             LoadSpec(kind="banana")
 
+    @pytest.mark.parametrize("make", [
+        lambda: LoadSpec.open_loop(float("inf")),
+        lambda: LoadSpec.open_loop(float("nan")),
+        lambda: LoadSpec.closed_loop(2, think_time_s=float("nan")),
+        lambda: LoadSpec.closed_loop(2, think_time_s=float("inf")),
+        lambda: LoadSpec(kind="closed", connections=float("nan")),
+    ], ids=["qps_inf", "qps_nan", "think_nan", "think_inf",
+            "connections_nan"])
+    def test_non_finite_rejected(self, make):
+        with pytest.raises(ConfigurationError, match="finite"):
+            make()
+
 
 class TestOpenLoopGenerator:
     def test_injects_at_target_rate(self):

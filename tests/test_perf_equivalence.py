@@ -277,6 +277,18 @@ REFERENCE_DIGESTS = {
         "8bcb7c2409970c72e98cba437f3f206872c2e30f1c4380395e83cd73ce297386",
 }
 
+# Queue entries each pinned run dispatches (``RunResult.events_dispatched``,
+# digest-excluded). A refactor that keeps the digests must keep these
+# too; a change to the engine's entry count re-pins them explicitly.
+REFERENCE_EVENTS = {
+    "memcached_fault_free": 11_686,
+    "gateway_faulted": 733,
+    "memcached_clone_probe": 11_419,
+    "socialnet_three_node": 63_976,
+    "mongodb_closed_loop": 58_133,
+    "mongodb_disk_miss": 5_994,
+}
+
 
 def _result_digest(result):
     from repro.util.spec_hash import stable_digest
@@ -294,32 +306,49 @@ def _result_digest(result):
 
 
 def _metered_run(monkeypatch, deployment, load, config):
-    """``run_experiment`` plus the cycles each node's CPU executed.
+    """``run_experiment`` plus what the run asked of each kernel device.
 
-    Runtimes bind ``CpuDevice.execute_op`` at construction, so patching
-    the class first meters every CPU grant of the run. Returns the result
-    and ``{cpu device name: executed cycles}``.
+    Runtimes bind ``execute_op``/``transmit_op``/``io_op`` at
+    construction, so patching the device classes first meters every
+    device op of the run. Returns the result, ``{cpu device name:
+    executed cycles}`` and ``{device: ops issued}``.
     """
+    from repro.kernelsim.netstack import NicDevice
+    from repro.kernelsim.node import DiskDevice
     from repro.kernelsim.scheduler import CpuDevice
     from repro.runtime import run_experiment
 
     executed = {}
+    ops = {}
     execute_op = CpuDevice.execute_op
+    transmit_op = NicDevice.transmit_op
+    io_op = DiskDevice.io_op
 
-    def metered(self, cycles, switch=None):
+    def metered_execute(self, cycles, switch=None):
         executed[self.name] = executed.get(self.name, 0.0) + cycles
+        ops[self] = ops.get(self, 0) + 1
         return execute_op(self, cycles, switch)
 
+    def metered_transmit(self, nbytes):
+        ops[self] = ops.get(self, 0) + 1
+        return transmit_op(self, nbytes)
+
+    def metered_io(self, nbytes, write=False):
+        ops[self] = ops.get(self, 0) + 1
+        return io_op(self, nbytes, write)
+
     with monkeypatch.context() as patch:
-        patch.setattr(CpuDevice, "execute_op", metered)
-        return run_experiment(deployment, load, config), executed
+        patch.setattr(CpuDevice, "execute_op", metered_execute)
+        patch.setattr(NicDevice, "transmit_op", metered_transmit)
+        patch.setattr(DiskDevice, "io_op", metered_io)
+        return run_experiment(deployment, load, config), executed, ops
 
 
 def _close(a, b, rel=1e-12):
     return abs(a - b) <= rel * max(abs(a), abs(b))
 
 
-def _assert_conserved(result, deployment, executed, platform,
+def _assert_conserved(result, deployment, executed, ops, platform,
                       aborts=False):
     """Conservation laws every run must satisfy.
 
@@ -329,7 +358,13 @@ def _assert_conserved(result, deployment, executed, platform,
       executed. An aborted handler drops its unflushed cycles, so with
       ``aborts`` the CPU may only have executed less.
     * Per service, the top-down slots cover every cycle at issue width.
+    * Per device queue (CPU cores, NIC wire, disk queue and channel), at
+      run end no more servers are held than exist, and every op issued
+      was granted or still waits. A faulted op can fail before it
+      acquires, so with ``aborts`` grants may only fall short.
     """
+    from repro.sim import Resource
+
     issued = result.latency.issued
     assert issued > 0
     assert sum(result.outcome_counts().values()) == issued
@@ -350,6 +385,20 @@ def _assert_conserved(result, deployment, executed, platform,
         timing = metrics.timing
         assert _close(timing.topdown.total_slots, timing.cycles * width), \
             (name, timing.topdown.total_slots, timing.cycles * width)
+    assert ops
+    for device, issued_ops in ops.items():
+        queues = [value for value in vars(device).values()
+                  if isinstance(value, Resource)]
+        assert queues, device.name
+        for queue in queues:
+            assert 0 <= queue.in_use <= queue.capacity, queue.name
+            settled = queue.total_grants + queue.queue_length
+            if aborts:
+                assert settled <= issued_ops, (queue.name, settled,
+                                               issued_ops)
+            else:
+                assert settled == issued_ops, (queue.name, settled,
+                                               issued_ops)
 
 
 class TestChargeFoldEquivalence:
@@ -420,12 +469,14 @@ class TestDigestEquivalence:
         from repro.runtime import ExperimentConfig
 
         deployment = Deployment.single(build_memcached())
-        result, executed = _metered_run(
+        result, executed, ops = _metered_run(
             monkeypatch, deployment, LoadSpec.open_loop(50_000),
             ExperimentConfig(platform=PLATFORM_A, duration_s=0.01, seed=7))
         assert _result_digest(result) == \
             REFERENCE_DIGESTS["memcached_fault_free"]
-        _assert_conserved(result, deployment, executed, PLATFORM_A)
+        assert result.events_dispatched == \
+            REFERENCE_EVENTS["memcached_fault_free"]
+        _assert_conserved(result, deployment, executed, ops, PLATFORM_A)
 
     def test_faulted_gateway_digests_unchanged(self, monkeypatch):
         from repro.app.workloads.asyncgw import async_gateway_deployment
@@ -446,12 +497,13 @@ class TestDigestEquivalence:
             resilience=ResilienceConfig(rpc_timeout_s=2e-3,
                                         max_queue_depth=64))
         deployment = async_gateway_deployment()
-        result, executed = _metered_run(
+        result, executed, ops = _metered_run(
             monkeypatch, deployment, LoadSpec.open_loop(2_000), config)
         assert _result_digest(result) == REFERENCE_DIGESTS["gateway_faulted"]
         assert result.faults.digest() == \
             REFERENCE_DIGESTS["gateway_fault_timeline"]
-        _assert_conserved(result, deployment, executed, PLATFORM_A,
+        assert result.events_dispatched == REFERENCE_EVENTS["gateway_faulted"]
+        _assert_conserved(result, deployment, executed, ops, PLATFORM_A,
                           aborts=True)
 
     def test_clone_probe_digest_unchanged(self, monkeypatch):
@@ -470,12 +522,14 @@ class TestDigestEquivalence:
             load=LoadSpec.open_loop(100_000),
             config=ExperimentConfig(platform=PLATFORM_A, duration_s=0.02,
                                     seed=5)))
-        probe, executed = _metered_run(
+        probe, executed, ops = _metered_run(
             monkeypatch, clone.synthetic, LoadSpec.open_loop(50_000),
             ExperimentConfig(platform=PLATFORM_A, duration_s=0.01, seed=7))
         assert _result_digest(probe) == \
             REFERENCE_DIGESTS["memcached_clone_probe"]
-        _assert_conserved(probe, clone.synthetic, executed, PLATFORM_A)
+        assert probe.events_dispatched == \
+            REFERENCE_EVENTS["memcached_clone_probe"]
+        _assert_conserved(probe, clone.synthetic, executed, ops, PLATFORM_A)
 
     def test_socialnet_three_node_digest_unchanged(self, monkeypatch):
         from repro import (ExperimentConfig, LoadSpec, PLATFORM_A,
@@ -484,13 +538,14 @@ class TestDigestEquivalence:
         names = list(build_social_network())
         deployment = social_network_deployment(
             placement={name: f"node{i % 3}" for i, name in enumerate(names)})
-        result, executed = _metered_run(
+        result, executed, ops = _metered_run(
             monkeypatch, deployment, LoadSpec.open_loop(25_000),
             ExperimentConfig(platform=PLATFORM_A, duration_s=0.02, seed=11))
         assert _result_digest(result) == \
             REFERENCE_DIGESTS["socialnet_three_node"]
-        assert result.events_dispatched > 0
-        _assert_conserved(result, deployment, executed, PLATFORM_A)
+        assert result.events_dispatched == \
+            REFERENCE_EVENTS["socialnet_three_node"]
+        _assert_conserved(result, deployment, executed, ops, PLATFORM_A)
 
     @pytest.mark.parametrize("pin,page_cache_bytes", [
         ("mongodb_closed_loop", None),
@@ -502,12 +557,13 @@ class TestDigestEquivalence:
                            PLATFORM_A, build_mongodb)
 
         deployment = Deployment.single(build_mongodb())
-        result, executed = _metered_run(
+        result, executed, ops = _metered_run(
             monkeypatch, deployment, LoadSpec.closed_loop(16),
             ExperimentConfig(platform=PLATFORM_A, duration_s=0.02, seed=7,
                              page_cache_bytes=page_cache_bytes))
         assert _result_digest(result) == REFERENCE_DIGESTS[pin]
+        assert result.events_dispatched == REFERENCE_EVENTS[pin]
         # the page-cache-hit path, then the miss path that waits on disk
         disk_read = result.service("mongodb").disk_read_bytes
         assert (disk_read > 0) == (page_cache_bytes is not None)
-        _assert_conserved(result, deployment, executed, PLATFORM_A)
+        _assert_conserved(result, deployment, executed, ops, PLATFORM_A)

@@ -19,6 +19,15 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(platform=PLATFORM_A, duration_s=0.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("duration_s", float("nan")),
+        ("duration_s", float("inf")),
+        ("sim_deadline_s", float("nan")),
+    ])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig(platform=PLATFORM_A, **{field: value})
+
     def test_watchdog_budgets_validated(self):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(platform=PLATFORM_A, duration_s=0.01,

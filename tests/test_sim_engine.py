@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment
 from repro.util.errors import SimulationError
 
 
@@ -60,6 +60,30 @@ class TestTimeouts:
             env.process(proc(tag))
         env.run()
         assert order == ["x", "y", "z"]
+
+
+class TestNonFiniteTimes:
+    """NaN compares false both ways, so each check is ``not t >= now``."""
+
+    @pytest.mark.parametrize("schedule", [
+        lambda env: env.timeout(float("nan")),
+        lambda env: env.timeout_many([float("nan")]),
+        lambda env: env.call_after(float("nan"), lambda: None),
+        lambda env: env.call_at(float("nan"), lambda: None),
+        lambda env: env.run(until=float("nan")),
+    ], ids=["timeout", "timeout_many", "call_after", "call_at", "run"])
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_nan_rejected(self, schedule, pooled):
+        env = Environment()
+        if pooled:
+            env.timeout(0.25)
+            env.run()
+            assert env._timeout_pool
+        now = env.now
+        with pytest.raises(SimulationError):
+            schedule(env)
+        env.run()
+        assert env.now == now
 
 
 class TestEvents:
@@ -139,41 +163,6 @@ class TestProcesses:
         env.run()
         assert got["result"] == "done"
         assert got["time"] == 2.0
-
-    def test_interrupt_wakes_sleeping_process(self):
-        env = Environment()
-        log = []
-
-        def sleeper():
-            try:
-                yield env.timeout(100.0)
-                log.append("slept")
-            except Interrupt as intr:
-                log.append(f"interrupted:{intr.cause}")
-
-        def interrupter(target):
-            yield env.timeout(1.0)
-            target.interrupt("wakeup")
-
-        target = env.process(sleeper())
-        env.process(interrupter(target))
-        env.run()
-        assert log == ["interrupted:wakeup"]
-
-    def test_uncaught_interrupt_terminates_quietly(self):
-        env = Environment()
-
-        def sleeper():
-            yield env.timeout(100.0)
-
-        def interrupter(target):
-            yield env.timeout(1.0)
-            target.interrupt()
-
-        target = env.process(sleeper())
-        env.process(interrupter(target))
-        env.run()
-        assert not target.is_alive
 
     def test_yielding_non_event_raises(self):
         env = Environment()
@@ -293,56 +282,6 @@ class TestCombinators:
         env.process(parent())
         env.run()
         assert got["values"] == []
-
-
-class TestInterruptRaces:
-    def test_interrupt_cancels_pending_fast_resume(self):
-        """An interrupt racing a triggered-event resume is delivered once.
-
-        The waiter yields an already-triggered event (queuing a
-        fast-resume for the same timestamp) and is interrupted before
-        that resume fires: it must see exactly one Interrupt and never
-        the stale resume (which would double-step the generator).
-        """
-        env = Environment()
-        log = []
-        evt = env.event()
-        evt.succeed("ready")
-
-        def waiter():
-            yield env.timeout(1.0)
-            try:
-                value = yield evt
-                log.append(("value", value))
-            except Interrupt as interrupt:
-                log.append(("interrupt", interrupt.cause))
-            yield env.timeout(1.0)
-            log.append(("done", env.now))
-
-        def interrupter(target):
-            yield env.timeout(1.0)
-            target.interrupt("bang")
-
-        target = env.process(waiter())
-        env.process(interrupter(target))
-        env.run()
-        assert log == [("interrupt", "bang"), ("done", 2.0)]
-
-    def test_interrupt_before_start_still_runs_body_to_first_yield(self):
-        env = Environment()
-        log = []
-
-        def body():
-            log.append("started")
-            try:
-                yield env.timeout(10.0)
-            except Interrupt:
-                log.append("interrupted")
-
-        process = env.process(body())
-        process.interrupt()
-        env.run()
-        assert log == ["started", "interrupted"]
 
 
 class TestCombinatorDeregistration:
@@ -553,7 +492,7 @@ class TestUntilEventStopsAtTrigger:
         value = env.run(until=proc)
         assert value == 2.0
         assert env.now == 2.0
-        assert env._queue  # the loser is still pending, not drained
+        assert env._times  # the loser is still pending, not drained
 
     def test_until_event_with_livelock_behind_it_raises(self):
         # A watchdog must catch a livelock that starves the awaited
@@ -834,28 +773,8 @@ class TestDispatchedEventsCounter:
 
 
 class TestWheelPathRegressions:
-    """Interrupt / any_of behaviour across the near/far bucket boundary
+    """any_of behaviour across the near/far bucket boundary
     (zero-delay churn in the live bucket racing far-future heap times)."""
-
-    def test_interrupt_far_sleeper_amid_same_tick_churn(self):
-        env = Environment()
-        log = []
-
-        def sleeper():
-            try:
-                yield env.timeout(1e6)
-            except Interrupt as interrupt:
-                log.append(("interrupted", env.now, interrupt.cause))
-
-        def churn_then_interrupt(target):
-            for _ in range(50):
-                yield env.timeout(0.0)
-            target.interrupt("done-churning")
-
-        target = env.process(sleeper())
-        env.process(churn_then_interrupt(target))
-        env.run()
-        assert log == [("interrupted", 0.0, "done-churning")]
 
     def test_any_of_zero_delay_beats_far_timeout(self):
         env = Environment()

@@ -3,7 +3,41 @@
 import pytest
 
 from repro.sim import Environment, Resource, Store
+from repro.sim.engine import NOOP
 from repro.util.errors import SimulationError
+
+
+class _HoldOp:
+    """The device-op protocol in miniature: acquire, hold, release.
+
+    ``Resource.acquire`` fires the op once it holds the server, either
+    as its own queue entry (idle server) or from its grant event.
+    """
+
+    def __init__(self, resource, hold, done, tag=None):
+        self.resource = resource
+        self.hold = hold
+        self.done = done
+        self.tag = tag
+        self.granted_at = None
+
+    def start(self):
+        self.resource.acquire(self)
+
+    def fire(self, env):
+        self.granted_at = env.now
+        env.call_after(self.hold, self._finish)
+
+    def _finish(self):
+        self.resource.release()
+        self.done.append(self.tag if self.tag is not None
+                         else self.resource.env.now)
+
+
+def _start(env, resource, hold, done, at=0.0, tag=None):
+    op = _HoldOp(resource, hold, done, tag)
+    env.call_at(at, op.start)
+    return op
 
 
 class TestResource:
@@ -11,16 +45,8 @@ class TestResource:
         env = Environment()
         cpu = Resource(env, capacity=1)
         finish_times = []
-
-        def job():
-            grant = cpu.request()
-            yield grant
-            yield env.timeout(10.0)
-            cpu.release()
-            finish_times.append(env.now)
-
-        env.process(job())
-        env.process(job())
+        _start(env, cpu, 10.0, finish_times)
+        _start(env, cpu, 10.0, finish_times)
         env.run()
         assert finish_times == [10.0, 20.0]
 
@@ -28,33 +54,36 @@ class TestResource:
         env = Environment()
         cpu = Resource(env, capacity=2)
         finish_times = []
-
-        def job():
-            yield cpu.request()
-            yield env.timeout(10.0)
-            cpu.release()
-            finish_times.append(env.now)
-
         for _ in range(2):
-            env.process(job())
+            _start(env, cpu, 10.0, finish_times)
         env.run()
         assert finish_times == [10.0, 10.0]
 
     def test_wait_time_accounting(self):
         env = Environment()
         cpu = Resource(env, capacity=1)
-
-        def job():
-            yield cpu.request()
-            yield env.timeout(4.0)
-            cpu.release()
-
-        env.process(job())
-        env.process(job())
+        _start(env, cpu, 4.0, [])
+        second = _start(env, cpu, 4.0, [])
         env.run()
-        # Second job waited 4 time units; two grants total.
+        # Second op waited 4 time units; two grants total.
+        assert second.granted_at == 4.0
+        assert cpu.total_grants == 2
+        assert cpu.peak_queue_length == 1
         assert cpu.total_wait_time == pytest.approx(4.0)
         assert cpu.mean_wait_time == pytest.approx(2.0)
+        assert cpu.in_use == 0 and cpu.queue_length == 0
+
+    def test_idle_grant_queues_noop_then_op(self):
+        env = Environment()
+        cpu = Resource(env, capacity=1)
+        first = _HoldOp(cpu, 1.0, [])
+        first.start()
+        assert env._buckets[0.0][1:] == [NOOP, first]
+        # a busy server queues nothing: the op waits on a grant event
+        second = _HoldOp(cpu, 1.0, [])
+        second.start()
+        assert env._buckets[0.0][1:] == [NOOP, first]
+        assert cpu.queue_length == 1
 
     def test_release_when_idle_raises(self):
         env = Environment()
@@ -67,35 +96,13 @@ class TestResource:
         with pytest.raises(SimulationError):
             Resource(env, capacity=0)
 
-    def test_use_helper(self):
-        env = Environment()
-        cpu = Resource(env, capacity=1)
-        done = []
-
-        def job():
-            yield env.process(cpu.use(3.0))
-            done.append(env.now)
-
-        env.process(job())
-        env.process(job())
-        env.run()
-        assert done == [3.0, 6.0]
-
     def test_fifo_grant_order(self):
         env = Environment()
         cpu = Resource(env, capacity=1)
         order = []
-
-        def job(tag, arrive):
-            yield env.timeout(arrive)
-            yield cpu.request()
-            order.append(tag)
-            yield env.timeout(5.0)
-            cpu.release()
-
-        env.process(job("first", 0.0))
-        env.process(job("second", 1.0))
-        env.process(job("third", 2.0))
+        _start(env, cpu, 5.0, order, at=0.0, tag="first")
+        _start(env, cpu, 5.0, order, at=1.0, tag="second")
+        _start(env, cpu, 5.0, order, at=2.0, tag="third")
         env.run()
         assert order == ["first", "second", "third"]
 
