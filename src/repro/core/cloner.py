@@ -13,13 +13,19 @@ out across a process pool (or thread pool / serial loop — see
 ``executor``), each with deterministically derived seeds and a private
 :class:`~repro.runtime.expcache.ExperimentCache` memoizing its tuning
 measurements, so parallel and serial clones are bit-identical.
+
+A gated clone on the process executor also takes the fidelity gate's
+replay of the original off its critical path: that replay depends only
+on the request, so it runs in a one-worker pool while profiling and the
+tier fan-out run (see :class:`_EarlyBaseline`).
 """
 
 from __future__ import annotations
 
 import contextlib
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.app.service import Deployment, Placement, ServiceSpec
 from repro.core.body_gen import GeneratorConfig
@@ -30,6 +36,7 @@ from repro.core.pipeline import (
     EXECUTOR_MODES,
     TierTask,
     derive_tier_seed,
+    resolve_executor,
     run_tier_pipeline,
 )
 from repro.core.topology import TopologySummary, analyze_topology
@@ -37,9 +44,10 @@ from repro.loadgen.generator import LoadSpec
 from repro.profiling.artifacts import ProfilingBudget
 from repro.profiling.collector import ApplicationProfile, profile_deployment
 from repro.runtime.expcache import CacheStats
-from repro.runtime.experiment import ExperimentConfig
+from repro.runtime.experiment import ExperimentConfig, run_experiment
+from repro.runtime.metrics import RunResult
 from repro.telemetry.context import current_session
-from repro.telemetry.session import Telemetry
+from repro.telemetry.session import Telemetry, WorkerTelemetry
 from repro.telemetry.spans import span
 from repro.util.errors import (
     ConfigurationError,
@@ -110,6 +118,65 @@ class CloneObserver:
 
     def on_remediation(self, step: RemediationStep) -> None:
         """Called when a remediation rung has been planned."""
+
+
+def _replay_original(
+    deployment: Deployment, load: LoadSpec, config: ExperimentConfig,
+    collect_telemetry: bool,
+) -> Tuple[RunResult, Optional[WorkerTelemetry]]:
+    """The fidelity gate's replay of the original, in a pool worker."""
+    if not collect_telemetry:
+        return run_experiment(deployment, load, config), None
+    session = Telemetry.for_worker()
+    session.activate()
+    try:
+        result = run_experiment(deployment, load, config)
+    finally:
+        session.deactivate()
+    return result, session.payload()
+
+
+class _EarlyBaseline:
+    """Attempt 0's replay of the original, started before profiling.
+
+    The gate's original replay depends only on the request, so a gated
+    process-executor clone runs it in a one-worker pool of its own and
+    profiles meanwhile. The gate uses it only on attempt 0 and only for
+    the inputs it was started with; remediation rungs, a worker that
+    dies and a replay that raises all replay inline, as serial and
+    thread clones always do.
+    """
+
+    def __init__(self, deployment: Deployment, load: LoadSpec,
+                 config: ExperimentConfig,
+                 telemetry: Optional[Telemetry]) -> None:
+        self.inputs = (deployment, load, config)
+        self._telemetry = telemetry
+        self._pool = ProcessPoolExecutor(max_workers=1)
+        self._future = self._pool.submit(
+            _replay_original, deployment, load, config,
+            telemetry is not None)
+
+    def replays(self, deployment: Deployment, load: LoadSpec,
+                config: ExperimentConfig) -> bool:
+        """Whether this is the replay of these gate inputs."""
+        started_with, started_load, started_config = self.inputs
+        return (deployment is started_with and load == started_load
+                and config == started_config)
+
+    def result(self) -> Optional[RunResult]:
+        """Wait for the replay; None when the worker failed."""
+        try:
+            result, payload = self._future.result()
+        except Exception:  # noqa: BLE001 — a broken pool or a raising run
+            return None
+        if self._telemetry is not None:
+            self._telemetry.absorb(payload)
+        return result
+
+    def close(self) -> None:
+        """Stop the pool; waits out a replay still running."""
+        self._pool.shutdown(wait=True, cancel_futures=True)
 
 
 class DittoCloner:
@@ -304,7 +371,9 @@ class DittoCloner:
                 f"{type(request).__name__}")
         cloner = self._effective(request)
         config = request.effective_config()
-        with cloner._observed():
+        validation_load = request.effective_validation_load()
+        with cloner._observed(), cloner._early_baseline(
+                request.deployment, validation_load, config) as baseline:
             cloner._phase("profiling")
             with span("profiling",
                       service=request.deployment.entry_service,
@@ -317,8 +386,30 @@ class DittoCloner:
                 profile,
                 deployment=request.deployment,
                 profiling_config=config,
-                validation_load=request.effective_validation_load(),
+                validation_load=validation_load,
+                baseline=baseline,
             )
+
+    @contextlib.contextmanager
+    def _early_baseline(
+        self, deployment: Deployment, load: LoadSpec,
+        profiling_config: ExperimentConfig,
+    ) -> Iterator[Optional[_EarlyBaseline]]:
+        """Attempt 0's original replay, started now on a gated process
+        clone (None otherwise); its pool closes on every exit path."""
+        mode = resolve_executor(self.executor,
+                                n_tasks=len(deployment.services),
+                                max_workers=self.max_workers)
+        if self.validate is None or mode != "process":
+            yield None
+            return
+        baseline = _EarlyBaseline(
+            deployment, load, self._gate_config(profiling_config, self.seed),
+            self.telemetry)
+        try:
+            yield baseline
+        finally:
+            baseline.close()
 
     def clone_from_profile(
         self,
@@ -373,6 +464,7 @@ class DittoCloner:
         deployment: Deployment,
         profiling_config: ExperimentConfig,
         validation_load: Optional[LoadSpec] = None,
+        baseline: Optional[_EarlyBaseline] = None,
     ) -> CloneResult:
         with self._observed():
             topology: Optional[TopologySummary] = None
@@ -393,7 +485,7 @@ class DittoCloner:
                         profile, deployment, profiling_config, topology,
                         steps, validation_load, seed=seed,
                         max_tune_iterations=max_tune_iterations,
-                        executor=executor)
+                        executor=executor, baseline=baseline)
                 except (SimBudgetExceededError, TierExecutionError) as error:
                     reason = self._budget_reason(error)
                     if reason is None or self.remediation is None:
@@ -442,6 +534,7 @@ class DittoCloner:
         seed: int,
         max_tune_iterations: int,
         executor: str,
+        baseline: Optional[_EarlyBaseline] = None,
     ) -> CloneResult:
         """One pipeline pass plus (when configured) its fidelity gate."""
         self._phase("tuning", attempt=len(steps),
@@ -482,18 +575,29 @@ class DittoCloner:
             self._phase("validating", attempt=len(steps))
             load = (validation_load if validation_load is not None
                     else self._reconstruct_load(profile))
-            # Gate under a clean config: validation measures the clone's
-            # intrinsic fidelity, not its behaviour under injected
-            # faults; the seed is derived from the attempt's seed so
-            # remediation re-seeds the gate runs too. Watchdog budgets
-            # carry over — a livelocked gate run trips remediation.
-            gate_config = replace(
-                profiling_config, tracer=None, fault_plan=None,
-                resilience=None, seed=derive_seed(seed, "validate"))
-            report.fidelity = self.validate.validate(
+            gate_config = self._gate_config(profiling_config, seed)
+            early = None
+            if baseline is not None and not steps \
+                    and baseline.replays(deployment, load, gate_config):
+                early = baseline.result
+            report.fidelity = self.validate._validate(
                 deployment, synthetic, load, gate_config,
-                label=deployment.entry_service)
+                label=deployment.entry_service, baseline=early)
         return CloneResult(synthetic=synthetic, report=report)
+
+    @staticmethod
+    def _gate_config(profiling_config: ExperimentConfig,
+                     seed: int) -> ExperimentConfig:
+        """The config the gate replays an attempt with ``seed`` under.
+
+        Gate under a clean config: validation measures the clone's
+        intrinsic fidelity, not its behaviour under injected faults; the
+        seed is derived from the attempt's seed so remediation re-seeds
+        the gate runs too. Watchdog budgets carry over — a livelocked
+        gate run trips remediation.
+        """
+        return replace(profiling_config, tracer=None, fault_plan=None,
+                       resilience=None, seed=derive_seed(seed, "validate"))
 
     @staticmethod
     def _reconstruct_load(profile: ApplicationProfile) -> LoadSpec:

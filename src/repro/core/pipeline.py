@@ -267,13 +267,15 @@ class TierCheckpoint:
     or truncated file is **quarantined** to ``<name>.pkl.quarantined``
     and counted in telemetry, then treated as a miss — the tier simply
     re-runs; it is never silently resumed from bad bytes. Files from
-    before the envelope format (or foreign files) are plain misses.
+    before the envelope format (or foreign files), and envelopes of
+    another payload version, are plain misses.
     """
 
     #: schema name stamped into every checkpoint envelope
     SCHEMA = "tier-checkpoint"
-    #: payload schema version (the pickled TierOutcome layout)
-    SCHEMA_VERSION = 1
+    #: payload schema version (the pickled TierOutcome layout, which
+    #: embeds the tier's ServiceArtifacts)
+    SCHEMA_VERSION = 2
 
     def __init__(self, directory: str) -> None:
         self.directory = str(directory)
@@ -285,8 +287,9 @@ class TierCheckpoint:
         return os.path.join(
             self.directory, f"{task.artifacts.service}-{digest}.pkl")
 
-    def load(self, task: TierTask) -> Optional[TierOutcome]:
-        """The saved outcome for ``task``, or None on miss/corruption.
+    def load(self, path: str) -> Optional[TierOutcome]:
+        """The outcome saved at ``path`` (see :meth:`path`), or None on
+        miss/corruption.
 
         Corruption is never silent: a damaged checkpoint is moved to
         ``<path>.quarantined`` (evidence for inspection), reported via
@@ -294,7 +297,6 @@ class TierCheckpoint:
         only then treated as a miss. Legacy pre-envelope pickles lack
         the artifact magic and are quietly missed, not quarantined.
         """
-        path = self.path(task)
         try:
             with open(path, "rb") as handle:
                 prefix = handle.read(len(integrity.MAGIC))
@@ -304,15 +306,16 @@ class TierCheckpoint:
             # Pre-envelope or foreign file: a miss, not corruption.
             return None
         try:
-            outcome = integrity.load_object(
-                path, schema=self.SCHEMA, max_version=self.SCHEMA_VERSION)
+            outcome = integrity.load_exact(
+                path, schema=self.SCHEMA, version=self.SCHEMA_VERSION)
         except ArtifactIntegrityError:
             return None
         return outcome if isinstance(outcome, TierOutcome) else None
 
-    def save(self, task: TierTask, outcome: TierOutcome) -> None:
-        """Persist ``outcome`` atomically in a digest-stamped envelope."""
-        integrity.save_object(self.path(task), outcome, schema=self.SCHEMA,
+    def save(self, path: str, outcome: TierOutcome) -> None:
+        """Persist ``outcome`` at ``path`` atomically, in a
+        digest-stamped envelope."""
+        integrity.save_object(path, outcome, schema=self.SCHEMA,
                               version=self.SCHEMA_VERSION)
 
 
@@ -341,8 +344,12 @@ class _PipelineRun:
         self.outcomes: List[Optional[TierOutcome]] = [None] * len(tasks)
         self.failures: Dict[int, int] = {}
         self.pending: List[int] = []
-        for index, task in enumerate(tasks):
-            cached = checkpoint.load(task) if checkpoint is not None else None
+        # Hash each task once: load and save share its checkpoint path.
+        self.paths = ([checkpoint.path(task) for task in tasks]
+                      if checkpoint is not None else [])
+        for index in range(len(tasks)):
+            cached = (checkpoint.load(self.paths[index])
+                      if checkpoint is not None else None)
             if cached is not None:
                 self.outcomes[index] = cached
             else:
@@ -357,7 +364,7 @@ class _PipelineRun:
         self.outcomes[index] = outcome
         self.pending.remove(index)
         if self.checkpoint is not None:
-            self.checkpoint.save(self.tasks[index], outcome)
+            self.checkpoint.save(self.paths[index], outcome)
 
     def note_failure(self, index: int, error: Exception) -> None:
         """Record one failed attempt; raise once the tier is exhausted."""

@@ -101,6 +101,8 @@ RECORD_SCHEMA = "fleet-job-record"
 RESULT_SCHEMA = "fleet-job-result"
 PROFILE_SCHEMA = "fleet-profile"
 SCHEMA_VERSION = 1
+#: stored profiles of any other version are misses (the job re-profiles)
+PROFILE_VERSION = 2
 
 #: registry metric names the store accounts through
 STORE_METRICS = {
@@ -663,18 +665,22 @@ class JobStore:
     # ------------------------------------------------------------------ #
     def save_profile(self, spec_digest: str,
                      profile: ApplicationProfile) -> None:
-        """Persist a profiling session for every job sharing this spec."""
-        path = self.profile_path(spec_digest)
-        if not os.path.exists(path):
-            integrity.save_object(path, profile, schema=PROFILE_SCHEMA,
-                                  version=SCHEMA_VERSION)
+        """Persist a profiling session for every job sharing this spec.
+
+        Called after :meth:`load_profile` missed, so whatever is at the
+        path (nothing, or a profile of an older layout) is replaced.
+        """
+        integrity.save_object(self.profile_path(spec_digest), profile,
+                              schema=PROFILE_SCHEMA,
+                              version=PROFILE_VERSION)
 
     def load_profile(self, spec_digest: str) -> Optional[ApplicationProfile]:
-        """A stored profile for this spec, or None (miss/corruption)."""
+        """A stored profile for this spec, or None (miss/corruption/an
+        older layout)."""
         try:
-            profile = integrity.load_object(self.profile_path(spec_digest),
-                                            schema=PROFILE_SCHEMA,
-                                            max_version=SCHEMA_VERSION)
+            profile = integrity.load_exact(self.profile_path(spec_digest),
+                                           schema=PROFILE_SCHEMA,
+                                           version=PROFILE_VERSION)
         except (FileNotFoundError, ArtifactIntegrityError):
             return None
         self._counters["profile_reuse"].inc()

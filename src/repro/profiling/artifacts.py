@@ -127,12 +127,28 @@ class ThreadObservation:
 
 
 @dataclass
+class IformStats:
+    """One iform's share of the sampled instruction stream.
+
+    The instruction-mix profile needs only these statistics of the raw
+    ``(iform, rep)`` samples: how often the iform was drawn, and the
+    REP element counts of its REP samples, summed in sample order (so
+    their mean is the float a mean over the raw samples gives).
+    """
+
+    samples: int = 0
+    rep_sum: float = 0.0
+    rep_samples: int = 0
+
+
+@dataclass
 class ServiceArtifacts:
     """Everything the instrumentation captured for one service."""
 
     service: str
-    #: (iform name, rep element count) in execution order, sampled
-    instruction_stream: List[Tuple[str, float]] = field(default_factory=list)
+    #: the sampled instruction stream, reduced per iform, in the order
+    #: each iform was first drawn
+    instruction_table: Dict[str, IformStats] = field(default_factory=dict)
     #: total dynamic instructions per request, per sampled request
     instructions_per_request: List[float] = field(default_factory=list)
     #: data-side address traces, one per touched memory region
@@ -175,8 +191,9 @@ class ServiceArtifacts:
 # --------------------------------------------------------------------- #
 #: schema name stamped into persisted ServiceArtifacts envelopes
 ARTIFACTS_SCHEMA = "service-artifacts"
-#: payload schema version (bump when the dataclass layout changes)
-ARTIFACTS_VERSION = 1
+#: payload schema version (bump when the dataclass layout changes;
+#: files of any other version are misses)
+ARTIFACTS_VERSION = 2
 
 
 def save_artifacts(path: str, artifacts: ServiceArtifacts) -> str:
@@ -198,12 +215,13 @@ def load_artifacts(path: str) -> ServiceArtifacts:
 
     Raises :class:`~repro.util.errors.ArtifactIntegrityError` (after
     quarantining the file) when the envelope fails verification, and
-    ``FileNotFoundError`` when it simply is not there.
+    also (leaving the file in place) when it holds another payload
+    version; ``FileNotFoundError`` when it simply is not there.
     """
     from repro.validation import integrity
 
-    loaded = integrity.load_object(path, schema=ARTIFACTS_SCHEMA,
-                                   max_version=ARTIFACTS_VERSION)
+    loaded = integrity.load_exact(path, schema=ARTIFACTS_SCHEMA,
+                                  version=ARTIFACTS_VERSION)
     if not isinstance(loaded, ServiceArtifacts):
         raise ConfigurationError(
             f"{path}: envelope holds {type(loaded).__name__}, "

@@ -29,6 +29,7 @@ from repro.loadgen.generator import LoadSpec
 from repro.profiling.artifacts import (
     BranchSiteTrace,
     DepSample,
+    IformStats,
     ProfilingBudget,
     ServiceArtifacts,
     ThreadObservation,
@@ -43,6 +44,8 @@ from repro.util.stats import Histogram
 
 #: average encoded instruction length assumed by the i-side maths (§4.4.5)
 INSTRUCTION_BYTES = 4
+#: how often profiling may double its window to see every entry operation
+MAX_WINDOW_DOUBLINGS = 3
 
 
 @dataclass
@@ -246,6 +249,33 @@ def _rpcs_from_spans(
     return result
 
 
+def _tally_instructions(
+    table: Dict[str, IformStats],
+    names: List[str],
+    drawn: np.ndarray,
+    rep_elements: float,
+) -> None:
+    """Fold one block's drawn iform indices into the per-iform table.
+
+    New iforms enter in the order they were first drawn, and REP
+    element counts are added one sample at a time, so the table keeps
+    everything the raw ``(iform, rep)`` sample list told its reader.
+    """
+    indices, first, counts = np.unique(drawn, return_index=True,
+                                       return_counts=True)
+    for position in np.argsort(first):
+        name = names[indices[position]]
+        count = int(counts[position])
+        stats = table.get(name)
+        if stats is None:
+            stats = table[name] = IformStats()
+        stats.samples += count
+        if rep_elements > 0 and name.startswith(("REP", "REPNZ")):
+            for _ in range(count):
+                stats.rep_sum += rep_elements
+            stats.rep_samples += count
+
+
 def _collect_block_artifacts(
     block: BlockSpec,
     artifacts: ServiceArtifacts,
@@ -265,10 +295,8 @@ def _collect_block_artifacts(
                             max(16, per_iter / 8)))
         probs = counts / counts.sum()
         drawn = rng.choice(len(names), size=n_samples, p=probs)
-        for index in drawn:
-            name = names[index]
-            rep = block.rep_elements if name.startswith(("REP", "REPNZ")) else 0.0
-            artifacts.instruction_stream.append((name, rep))
+        _tally_instructions(artifacts.instruction_table, names, drawn,
+                            block.rep_elements)
     # --- data address trace (Valgrind, spatially sampled) ---------------
     for spec_index, spec in enumerate(block.mem):
         total = spec.accesses * iterations
@@ -531,19 +559,38 @@ def profile_deployment(
     budget: Optional[ProfilingBudget] = None,
     seed: int = 17,
 ) -> ApplicationProfile:
-    """Run one instrumented profiling session over a deployment."""
+    """Run one instrumented profiling session over a deployment.
+
+    The window is ``budget.profile_duration_s``, doubled (up to
+    :data:`MAX_WINDOW_DOUBLINGS` times) until the entry service has
+    served every operation its request mix gives positive weight: a
+    clone of a window that never saw an entry operation would lack
+    that whole request path.
+    """
     budget = budget if budget is not None else ProfilingBudget()
-    tracer = Tracer(sample_rate=1.0, seed=seed)
-    instrumented = replace(
-        config,
-        tracer=tracer,
-        duration_s=budget.profile_duration_s,
-        trace_sample_rate=1.0,
-    )
-    result = run_experiment(deployment, load, instrumented)
-    spans = tracer.finished_spans()
-    if not spans:
-        raise ProfilingError("profiling run produced no trace spans")
+    entry = deployment.services[deployment.entry_service]
+    declared = [operation for operation, weight in entry.request_mix.items()
+                if weight > 0]
+    for doubling in range(MAX_WINDOW_DOUBLINGS + 1):
+        tracer = Tracer(sample_rate=1.0, seed=seed)
+        instrumented = replace(
+            config,
+            tracer=tracer,
+            duration_s=budget.profile_duration_s * 2 ** doubling,
+            trace_sample_rate=1.0,
+        )
+        result = run_experiment(deployment, load, instrumented)
+        spans = tracer.finished_spans()
+        served = _handler_mix_from_spans(spans, entry.name)
+        missing = [operation for operation in declared
+                   if operation not in served]
+        if not missing:
+            break
+    else:
+        raise ProfilingError(
+            f"profiling never saw {entry.name!r} serve {missing[0]!r} "
+            f"(window {instrumented.duration_s:g} s, "
+            f"{2 ** MAX_WINDOW_DOUBLINGS}x the budget's)")
     stream = RngStream(seed, "profiling")
     connections = (load.connections if load.kind == "closed" else 32)
     services: Dict[str, ServiceArtifacts] = {}
@@ -574,8 +621,9 @@ def profile_deployment(
 # --------------------------------------------------------------------- #
 #: schema name stamped into persisted ApplicationProfile envelopes
 PROFILE_SCHEMA = "application-profile"
-#: payload schema version (bump when the profile layout changes)
-PROFILE_VERSION = 1
+#: payload schema version (bump when the profile layout changes;
+#: files of any other version are misses)
+PROFILE_VERSION = 2
 
 
 def save_profile(path: str, profile: ApplicationProfile) -> str:
@@ -596,12 +644,14 @@ def load_profile(path: str) -> ApplicationProfile:
     """Load a session saved by :func:`save_profile`.
 
     Raises :class:`~repro.util.errors.ArtifactIntegrityError` (after
-    quarantining the file) when the envelope fails verification.
+    quarantining the file) when the envelope fails verification, and
+    also (leaving the file in place) when it holds another payload
+    version.
     """
     from repro.validation import integrity
 
-    loaded = integrity.load_object(path, schema=PROFILE_SCHEMA,
-                                   max_version=PROFILE_VERSION)
+    loaded = integrity.load_exact(path, schema=PROFILE_SCHEMA,
+                                  version=PROFILE_VERSION)
     if not isinstance(loaded, ApplicationProfile):
         raise ProfilingError(
             f"{path}: envelope holds {type(loaded).__name__}, "

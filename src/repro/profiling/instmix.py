@@ -1,10 +1,12 @@
 """Instruction-mix profiling (§4.4.2, the Intel SDE stand-in).
 
 Builds the dynamic iform distribution from the sampled instruction
-stream, measures per-request instruction counts and REP repeat counts,
-and clusters the observed iforms hierarchically by functionality,
-operands and ALU usage so the generator can pick representatives with
-matching hardware resource requirements.
+stream (kept as a per-iform table of
+:class:`~repro.profiling.artifacts.IformStats`), measures per-request
+instruction counts and REP repeat counts, and clusters the observed
+iforms hierarchically by functionality, operands and ALU usage so the
+generator can pick representatives with matching hardware resource
+requirements.
 """
 
 from __future__ import annotations
@@ -56,19 +58,18 @@ class InstructionMixProfile:
 
 
 def profile_instruction_mix(artifacts: ServiceArtifacts) -> InstructionMixProfile:
-    """Extract the instruction-mix profile from sampled streams."""
-    if not artifacts.instruction_stream:
+    """Extract the instruction-mix profile from the sampled iform table."""
+    table = artifacts.instruction_table
+    if not table:
         raise ProfilingError(
             f"{artifacts.service}: no instruction stream captured")
-    profile = InstructionMixProfile()
-    rep_totals: Dict[str, List[float]] = {}
-    for name, rep in artifacts.instruction_stream:
+    for name in table:
         iform(name)  # validate observation
-        profile.mix.add(name)
-        if rep > 0:
-            rep_totals.setdefault(name, []).append(rep)
+    profile = InstructionMixProfile(mix=Histogram(
+        {name: float(stats.samples) for name, stats in table.items()}))
     profile.rep_counts = {
-        name: sum(values) / len(values) for name, values in rep_totals.items()
+        name: stats.rep_sum / stats.rep_samples
+        for name, stats in table.items() if stats.rep_samples
     }
     if artifacts.instructions_per_request:
         samples = artifacts.instructions_per_request
@@ -82,7 +83,7 @@ def profile_instruction_mix(artifacts: ServiceArtifacts) -> InstructionMixProfil
             handler: sum(vals) / len(vals)
             for handler, vals in by_handler.items()
         }
-    observed = sorted({name for name, _ in artifacts.instruction_stream})
+    observed = sorted(table)
     vectors = [feature_vector(iform(name)) for name in observed]
     profile.clusters = hierarchical_feature_clusters(
         observed, vectors, threshold=CLUSTER_THRESHOLD)

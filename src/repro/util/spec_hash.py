@@ -38,56 +38,59 @@ def _tag(label: str) -> bytes:
     return b"\x00" + label.encode("ascii") + b"\x00"
 
 
-def _encode_float(value: float, out: bytearray) -> None:
-    # IEEE-754 big-endian bytes: exact, distinguishes -0.0/0.0 and nan.
-    if math.isnan(value):
-        out += _tag("f") + b"nan"
-    else:
-        out += _tag("f") + struct.pack(">d", value)
+(_NONE, _TRUE, _FALSE, _ENUM, _INT, _FLOAT, _STR, _BYTES, _NDARRAY, _SHAPE,
+ _DATACLASS, _FIELD, _MAP, _LIST, _TUPLE, _SET, _END) = (
+    _tag(label) for label in (
+        "none", "true", "false", "enum", "i", "f", "s", "b", "nd", "shape",
+        "dc", "field", "map", "list", "tuple", "set", "end"))
+_pack_double = struct.Struct(">d").pack
 
 
 def _encode(obj: Any, out: bytearray) -> None:
     if obj is None:
-        out += _tag("none")
+        out += _NONE
     elif obj is True:
-        out += _tag("true")
+        out += _TRUE
     elif obj is False:
-        out += _tag("false")
+        out += _FALSE
     elif isinstance(obj, enum.Enum):
-        out += _tag("enum")
+        out += _ENUM
         out += type(obj).__qualname__.encode() + b":" + obj.name.encode()
     elif isinstance(obj, (int, np.integer)):
-        out += _tag("i") + str(int(obj)).encode()
+        out += _INT + str(int(obj)).encode()
     elif isinstance(obj, (float, np.floating)):
-        _encode_float(float(obj), out)
+        # IEEE-754 big-endian bytes: exact, distinguishes -0.0/0.0 and nan.
+        value = float(obj)
+        out += (_FLOAT + b"nan" if math.isnan(value)
+                else _FLOAT + _pack_double(value))
     elif isinstance(obj, str):
-        out += _tag("s") + obj.encode("utf-8")
+        out += _STR + obj.encode("utf-8")
     elif isinstance(obj, (bytes, bytearray)):
-        out += _tag("b") + bytes(obj)
+        out += _BYTES + bytes(obj)
     elif isinstance(obj, np.ndarray):
-        out += _tag("nd") + str(obj.dtype).encode()
-        out += _tag("shape") + str(obj.shape).encode()
+        out += _NDARRAY + str(obj.dtype).encode()
+        out += _SHAPE + str(obj.shape).encode()
         out += np.ascontiguousarray(obj).tobytes()
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        out += _tag("dc") + type(obj).__qualname__.encode()
+        out += _DATACLASS + type(obj).__qualname__.encode()
         for field in dataclasses.fields(obj):
-            out += _tag("field") + field.name.encode()
+            out += _FIELD + field.name.encode()
             _encode(getattr(obj, field.name), out)
     elif isinstance(obj, dict):
-        out += _tag("map")
+        out += _MAP
         _encode_sorted(obj.items(), out, pairs=True)
     elif isinstance(obj, (list, tuple)):
-        out += _tag("list" if isinstance(obj, list) else "tuple")
+        out += _LIST if isinstance(obj, list) else _TUPLE
         for item in obj:
             _encode(item, out)
     elif isinstance(obj, (set, frozenset)):
-        out += _tag("set")
+        out += _SET
         _encode_sorted(obj, out, pairs=False)
     else:
         raise ConfigurationError(
             f"cannot stably hash object of type {type(obj).__qualname__!r}; "
             "add explicit support in repro.util.spec_hash")
-    out += _tag("end")
+    out += _END
 
 
 def _encode_sorted(items: Iterable, out: bytearray, pairs: bool) -> None:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.runtime.experiment import ExperimentConfig, run_experiment
 from repro.runtime.metrics import RunResult, ServiceMetrics
@@ -361,6 +361,19 @@ class FidelityGate:
         intersection-checked clone service set: a clone must expose the
         same services as the original to be gated at all.
         """
+        return self._validate(original, clone, load, config, label=label)
+
+    def _validate(self, original, clone, load, config: ExperimentConfig,
+                  *, label: str = "",
+                  baseline: Optional[Callable[[], Optional[RunResult]]]
+                  = None) -> FidelityReport:
+        """:meth:`validate`, when the original's replay may already be
+        under way elsewhere.
+
+        ``baseline`` blocks until that replay (of ``original`` under
+        ``load`` and ``config``) finishes and returns it, or None when
+        it failed; the gate then replays the original itself.
+        """
         if set(original.services) != set(clone.services):
             raise ConfigurationError(
                 f"clone tiers {sorted(clone.services)} do not match "
@@ -368,10 +381,15 @@ class FidelityGate:
         with span("fidelity_gate", category="validation",
                   label=label or original.entry_service,
                   tiers=len(original.services)):
-            baseline = run_experiment(original, load, config)
+            measured = None
+            if baseline is not None:
+                with span("gate_baseline_wait", category="validation"):
+                    measured = baseline()
+            if measured is None:
+                measured = run_experiment(original, load, config)
             replayed = run_experiment(clone, load, config)
             return self.compare_runs(
-                baseline, replayed, label=label or original.entry_service,
+                measured, replayed, label=label or original.entry_service,
                 platform=config.platform.name, seed=config.seed)
 
     def _record(self, report: FidelityReport) -> None:

@@ -39,6 +39,7 @@ from repro.util.errors import ArtifactIntegrityError
 
 __all__ = [
     "MAGIC",
+    "load_exact",
     "load_object",
     "quarantine",
     "quarantine_and_report",
@@ -199,6 +200,27 @@ def load_object(path: str, *, schema: str,
     payload, _ = read_envelope(path, schema=schema,
                                max_version=max_version,
                                quarantine_bad=quarantine_bad)
+    return _unpickle(path, payload, schema, quarantine_bad)
+
+
+def load_exact(path: str, *, schema: str, version: int) -> Any:
+    """:func:`load_object` for schemas whose old payloads are unusable.
+
+    A file of any other schema version raises
+    :class:`ArtifactIntegrityError` with ``reason="version"`` and stays
+    in place: it is intact, just not this layout, so callers treat it
+    as a miss and overwrite it.
+    """
+    payload, found = read_envelope(path, schema=schema, max_version=version)
+    if found != version:
+        raise ArtifactIntegrityError(
+            f"{path}: schema {schema!r} version {found} is older than "
+            f"the current layout ({version})", path=path, reason="version")
+    return _unpickle(path, payload, schema, quarantine_bad=True)
+
+
+def _unpickle(path: str, payload: bytes, schema: str,
+              quarantine_bad: bool) -> Any:
     try:
         return pickle.loads(payload)
     except Exception as error:  # noqa: BLE001 — any unpickle failure

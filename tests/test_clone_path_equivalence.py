@@ -1,23 +1,26 @@
 """Bit-identity proofs for the clone critical path.
 
-Three per-tier computations are done once instead of many times:
+Four per-tier computations are done once instead of many times:
 
 * thread clustering memoises the tree-edit distance per pair of
   call-tree shapes;
 * register assignment draws every distance target of an allocation in
   one batch;
 * the core model computes each block's key-independent pricing terms
-  once per block.
+  once per block;
+* the profiler keeps the sampled instruction stream as a per-iform
+  table (count, REP sum, REP samples) instead of the raw samples.
 
 Each must change no result. The references below are copies of the
 code paths they replaced, kept here (not in ``src/``) as the oracle;
 the pricing digest was captured with the per-call core model.
 """
 
+import copy
 import gc
 import hashlib
 import weakref
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -30,9 +33,17 @@ from repro.core.regalloc import (
     assign_registers,
 )
 from repro.hw.ir import DependencyProfile
+from repro.analysis.clustering import hierarchical_feature_clusters
+from repro.isa.instructions import feature_vector, iform
 from repro.isa.registers import RegisterFile
+from repro.profiling import collector
 from repro.profiling.artifacts import ServiceArtifacts, ThreadObservation
 from repro.profiling.deps import DependencyDistanceProfile
+from repro.profiling.instmix import (
+    CLUSTER_THRESHOLD as MIX_CLUSTER_THRESHOLD,
+    InstructionMixProfile,
+    profile_instruction_mix,
+)
 from repro.profiling.threads import (
     CLUSTER_THRESHOLD,
     ReconstructedThreadClass,
@@ -393,3 +404,148 @@ class TestPricerKeepsBlocksAlive:
         del pricer
         gc.collect()
         assert probe() is None
+
+
+# --------------------------------------------------------------------- #
+# instruction mix: the raw-stream reducer
+# --------------------------------------------------------------------- #
+Stream = List[Tuple[str, float]]
+
+
+def reference_instruction_mix(artifacts: ServiceArtifacts,
+                              stream: Stream) -> InstructionMixProfile:
+    """:func:`profile_instruction_mix` over the raw ``(iform, rep)``
+    samples, in the order the profiler drew them."""
+    profile = InstructionMixProfile()
+    rep_totals: Dict[str, List[float]] = {}
+    for name, rep in stream:
+        iform(name)
+        profile.mix.add(name)
+        if rep > 0:
+            rep_totals.setdefault(name, []).append(rep)
+    profile.rep_counts = {
+        name: sum(values) / len(values) for name, values in rep_totals.items()
+    }
+    if artifacts.instructions_per_request:
+        samples = artifacts.instructions_per_request
+        profile.instructions_per_request = sum(samples) / len(samples)
+        by_handler: Dict[str, List[float]] = {}
+        for seq, value in enumerate(samples):
+            handler = artifacts.handler_of_request.get(seq)
+            if handler is not None:
+                by_handler.setdefault(handler, []).append(value)
+        profile.instructions_per_request_by_handler = {
+            handler: sum(vals) / len(vals)
+            for handler, vals in by_handler.items()
+        }
+    observed = sorted({name for name, _ in stream})
+    vectors = [feature_vector(iform(name)) for name in observed]
+    profile.clusters = hierarchical_feature_clusters(
+        observed, vectors, threshold=MIX_CLUSTER_THRESHOLD)
+    return profile
+
+
+def _recording_block_sampler(streams: Dict[str, Stream]):
+    """:func:`collector._collect_block_artifacts`, also logging the raw
+    instruction samples it draws.
+
+    The draw is replayed on a copy of the profiler's generator, so the
+    profiler's own stream is untouched.
+    """
+    sample_block = collector._collect_block_artifacts
+
+    def recording(block, artifacts, arenas, regions, budget, rng):
+        names = sorted(block.iform_counts)
+        counts = np.array([block.iform_counts[n] for n in names],
+                          dtype=float)
+        per_iter = counts.sum()
+        if per_iter > 0:
+            n_samples = int(min(budget.max_istream_per_block / 4,
+                                max(16, per_iter / 8)))
+            drawn = copy.deepcopy(rng).choice(
+                len(names), size=n_samples, p=counts / counts.sum())
+            stream = streams.setdefault(artifacts.service, [])
+            for index in drawn:
+                name = names[index]
+                stream.append((name, block.rep_elements
+                               if name.startswith(("REP", "REPNZ"))
+                               else 0.0))
+        sample_block(block, artifacts, arenas, regions, budget, rng)
+
+    return recording
+
+
+def _mix_deployments():
+    from repro import (Deployment, LoadSpec, build_memcached, build_nginx,
+                       build_redis, build_social_network,
+                       social_network_deployment)
+
+    names = list(build_social_network())
+    return {
+        "memcached": (Deployment.single(build_memcached()),
+                      LoadSpec.open_loop(100_000)),
+        "redis": (Deployment.single(build_redis()),
+                  LoadSpec.closed_loop(32)),
+        "nginx": (Deployment.single(build_nginx()),
+                  LoadSpec.open_loop(2_000)),
+        "socialnet": (social_network_deployment(
+            placement={name: f"node{i % 4}"
+                       for i, name in enumerate(names)}),
+            LoadSpec.open_loop(2_000)),
+    }
+
+
+@pytest.fixture(scope="module")
+def mix_profiles():
+    """``{workload: (profile, raw streams by service)}``."""
+    from repro import ExperimentConfig, PLATFORM_A
+    from repro.profiling import ProfilingBudget, profile_deployment
+
+    found = {}
+    for workload, (deployment, load) in _mix_deployments().items():
+        streams: Dict[str, Stream] = {}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(collector, "_collect_block_artifacts",
+                          _recording_block_sampler(streams))
+            profile = profile_deployment(
+                deployment, load,
+                ExperimentConfig(platform=PLATFORM_A, duration_s=0.02,
+                                 seed=7),
+                budget=ProfilingBudget(sampled_requests=8,
+                                       profile_duration_s=0.015),
+                seed=7)
+        found[workload] = (profile, streams)
+    return found
+
+
+def _mix_fields(profile: InstructionMixProfile):
+    """Every field, floats as ``float.hex``, dicts in their order."""
+    return (
+        [(name, float(count).hex())
+         for name, count in profile.mix.counts.items()],
+        float(profile.instructions_per_request).hex(),
+        [(name, float(value).hex()) for name, value in
+         profile.instructions_per_request_by_handler.items()],
+        [(name, float(value).hex())
+         for name, value in profile.rep_counts.items()],
+        profile.clusters,
+    )
+
+
+class TestInstructionMixEquivalence:
+    @pytest.mark.parametrize("workload", sorted(_mix_deployments()))
+    def test_table_matches_raw_stream(self, mix_profiles, workload):
+        profile, streams = mix_profiles[workload]
+        assert set(streams) == set(profile.services)
+        for name, artifacts in profile.services.items():
+            table = profile_instruction_mix(artifacts)
+            oracle = reference_instruction_mix(artifacts, streams[name])
+            assert _mix_fields(table) == _mix_fields(oracle), name
+
+    def test_rep_iforms_are_covered(self, mix_profiles):
+        with_rep = [
+            (workload, name)
+            for workload, (profile, _) in mix_profiles.items()
+            for name, artifacts in profile.services.items()
+            if profile_instruction_mix(artifacts).rep_counts]
+        assert len(with_rep) >= 4

@@ -161,6 +161,36 @@ class TestJobStore:
         assert store.get(record.job_id).state is JobState.PROFILING
 
 
+class TestLegacyProfile:
+    def test_older_profile_layout_is_reprofiled(self, tmp_path):
+        # A profile stored by an older layout carries the raw sample
+        # list instead of the per-iform table. Reading it must be a
+        # miss (the job re-profiles and replaces it), never a crash
+        # inside feature extraction.
+        from repro.fleet.store import PROFILE_SCHEMA, PROFILE_VERSION
+        from repro.profiling import profile_deployment
+        from repro.validation import integrity
+
+        client = FleetClient(str(tmp_path))
+        record = client.submit(_request(), name="legacy")
+        legacy = profile_deployment(
+            Deployment.single(build_memcached()), LOAD, CONFIG,
+            budget=FAST_BUDGET, seed=17)
+        for artifacts in legacy.services.values():
+            del artifacts.instruction_table
+            artifacts.instruction_stream = [("ADD_r64_r64", 0.0)]
+        path = client.store.profile_path(record.spec_digest)
+        integrity.save_object(path, legacy, schema=PROFILE_SCHEMA,
+                              version=PROFILE_VERSION - 1)
+        assert client.store.load_profile(record.spec_digest) is None
+        outcomes = FleetScheduler(client.store,
+                                  executor="serial").run_until_idle()
+        assert [o.state for o in outcomes] == [JobState.PUBLISHED]
+        assert _states(client.get(record.job_id))[0] is JobState.PROFILING
+        stored = client.store.load_profile(record.spec_digest)
+        assert stored.artifacts("memcached").instruction_table
+
+
 class TestFleetEndToEnd:
     @pytest.fixture(scope="class")
     def published(self, tmp_path_factory):

@@ -18,6 +18,7 @@ from repro.profiling import ProfilingBudget, profile_deployment
 from repro.runtime import ExperimentConfig, run_experiment
 from repro.util.errors import ConfigurationError, TierExecutionError
 from repro.util.spec_hash import stable_digest
+from repro.validation import integrity
 
 FAST_BUDGET = ProfilingBudget(
     sampled_requests=8, max_accesses_per_spec=512,
@@ -233,7 +234,7 @@ class TestCheckpointResume:
         ckpt = TierCheckpoint(str(tmp_path / "ckpt"))
         with open(ckpt.path(tier_tasks[0]), "wb") as handle:
             handle.write(b"not a pickle")
-        assert ckpt.load(tier_tasks[0]) is None
+        assert ckpt.load(ckpt.path(tier_tasks[0])) is None
 
     def test_cloner_exposes_robustness_knobs(self):
         cloner = DittoCloner(tier_retries=3, checkpoint_dir="/tmp/x")
@@ -282,7 +283,7 @@ class TestCheckpointIntegrity:
             blob = handle.read()
         with open(path, "wb") as handle:
             handle.write(blob[:len(blob) // 2])
-        assert ckpt.load(victim) is None
+        assert ckpt.load(path) is None
         assert not os.path.exists(path)
         assert os.path.exists(path + ".quarantined")
         log = str(tmp_path / "invocations")
@@ -298,14 +299,14 @@ class TestCheckpointIntegrity:
         ckpt = TierCheckpoint(str(tmp_path / "ckpt"))
         victim = tier_tasks[0]
         outcome = clone_tier(victim)
-        ckpt.save(victim, outcome)
+        ckpt.save(ckpt.path(victim), outcome)
         path = ckpt.path(victim)
         with open(path, "rb") as handle:
             blob = bytearray(handle.read())
         blob[len(blob) // 2] ^= 0x40
         with open(path, "wb") as handle:
             handle.write(bytes(blob))
-        assert ckpt.load(victim) is None
+        assert ckpt.load(path) is None
         assert os.path.exists(path + ".quarantined")
 
     def test_legacy_plain_pickle_is_quiet_miss(self, tier_tasks, tmp_path):
@@ -315,15 +316,35 @@ class TestCheckpointIntegrity:
         path = ckpt.path(tier_tasks[0])
         with open(path, "wb") as handle:
             handle.write(b"\x80\x04legacy pickle bytes")
-        assert ckpt.load(tier_tasks[0]) is None
+        assert ckpt.load(path) is None
         assert os.path.exists(path)
         assert not os.path.exists(path + ".quarantined")
+
+    def test_older_payload_version_is_a_miss(self, tier_tasks, tmp_path):
+        # A checkpoint of an older TierOutcome layout is intact but
+        # unusable: a quiet miss that the re-run tier overwrites.
+        ckpt_dir = str(tmp_path / "ckpt")
+        ckpt = TierCheckpoint(ckpt_dir)
+        victim = tier_tasks[0]
+        path = ckpt.path(victim)
+        integrity.save_object(path, clone_tier(victim),
+                              schema=TierCheckpoint.SCHEMA,
+                              version=TierCheckpoint.SCHEMA_VERSION - 1)
+        assert ckpt.load(path) is None
+        assert not os.path.exists(path + ".quarantined")
+        log = str(tmp_path / "invocations")
+        run_tier_pipeline([victim], executor="serial",
+                          tier_fn=functools.partial(_logged_clone, log),
+                          checkpoint_dir=ckpt_dir)
+        with open(log) as handle:
+            assert handle.read().split() == [victim.artifacts.service]
+        assert ckpt.load(path) is not None
 
     def test_checkpoint_write_is_atomic(self, tier_tasks, tmp_path):
         ckpt = TierCheckpoint(str(tmp_path / "ckpt"))
         victim = tier_tasks[0]
-        ckpt.save(victim, clone_tier(victim))
+        ckpt.save(ckpt.path(victim), clone_tier(victim))
         leftovers = [name for name in os.listdir(str(tmp_path / "ckpt"))
                      if ".tmp" in name]
         assert leftovers == []
-        assert ckpt.load(victim) is not None
+        assert ckpt.load(ckpt.path(victim)) is not None

@@ -1,5 +1,7 @@
 """Tests for the profiling toolchain: collector + feature extractors."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,8 +29,15 @@ from repro.profiling.wset import (
     reuse_distances,
     shared_ratio,
 )
+from repro.profiling.collector import (
+    PROFILE_SCHEMA,
+    PROFILE_VERSION,
+    load_profile,
+    save_profile,
+)
 from repro.runtime import ExperimentConfig
-from repro.util.errors import ProfilingError
+from repro.util.errors import ArtifactIntegrityError, ProfilingError
+from repro.validation import integrity
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +74,67 @@ class TestCollector:
         for region in memcached_artifacts.data_regions:
             assert region.total_weight > 0
             assert region.line_sample_factor >= 1.0
+
+
+def _socialnet_4node():
+    from repro.app.workloads import (build_social_network,
+                                     social_network_deployment)
+
+    names = list(build_social_network())
+    return social_network_deployment(
+        placement={name: f"node{i % 4}" for i, name in enumerate(names)})
+
+
+class TestProfilingWindow:
+    def test_window_grows_until_every_entry_operation_is_seen(self):
+        # Regression: at seed 6, a 15 ms Poisson window at 2k qps shows
+        # the frontend no compose_post request (nor does 30 ms). A clone
+        # of that profile has no compose path, and its fidelity gate
+        # failed on every remediation rung.
+        deployment = _socialnet_4node()
+        profile = profile_deployment(
+            deployment, LoadSpec.open_loop(2_000),
+            ExperimentConfig(platform=PLATFORM_A, duration_s=0.05, seed=6),
+            budget=ProfilingBudget(sampled_requests=8,
+                                   profile_duration_s=0.015),
+            seed=17)
+        entry = deployment.services[deployment.entry_service]
+        observed = profile.artifacts(entry.name).observed_handler_mix
+        assert set(observed) == set(entry.request_mix)
+        assert observed["compose_post"] > 0
+        # the compose path was profiled all the way down
+        assert profile.artifacts("compose-post-service").requests_observed
+
+    def test_unseen_entry_operation_names_it_past_the_cap(self):
+        spec = build_memcached()
+        rare = replace(spec, request_mix={"get": 1.0, "set": 1e-12})
+        with pytest.raises(ProfilingError, match="'set'"):
+            profile_deployment(
+                Deployment.single(rare), LoadSpec.open_loop(20_000),
+                ExperimentConfig(platform=PLATFORM_A, duration_s=0.01,
+                                 seed=5),
+                budget=ProfilingBudget(sampled_requests=8,
+                                       profile_duration_s=0.002))
+
+
+class TestProfilePersistence:
+    def test_round_trip_keeps_the_iform_table(self, memcached_profile,
+                                              tmp_path):
+        path = str(tmp_path / "profile.bin")
+        save_profile(path, memcached_profile)
+        table = load_profile(path).artifacts("memcached").instruction_table
+        saved = memcached_profile.artifacts("memcached").instruction_table
+        assert list(table.items()) == list(saved.items())
+
+    def test_older_layout_is_a_miss(self, memcached_profile, tmp_path):
+        path = str(tmp_path / "profile.bin")
+        integrity.save_object(path, memcached_profile,
+                              schema=PROFILE_SCHEMA,
+                              version=PROFILE_VERSION - 1)
+        with pytest.raises(ArtifactIntegrityError) as excinfo:
+            load_profile(path)
+        assert excinfo.value.reason == "version"
+        assert not (tmp_path / "profile.bin.quarantined").exists()
 
 
 class TestReuseDistances:

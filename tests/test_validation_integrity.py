@@ -102,6 +102,19 @@ class TestCorruptionDetection:
         assert os.path.exists(path)
         assert not os.path.exists(path + ".quarantined")
 
+    def test_exact_version_load_misses_other_versions(self, path):
+        integrity.save_object(path, {"layout": 1}, schema="demo", version=1)
+        with pytest.raises(ArtifactIntegrityError) as excinfo:
+            integrity.load_exact(path, schema="demo", version=2)
+        assert excinfo.value.reason == "version"
+        # An older layout is intact, not corrupt: it stays for the
+        # caller to overwrite.
+        assert os.path.exists(path)
+        assert not os.path.exists(path + ".quarantined")
+        integrity.save_object(path, {"layout": 2}, schema="demo", version=2)
+        assert integrity.load_exact(path, schema="demo",
+                                    version=2) == {"layout": 2}
+
     def test_quarantine_can_be_disabled(self, path):
         self._write(path)
         with open(path, "ab") as handle:
