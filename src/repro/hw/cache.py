@@ -240,12 +240,6 @@ def generate_access_stream(
     return (base + offsets * LINE_BYTES).astype(np.int64)
 
 
-#: memo for :func:`miss_fraction` — the timing model asks for the same
-#: (pattern, working set, capacity) triples thousands of times per run
-_MISS_FRACTION_MEMO: Dict[tuple, float] = {}
-_MISS_FRACTION_MEMO_MAX = 1 << 16
-
-
 def miss_fraction(spec: MemAccessSpec, cache_bytes: float) -> float:
     """Steady-state miss fraction of ``spec`` against a ``cache_bytes`` cache.
 
@@ -256,22 +250,12 @@ def miss_fraction(spec: MemAccessSpec, cache_bytes: float) -> float:
     - random: per-access hit probability is the resident fraction
       ``cache/W`` (capped at 1).
     """
-    key = (spec.pattern, spec.wset_bytes, cache_bytes)
-    memo = _MISS_FRACTION_MEMO
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
     if cache_bytes <= 0:
-        result = 1.0
-    elif spec.pattern is MemPattern.RANDOM:
+        return 1.0
+    if spec.pattern is MemPattern.RANDOM:
         wset = float(spec.wset_bytes)
-        result = float(max(0.0, 1.0 - min(1.0, cache_bytes / wset)))
-    else:
-        result = 0.0 if float(spec.wset_bytes) <= cache_bytes else 1.0
-    if len(memo) >= _MISS_FRACTION_MEMO_MAX:
-        memo.clear()
-    memo[key] = result
-    return result
+        return float(max(0.0, 1.0 - min(1.0, cache_bytes / wset)))
+    return 0.0 if float(spec.wset_bytes) <= cache_bytes else 1.0
 
 
 class CacheHierarchy:

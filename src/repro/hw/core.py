@@ -28,8 +28,8 @@ from typing import Dict, Optional
 
 from repro.hw.branch import BranchPredictorModel
 from repro.hw.cache import LINE_BYTES, CacheHierarchy, miss_fraction
-from repro.hw.ir import BlockSpec, MemAccessSpec, MemPattern
-from repro.hw.topdown import TopDownBreakdown
+from repro.hw.ir import BlockSpec, MemPattern
+from repro.hw.topdown import TopDownBreakdown, check_slots
 from repro.isa.instructions import iform
 from repro.isa.ports import PortGroup, UArch
 from repro.util.errors import ConfigurationError
@@ -177,11 +177,20 @@ class BlockStatics:
     them once and passes them to every :meth:`CoreModel.time_block`.
     Pinned pricing digests depend on each term's float operations and
     their order; keep both when editing.
+
+    The statics also memoise the two key-dependent components that read
+    only a few context fields, per block and so per uarch:
+    :attr:`memory` maps the data-side state (cache sizes and latencies,
+    ``min(1, other threads)``, prefetch coverage) to the memory stall
+    and counters, and :attr:`branch` maps the alias pressure and the
+    context's own ``branch_model`` (``None`` for the uarch's default
+    oracle) to the branch stall and counters.
     """
 
     __slots__ = ("total_uops", "issue_cycles", "port_cycles", "dep_cycles",
-                 "instructions", "code_bytes", "lines", "loop_spec",
-                 "first_weight", "loop_weight", "mem_mlp")
+                 "instructions", "code_bytes", "lines", "loop_wset",
+                 "first_weight", "loop_weight", "mem_mlp", "memory",
+                 "branch")
 
     def __init__(self, block: BlockSpec, uarch: UArch) -> None:
         # Compute bound, per iteration: uops per port group, then the
@@ -217,18 +226,16 @@ class BlockStatics:
         # Instruction side: lines actually fetched per loop pass —
         # instructions lay out densely (4B each, 16 per line), so a pass
         # touches at most instructions/16 lines, capped by the block
-        # footprint — and the loop passes' reuse, the block body itself.
+        # footprint — and the loop passes' reuse distance, the block
+        # body itself (a sequential working set of ``loop_wset`` bytes).
         # Only the first pass's reuse depends on the context.
         self.code_bytes = code_bytes = float(block.static_code_bytes())
         self.lines = self.first_weight = self.loop_weight = 0.0
-        self.loop_spec: Optional[MemAccessSpec] = None
+        self.loop_wset = 0.0
         if code_bytes > 0:
             self.lines = max(1.0, min(code_bytes, 4.0 * max(1.0, instructions))
                              / LINE_BYTES)
-            self.loop_spec = MemAccessSpec(
-                wset_bytes=max(64, int(code_bytes)), accesses=self.lines,
-                pattern=MemPattern.SEQUENTIAL,
-            )
+            self.loop_wset = float(max(64, int(code_bytes)))
             iterations = max(1.0, block.iterations)
             self.first_weight = 1.0 / iterations
             self.loop_weight = (iterations - 1.0) / iterations
@@ -242,6 +249,16 @@ class BlockStatics:
             1.0 if spec.pattern is MemPattern.POINTER_CHASE
             else 1.0 / (chase / 1.0 + (1.0 - chase) / mshr)
             for spec in block.mem)
+        #: data-side state -> (stall, l1d accesses, l1d misses, l2
+        #: accesses, l2 misses, llc accesses, llc misses, memory bytes)
+        self.memory: Dict[tuple, tuple] = {}
+        #: (alias pressure, branch model) -> (stall, branches, misses)
+        self.branch: Dict[tuple, tuple] = {}
+
+
+def _sequential_miss(wset: float, cache_bytes: float) -> float:
+    """:func:`~repro.hw.cache.miss_fraction` of a sequential working set."""
+    return 1.0 if cache_bytes <= 0 or not wset <= cache_bytes else 0.0
 
 
 class CoreModel:
@@ -258,11 +275,18 @@ class CoreModel:
     # ------------------------------------------------------------------ #
     # memory subsystem
     # ------------------------------------------------------------------ #
-    def _memory_component(
-        self, block: BlockSpec, statics: BlockStatics, timing: BlockTiming
-    ) -> float:
+    def _memory_terms(self, block: BlockSpec, statics: BlockStatics
+                      ) -> tuple:
+        """The memory stall and data-side counters (see ``statics.memory``).
+
+        Each counter is summed from 0.0 in spec order, so the frontend's
+        terms added afterwards land exactly as when both accumulated
+        into one timing.
+        """
         caches = self.ctx.caches
         stall = 0.0
+        l1d_accesses = l1d_misses = l2_accesses = l2_misses = 0.0
+        llc_accesses = llc_misses = memory_bytes = 0.0
         lat_l1 = caches.l1d.latency_cycles
         lat_l2 = caches.l2.latency_cycles
         lat_llc = caches.llc.latency_cycles
@@ -293,88 +317,34 @@ class CoreModel:
                 extra_latency *= 1.0 - self.ctx.prefetch_coverage
             stall += accesses * extra_latency / mlp
             # Counters.
-            timing.l1d_accesses += accesses
-            timing.l1d_misses += accesses * (m1 + coh_rate)
-            timing.l2_accesses += accesses * m1
-            timing.l2_misses += accesses * m1 * m2
-            timing.llc_accesses += accesses * (m1 * m2 + coh_rate)
-            timing.llc_misses += accesses * m1 * m2 * m3
-            timing.memory_bytes += accesses * m1 * m2 * m3 * LINE_BYTES
-        return stall
-
-    # ------------------------------------------------------------------ #
-    # frontend / instruction side
-    # ------------------------------------------------------------------ #
-    def _frontend_component(
-        self, statics: BlockStatics, timing: BlockTiming
-    ) -> float:
-        code_bytes = statics.code_bytes
-        if code_bytes <= 0:
-            return 0.0
-        caches = self.ctx.caches
-        lines = statics.lines
-        # Two reuse regimes: the first pass of a visit re-fetches lines
-        # last seen one full visit ago (block + everything run in
-        # between); subsequent loop passes re-fetch with the block body
-        # itself as the reuse distance (``statics.loop_spec``).
-        first_spec = MemAccessSpec(
-            wset_bytes=max(64, int(code_bytes + self.ctx.code_reuse_bytes)),
-            accesses=lines, pattern=MemPattern.SEQUENTIAL,
-        )
-        loop_spec = statics.loop_spec
-        first_weight = statics.first_weight
-        loop_weight = statics.loop_weight
-
-        def blended(cache_bytes: float) -> float:
-            return (miss_fraction(first_spec, cache_bytes) * first_weight
-                    + miss_fraction(loop_spec, cache_bytes) * loop_weight)
-
-        m1 = blended(caches.l1i.size_bytes)
-        m2 = min(m1, blended(caches.l2.size_bytes))
-        m3 = min(m2, blended(caches.llc.size_bytes))
-        miss_l1 = lines * m1
-        miss_l2 = lines * m2
-        miss_llc = lines * m3
-        lat_l2 = caches.l2.latency_cycles
-        lat_llc = caches.llc.latency_cycles
-        lat_mem = caches.memory_latency_cycles
-        # Fetches resolve at the first level they hit: (m1-m2) of the
-        # lines stop at L2, (m2-m3) at the LLC, m3 go to memory.
-        stall = (
-            lines * (m1 - m2) * lat_l2
-            + lines * (m2 - m3) * lat_llc
-            + lines * m3 * lat_mem
-        ) * self.FETCH_OVERLAP
-        timing.l1i_accesses += max(
-            1.0, statics.instructions * 4.0 / self.FETCH_BYTES)
-        timing.l1i_misses += miss_l1
-        timing.l2_accesses += miss_l1
-        timing.l2_misses += miss_l2
-        timing.llc_accesses += miss_l2
-        timing.llc_misses += miss_llc
-        timing.memory_bytes += miss_llc * LINE_BYTES
-        # Decode-width bound adds to frontend pressure for dense blocks.
-        return stall
+            l1d_accesses += accesses
+            l1d_misses += accesses * (m1 + coh_rate)
+            l2_accesses += accesses * m1
+            l2_misses += accesses * m1 * m2
+            llc_accesses += accesses * (m1 * m2 + coh_rate)
+            llc_misses += accesses * m1 * m2 * m3
+            memory_bytes += accesses * m1 * m2 * m3 * LINE_BYTES
+        return (stall, l1d_accesses, l1d_misses, l2_accesses, l2_misses,
+                llc_accesses, llc_misses, memory_bytes)
 
     # ------------------------------------------------------------------ #
     # branches
     # ------------------------------------------------------------------ #
-    def _branch_component(
-        self, block: BlockSpec, timing: BlockTiming
-    ) -> float:
+    def _branch_terms(self, block: BlockSpec) -> tuple:
+        """The branch stall and counters (see ``statics.branch``)."""
         predictor = self.ctx.predictor()
         penalty = self.ctx.uarch.mispredict_penalty
         pressure = self.ctx.alias_pressure
-        stall = 0.0
+        stall = branches = mispredictions = 0.0
         for spec in block.branches:
             if spec.executions <= 0:
                 continue
             rate = predictor.rate_for(spec, alias_pressure=pressure)
             misses = spec.executions * rate
-            timing.branches += spec.executions
-            timing.branch_mispredictions += misses
+            branches += spec.executions
+            mispredictions += misses
             stall += misses * penalty
-        return stall
+        return stall, branches, mispredictions
 
     # ------------------------------------------------------------------ #
     # public API
@@ -385,32 +355,119 @@ class CoreModel:
 
         ``statics`` are ``block``'s :class:`BlockStatics` on this
         context's uarch, passed by callers that price one block under
-        many contexts; computed here when absent.
+        many contexts; computed here when absent. The memory and branch
+        components come from the statics' memos when an earlier pricing
+        read the same state; the frontend is priced every time.
         """
+        ctx = self.ctx
+        uarch = ctx.uarch
         if statics is None:
-            statics = BlockStatics(block, self.ctx.uarch)
-        timing = BlockTiming()
+            statics = BlockStatics(block, uarch)
+        caches = ctx.caches
+        l1d = caches.l1d
+        l2 = caches.l2
+        llc = caches.llc
         # SMT sibling competes for the same issue ports.
         compute_cycles = max(statics.issue_cycles,
-                             statics.port_cycles * self.ctx.smt_contention,
+                             statics.port_cycles * ctx.smt_contention,
                              statics.dep_cycles)
-        mem_stall = self._memory_component(block, statics, timing)
-        fe_stall = self._frontend_component(statics, timing)
-        bs_stall = self._branch_component(block, timing)
+        key = (l1d.size_bytes, l2.size_bytes, llc.size_bytes,
+               l1d.latency_cycles, l2.latency_cycles, llc.latency_cycles,
+               caches.memory_latency_cycles,
+               min(1, max(0, ctx.active_threads - 1)),
+               ctx.prefetch_coverage)
+        memory = statics.memory.get(key)
+        if memory is None:
+            memory = statics.memory[key] = self._memory_terms(block, statics)
+        (mem_stall, l1d_accesses, l1d_misses, l2_accesses, l2_misses,
+         llc_accesses, llc_misses, memory_bytes) = memory
+        # Frontend / instruction side. Two reuse regimes: the first pass
+        # of a visit re-fetches lines last seen one full visit ago
+        # (block + everything run in between); subsequent loop passes
+        # re-fetch with the block body itself as the reuse distance.
+        # Both are sequential working sets, so each level's miss
+        # fraction is the all-hit/all-miss closed form.
+        fe_stall = 0.0
+        l1i_accesses = l1i_misses = 0.0
+        lines = statics.lines
+        code_bytes = statics.code_bytes
+        if code_bytes > 0:
+            first_wset = float(max(64, int(code_bytes
+                                           + ctx.code_reuse_bytes)))
+            loop_wset = statics.loop_wset
+            first_weight = statics.first_weight
+            loop_weight = statics.loop_weight
+            size = caches.l1i.size_bytes
+            m1 = (_sequential_miss(first_wset, size) * first_weight
+                  + _sequential_miss(loop_wset, size) * loop_weight)
+            size = l2.size_bytes
+            m2 = min(m1, _sequential_miss(first_wset, size) * first_weight
+                     + _sequential_miss(loop_wset, size) * loop_weight)
+            size = llc.size_bytes
+            m3 = min(m2, _sequential_miss(first_wset, size) * first_weight
+                     + _sequential_miss(loop_wset, size) * loop_weight)
+            miss_l1 = lines * m1
+            miss_l2 = lines * m2
+            miss_llc = lines * m3
+            # Fetches resolve at the first level they hit: (m1-m2) of the
+            # lines stop at L2, (m2-m3) at the LLC, m3 go to memory.
+            fe_stall = (
+                lines * (m1 - m2) * l2.latency_cycles
+                + lines * (m2 - m3) * llc.latency_cycles
+                + lines * m3 * caches.memory_latency_cycles
+            ) * self.FETCH_OVERLAP
+            l1i_accesses = max(
+                1.0, statics.instructions * 4.0 / self.FETCH_BYTES)
+            l1i_misses = miss_l1
+            l2_accesses += miss_l1
+            l2_misses += miss_l2
+            llc_accesses += miss_l2
+            llc_misses += miss_llc
+            memory_bytes += miss_llc * LINE_BYTES
+        key = (ctx.alias_pressure, ctx.branch_model)
+        branch = statics.branch.get(key)
+        if branch is None:
+            branch = statics.branch[key] = self._branch_terms(block)
+        bs_stall, branches, mispredictions = branch
         cycles_per_iter = compute_cycles + mem_stall + fe_stall + bs_stall
         total_uops = statics.total_uops
-        timing.instructions = statics.instructions
-        timing.uops = total_uops
-        timing.cycles = max(cycles_per_iter, statics.issue_cycles)
-        width = self.ctx.uarch.issue_width
-        total_slots = timing.cycles * width
+        cycles = max(cycles_per_iter, statics.issue_cycles)
+        width = uarch.issue_width
+        total_slots = cycles * width
         retiring = min(total_slots, total_uops)
         bad_spec = min(total_slots - retiring, bs_stall * width)
         frontend = min(total_slots - retiring - bad_spec, fe_stall * width)
         backend = max(0.0, total_slots - retiring - bad_spec - frontend)
-        timing.topdown = TopDownBreakdown(retiring, frontend, bad_spec, backend)
-        iterations = max(block.iterations, 0.0)
-        return timing.scaled(iterations)
+        check_slots(retiring, frontend, bad_spec, backend)
+        # All iterations: every quantity times the iteration count, built
+        # directly rather than through the dataclass initialisers.
+        n = max(block.iterations, 0.0)
+        if n < 0:
+            raise ConfigurationError("factor must be non-negative")
+        topdown = object.__new__(TopDownBreakdown)
+        topdown.__dict__.update(retiring=retiring * n, frontend=frontend * n,
+                                bad_speculation=bad_spec * n,
+                                backend=backend * n)
+        check_slots(retiring * n, frontend * n, bad_spec * n, backend * n)
+        timing = BlockTiming.__new__(BlockTiming)
+        timing.__dict__ = {
+            "cycles": cycles * n,
+            "instructions": statics.instructions * n,
+            "uops": total_uops * n,
+            "branches": branches * n,
+            "branch_mispredictions": mispredictions * n,
+            "l1i_accesses": l1i_accesses * n,
+            "l1i_misses": l1i_misses * n,
+            "l1d_accesses": l1d_accesses * n,
+            "l1d_misses": l1d_misses * n,
+            "l2_accesses": l2_accesses * n,
+            "l2_misses": l2_misses * n,
+            "llc_accesses": llc_accesses * n,
+            "llc_misses": llc_misses * n,
+            "memory_bytes": memory_bytes * n,
+            "topdown": topdown,
+        }
+        return timing
 
     def time_blocks(self, blocks) -> BlockTiming:
         """Sum of :meth:`time_block` over ``blocks``."""

@@ -14,6 +14,18 @@ from dataclasses import dataclass
 from repro.util.errors import ConfigurationError
 
 
+def check_slots(retiring: float, frontend: float, bad_speculation: float,
+                backend: float) -> None:
+    """Reject a negative slot count (beyond float noise) in any bucket."""
+    if (retiring < -1e-9 or frontend < -1e-9 or bad_speculation < -1e-9
+            or backend < -1e-9):
+        for name, value in (("retiring", retiring), ("frontend", frontend),
+                            ("bad_speculation", bad_speculation),
+                            ("backend", backend)):
+            if value < -1e-9:
+                raise ConfigurationError(f"negative slot count for {name}")
+
+
 @dataclass(frozen=True)
 class TopDownBreakdown:
     """Slot counts per top-level top-down bucket."""
@@ -24,11 +36,8 @@ class TopDownBreakdown:
     backend: float
 
     def __post_init__(self) -> None:
-        if (self.retiring < -1e-9 or self.frontend < -1e-9
-                or self.bad_speculation < -1e-9 or self.backend < -1e-9):
-            for name in ("retiring", "frontend", "bad_speculation", "backend"):
-                if getattr(self, name) < -1e-9:
-                    raise ConfigurationError(f"negative slot count for {name}")
+        check_slots(self.retiring, self.frontend, self.bad_speculation,
+                    self.backend)
 
     @property
     def total_slots(self) -> float:

@@ -21,28 +21,31 @@ class _NicTransmitOp:
     owns. Slot map (T = issue time, W = wire time plus fault penalty):
 
       bootstrap   stage 0 @ T    fault penalty draw, acquire the wire
-      ``NOOP``    @ T            the idle-wire grant (dispatches empty)
       grant       stage 1 @ T    resume on the grant
       hold        stage 2 @ T+W  release the wire, count the bytes
       completion  @ T+W          ``completion`` succeeds
 
-    On a busy wire there are no ``NOOP``/stage-1 slots: ``release()``
+    On a busy wire the op takes no slot while it waits: ``release()``
     pushes the grant event, whose dispatch runs stage 1.
     """
 
-    __slots__ = ("device", "completion", "label", "_stage", "_nbytes",
-                 "_issued", "_penalty")
+    __slots__ = ("device", "completion", "_stage", "_nbytes", "_issued",
+                 "_penalty")
 
     def __init__(self, device: "NicDevice", nbytes: float) -> None:
         env = device.env
         self.device = device
         self.completion = Event(env)
-        self.label = f"nic-transmit on {device.name!r}"
         self._stage = 0
         self._nbytes = nbytes
         self._issued = 0.0
         self._penalty = 0.0
         env._push(self)
+
+    @property
+    def label(self) -> str:
+        """What the op is, for watchdog messages."""
+        return f"nic-transmit on {self.device.name!r}"
 
     def fire(self, env: Environment) -> None:
         stage = self._stage
@@ -62,7 +65,7 @@ class _NicTransmitOp:
             device._wire.acquire(self)
         elif stage == 1:
             self._stage = 2
-            env._push(self, delay=self._nbytes
+            env._push_after(self, self._nbytes
                       / self.device.effective_bandwidth + self._penalty)
         else:
             device = self.device

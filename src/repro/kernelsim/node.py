@@ -21,34 +21,36 @@ class _DiskIoOp:
     slowdown):
 
       bootstrap   stage 0 @ T      fault draws, acquire the queue
-      ``NOOP``    @ T              the idle-queue grant
       grant       stage 1 @ T      resume on the queue grant
       latency     stage 2 @ T+L    acquire the channel
-      ``NOOP``    @ T+L            the idle-channel grant
       grant       stage 3 @ T+L    resume on the channel grant
       transfer    stage 4 @ T+L+X  release both, count the bytes
       completion  @ T+L+X          ``completion`` succeeds
 
-    Waiting on a busy queue or channel replaces its ``NOOP`` and grant
-    slots: ``release()`` pushes the grant event, whose dispatch runs
-    stage 1 or 3.
+    Waiting on a busy queue or channel takes no slot: ``release()``
+    pushes the grant event, whose dispatch runs stage 1 or 3 in place
+    of the grant slot.
     """
 
-    __slots__ = ("device", "completion", "label", "_stage", "_nbytes",
-                 "_write", "_issued", "_slowdown")
+    __slots__ = ("device", "completion", "_stage", "_nbytes", "_write",
+                 "_issued", "_slowdown")
 
     def __init__(self, device: "DiskDevice", nbytes: float,
                  write: bool) -> None:
         env = device.env
         self.device = device
         self.completion = Event(env)
-        self.label = f"disk-io on {device.name!r}"
         self._stage = 0
         self._nbytes = nbytes
         self._write = write
         self._issued = 0.0
         self._slowdown = 1.0
         env._push(self)
+
+    @property
+    def label(self) -> str:
+        """What the op is, for watchdog messages."""
+        return f"disk-io on {self.device.name!r}"
 
     def fire(self, env: Environment) -> None:
         stage = self._stage
@@ -72,7 +74,7 @@ class _DiskIoOp:
             latency = (spec.write_latency_s if self._write
                        else spec.read_latency_s)
             self._stage = 2
-            env._push(self, delay=latency * self._slowdown)
+            env._push_after(self, latency * self._slowdown)
         elif stage == 2:
             self._stage = 3
             device._channel.acquire(self)
@@ -80,7 +82,7 @@ class _DiskIoOp:
             xfer = self._nbytes / (device.spec.bandwidth_bytes_per_s
                                    * device.bandwidth_share)
             self._stage = 4
-            env._push(self, delay=xfer * self._slowdown)
+            env._push_after(self, xfer * self._slowdown)
         else:
             device._channel.release()
             device._queue.release()

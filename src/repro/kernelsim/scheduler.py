@@ -24,28 +24,30 @@ class _CpuExecuteOp:
     owns. Slot map (T = issue time, H = hold):
 
       bootstrap   stage 0 @ T    price the hold, crash check, acquire
-      ``NOOP``    @ T            the idle-core grant (dispatches empty)
       grant       stage 1 @ T    resume on the grant: steal factor
       hold        stage 2 @ T+H  release the core, account busy time
       completion  @ T+H          ``completion`` succeeds
 
-    On a busy pool there are no ``NOOP``/stage-1 slots: ``release()``
+    On a busy pool the op takes no slot while it waits: ``release()``
     pushes the grant event, whose dispatch runs stage 1.
     """
 
-    __slots__ = ("device", "completion", "label", "_stage", "_hold",
-                 "_switch")
+    __slots__ = ("device", "completion", "_stage", "_hold", "_switch")
 
     def __init__(self, device: "CpuDevice", cycles: float,
                  switch: Optional[ContextSwitchModel]) -> None:
         env = device.env
         self.device = device
         self.completion = Event(env)
-        self.label = f"cpu-execute on {device.name!r}"
         self._stage = 0
         self._hold = cycles
         self._switch = switch
         env._push(self)
+
+    @property
+    def label(self) -> str:
+        """What the op is, for watchdog messages."""
+        return f"cpu-execute on {self.device.name!r}"
 
     def fire(self, env: Environment) -> None:
         stage = self._stage
@@ -77,7 +79,7 @@ class _CpuExecuteOp:
                 self.completion.fail(error)
                 return
             self._stage = 2
-            env._push(self, delay=self._hold)
+            env._push_after(self, self._hold)
         else:
             device = self.device
             device._pool.release()

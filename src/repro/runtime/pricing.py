@@ -21,6 +21,7 @@ later sums logged rows into counters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,12 +50,13 @@ TOPDOWN_FIELDS = ("retiring", "frontend", "bad_speculation", "backend")
 #: columns of a pricing row
 ROW_WIDTH = len(TIMING_FIELDS) + len(TOPDOWN_FIELDS)
 
+_timing_values = attrgetter(*TIMING_FIELDS)
+_topdown_values = attrgetter(*TOPDOWN_FIELDS)
+
 
 def timing_row(timing: BlockTiming) -> List[float]:
     """``timing`` flattened into one pricing row."""
-    topdown = timing.topdown
-    return ([getattr(timing, name) for name in TIMING_FIELDS]
-            + [getattr(topdown, name) for name in TOPDOWN_FIELDS])
+    return [*_timing_values(timing), *_topdown_values(timing.topdown)]
 
 
 def row_timing(row: Sequence[float]) -> BlockTiming:
@@ -83,7 +85,11 @@ def code_reuse_steps(code_reuse_bytes: float) -> int:
 
 @dataclass(frozen=True)
 class PricingKey:
-    """Quantised execution state a pricing is valid for."""
+    """Quantised execution state a pricing is valid for.
+
+    A first pricing looks its key up several times (the pricer's row
+    memo, its context cache), so the key hashes its fields once.
+    """
 
     cold: bool
     concurrency_bucket: int
@@ -94,6 +100,15 @@ class PricingKey:
     llc_factor: float
     code_reuse_kb: int
     static_branch_sites: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((
+            self.cold, self.concurrency_bucket, self.smt_contention,
+            self.l1i_factor, self.l1d_factor, self.l2_factor,
+            self.llc_factor, self.code_reuse_kb, self.static_branch_sites)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def build(

@@ -10,6 +10,7 @@ from repro.app.program import ComputeOp, Handler, RpcOp, SyscallOp
 from repro.app.service import ServiceSpec
 from repro.app.skeleton import ClientNetworkModel, ServerNetworkModel
 from repro.hw.contention import ContentionFactors
+from repro.hw.ir import BlockSpec
 from repro.kernelsim.node import Node
 from repro.kernelsim.syscalls import (
     SyscallInvocation,
@@ -50,6 +51,37 @@ KERNEL_STATIC_BRANCHES = 1500
 @lru_cache(maxsize=8192)
 def _cached_kernel_block(invocation: SyscallInvocation):
     return kernel_block_for(invocation)
+
+
+class _DelayedReply:
+    """Queue entry answering a cross-node request after the wire latency.
+
+    Two slots: at the handler's end T it schedules itself at
+    T+latency, and there it succeeds the response. Nothing waits on the
+    entry itself, so it needs neither a process nor a completion event.
+    """
+
+    __slots__ = ("response", "service", "_latency")
+
+    def __init__(self, env: Environment, response: Event, latency: float,
+                 service: str) -> None:
+        self.response = response
+        self.service = service
+        self._latency: Optional[float] = latency
+        env._push(self)
+
+    @property
+    def label(self) -> str:
+        """What the entry is, for watchdog messages."""
+        return f"cross-node reply from {self.service!r}"
+
+    def fire(self, env: Environment) -> None:
+        latency = self._latency
+        if latency is not None:
+            self._latency = None
+            env._push_after(self, latency)
+        else:
+            self.response.succeed(env.now)
 
 
 @dataclass
@@ -177,6 +209,11 @@ class ServiceRuntime:
         self._switch_block = context_switch_block()
         self._wait_block = _cached_kernel_block(
             SyscallInvocation(spec.skeleton.wait_syscall()))
+        # Client-side RPC kernel blocks, resolved once per message size.
+        self._epoll_block = _cached_kernel_block(
+            SyscallInvocation("epoll_ctl"))
+        self._send_blocks: Dict[float, BlockSpec] = {}
+        self._recv_blocks: Dict[float, BlockSpec] = {}
         # Per-handler concurrent data footprint (for LLC competition).
         self._handler_footprint = {
             hname: handler.data_footprint_bytes()
@@ -516,16 +553,10 @@ class ServiceRuntime:
             if not request.response.triggered:
                 request.response.fail(failure)
         elif request.src_node != self.node.name:
-            self.env.process(
-                self._delayed_reply(request.response),
-                name="reply",
-            )
+            _DelayedReply(self.env, request.response,
+                          self.cross_node_latency_s, self.spec.name)
         else:
             request.response.succeed(self.env.now)
-
-    def _delayed_reply(self, response: Event):
-        yield self.env.timeout(self.cross_node_latency_s)
-        response.succeed(self.env.now)
 
     def _device_syscall(self, invocation: SyscallInvocation, flush,
                         loopback: bool = False):
@@ -557,11 +588,10 @@ class ServiceRuntime:
         # asynchronous client additionally registers each response socket
         # with its reactor (epoll_ctl).
         for rpc in group:
-            charge(_cached_kernel_block(
-                SyscallInvocation("sendmsg", nbytes=rpc.request_bytes)))
+            charge(self._client_block(self._send_blocks, "sendmsg",
+                                      rpc.request_bytes))
             if asynchronous:
-                charge(_cached_kernel_block(
-                    SyscallInvocation("epoll_ctl")))
+                charge(self._epoll_block)
         yield flush()
         calls = []
         for rpc in group:
@@ -570,8 +600,18 @@ class ServiceRuntime:
         yield self.env.all_of(calls)
         # Client-side kernel receive work for the responses.
         for rpc in group:
-            charge(_cached_kernel_block(
-                SyscallInvocation("recv", nbytes=rpc.response_bytes)))
+            charge(self._client_block(self._recv_blocks, "recv",
+                                      rpc.response_bytes))
+
+    @staticmethod
+    def _client_block(blocks: Dict[float, BlockSpec], name: str,
+                      nbytes: float) -> BlockSpec:
+        """The kernel block of a client ``name`` call of ``nbytes``."""
+        block = blocks.get(nbytes)
+        if block is None:
+            block = blocks[nbytes] = _cached_kernel_block(
+                SyscallInvocation(name, nbytes=nbytes))
+        return block
 
     def _one_rpc(self, rpc: RpcOp, request: Request, parent_span):
         target = self.registry.get(rpc.target_service)

@@ -16,6 +16,8 @@ the rest of the stack depends on (see DESIGN.md "Engine invariants"):
   a service simulation's queue traffic — land in the bucket currently
   being drained and cost one list append, no heap operation at all;
   only entries that actually advance time touch the heap;
+* only entries that do something are queued: nothing is pushed just to
+  hold a bucket slot, so every dispatch runs a callback or a ``fire``;
 * a process yielding an already-triggered event resumes on the *next*
   scheduling round (via a lightweight :class:`_Resume` queue entry, not
   a proxy ``Event``), consuming exactly one bucket slot;
@@ -92,7 +94,17 @@ class Event:
         self._triggered = True
         self._ok = True
         self._value = value
-        self.env._schedule(self)
+        # Hot path: an untriggered event is never queued, so this is the
+        # zero-delay push of Environment._push, inlined.
+        self._scheduled = True
+        env = self.env
+        now = env._now
+        bucket = env._buckets.get(now)
+        if bucket is None:
+            env._buckets[now] = [1, self]
+            heapq.heappush(env._times, now)
+        else:
+            bucket.append(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -104,8 +116,27 @@ class Event:
         self._triggered = True
         self._ok = False
         self._value = exception
-        self.env._schedule(self)
+        self._scheduled = True
+        self.env._push(self)
         return self
+
+    def fire(self, env: "Environment") -> None:
+        """Deliver the dispatched event to its callbacks, in order."""
+        # Mark dispatched: run(until=event) keys off this to stop as
+        # soon as the awaited event's callbacks have run, instead of
+        # draining unrelated queue entries (e.g. the deregistered
+        # losers of an any_of race).
+        self._scheduled = False
+        callbacks = self.callbacks
+        if callbacks:
+            if len(callbacks) == 1:
+                callback = callbacks[0]
+                callbacks.clear()
+                callback(self)
+            else:
+                self.callbacks = []
+                for callback in callbacks:
+                    callback(self)
 
 
 class Timeout(Event):
@@ -125,7 +156,8 @@ class Timeout(Event):
         self._triggered = True
         self._ok = True
         self._value = value
-        env._schedule(self, delay=delay)
+        self._scheduled = True
+        env._push_after(self, delay)
 
 
 class _Resume:
@@ -169,24 +201,6 @@ class _Deferred:
 
     def fire(self, env: "Environment") -> None:
         self.callback(self.event)
-
-
-class _Noop:
-    """Queue entry that does nothing when dispatched.
-
-    :meth:`~repro.sim.resources.Resource.acquire` pushes the shared
-    :data:`NOOP` instance as the grant of an idle server, ahead of the
-    acquiring device op's own resume entry.
-    """
-
-    __slots__ = ()
-
-    def fire(self, env: "Environment") -> None:
-        return
-
-
-#: the shared do-nothing queue entry (see :class:`_Noop`)
-NOOP = _Noop()
 
 
 class _Call:
@@ -577,8 +591,18 @@ class Environment:
                 event.callbacks.append(callback)
         return done
 
-    def _push(self, entry: Any, delay: float = 0.0) -> None:
-        """Schedule a raw queue entry (event or lightweight resume)."""
+    def _push(self, entry: Any) -> None:
+        """Queue a raw entry (an event or a ``fire(env)`` object) now."""
+        now = self._now
+        bucket = self._buckets.get(now)
+        if bucket is None:
+            self._buckets[now] = [1, entry]
+            heapq.heappush(self._times, now)
+        else:
+            bucket.append(entry)
+
+    def _push_after(self, entry: Any, delay: float) -> None:
+        """Queue a raw entry ``delay`` time units from now."""
         when = self._now + delay
         if not when >= self._now:
             raise SimulationError("event scheduled in the past")
@@ -589,50 +613,19 @@ class Environment:
         else:
             bucket.append(entry)
 
-    def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        if event._scheduled:
-            return
-        event._scheduled = True
-        when = self._now + delay
-        if not when >= self._now:
-            raise SimulationError("event scheduled in the past")
-        bucket = self._buckets.get(when)
-        if bucket is None:
-            self._buckets[when] = [1, event]
-            heapq.heappush(self._times, when)
-        else:
-            bucket.append(event)
-
     def _dispatch(self, item: Any) -> None:
         """Run one popped queue entry's effects."""
-        if isinstance(item, Event):
-            # Mark dispatched: run(until=event) keys off this to stop as
-            # soon as the awaited event's callbacks have run, instead of
-            # draining unrelated queue entries (e.g. the deregistered
-            # losers of an any_of race).
-            item._scheduled = False
-            callbacks = item.callbacks
-            if callbacks:
-                if len(callbacks) == 1:
-                    callback = callbacks[0]
-                    callbacks.clear()
-                    callback(item)
-                else:
-                    item.callbacks = []
-                    for callback in callbacks:
-                        callback(item)
-            if item.__class__ is Timeout and getrefcount(item) == 3:
-                # Dispatched and provably unreferenced: exactly three
-                # refs remain — our parameter, the run()/step() local
-                # that passed it in, and getrefcount's own argument.
-                # Any caller still holding the timeout inflates the
-                # count and keeps it out of the pool. (The bucket slot
-                # it occupied was overwritten with None at pop time.)
-                pool = self._timeout_pool
-                if len(pool) < _TIMEOUT_POOL_MAX:
-                    pool.append(item)
-        else:
-            item.fire(self)
+        item.fire(self)
+        if item.__class__ is Timeout and getrefcount(item) == 3:
+            # Dispatched and provably unreferenced: exactly three refs
+            # remain — our parameter, the run()/step() local that passed
+            # it in, and getrefcount's own argument. Any caller still
+            # holding the timeout inflates the count and keeps it out of
+            # the pool. (The bucket slot it occupied was overwritten
+            # with None at pop time.)
+            pool = self._timeout_pool
+            if len(pool) < _TIMEOUT_POOL_MAX:
+                pool.append(item)
 
     def _pop(self) -> Any:
         """Remove and return the next queue entry, advancing the clock."""
@@ -754,20 +747,22 @@ class Environment:
         times = self._times
         buckets = self._buckets
         pop_time = heapq.heappop
-        dispatch = self._dispatch
         pool = self._timeout_pool
         pool_append = pool.append
         refcount = getrefcount
         timeout_cls = Timeout
+        event_cls = Event
+        process_cls = Process
         pool_max = _TIMEOUT_POOL_MAX
         # Drain bucket by bucket up to the horizon: entries pushed at the
         # current time while draining append to the live bucket and are
         # picked up by the same inner loop — the dominant zero-delay
-        # traffic never touches the heap. Timeout dispatch is inlined
-        # (the hottest entry kind by far); the refcount bar is 2 here —
-        # the loop local plus getrefcount's argument; the bucket slot was
-        # overwritten with None above — where _dispatch (one call
-        # deeper) requires 3.
+        # traffic never touches the heap. Event delivery is inlined for
+        # timeouts (the hottest entry kind by far), plain events and
+        # process completions; every other entry fires directly. The
+        # timeout refcount bar is 2 here — the loop local plus
+        # getrefcount's argument; the bucket slot was overwritten with
+        # None above — where _dispatch (one call deeper) requires 3.
         while times:
             when = times[0]
             if when > horizon:
@@ -788,7 +783,9 @@ class Environment:
                         item = bucket[cursor]
                         bucket[cursor] = None
                         cursor += 1
-                        if item.__class__ is timeout_cls:
+                        cls = item.__class__
+                        if (cls is timeout_cls or cls is event_cls
+                                or cls is process_cls):
                             item._scheduled = False
                             callbacks = item.callbacks
                             if callbacks:
@@ -800,11 +797,11 @@ class Environment:
                                     item.callbacks = []
                                     for callback in callbacks:
                                         callback(item)
-                            if (refcount(item) == 2
+                            if (cls is timeout_cls and refcount(item) == 2
                                     and len(pool) < pool_max):
                                 pool_append(item)
                         else:
-                            dispatch(item)
+                            item.fire(self)
                     size = len(bucket)
             finally:
                 bucket[0] = cursor

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, List, Optional
 
-from repro.sim.engine import NOOP, Environment, Event
+from repro.sim.engine import Environment, Event
 from repro.util.errors import SimulationError
 
 
@@ -49,18 +49,16 @@ class Resource:
         """Claim a server for ``op``, a queue entry with a ``fire(env)``.
 
         ``op`` must already be at the stage that runs once it holds the
-        server. With a server idle the grant is immediate and costs two
-        queue slots at the current time: the shared :data:`NOOP` (the
-        grant) and then ``op`` itself (the resume). Otherwise ``op``
-        joins the FIFO on a grant event that :meth:`release` succeeds
-        when the server is handed over; the grant's dispatch fires
-        ``op``.
+        server. With a server idle the grant is immediate and costs one
+        queue slot at the current time: ``op`` itself (the resume).
+        Otherwise ``op`` joins the FIFO on a grant event and takes no
+        slot until :meth:`release` hands the server over and succeeds
+        the grant; the grant's dispatch fires ``op``.
         """
         env = self.env
         if self._in_use < self.capacity:
             self._in_use += 1
             self.total_grants += 1
-            env._push(NOOP)
             env._push(op)
         else:
             grant = Event(env)

@@ -66,6 +66,73 @@ class TestSimWatchdogs:
         assert plain.latency.completed == guarded.latency.completed
 
 
+def _one_request_env():
+    """A memcached runtime on its own node with one client request queued."""
+    from repro.kernelsim.node import Node
+    from repro.runtime.pricing import BlockPricer
+    from repro.runtime.service import NodeState, ServiceRuntime
+    from repro.sim import Environment
+
+    env = Environment()
+    spec = build_memcached()
+    node = Node(env, PLATFORM_A, name="node0")
+    runtime = ServiceRuntime(
+        env=env, spec=spec, node=node, node_state=NodeState(node=node),
+        pricer=BlockPricer(PLATFORM_A), tracer=Tracer(sample_rate=0.0))
+    runtime.start()
+    handler = next(iter(spec.program.handlers))
+    response = runtime.submit(handler, src_node="client")
+    return env, response
+
+
+def _step_until_head(env, predicate):
+    """Dispatch entries until the next one's watchdog label matches."""
+    while True:
+        label = env._entry_label(env._peek()[1])
+        if predicate(label):
+            return label
+        env.step()
+
+
+class TestWatchdogNames:
+    """A trip names the queued entry it stopped at, whatever its kind."""
+
+    def test_cross_node_reply_is_named(self):
+        env, response = _one_request_env()
+        _step_until_head(env, lambda label: "reply" in label)
+        with pytest.raises(SimBudgetExceededError) as excinfo:
+            env.run(max_events=0)
+        assert excinfo.value.budget == "max_events"
+        assert "reply" in excinfo.value.process
+        assert "memcached" in excinfo.value.process
+        # its first slot schedules the second one a wire latency later
+        sent = env.now
+        env.step()
+        _step_until_head(env, lambda label: "reply" in label)
+        assert not response.triggered
+        when, _ = env._peek()
+        assert when == sent + 30e-6  # the runtime's default latency
+        with pytest.raises(SimBudgetExceededError) as excinfo:
+            env.run(deadline=sent)
+        assert excinfo.value.budget == "deadline"
+        assert "reply" in excinfo.value.process
+        assert "memcached" in excinfo.value.process
+        env.run()
+        assert response.triggered and response.value == when
+
+    @pytest.mark.parametrize("kind,device", [
+        ("cpu-execute", "node0-cpu"),
+        ("nic-transmit", "node0-nic"),
+    ])
+    def test_device_ops_are_named_by_their_labels(self, kind, device):
+        env, _ = _one_request_env()
+        expected = f"{kind} on {device!r}"
+        _step_until_head(env, lambda label: label == expected)
+        with pytest.raises(SimBudgetExceededError) as excinfo:
+            env.run(max_events=0)
+        assert excinfo.value.process == expected
+
+
 class TestDeterminism:
     def test_same_seed_same_result(self):
         deployment = Deployment.single(build_memcached())

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim import Environment, Resource, Store
-from repro.sim.engine import NOOP
 from repro.util.errors import SimulationError
 
 
@@ -73,17 +72,28 @@ class TestResource:
         assert cpu.mean_wait_time == pytest.approx(2.0)
         assert cpu.in_use == 0 and cpu.queue_length == 0
 
-    def test_idle_grant_queues_noop_then_op(self):
+    def test_idle_grant_is_one_slot_busy_grant_waits_for_release(self):
         env = Environment()
         cpu = Resource(env, capacity=1)
         first = _HoldOp(cpu, 1.0, [])
         first.start()
-        assert env._buckets[0.0][1:] == [NOOP, first]
+        # an idle server's grant is the op's own slot, nothing else
+        assert env._buckets[0.0][1:] == [first]
         # a busy server queues nothing: the op waits on a grant event
         second = _HoldOp(cpu, 1.0, [])
         second.start()
-        assert env._buckets[0.0][1:] == [NOOP, first]
+        assert env._buckets[0.0][1:] == [first]
         assert cpu.queue_length == 1
+        # release() hands the server over: the grant event takes the
+        # slot, and its dispatch fires the waiting op
+        cpu.release()
+        bucket = env._buckets[0.0][1:]
+        assert len(bucket) == 2 and bucket[0] is first
+        assert bucket[1].triggered and cpu.queue_length == 0
+        assert second.granted_at is None
+        env.step()
+        env.step()
+        assert second.granted_at == 0.0
 
     def test_release_when_idle_raises(self):
         env = Environment()
