@@ -17,7 +17,7 @@ from conftest import APPS, RUN_SECONDS, write_result
 
 from repro.core.bundle import save_bundle
 from repro.hw import PLATFORM_A, PLATFORM_B, PLATFORM_C
-from repro.migrate import MigrationError, migrate_bundle
+from repro.migrate import MigrationError, MigrationRequest, migrate_request
 
 PLATFORMS = (PLATFORM_A, PLATFORM_B, PLATFORM_C)
 
@@ -39,9 +39,11 @@ def test_migration_matrix(benchmark, single_tier_clones, tmp_path_factory):
             for platform in PLATFORMS:
                 out = outdir / f"{name}.{platform.name}.migrated.json"
                 try:
-                    cells[(name, platform.name)] = migrate_bundle(
-                        bundle, platform, out, seed=11,
-                        duration_s=RUN_SECONDS, max_tune_iterations=3)
+                    cells[(name, platform.name)] = migrate_request(
+                        MigrationRequest(
+                            bundle_path=str(bundle), destination=platform,
+                            seed=11, duration_s=RUN_SECONDS,
+                            max_tune_iterations=3), out)
                 except MigrationError as error:
                     cells[(name, platform.name)] = error
         return cells

@@ -462,9 +462,10 @@ def deployment_from_bundle(
     builds and runs the synthetic service. When the bundle carries
     tuned knobs (v2) and ``use_tuned_knobs`` is on, each tier is
     generated with its calibrated knob set; an explicit non-default
-    ``config.knobs`` wins over the bundle's.
+    ``config.knobs`` wins over the bundle's. ``path`` may also be a
+    bundle document already in memory (e.g. a fresh migration result).
     """
-    document = read_bundle_document(path)
+    document = path if isinstance(path, dict) else read_bundle_document(path)
     features_by_service = {
         name: decode_features(data)
         for name, data in document["tiers"].items()

@@ -2,19 +2,17 @@
 
 Ditto frames cloning as a repeatable workflow — profile → generate →
 tune → validate. This package runs that workflow as a *service*: many
-clone jobs, one persistent digest-keyed store, a scheduler sharding
-jobs across a worker pool, and a CLI (``python -m repro.fleet``) to
-submit, watch, list and cancel.
+jobs, one persistent digest-keyed store, a scheduler sharding jobs
+across a worker pool, and a CLI (``python -m repro.fleet``) to submit,
+watch, list and cancel.
 
 - :class:`~repro.fleet.job.CloneJobSpec` /
-  :class:`~repro.fleet.job.CloneJobRecord` — the typed job surface
-  (a :class:`~repro.core.request.CloneRequest` plus scheduling
-  metadata, and its durable lifecycle record);
-- :class:`~repro.fleet.job.MigrationJobSpec` — the same surface for
-  cross-environment migrations (a
-  :class:`~repro.migrate.request.MigrationRequest`); migration jobs
-  travel the ``migrating_*`` lifecycle states and share the store's
-  leases, crash recovery, chaos and flight instrumentation;
+  :class:`~repro.fleet.job.CloneJobRecord` — the one job model: a
+  :class:`~repro.core.request.CloneRequest` or a cross-environment
+  :class:`~repro.migrate.request.MigrationRequest` plus scheduling
+  metadata, and its durable lifecycle record. Both kinds travel the
+  same states through the same worker path (``python -m
+  repro.migrate --store DIR`` queues a migration);
 - :class:`~repro.fleet.store.JobStore` — atomic, integrity-enveloped
   persistence with leases, cancel markers, shared profiles and the
   fleet-wide experiment cache;
@@ -44,7 +42,6 @@ from repro.fleet.job import (
     CloneJobSpec,
     JobResult,
     JobState,
-    MigrationJobSpec,
     TransitionRecord,
 )
 from repro.fleet.obs import (
@@ -71,7 +68,6 @@ __all__ = [
     "JobState",
     "JobStore",
     "JobWorkerOutcome",
-    "MigrationJobSpec",
     "TransitionRecord",
     "execute_job",
     "read_flight_log",

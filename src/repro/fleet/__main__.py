@@ -6,13 +6,6 @@
         [--qps 2000] [--duration 0.015] [--platform A] [--seed 17]
         [--validate] [--tolerance METRIC=REL ...] [--fast]
         [--tune-iterations N] [--no-finetune] [--name NAME]
-        [--priority P] [--max-crashes N]
-    python -m repro.fleet migrate --store DIR --bundle BUNDLE.json
-        --destination B [--source-platform A]
-        [--platform-file SPEC.json ...] [--destination-nodes N]
-        [--allow-degraded] [--seed 17] [--duration 0.25]
-        [--max-tune-iterations 5] [--tolerance METRIC=REL ...]
-        [--max-sim-events N] [--sim-deadline S] [--name NAME]
         [--priority P] [--max-crashes N] [--flight]
     python -m repro.fleet run    --store DIR [--executor auto]
         [--max-workers N] [--telemetry] [--save RUN.json] [--flight]
@@ -32,12 +25,14 @@
     python -m repro.fleet trace  --store DIR --out TRACE.json
         [--run RUN.json]
 
-``submit`` and ``migrate`` print the new job id (the only stdout
-line, so shell scripts can capture it); ``migrate`` queues a
-cross-environment migration of a saved clone bundle (see
-``repro.migrate`` — the job travels the ``migrating_*`` lifecycle
-states and publishes a ``ditto-migration/1`` artifact or fails with
-the refusing stage in its error). ``watch`` exits **0** when the job publishes,
+``submit`` prints the new job id (the only stdout line, so shell
+scripts can capture it). Migrations are queued by ``python -m
+repro.migrate BUNDLE --destination B --store DIR``, which prints its
+job id the same way; from then on a migration is an ordinary job —
+its preflight, re-tune and gate show up as ``profiling``, ``tuning``
+and ``validating``, and it publishes a ``ditto-migration/1`` artifact
+or fails with the refusing stage in its error (``migration_<stage>``).
+``watch`` exits **0** when the job publishes,
 **1** when it fails or is dead-lettered, **2** when it was cancelled
 and **3** on timeout. ``run`` drains the queue and exits 0 unless some
 job failed; SIGTERM/SIGINT drain it gracefully (in-flight jobs finish,
@@ -71,7 +66,7 @@ import argparse
 import json
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.app.service import Deployment
 from repro.app.workloads import DEPLOYMENT_BUILDERS, WORKLOAD_BUILDERS
@@ -83,7 +78,7 @@ from repro.loadgen.generator import LoadSpec
 from repro.profiling.artifacts import ProfilingBudget
 from repro.runtime.experiment import ExperimentConfig
 from repro.util.errors import ReproError
-from repro.validation.gate import FidelityGate
+from repro.validation.gate import FidelityGate, parse_tolerances
 
 #: a deliberately small profiling budget for smoke runs (same shape the
 #: test suite uses) — clones stay deterministic, just coarser
@@ -109,21 +104,6 @@ def _build_deployment(name: str) -> Deployment:
     return Deployment.single(WORKLOAD_BUILDERS[name]())
 
 
-def _parse_tolerances(entries: List[str]) -> Dict[str, float]:
-    tolerances: Dict[str, float] = {}
-    for entry in entries:
-        name, _, value = entry.partition("=")
-        if not name or not value:
-            raise SystemExit(f"--tolerance takes METRIC=REL, got {entry!r}")
-        try:
-            tolerances[name] = float(value)
-        except ValueError:
-            raise SystemExit(
-                f"--tolerance value for {name!r} must be a number, "
-                f"got {value!r}") from None
-    return tolerances
-
-
 def _build_request(args: argparse.Namespace) -> CloneRequest:
     deployment = _build_deployment(args.workload)
     load = LoadSpec.open_loop(args.qps)
@@ -131,9 +111,8 @@ def _build_request(args: argparse.Namespace) -> CloneRequest:
                               duration_s=args.duration, seed=args.seed)
     validate: Optional[FidelityGate] = None
     if args.validate:
-        tolerances = _parse_tolerances(args.tolerance)
         # float values are taken as relative bounds by the gate
-        validate = FidelityGate(tolerances=tolerances or None)
+        validate = FidelityGate(tolerances=parse_tolerances(args.tolerance))
     return CloneRequest(
         deployment=deployment,
         load=load,
@@ -151,35 +130,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     store = JobStore(args.store, flight=True if args.flight else None)
     client = FleetClient(store)
     record = client.submit(_build_request(args), name=args.name,
-                           priority=args.priority,
-                           max_crashes=args.max_crashes)
-    print(record.job_id)
-    return 0
-
-
-def _cmd_migrate(args: argparse.Namespace) -> int:
-    from repro.fleet.store import JobStore
-    from repro.hw.platform import load_platform_spec
-    from repro.migrate.request import MigrationRequest
-    for spec_file in args.platform_file:
-        load_platform_spec(spec_file)
-    request = MigrationRequest(
-        bundle_path=args.bundle,
-        destination=platform_by_name(args.destination),
-        source_platform=(platform_by_name(args.source_platform)
-                         if args.source_platform else None),
-        destination_nodes=args.destination_nodes,
-        allow_degraded=args.allow_degraded,
-        seed=args.seed,
-        duration_s=args.duration,
-        max_tune_iterations=args.max_tune_iterations,
-        tolerances=_parse_tolerances(args.tolerance) or None,
-        max_sim_events=args.max_sim_events,
-        sim_deadline_s=args.sim_deadline,
-    )
-    store = JobStore(args.store, flight=True if args.flight else None)
-    client = FleetClient(store)
-    record = client.submit(request, name=args.name,
                            priority=args.priority,
                            max_crashes=args.max_crashes)
     print(record.job_id)
@@ -420,49 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--flight", action="store_true",
                         help="enable the store's flight recorder")
     submit.set_defaults(func=_cmd_submit)
-
-    migrate = commands.add_parser(
-        "migrate", parents=[common],
-        help="queue a cross-environment migration of a saved bundle")
-    migrate.add_argument("--bundle", required=True,
-                         metavar="BUNDLE.json",
-                         help="source clone bundle (integrity-stamped)")
-    migrate.add_argument("--destination", required=True,
-                         help="destination platform name (built-in or "
-                         "registered via --platform-file)")
-    migrate.add_argument("--source-platform", default="",
-                         help="override the bundle's recorded source "
-                         "platform (required for pre-provenance bundles)")
-    migrate.add_argument("--platform-file", action="append", default=[],
-                         metavar="SPEC.json",
-                         help="register extra platform specs before "
-                         "resolving names (repeatable)")
-    migrate.add_argument("--destination-nodes", type=int, default=None,
-                         help="node budget on the destination (default: "
-                         "whatever the bundle's placements need)")
-    migrate.add_argument("--allow-degraded", action="store_true",
-                         help="consolidate overflowing placements "
-                         "instead of refusing at preflight")
-    migrate.add_argument("--seed", type=int, default=17)
-    migrate.add_argument("--duration", type=float, default=0.25,
-                         help="per-run simulated seconds for re-tune "
-                         "and the destination gate")
-    migrate.add_argument("--max-tune-iterations", type=int, default=5)
-    migrate.add_argument("--tolerance", action="append", default=[],
-                         metavar="METRIC=REL",
-                         help="override the migration gate envelope")
-    migrate.add_argument("--max-sim-events", type=int, default=None,
-                         help="watchdog: events per simulation run")
-    migrate.add_argument("--sim-deadline", type=float, default=None,
-                         help="watchdog: wall-clock seconds per run")
-    migrate.add_argument("--name", default="")
-    migrate.add_argument("--priority", type=int, default=0)
-    migrate.add_argument("--max-crashes", type=int, default=None,
-                         help="crash budget before dead-lettering "
-                         "(default: the store's)")
-    migrate.add_argument("--flight", action="store_true",
-                         help="enable the store's flight recorder")
-    migrate.set_defaults(func=_cmd_migrate)
 
     run = commands.add_parser("run", parents=[common],
                               help="drain the queue, then exit")

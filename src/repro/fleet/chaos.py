@@ -84,17 +84,14 @@ CRASHPOINTS: Tuple[str, ...] = (
     # scheduler: round structure
     "scheduler.round.pre_claim",      # queue collected, nothing claimed
     "scheduler.round.post_claim",     # leases held, batch not started
-    # worker: execution and publish
+    # worker: execution and publish (clone and migration jobs alike)
     "worker.start.post_load",         # record loaded, nothing mutated
+    "worker.phase.post_transition",   # running-state edge persisted
     "worker.profile.post_save",       # shared profile durable
     "worker.publish.pre_artifact",    # clone done, result not written
     "worker.publish.post_result",     # result durable, bundle pending
     "worker.publish.pre_transition",  # artifacts durable, state stale
     "worker.publish.post_transition",  # published, outcome not returned
-    # worker: migration jobs (preflight → retune → gate → publish)
-    "worker.migrate.post_preflight",   # verdicts in, no tuning spent
-    "worker.migrate.publish.pre_write",   # gate passed, bundle pending
-    "worker.migrate.publish.post_write",  # migrated bundle durable
 )
 
 #: action kinds a plan may schedule (see the module doc)

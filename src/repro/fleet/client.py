@@ -25,11 +25,9 @@ from repro.fleet.job import (
     CloneJobSpec,
     JobResult,
     JobState,
-    MigrationJobSpec,
 )
-from repro.migrate.request import MigrationRequest
 from repro.fleet.store import JobStore
-from repro.util.errors import ConfigurationError
+from repro.migrate.request import MigrationRequest
 
 __all__ = ["FleetClient"]
 
@@ -40,25 +38,15 @@ class FleetClient:
     def __init__(self, store: Union[JobStore, str]) -> None:
         self.store = store if isinstance(store, JobStore) else JobStore(store)
 
-    def submit(self, request: Union[CloneRequest, CloneJobSpec,
-                                    MigrationRequest, MigrationJobSpec], *,
+    def submit(self, request: Union[CloneRequest, MigrationRequest,
+                                    CloneJobSpec], *,
                name: str = "", priority: int = 0,
                max_crashes: Optional[int] = None) -> CloneJobRecord:
         """Queue one clone or migration job; returns its record."""
-        if isinstance(request, CloneRequest):
-            spec = CloneJobSpec(request=request, name=name,
-                                priority=priority,
-                                max_crashes=max_crashes)
-        elif isinstance(request, MigrationRequest):
-            spec = MigrationJobSpec(request=request, name=name,
-                                    priority=priority,
-                                    max_crashes=max_crashes)
-        elif isinstance(request, (CloneJobSpec, MigrationJobSpec)):
-            spec = request
-        else:
-            raise ConfigurationError(
-                f"submit takes a CloneRequest, MigrationRequest, "
-                f"CloneJobSpec or MigrationJobSpec, got {request!r}")
+        spec = (request if isinstance(request, CloneJobSpec)
+                else CloneJobSpec(request=request, name=name,
+                                  priority=priority,
+                                  max_crashes=max_crashes))
         return self.store.submit(spec)
 
     def get(self, job_id: str) -> CloneJobRecord:

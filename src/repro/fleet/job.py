@@ -1,12 +1,16 @@
 """Fleet job model: specs, records, and the lifecycle state machine.
 
-A clone job travels ``submitted → profiling → tuning → validating →
-published``. Failure paths map the cloner's error surface onto explicit
-states rather than stack traces:
+Every job — a clone (:class:`~repro.core.request.CloneRequest`) or a
+migration (:class:`~repro.migrate.request.MigrationRequest`) — travels
+``submitted → profiling → tuning → validating → published``. A
+migration's preflight runs as ``profiling``, its warm re-tune as
+``tuning`` and its destination gate as ``validating``. Failure paths
+map the error surface onto explicit states rather than stack traces:
 
 - a cancel marker (observed at the next phase boundary) → ``cancelled``;
 - :class:`~repro.util.errors.FidelityGateError` after the remediation
-  ladder is exhausted, or any other :class:`Exception` → ``failed``;
+  ladder is exhausted, a :class:`~repro.util.errors.MigrationError`
+  refusal, or any other :class:`Exception` → ``failed``;
 - a crashed worker (process killed, machine lost) leaves the record in
   its running state with a dead lease — recovery requeues it to
   ``submitted`` (after an exponential crash backoff) and the next run
@@ -28,7 +32,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.app.service import Deployment
 from repro.core.request import CloneRequest
@@ -41,7 +45,6 @@ __all__ = [
     "CloneJobSpec",
     "JobResult",
     "JobState",
-    "MigrationJobSpec",
     "TERMINAL_STATES",
     "TRANSITIONS",
     "TransitionRecord",
@@ -49,19 +52,12 @@ __all__ = [
 
 
 class JobState(str, Enum):
-    """Where a clone job is in its lifecycle."""
+    """Where a fleet job is in its lifecycle."""
 
     SUBMITTED = "submitted"
     PROFILING = "profiling"
     TUNING = "tuning"
     VALIDATING = "validating"
-    #: migration jobs (a :class:`MigrationJobSpec`) travel submitted →
-    #: migrating_preflight → migrating_retune → migrating_gate →
-    #: published through the same machine, so they inherit leases,
-    #: crash requeue, chaos coverage, flight events and the DLQ
-    MIGRATING_PREFLIGHT = "migrating_preflight"
-    MIGRATING_RETUNE = "migrating_retune"
-    MIGRATING_GATE = "migrating_gate"
     PUBLISHED = "published"
     FAILED = "failed"
     CANCELLED = "cancelled"
@@ -71,13 +67,24 @@ class JobState(str, Enum):
     def __str__(self) -> str:  # "published", not "JobState.PUBLISHED"
         return self.value
 
+    @classmethod
+    def _missing_(cls, value):
+        # Records written while migrations had states of their own
+        # load in the generic state each one ran as.
+        return (cls(_LEGACY_STATES[value]) if value in _LEGACY_STATES
+                else None)
+
+
+_LEGACY_STATES = {"migrating_preflight": "profiling",
+                  "migrating_retune": "tuning",
+                  "migrating_gate": "validating"}
+
 
 #: legal (from → to) edges. ``tuning → tuning`` is a watchdog-budget
 #: remediation retry, ``validating → tuning`` a gate-failure rung, and
 #: ``running state → submitted`` the crash-recovery requeue.
 TRANSITIONS: Dict[JobState, Tuple[JobState, ...]] = {
     JobState.SUBMITTED: (JobState.PROFILING, JobState.TUNING,
-                         JobState.MIGRATING_PREFLIGHT,
                          JobState.CANCELLED, JobState.FAILED,
                          JobState.DEAD_LETTERED),
     JobState.PROFILING: (JobState.TUNING, JobState.CANCELLED,
@@ -90,22 +97,6 @@ TRANSITIONS: Dict[JobState, Tuple[JobState, ...]] = {
     JobState.VALIDATING: (JobState.PUBLISHED, JobState.TUNING,
                           JobState.CANCELLED, JobState.FAILED,
                           JobState.SUBMITTED, JobState.DEAD_LETTERED),
-    # migrating_preflight → migrating_gate is the no-retune shortcut
-    # (every knob transfers); migrating_retune → migrating_retune is a
-    # sim-budget remediation rung and migrating_gate →
-    # migrating_retune a gate-failure rung, mirroring the clone path.
-    JobState.MIGRATING_PREFLIGHT: (
-        JobState.MIGRATING_RETUNE, JobState.MIGRATING_GATE,
-        JobState.CANCELLED, JobState.FAILED, JobState.SUBMITTED,
-        JobState.DEAD_LETTERED),
-    JobState.MIGRATING_RETUNE: (
-        JobState.MIGRATING_GATE, JobState.MIGRATING_RETUNE,
-        JobState.CANCELLED, JobState.FAILED, JobState.SUBMITTED,
-        JobState.DEAD_LETTERED),
-    JobState.MIGRATING_GATE: (
-        JobState.PUBLISHED, JobState.MIGRATING_RETUNE,
-        JobState.CANCELLED, JobState.FAILED, JobState.SUBMITTED,
-        JobState.DEAD_LETTERED),
     JobState.PUBLISHED: (JobState.RETIRED,),
     JobState.FAILED: (JobState.SUBMITTED,),
     JobState.CANCELLED: (),
@@ -122,8 +113,7 @@ TERMINAL_STATES = (JobState.PUBLISHED, JobState.FAILED,
 
 #: states that mean "a worker owns this job right now"
 RUNNING_STATES = (JobState.PROFILING, JobState.TUNING,
-                  JobState.VALIDATING, JobState.MIGRATING_PREFLIGHT,
-                  JobState.MIGRATING_RETUNE, JobState.MIGRATING_GATE)
+                  JobState.VALIDATING)
 
 
 @dataclass(frozen=True)
@@ -138,16 +128,17 @@ class TransitionRecord:
 
 @dataclass(frozen=True, kw_only=True)
 class CloneJobSpec:
-    """What one fleet job should clone (frozen, picklable).
+    """What one fleet job should do (frozen, picklable).
 
-    The :class:`~repro.core.request.CloneRequest` carries every
-    output-affecting knob; ``name`` and ``priority`` are scheduling
-    metadata only, so two jobs with the same request share a spec
-    digest — and therefore profiles and shared-cache entries — no
-    matter what they are called.
+    The request — a :class:`~repro.core.request.CloneRequest` or a
+    :class:`~repro.migrate.request.MigrationRequest`, which also picks
+    the work the worker runs — carries every output-affecting knob;
+    ``name`` and ``priority`` are scheduling metadata only, so two jobs
+    with the same request share a spec digest — and therefore profiles
+    and shared-cache entries — no matter what they are called.
     """
 
-    request: CloneRequest
+    request: Union[CloneRequest, MigrationRequest]
     name: str = ""
     #: higher runs first; ties break by submission order
     priority: int = 0
@@ -156,9 +147,10 @@ class CloneJobSpec:
     max_crashes: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.request, CloneRequest):
+        if not isinstance(self.request, (CloneRequest, MigrationRequest)):
             raise ConfigurationError(
-                f"request must be a CloneRequest, got {self.request!r}")
+                f"request must be a CloneRequest or a MigrationRequest, "
+                f"got {self.request!r}")
         if not isinstance(self.priority, int) \
                 or isinstance(self.priority, bool):
             raise ConfigurationError(
@@ -182,53 +174,16 @@ class CloneJobSpec:
         return self.request.digest()
 
     def describe(self) -> str:
-        label = self.name or self.request.deployment.entry_service
+        label = self.name or (
+            self.request.destination.name
+            if isinstance(self.request, MigrationRequest)
+            else self.request.deployment.entry_service)
         return f"{label}: {self.request.describe()}"
 
 
-@dataclass(frozen=True, kw_only=True)
-class MigrationJobSpec:
-    """What one fleet job should migrate (frozen, picklable).
-
-    The migration sibling of :class:`CloneJobSpec`: same scheduling
-    metadata, but the work is a
-    :class:`~repro.migrate.request.MigrationRequest` and the job
-    travels the ``MIGRATING_*`` lifecycle states instead of the
-    profiling/tuning/validating ones.
-    """
-
-    request: MigrationRequest
-    name: str = ""
-    #: higher runs first; ties break by submission order
-    priority: int = 0
-    #: per-job crash budget before dead-lettering (None = the store's
-    #: default); scheduling metadata, excluded from the spec digest
-    max_crashes: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.request, MigrationRequest):
-            raise ConfigurationError(
-                f"request must be a MigrationRequest, "
-                f"got {self.request!r}")
-        if not isinstance(self.priority, int) \
-                or isinstance(self.priority, bool):
-            raise ConfigurationError(
-                f"priority must be an int, got {self.priority!r}")
-        if self.max_crashes is not None and (
-                not isinstance(self.max_crashes, int)
-                or isinstance(self.max_crashes, bool)
-                or self.max_crashes < 0):
-            raise ConfigurationError(
-                f"max_crashes must be an int >= 0 or None, "
-                f"got {self.max_crashes!r}")
-
-    def digest(self) -> str:
-        """The migration identity (= the request digest)."""
-        return self.request.digest()
-
-    def describe(self) -> str:
-        label = self.name or self.request.destination.name
-        return f"{label}: {self.request.describe()}"
+#: records pickled when migrations had a spec class of their own load
+#: as a :class:`CloneJobSpec`
+MigrationJobSpec = CloneJobSpec
 
 
 @dataclass

@@ -21,13 +21,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["render_top"]
 
-_STATE_ORDER = [
-    JobState.SUBMITTED, JobState.PROFILING, JobState.TUNING,
-    JobState.VALIDATING, JobState.PUBLISHED, JobState.FAILED,
-    JobState.CANCELLED, JobState.RETIRED, JobState.DEAD_LETTERED,
-]
-
-
 def _metric_value(snapshot: dict, name: str) -> float:
     total = 0.0
     for metric in snapshot.get("metrics", []):
@@ -66,7 +59,7 @@ def render_top(store: "JobStore",
         + (f" | oldest queued {now - oldest_queued:.0f}s"
            if oldest_queued is not None else ""),
         "  " + "  ".join(f"{state.value}={counts[state]}"
-                         for state in _STATE_ORDER if counts[state]),
+                         for state in JobState if counts[state]),
     ]
 
     snapshot = store.registry.snapshot()

@@ -80,7 +80,6 @@ from repro.fleet.job import (
     CloneJobSpec,
     JobResult,
     JobState,
-    MigrationJobSpec,
 )
 from repro.fleet.obs.flight import FlightRecorder
 from repro.profiling.collector import ApplicationProfile
@@ -317,18 +316,14 @@ class JobStore:
     def submit(self, spec) -> CloneJobRecord:
         """Allocate a job id for ``spec`` and persist its record.
 
-        ``spec`` is a :class:`CloneJobSpec` or a
-        :class:`~repro.fleet.job.MigrationJobSpec` — migration jobs
-        share the store (leases, recovery, DLQ, flight log) with clone
-        jobs. Ids are ``<spec-digest-prefix>-<n>``: the digest groups
+        Ids are ``<spec-digest-prefix>-<n>``: the digest groups
         jobs by experiment identity, the suffix distinguishes
         resubmissions. Allocation uses an ``O_EXCL`` claim file, so two
         concurrent submitters can never mint the same id.
         """
-        if not isinstance(spec, (CloneJobSpec, MigrationJobSpec)):
+        if not isinstance(spec, CloneJobSpec):
             raise ConfigurationError(
-                f"submit takes a CloneJobSpec or MigrationJobSpec, "
-                f"got {spec!r}")
+                f"submit takes a CloneJobSpec, got {spec!r}")
         digest = spec.digest()
         for n in range(10_000):
             job_id = f"{digest[:12]}-{n}"

@@ -3,11 +3,13 @@
 :func:`execute_job` is a module-level function of picklable arguments —
 ``(store_root, job_id)`` — so the scheduler can run it in-process, in a
 thread, or in a process-pool worker interchangeably. It loads the job
-record, replays the clone through :class:`~repro.core.cloner.DittoCloner`
-with the store wired in as infrastructure:
+record and runs its request — a clone through
+:class:`~repro.core.cloner.DittoCloner`, a migration through
+:func:`~repro.migrate.engine.migrate_request`; that one call is the only
+per-kind code — with the store wired in as infrastructure:
 
-- a :class:`_StoreObserver` turns the cloner's phase boundaries into
-  persisted state-machine transitions (and raises
+- a :class:`_StoreObserver` turns phase boundaries into persisted
+  state-machine transitions (and raises
   :class:`~repro.util.errors.JobCancelledError` when a cancel marker
   appears, so cancellation lands on a clean phase edge);
 - the job's checkpoint directory makes tier progress durable
@@ -18,6 +20,11 @@ with the store wired in as infrastructure:
   specs reuse each other's tuning measurements;
 - profiling sessions are saved keyed by spec digest and reused outright
   by later jobs with the same spec.
+
+Cancel-before-start, the resume rewind, fencing, the exception ladder,
+the publish crashpoints and the terminal transitions are written once
+for both kinds. Migrations keep no checkpoints: they are cheap enough
+to re-run whole, and determinism makes the re-run byte-identical.
 
 When the scheduler passes the lease's fencing ``epoch``, the worker is
 a *fenced* participant: a daemon thread refreshes the lease heartbeat
@@ -40,12 +47,15 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
+from repro.core.bundle import deployment_from_bundle, save_bundle
 from repro.core.cloner import CloneObserver, DittoCloner
 from repro.fleet.chaos import ChaosPlan, crashpoint, maybe_active
-from repro.fleet.job import JobResult, JobState, MigrationJobSpec
+from repro.fleet.job import JobResult, JobState
 from repro.fleet.store import JobStore
+from repro.migrate.engine import migrate_request, write_migration_document
+from repro.migrate.request import MigrationRequest
 from repro.telemetry.context import current_session
 from repro.telemetry.session import Telemetry, WorkerTelemetry
 from repro.util.errors import (
@@ -64,13 +74,6 @@ _PHASE_STATES = {
     "profiling": JobState.PROFILING,
     "tuning": JobState.TUNING,
     "validating": JobState.VALIDATING,
-}
-
-#: migration-engine stage → job state (see ``repro.migrate.engine``)
-_MIGRATE_PHASE_STATES = {
-    "preflight": JobState.MIGRATING_PREFLIGHT,
-    "retune": JobState.MIGRATING_RETUNE,
-    "gate": JobState.MIGRATING_GATE,
 }
 
 
@@ -93,7 +96,8 @@ class JobWorkerOutcome:
 
 
 class _StoreObserver(CloneObserver):
-    """Persist the cloner's phase boundaries as job transitions."""
+    """Persist a clone's or migration's phase boundaries as job
+    transitions."""
 
     def __init__(self, store: JobStore, record,
                  fence: Optional[Callable[[], None]] = None) -> None:
@@ -117,6 +121,8 @@ class _StoreObserver(CloneObserver):
             if target is not JobState.TUNING or attempt == 0:
                 return  # idempotent re-entry; only remediation loops
         self.store.transition(self.record, target, reason=reason or phase)
+        crashpoint("worker.phase.post_transition",
+                   job_id=self.record.job_id)
 
     def on_remediation(self, step: RemediationStep) -> None:
         self.record.attempts += 1
@@ -229,28 +235,92 @@ def _execute(store_root: str, job_id: str,
 
 def _execute_fenced(store: JobStore, record,
                     fence: Callable[[], None]) -> JobWorkerOutcome:
-    if isinstance(record.spec, MigrationJobSpec):
-        return _execute_migration(store, record, fence)
     job_id = record.job_id
+    attempts_before = record.attempts
     fence()
     if store.cancel_requested(job_id):
         # Mid-batch cancellation: the marker landed after the scheduler
         # claimed the lease but before this worker picked the job up.
         # Resolve it here, before any phase work — the record goes
         # straight submitted → cancelled, no partial phases.
-        record.error = "cancelled before start"
-        store.transition(record, JobState.CANCELLED,
-                         reason="cancelled before start")
-        return JobWorkerOutcome(job_id=job_id, state=JobState.CANCELLED,
-                                error=record.error)
+        return _finish(store, record, fence, JobState.CANCELLED,
+                       "cancelled before start", "cancelled before start",
+                       attempts_before)
     if record.running:
         # Re-dispatched after a pool degradation (or a requeue the
         # scheduler missed): rewind to submitted so the phase
         # transitions replay legally; tier checkpoints keep it cheap.
         store.transition(record, JobState.SUBMITTED, reason="resume")
-    attempts_before = record.attempts
+    run = (_run_migration if isinstance(record.spec.request,
+                                        MigrationRequest)
+           else _run_clone)
+    try:
+        job_result, write_artifact = run(
+            store, record, _StoreObserver(store, record, fence=fence))
+    except LeaseFencedError:
+        raise  # a zombie stops cold — the record is the new owner's
+    except JobCancelledError as error:
+        return _finish(store, record, fence, JobState.CANCELLED,
+                       str(error), "cancelled", attempts_before)
+    except MigrationError as error:
+        stage = error.stage or "refused"
+        return _finish(store, record, fence, JobState.FAILED,
+                       f"migration {stage}: {error}"
+                       + (f" [blocking: {', '.join(error.blocking)}]"
+                          if error.blocking else ""),
+                       f"migration_{stage}", attempts_before)
+    except ArtifactIntegrityError as error:
+        return _finish(store, record, fence, JobState.FAILED,
+                       f"source bundle quarantined: {error}",
+                       "source_quarantined", attempts_before)
+    except Exception as error:  # noqa: BLE001 — failures become job state
+        return _finish(store, record, fence, JobState.FAILED,
+                       f"{type(error).__name__}: {error}",
+                       type(error).__name__, attempts_before)
+    try:
+        fence()
+        crashpoint("worker.publish.pre_artifact", job_id=job_id,
+                   path=store.result_path(job_id))
+        store.save_result(job_result)
+        crashpoint("worker.publish.post_result", job_id=job_id,
+                   path=store.result_path(job_id))
+        write_artifact()
+        record.result_digest = job_result.result_digest
+        record.error = ""
+        crashpoint("worker.publish.pre_transition", job_id=job_id)
+        fence()
+        store.transition(record, JobState.PUBLISHED,
+                         reason=("gate passed"
+                                 if job_result.fidelity is not None
+                                 else "published"))
+    except LeaseFencedError:
+        raise
+    except Exception as error:  # noqa: BLE001 — e.g. ENOSPC mid-publish
+        return _finish(store, record, fence, JobState.FAILED,
+                       f"publish failed: {type(error).__name__}: {error}",
+                       type(error).__name__, attempts_before)
+    crashpoint("worker.publish.post_transition", job_id=job_id)
+    return JobWorkerOutcome(job_id=job_id, state=JobState.PUBLISHED,
+                            result_digest=job_result.result_digest,
+                            attempts=record.attempts - attempts_before)
+
+
+def _finish(store: JobStore, record, fence: Callable[[], None],
+            state: JobState, error: str, reason: str,
+            attempts_before: int) -> JobWorkerOutcome:
+    """Land a job that will not publish in ``state`` (error first)."""
+    fence()
+    record.error = error
+    store.transition(record, state, reason=reason)
+    return JobWorkerOutcome(job_id=record.job_id, state=state, error=error,
+                            attempts=record.attempts - attempts_before)
+
+
+def _run_clone(store: JobStore, record, observer: _StoreObserver,
+               ) -> Tuple[JobResult, Callable[[], None]]:
+    """Clone the job's request; returns its result and bundle writer."""
+    job_id = record.job_id
     request = record.spec.request
-    observer = _StoreObserver(store, record, fence=fence)
     cloner = DittoCloner.for_request(
         request,
         observer=observer,
@@ -259,28 +329,10 @@ def _execute_fenced(store: JobStore, record,
         executor="serial",
     )
     profile = store.load_profile(record.spec_digest)
-    try:
-        if profile is not None:
-            result = cloner.clone_from_profile(profile, request=request)
-        else:
-            result = cloner.clone(request)
-    except LeaseFencedError:
-        raise  # a zombie stops cold — the record is the new owner's
-    except JobCancelledError as error:
-        fence()
-        record.error = str(error)
-        store.transition(record, JobState.CANCELLED, reason="cancelled")
-        return JobWorkerOutcome(job_id=job_id, state=JobState.CANCELLED,
-                                error=record.error,
-                                attempts=record.attempts - attempts_before)
-    except Exception as error:  # noqa: BLE001 — failures become job state
-        fence()
-        record.error = f"{type(error).__name__}: {error}"
-        store.transition(record, JobState.FAILED,
-                         reason=type(error).__name__)
-        return JobWorkerOutcome(job_id=job_id, state=JobState.FAILED,
-                                error=record.error,
-                                attempts=record.attempts - attempts_before)
+    if profile is not None:
+        result = cloner.clone_from_profile(profile, request=request)
+    else:
+        result = cloner.clone(request)
     report = result.report
     if profile is None and report.profile is not None:
         store.save_profile(record.spec_digest, report.profile)
@@ -288,8 +340,6 @@ def _execute_fenced(store: JobStore, record,
                    path=store.profile_path(record.spec_digest))
     tuned: Dict[str, object] = {
         name: tuning.knobs for name, tuning in report.tuning.items()}
-    result_digest = stable_digest({
-        "synthetic": result.synthetic, "tuned_knobs": tuned})
     cache = report.cache_stats
     store._emit("job_cache", job_id=job_id, hits=cache.hits,
                 misses=cache.misses, bypasses=cache.bypasses)
@@ -302,177 +352,32 @@ def _execute_fenced(store: JobStore, record,
         remediation=[step.reason for step in report.remediation],
         executor=report.executor,
         cache_stats=report.cache_stats,
-        result_digest=result_digest,
+        result_digest=stable_digest({
+            "synthetic": result.synthetic, "tuned_knobs": tuned}),
         tuning_iterations={name: tuning.iterations
                            for name, tuning in report.tuning.items()},
     )
-    try:
-        fence()
-        crashpoint("worker.publish.pre_artifact", job_id=job_id,
-                   path=store.result_path(job_id))
-        store.save_result(job_result)
-        crashpoint("worker.publish.post_result", job_id=job_id,
-                   path=store.result_path(job_id))
-        _save_bundle(store, job_id, result,
-                     source_platform=request.config.platform)
-        record.result_digest = result_digest
-        record.error = ""
-        crashpoint("worker.publish.pre_transition", job_id=job_id)
-        fence()
-        store.transition(record, JobState.PUBLISHED,
-                         reason=("gate passed"
-                                 if report.fidelity is not None
-                                 else "published"))
-    except LeaseFencedError:
-        raise
-    except Exception as error:  # noqa: BLE001 — e.g. ENOSPC mid-publish
-        fence()
-        record.error = f"publish failed: {type(error).__name__}: {error}"
-        store.transition(record, JobState.FAILED,
-                         reason=type(error).__name__)
-        return JobWorkerOutcome(job_id=job_id, state=JobState.FAILED,
-                                error=record.error,
-                                attempts=record.attempts - attempts_before)
-    crashpoint("worker.publish.post_transition", job_id=job_id)
-    return JobWorkerOutcome(job_id=job_id, state=JobState.PUBLISHED,
-                            result_digest=result_digest,
-                            attempts=record.attempts - attempts_before)
+    return job_result, lambda: _save_bundle(
+        store, job_id, result, source_platform=request.config.platform)
 
 
-def _execute_migration(store: JobStore, record,
-                       fence: Callable[[], None]) -> JobWorkerOutcome:
-    """Run one migration job through the MIGRATING lifecycle states.
-
-    Mirrors the clone path's robustness surface: fence + cancel checks
-    at every stage boundary, crash requeue via the running-state
-    rewind, refusals (preflight/retune/gate) landing in ``failed`` with
-    the refusing stage in the reason, and a crashpoint-instrumented
-    publish. Migrations are cheap enough to re-run whole, so there are
-    no checkpoints — determinism makes the re-run byte-identical.
-    """
-    from repro.core.bundle import deployment_from_bundle
-    from repro.migrate.engine import (
-        migrate_request,
-        write_migration_document,
+def _run_migration(store: JobStore, record, observer: _StoreObserver,
+                   ) -> Tuple[JobResult, Callable[[], None]]:
+    """Migrate the job's bundle; returns its result and document writer."""
+    result = migrate_request(record.spec.request, observer=observer)
+    document = result.document
+    job_result = JobResult(
+        job_id=record.job_id,
+        synthetic=deployment_from_bundle(document),
+        spec_digest=record.spec_digest,
+        fidelity=result.fidelity.to_dict(),
+        remediation=list(result.remediation),
+        executor="serial",
+        result_digest=stable_digest({"migration_document": document}),
+        tuning_iterations=dict(result.tuning_iterations),
     )
-    job_id = record.job_id
-    fence()
-    if store.cancel_requested(job_id):
-        record.error = "cancelled before start"
-        store.transition(record, JobState.CANCELLED,
-                         reason="cancelled before start")
-        return JobWorkerOutcome(job_id=job_id, state=JobState.CANCELLED,
-                                error=record.error)
-    if record.running:
-        # Crash requeues normally rewind via recover(); this handles a
-        # re-dispatch that raced the requeue, same as the clone path.
-        store.transition(record, JobState.SUBMITTED, reason="resume")
-    attempts_before = record.attempts
-
-    def observer(phase: str, attempt: int = 0) -> None:
-        fence()
-        if store.cancel_requested(job_id):
-            raise JobCancelledError(
-                f"job {job_id} cancelled "
-                f"(marker observed entering {phase!r})", job_id=job_id)
-        target = _MIGRATE_PHASE_STATES.get(phase)
-        if target is None:
-            return
-        left_preflight = (record.state is JobState.MIGRATING_PREFLIGHT
-                          and target is not record.state)
-        if attempt > 0 and target is JobState.MIGRATING_RETUNE:
-            # A remediation rung (sim budget or gate failure).
-            record.attempts += 1
-            store.save(record)
-            store._emit("remediation", job_id=job_id,
-                        rung=record.attempts, reason=phase)
-        elif record.state is target:
-            return  # idempotent re-entry
-        store.transition(record, target, reason=phase)
-        if left_preflight:
-            crashpoint("worker.migrate.post_preflight", job_id=job_id)
-
-    try:
-        result = migrate_request(record.spec.request, None,
-                                 observer=observer)
-    except LeaseFencedError:
-        raise  # a zombie stops cold — the record is the new owner's
-    except JobCancelledError as error:
-        fence()
-        record.error = str(error)
-        store.transition(record, JobState.CANCELLED, reason="cancelled")
-        return JobWorkerOutcome(job_id=job_id, state=JobState.CANCELLED,
-                                error=record.error,
-                                attempts=record.attempts - attempts_before)
-    except MigrationError as error:
-        fence()
-        stage = error.stage or "refused"
-        record.error = (f"migration {stage}: {error}"
-                        + (f" [blocking: {', '.join(error.blocking)}]"
-                           if error.blocking else ""))
-        store.transition(record, JobState.FAILED,
-                         reason=f"migration_{stage}")
-        return JobWorkerOutcome(job_id=job_id, state=JobState.FAILED,
-                                error=record.error,
-                                attempts=record.attempts - attempts_before)
-    except ArtifactIntegrityError as error:
-        fence()
-        record.error = f"source bundle quarantined: {error}"
-        store.transition(record, JobState.FAILED,
-                         reason="source_quarantined")
-        return JobWorkerOutcome(job_id=job_id, state=JobState.FAILED,
-                                error=record.error,
-                                attempts=record.attempts - attempts_before)
-    except Exception as error:  # noqa: BLE001 — failures become job state
-        fence()
-        record.error = f"{type(error).__name__}: {error}"
-        store.transition(record, JobState.FAILED,
-                         reason=type(error).__name__)
-        return JobWorkerOutcome(job_id=job_id, state=JobState.FAILED,
-                                error=record.error,
-                                attempts=record.attempts - attempts_before)
-
-    result_digest = stable_digest(
-        {"migration_document": result.document})
-    try:
-        fence()
-        crashpoint("worker.migrate.publish.pre_write", job_id=job_id,
-                   path=store.bundle_path(job_id))
-        write_migration_document(result.document,
-                                 store.bundle_path(job_id))
-        crashpoint("worker.migrate.publish.post_write", job_id=job_id,
-                   path=store.bundle_path(job_id))
-        job_result = JobResult(
-            job_id=job_id,
-            synthetic=deployment_from_bundle(store.bundle_path(job_id)),
-            spec_digest=record.spec_digest,
-            fidelity=result.fidelity.to_dict(),
-            remediation=list(result.remediation),
-            executor="serial",
-            result_digest=result_digest,
-            tuning_iterations=dict(result.tuning_iterations),
-        )
-        store.save_result(job_result)
-        record.result_digest = result_digest
-        record.error = ""
-        crashpoint("worker.publish.pre_transition", job_id=job_id)
-        fence()
-        store.transition(record, JobState.PUBLISHED,
-                         reason="gate passed")
-    except LeaseFencedError:
-        raise
-    except Exception as error:  # noqa: BLE001 — e.g. ENOSPC mid-publish
-        fence()
-        record.error = f"publish failed: {type(error).__name__}: {error}"
-        store.transition(record, JobState.FAILED,
-                         reason=type(error).__name__)
-        return JobWorkerOutcome(job_id=job_id, state=JobState.FAILED,
-                                error=record.error,
-                                attempts=record.attempts - attempts_before)
-    crashpoint("worker.publish.post_transition", job_id=job_id)
-    return JobWorkerOutcome(job_id=job_id, state=JobState.PUBLISHED,
-                            result_digest=result_digest,
-                            attempts=record.attempts - attempts_before)
+    return job_result, lambda: write_migration_document(
+        document, store.bundle_path(record.job_id))
 
 
 def _fenced_outcome(store: JobStore, record,
@@ -494,10 +399,9 @@ def _save_bundle(store: JobStore, job_id: str, result,
     """Write the shareable clone bundle next to the result.
 
     The job's platform is recorded as provenance so the published
-    bundle can go straight into ``fleet migrate`` without the caller
+    bundle can go straight into a migration without the caller
     restating where its ``target_counters`` came from.
     """
-    from repro.core.bundle import save_bundle
     report = result.report
     save_bundle(
         report.features,

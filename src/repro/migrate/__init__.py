@@ -4,15 +4,16 @@
 three audited stages — preflight classification, warm-started re-tune,
 destination fidelity gate — and publishes a stamped
 ``ditto-migration/1`` artifact or refuses with a typed
-:class:`~repro.util.errors.MigrationError`. Run stand-alone via
-``python -m repro.migrate`` or as a fleet job via
-``python -m repro.fleet migrate``.
+:class:`~repro.util.errors.MigrationError`. One function,
+:func:`migrate_request`, runs a :class:`MigrationRequest`; one CLI,
+``python -m repro.migrate``, runs it inline or (with ``--store``)
+queues it as an ordinary fleet job, whose preflight, re-tune and gate
+show up as the ``profiling``, ``tuning`` and ``validating`` states.
 """
 
 from repro.migrate.engine import (
     MIGRATION_TOLERANCES,
     MigrationResult,
-    migrate_bundle,
     migrate_request,
     write_migration_document,
 )
@@ -33,7 +34,6 @@ __all__ = [
     "ObjectVerdict",
     "PreflightReport",
     "Verdict",
-    "migrate_bundle",
     "migrate_request",
     "run_preflight",
     "write_migration_document",

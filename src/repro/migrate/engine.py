@@ -36,7 +36,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.body_gen import GeneratorConfig, TuningKnobs
 from repro.core.bundle import (
@@ -46,12 +46,12 @@ from repro.core.bundle import (
     decode_features,
     read_bundle_document,
 )
+from repro.core.cloner import CloneObserver
 from repro.core.finetune import KNOB_FOR_METRIC, _measure, fine_tune
 from repro.hw.platform import PlatformSpec, platform_to_dict
 from repro.loadgen.generator import LoadSpec
 from repro.migrate.preflight import PreflightReport, run_preflight
 from repro.migrate.request import MigrationRequest
-from repro.runtime.expcache import ExperimentCache
 from repro.runtime.experiment import ExperimentConfig
 from repro.util.errors import (
     MigrationError,
@@ -68,7 +68,6 @@ from repro.validation.remediate import RemediationPolicy
 __all__ = [
     "MIGRATION_TOLERANCES",
     "MigrationResult",
-    "migrate_bundle",
     "migrate_request",
     "write_migration_document",
 ]
@@ -131,32 +130,13 @@ def _scoped_metrics(needed: List[str]) -> tuple:
         or KNOB_FOR_METRIC.get(metric) in wanted)
 
 
-def _notify(observer, phase: str, attempt: int = 0) -> None:
-    if observer is not None:
-        observer(phase, attempt=attempt)
-
-
-def migrate_bundle(
-    bundle_path,
-    destination: PlatformSpec,
+def migrate_request(
+    request: MigrationRequest,
     out_path=None,
     *,
-    source_platform: Optional[PlatformSpec] = None,
-    destination_nodes: Optional[int] = None,
-    allow_degraded: bool = False,
-    seed: int = 17,
-    duration_s: float = 0.25,
-    max_tune_iterations: int = 5,
-    tune_tolerance: float = 0.05,
-    tolerances: Optional[Dict[str, float]] = None,
-    gate: Optional[FidelityGate] = None,
-    remediation: Optional[RemediationPolicy] = None,
-    max_sim_events: Optional[int] = None,
-    sim_deadline_s: Optional[float] = None,
-    cache: Optional[ExperimentCache] = None,
-    observer: Optional[Callable[..., None]] = None,
+    observer: Optional[CloneObserver] = None,
 ) -> MigrationResult:
-    """Migrate a saved bundle to ``destination``; publish or refuse.
+    """Migrate ``request.bundle_path`` to ``request.destination``.
 
     Returns a :class:`MigrationResult` whose document was written
     atomically to ``out_path`` (when given). Refusals raise a typed
@@ -165,18 +145,26 @@ def migrate_bundle(
     ``"retune"`` (watchdog budgets exhausted the remediation ladder) or
     ``"gate"`` (destination fidelity failed after remediation); a
     corrupt source bundle raises ``ArtifactIntegrityError`` after
-    quarantining the file. ``observer(phase, attempt=)`` — phases
-    ``"preflight"``/``"retune"``/``"gate"`` — lets the fleet worker
-    mirror stage progress into job lifecycle states.
+    quarantining the file. ``observer`` hears the stages through the
+    cloner's hooks — preflight as phase ``"profiling"``, re-tune as
+    ``"tuning"`` (re-entered per remediation rung, after
+    ``on_remediation``), the gate as ``"validating"`` — which is how a
+    fleet job runs a migration through the clone lifecycle states.
 
-    Determinism: same bundle bytes + same arguments → byte-identical
+    Determinism: same bundle bytes + same request → byte-identical
     output document (no timestamps, named-stream remediation seeds,
     deterministic tuning), which is what lets the fleet's crash/resume
     tests diff a recovered migration against a never-crashed control.
     """
+    observer = observer if observer is not None else CloneObserver()
+    bundle_path = request.bundle_path
+    destination = request.destination
+    seed = request.seed
+    max_tune_iterations = request.max_tune_iterations
     document = read_bundle_document(bundle_path)
-    _notify(observer, "preflight")
-    source = (source_platform if source_platform is not None
+    observer.on_phase("profiling", reason="preflight")
+    source = (request.source_platform
+              if request.source_platform is not None
               else bundle_source_platform(document))
     if source is None:
         raise MigrationError(
@@ -185,8 +173,8 @@ def migrate_bundle(
             stage="preflight", blocking=["bundle/source_platform"])
     preflight = run_preflight(
         document, source=source, destination=destination,
-        destination_nodes=destination_nodes,
-        allow_degraded=allow_degraded)
+        destination_nodes=request.destination_nodes,
+        allow_degraded=request.allow_degraded)
     if not preflight.passed:
         blocking = preflight.blocking()
         raise MigrationError(
@@ -201,14 +189,16 @@ def migrate_bundle(
                     for name, data in
                     document.get("tuned_knobs", {}).items()}
     retune = preflight.retune_knobs()
-    policy = remediation if remediation is not None else RemediationPolicy()
-    if gate is None:
-        gate = FidelityGate({**MIGRATION_TOLERANCES, **(tolerances or {})})
+    policy = (request.remediation if request.remediation is not None
+              else RemediationPolicy())
+    gate = FidelityGate({**MIGRATION_TOLERANCES,
+                         **(request.tolerances or {})})
 
     def config_for(run_seed: int) -> ExperimentConfig:
         return ExperimentConfig(
-            platform=destination, duration_s=duration_s, seed=run_seed,
-            max_sim_events=max_sim_events, sim_deadline_s=sim_deadline_s)
+            platform=destination, duration_s=request.duration_s,
+            seed=run_seed, max_sim_events=request.max_sim_events,
+            sim_deadline_s=request.sim_deadline_s)
 
     def tune_tier(tier: str, run_seed: int, budget: int,
                   metrics: tuple):
@@ -217,13 +207,13 @@ def migrate_bundle(
             load=_tier_load(features[tier]),
             base_config=GeneratorConfig(
                 knobs=stored_knobs.get(tier, TuningKnobs())),
-            max_iterations=budget, tolerance=tune_tolerance,
-            metrics=metrics or _TUNE_METRICS, cache=cache)
+            max_iterations=budget, tolerance=request.tune_tolerance,
+            metrics=metrics or _TUNE_METRICS)
 
     # ------------------------------------------------------------- #
     # stage 2: warm-started, scoped re-tune of NEEDS_RETUNE knobs
     # ------------------------------------------------------------- #
-    _notify(observer, "retune")
+    observer.on_phase("tuning", reason="retune")
     knobs: Dict[str, TuningKnobs] = {}
     iterations: Dict[str, int] = {}
     remediation_log: List[str] = []
@@ -256,7 +246,9 @@ def migrate_bundle(
                 remediation_log.append(
                     f"{tier}: sim_budget → attempt {attempt} "
                     f"(seed {run_seed}, {budget} iterations)")
-                _notify(observer, "retune", attempt=attempt)
+                observer.on_remediation(step)
+                observer.on_phase("tuning", attempt=attempt,
+                                  reason=step.reason)
                 continue
             break
         knobs[tier] = result.knobs
@@ -265,13 +257,12 @@ def migrate_bundle(
     # ------------------------------------------------------------- #
     # stage 3: destination fidelity gate (with remediation ladder)
     # ------------------------------------------------------------- #
-    _notify(observer, "gate")
+    observer.on_phase("validating", reason="gate")
 
     def gate_tier(tier: str, run_seed: int) -> FidelityReport:
         measured, _spec = _measure(
             features[tier], GeneratorConfig(knobs=knobs[tier]),
-            config_for(run_seed), _tier_load(features[tier]),
-            cache=cache)
+            config_for(run_seed), _tier_load(features[tier]))
         return gate.compare_counters(
             tier, features[tier].target_counters, measured,
             platform=destination.name, seed=run_seed)
@@ -304,7 +295,9 @@ def migrate_bundle(
         remediation_log.append(
             f"{'+'.join(failed)}: gate_failure → attempt {step.attempt} "
             f"(seed {step.seed}, {step.max_tune_iterations} iterations)")
-        _notify(observer, "retune", attempt=step.attempt)
+        observer.on_remediation(step)
+        observer.on_phase("tuning", attempt=step.attempt,
+                          reason=step.reason)
         for tier in failed:
             # A gate failure widens the scope: re-tune over the full
             # metric set, still warm-started from the source knobs.
@@ -320,7 +313,8 @@ def migrate_bundle(
                     report=preflight) from trip
             knobs[tier] = result.knobs
             iterations[tier] = iterations.get(tier, 0) + result.iterations
-        _notify(observer, "gate", attempt=step.attempt)
+        observer.on_phase("validating", attempt=step.attempt,
+                          reason="gate")
         still_failed = []
         for tier in failed:
             tier_reports[tier] = gate_tier(tier, step.seed)
@@ -403,26 +397,3 @@ def _merge_reports(tier_reports: Dict[str, FidelityReport],
         merged.checks.extend(tier_reports[tier].checks)
     return merged
 
-
-def migrate_request(
-    request: MigrationRequest,
-    out_path=None,
-    *,
-    gate: Optional[FidelityGate] = None,
-    cache: Optional[ExperimentCache] = None,
-    observer: Optional[Callable[..., None]] = None,
-) -> MigrationResult:
-    """Execute a typed :class:`MigrationRequest` (the fleet entry point)."""
-    return migrate_bundle(
-        request.bundle_path, request.destination, out_path,
-        source_platform=request.source_platform,
-        destination_nodes=request.destination_nodes,
-        allow_degraded=request.allow_degraded,
-        seed=request.seed, duration_s=request.duration_s,
-        max_tune_iterations=request.max_tune_iterations,
-        tune_tolerance=request.tune_tolerance,
-        tolerances=request.tolerances, gate=gate,
-        remediation=request.remediation,
-        max_sim_events=request.max_sim_events,
-        sim_deadline_s=request.sim_deadline_s,
-        cache=cache, observer=observer)

@@ -10,6 +10,7 @@ it is frozen, validated at construction, and content-addressable via
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -19,6 +20,15 @@ from repro.util.spec_hash import stable_digest
 from repro.validation.remediate import RemediationPolicy
 
 __all__ = ["MigrationRequest"]
+
+
+def _require_int(name: str, value, *, minimum: Optional[int] = None,
+                 ) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or (minimum is not None and value < minimum):
+        bound = f" >= {minimum}" if minimum is not None else ""
+        raise ConfigurationError(
+            f"{name} must be an int{bound}, got {value!r}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -66,25 +76,36 @@ class MigrationRequest:
             raise ConfigurationError(
                 f"source_platform must be a PlatformSpec, "
                 f"got {type(self.source_platform).__name__}")
-        if self.destination_nodes is not None \
-                and self.destination_nodes < 1:
-            raise ConfigurationError("destination_nodes must be >= 1")
-        if self.duration_s <= 0:
-            raise ConfigurationError("duration_s must be positive")
-        if self.max_tune_iterations < 1:
-            raise ConfigurationError("max_tune_iterations must be >= 1")
-        if self.tune_tolerance <= 0:
-            raise ConfigurationError("tune_tolerance must be positive")
+        _require_int("seed", self.seed)
+        _require_int("max_tune_iterations", self.max_tune_iterations,
+                     minimum=1)
+        for name in ("destination_nodes", "max_sim_events"):
+            if getattr(self, name) is not None:
+                _require_int(name, getattr(self, name), minimum=1)
+        for name in ("duration_s", "tune_tolerance"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be positive and finite, "
+                    f"got {getattr(self, name)!r}")
+        if self.sim_deadline_s is not None \
+                and not self.sim_deadline_s >= self.duration_s:
+            raise ConfigurationError(
+                f"sim_deadline_s ({self.sim_deadline_s!r}) must cover "
+                f"duration_s ({self.duration_s!r})")
+        for metric, value in (self.tolerances or {}).items():
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, float)) or not value >= 0:
+                raise ConfigurationError(
+                    f"tolerance for {metric!r} must be a non-negative "
+                    f"number, got {value!r}")
+        if not self.tolerances:
+            # no overrides have one form, so they share one digest
+            object.__setattr__(self, "tolerances", None)
         if self.remediation is not None \
                 and not isinstance(self.remediation, RemediationPolicy):
             raise ConfigurationError(
                 f"remediation must be a RemediationPolicy, "
                 f"got {type(self.remediation).__name__}")
-        if self.sim_deadline_s is not None \
-                and self.sim_deadline_s < self.duration_s:
-            raise ConfigurationError(
-                f"sim_deadline_s ({self.sim_deadline_s!r}) must cover "
-                f"duration_s ({self.duration_s!r})")
 
     def digest(self) -> str:
         """Content digest for dedup/idempotent fleet submission.

@@ -43,6 +43,7 @@ __all__ = [
     "FidelityReport",
     "MetricCheck",
     "MetricTolerance",
+    "parse_tolerances",
 ]
 
 
@@ -61,9 +62,29 @@ class MetricTolerance:
     absolute: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.relative < 0 or self.absolute < 0:
+        # ``not >= 0`` also rejects NaN, which would disable the bound
+        if not (self.relative >= 0 and self.absolute >= 0):
             raise ConfigurationError(
-                f"tolerances must be non-negative, got {self!r}")
+                f"tolerances must be non-negative numbers, got {self!r}")
+
+
+def parse_tolerances(entries: Iterable[str]) -> Optional[Dict[str, float]]:
+    """Command-line ``METRIC=REL`` entries as relative-bound overrides.
+
+    Returns None when there are none, so "no overrides" has one form.
+    """
+    tolerances: Dict[str, float] = {}
+    for entry in entries:
+        name, _, value = entry.partition("=")
+        try:
+            if not name:
+                raise ValueError(entry)
+            tolerances[name] = float(value)
+        except ValueError:
+            raise ConfigurationError(
+                f"--tolerance takes METRIC=REL with a numeric REL, "
+                f"got {entry!r}") from None
+    return tolerances or None
 
 
 #: default per-metric tolerances (paper §6.2.1 error envelope, with

@@ -22,6 +22,7 @@ from repro.fleet import (
     execute_job,
 )
 from repro.fleet.__main__ import main as fleet_main
+from repro.migrate.__main__ import main as migrate_main
 from repro.profiling import ProfilingBudget
 from repro.telemetry import Telemetry
 from repro.util.errors import (
@@ -394,10 +395,10 @@ class TestFleetCLI:
         # no --source-platform; A→A keeps the run cheap
         from repro.fleet.store import JobStore
         bundle = JobStore(store).bundle_path(clone_id)
-        assert fleet_main(["migrate", "--store", store,
-                           "--bundle", bundle, "--destination", "A",
-                           "--duration", "0.05",
-                           "--max-tune-iterations", "1"]) == 0
+        assert migrate_main([bundle, "--destination", "A",
+                             "--duration", "0.05",
+                             "--max-tune-iterations", "1",
+                             "--store", store]) == 0
         migrate_id = capsys.readouterr().out.strip()
         assert migrate_id and migrate_id != clone_id
         assert fleet_main(["run", "--store", store,
@@ -408,9 +409,14 @@ class TestFleetCLI:
         capsys.readouterr()
         assert fleet_main(["show", "--store", store, migrate_id]) == 0
         shown = capsys.readouterr().out
-        assert "submitted -> migrating_preflight" in shown
-        assert "migrating_gate -> published" in shown
+        assert "submitted -> profiling  (preflight)" in shown
+        assert "profiling -> tuning  (retune)" in shown
+        assert "tuning -> validating  (gate)" in shown
+        assert "validating -> published" in shown
         assert "fidelity: PASS" in shown
+        # one migrate CLI: the fleet has no subcommand of its own
+        with pytest.raises(SystemExit):
+            fleet_main(["migrate", "--store", store])
 
     def test_cancel_exit_codes(self, tmp_path, capsys):
         store = str(tmp_path)

@@ -9,8 +9,11 @@ the store, poison jobs dead-letter after their crash budget, and
 SIGTERM drains the scheduler without orphaning anything.
 """
 
+import dataclasses
+import io
 import json
 import os
+import pickle
 import signal
 import time
 
@@ -40,7 +43,11 @@ from repro.fleet import chaos as chaos_mod
 from repro.fleet.__main__ import main as fleet_main
 from repro.hw.platform import PLATFORM_B
 from repro.migrate import MigrationRequest
-from repro.fleet.store import DEFAULT_STORE_CONFIG
+from repro.fleet.store import (
+    DEFAULT_STORE_CONFIG,
+    RECORD_SCHEMA,
+    SCHEMA_VERSION,
+)
 from repro.profiling import ProfilingBudget
 from repro.util.errors import (
     ArtifactIntegrityError,
@@ -49,6 +56,8 @@ from repro.util.errors import (
     JobStateError,
     LeaseFencedError,
 )
+from repro.validation import integrity
+from repro.validation.remediate import RemediationPolicy
 
 FAST_BUDGET = ProfilingBudget(
     sampled_requests=6, max_accesses_per_spec=384,
@@ -213,18 +222,19 @@ class TestInjector:
 # the chaos matrix: kill everywhere, recover, publish identically
 # ---------------------------------------------------------------------- #
 #: crashpoints a single scheduler run visits. ``store.submit.post_claim``
-#: fires at submit time (own test below),
+#: fires at submit time (own test below), and
 #: ``lease.heartbeat.pre_replace`` on the worker's daemon beat thread,
-#: where a kill dies silently (covered by the direct-call test), and
-#: the ``worker.migrate.*`` points only on migration jobs (own kill
-#: matrix in :class:`TestMigrationChaos`).
+#: where a kill dies silently (covered by the direct-call test).
 KILL_MATRIX = tuple(point for point in CRASHPOINTS
                     if point not in ("store.submit.post_claim",
-                                     "lease.heartbeat.pre_replace")
-                    and not point.startswith("worker.migrate."))
+                                     "lease.heartbeat.pre_replace"))
 
+#: every worker crashpoint a migration job visits: all of them but the
+#: shared-profile save, which only a clone has (asserted by
+#: ``test_matrix_is_every_worker_point_a_migration_visits``)
 MIGRATE_KILL_MATRIX = tuple(point for point in CRASHPOINTS
-                            if point.startswith("worker.migrate."))
+                            if point.startswith("worker.")
+                            and point != "worker.profile.post_save")
 
 
 class TestKillMatrix:
@@ -283,23 +293,12 @@ class TestCrashpointCoverage:
             record = FleetClient(store).submit(_request())
             outcomes = FleetScheduler(
                 store, executor="serial").run_until_idle()
-            # the worker.migrate.* points only fire on migration jobs:
-            # migrate the freshly published bundle back onto its own
-            # platform (all-TRANSFERS preflight, no tuning — cheap)
-            migration = FleetClient(store).submit(MigrationRequest(
-                bundle_path=store.bundle_path(record.job_id),
-                destination=PLATFORM_A, duration_s=0.05,
-                max_tune_iterations=1))
-            migrated = FleetScheduler(
-                store, executor="serial").run_until_idle()
             # a clean run never beats deterministically nor releases a
             # fenced lease by hand — drive those two points directly
             epoch = store.claim_lease(record.job_id)
             assert store.heartbeat(record.job_id, epoch)
             store.release_lease(record.job_id, epoch=epoch)
         assert [o.state for o in outcomes] == [JobState.PUBLISHED]
-        assert [o.state for o in migrated] == [JobState.PUBLISHED]
-        assert store.get(migration.job_id).state is JobState.PUBLISHED
         _assert_identical(store, record.job_id, control)
         missing = set(CRASHPOINTS) - injector.visited
         assert not missing, f"crashpoints never visited: {sorted(missing)}"
@@ -360,24 +359,117 @@ class TestMigrationChaos:
                   encoding="utf-8") as f:
             assert json.load(f) == migration_control[1]
 
+    def test_matrix_is_every_worker_point_a_migration_visits(
+            self, tmp_path, migration_source):
+        store = _chaos_store(tmp_path)
+        FleetClient(store).submit(_migration_request(migration_source))
+        with chaos_mod.active(ChaosPlan.empty()) as injector:
+            outcomes = FleetScheduler(
+                store, executor="serial").run_until_idle()
+        assert [o.state for o in outcomes] == [JobState.PUBLISHED]
+        assert {point for point in injector.visited
+                if point.startswith("worker.")} == set(MIGRATE_KILL_MATRIX)
+
     def test_crash_mid_retune_requeues_through_recovery(
             self, tmp_path, migration_source):
-        """A kill right after preflight leaves the record mid-retune
-        with an orphaned lease; recover() requeues it with reason
-        ``recovered`` rather than losing or dead-lettering it."""
+        """A kill at the second phase edge — preflight done, re-tune
+        entered — leaves the record in ``tuning`` with an orphaned
+        lease; recover() requeues it rather than losing or
+        dead-lettering it."""
         store = _chaos_store(tmp_path)
         record = FleetClient(store).submit(
             _migration_request(migration_source))
         plan = ChaosPlan(actions=(
-            ChaosAction(point="worker.migrate.post_preflight"),))
+            ChaosAction(point="worker.phase.post_transition", on_hit=2),))
         with pytest.raises(ChaosKill):
             FleetScheduler(store, executor="serial",
                            chaos=plan).run_until_idle()
         crashed = store.get(record.job_id)
-        assert crashed.state is JobState.MIGRATING_RETUNE
+        assert crashed.state is JobState.TUNING
         requeued = store.recover()
         assert requeued == [record.job_id]
         assert store.get(record.job_id).state is JobState.SUBMITTED
+
+
+class TestMigrationRefusals:
+    """Refusals and quarantines land in ``failed`` through the shared
+    exception ladder, with the reason naming what refused."""
+
+    def test_gate_refusal_names_the_stage(self, tmp_path,
+                                          migration_source):
+        store = _chaos_store(tmp_path)
+        record = FleetClient(store).submit(dataclasses.replace(
+            _migration_request(migration_source),
+            tolerances={"ipc": 1e-9},
+            remediation=RemediationPolicy(max_attempts=0)))
+        outcomes = FleetScheduler(store, executor="serial").run_until_idle()
+        assert [o.state for o in outcomes] == [JobState.FAILED]
+        final = store.get(record.job_id)
+        assert final.history[-1].reason == "migration_gate"
+        assert "[blocking: memcached/ipc]" in final.error
+
+    def test_corrupt_source_is_quarantined(self, tmp_path,
+                                           migration_source):
+        broken = tmp_path / "broken.bundle.json"
+        broken.write_text(migration_source.read_text()[:200])
+        store = _chaos_store(tmp_path / "store")
+        record = FleetClient(store).submit(_migration_request(broken))
+        FleetScheduler(store, executor="serial").run_until_idle()
+        final = store.get(record.job_id)
+        assert final.state is JobState.FAILED
+        assert [edge.reason for edge in final.history] == [
+            "source_quarantined"]
+        assert not broken.exists()
+
+
+class _ParentFormatPickler(pickle.Pickler):
+    """Pickles a record the way the store wrote it while migrations had
+    a spec class (``MigrationJobSpec``) and ``migrating_*`` states of
+    their own."""
+
+    STATES = {JobState.PROFILING: "migrating_preflight",
+              JobState.TUNING: "migrating_retune",
+              JobState.VALIDATING: "migrating_gate"}
+
+    def reducer_override(self, obj):
+        if obj is CloneJobSpec:
+            return "MigrationJobSpec"
+        if isinstance(obj, JobState) and obj in self.STATES:
+            return JobState, (self.STATES[obj],)
+        return NotImplemented
+
+
+class TestLegacyMigrationRecord:
+    def test_parent_format_record_loads_and_publishes(
+            self, tmp_path, migration_source, migration_control):
+        store = _chaos_store(tmp_path)
+        record = FleetClient(store).submit(
+            _migration_request(migration_source))
+        # a worker died mid-retune under the old lifecycle
+        record.transition(JobState.PROFILING, reason="preflight")
+        record.transition(JobState.TUNING, reason="retune")
+        buffer = io.BytesIO()
+        _ParentFormatPickler(buffer, protocol=4).dump(record)
+        payload = buffer.getvalue()
+        assert b"MigrationJobSpec" in payload
+        assert b"migrating_retune" in payload
+        integrity.write_envelope(store.record_path(record.job_id), payload,
+                                 schema=RECORD_SCHEMA,
+                                 version=SCHEMA_VERSION)
+
+        loaded = store.get(record.job_id)
+        assert type(loaded.spec) is CloneJobSpec
+        assert loaded.spec == record.spec
+        assert loaded.state is JobState.TUNING
+        assert [edge.to_state for edge in loaded.history] == [
+            JobState.PROFILING, JobState.TUNING]
+        FleetScheduler(store, executor="serial").run_until_idle()
+        final = store.get(record.job_id)
+        assert final.state is JobState.PUBLISHED
+        assert final.result_digest == migration_control[0]
+        with open(store.bundle_path(record.job_id),
+                  encoding="utf-8") as f:
+            assert json.load(f) == migration_control[1]
 
 
 class TestMigrationFlightLog:
@@ -392,8 +484,7 @@ class TestMigrationFlightLog:
         from repro.fleet import read_flight_log
         flight = read_flight_log(store.flight_path)
         assert flight.lifecycle(record.job_id) == [
-            "submitted", "migrating_preflight", "migrating_retune",
-            "migrating_gate", "published"]
+            "submitted", "profiling", "tuning", "validating", "published"]
 
 
 # ---------------------------------------------------------------------- #

@@ -23,6 +23,7 @@ from repro.fleet import (
     JobStore,
 )
 from repro.fleet.__main__ import main as fleet_main
+from repro.fleet.job import RUNNING_STATES
 from repro.fleet.obs import (
     FleetStatusServer,
     FlightRecorder,
@@ -398,6 +399,18 @@ class TestFleetObservabilityEndToEnd:
         assert "published=2" in frame
         assert "flight log:" in frame
         assert "job_state=" in frame
+
+
+class TestTopStates:
+    def test_every_running_state_is_on_the_per_state_line(self, tmp_path):
+        store = JobStore(str(tmp_path))
+        for state in RUNNING_STATES:
+            record = store.submit(CloneJobSpec(request=_request()))
+            record.state = state
+            store.save(record)
+        per_state = render_top(store).splitlines()[2]
+        for state in RUNNING_STATES:
+            assert f"{state.value}=1" in per_state
 
 
 # --------------------------------------------------------------------- #

@@ -9,6 +9,7 @@ destinations must refuse at preflight with *zero* tuning work.
 """
 
 import json
+import math
 
 import pytest
 
@@ -34,12 +35,13 @@ from repro.migrate import (
     MigrationRequest,
     PreflightReport,
     Verdict,
-    migrate_bundle,
+    migrate_request,
     run_preflight,
 )
 from repro.migrate.__main__ import main as migrate_main
-from repro.util.errors import ArtifactIntegrityError
+from repro.util.errors import ArtifactIntegrityError, ConfigurationError
 from repro.validation.__main__ import main as validation_main
+from repro.validation.gate import MetricTolerance
 from repro.validation.remediate import RemediationPolicy
 
 
@@ -84,10 +86,11 @@ def two_node_bundle(clone_parts, tmp_path):
     return path
 
 
-def _migrate_kwargs(**overrides):
+def _migrate(bundle, destination, out=None, **overrides):
     params = dict(duration_s=0.05, max_tune_iterations=4)
     params.update(overrides)
-    return params
+    return migrate_request(MigrationRequest(
+        bundle_path=str(bundle), destination=destination, **params), out)
 
 
 class TestPreflight:
@@ -137,12 +140,47 @@ class TestPreflight:
                                           "back/placement"}
 
 
+class TestMigrationRequestValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("duration_s", math.nan),
+        ("duration_s", math.inf),
+        ("tune_tolerance", math.nan),
+        ("sim_deadline_s", math.nan),
+        ("tolerances", {"ipc": math.nan}),
+        ("tolerances", {"ipc": -0.1}),
+        ("tolerances", {"ipc": "0.1"}),
+        ("max_tune_iterations", 2.5),
+        ("max_tune_iterations", True),
+        ("destination_nodes", 1.5),
+        ("max_sim_events", 100.0),
+        ("seed", True),
+        ("seed", 1.0),
+    ])
+    def test_rejects_bad_inputs(self, field, value):
+        with pytest.raises(ConfigurationError):
+            MigrationRequest(bundle_path="b.json", destination=PLATFORM_B,
+                             **{field: value})
+
+    def test_empty_tolerances_normalise_to_none(self):
+        empty = MigrationRequest(bundle_path="b.json",
+                                 destination=PLATFORM_B, tolerances={})
+        unset = MigrationRequest(bundle_path="b.json",
+                                 destination=PLATFORM_B)
+        assert empty.tolerances is None
+        assert empty.digest() == unset.digest()
+
+    def test_metric_tolerance_rejects_nan(self):
+        with pytest.raises(ConfigurationError):
+            MetricTolerance("ipc", relative=math.nan)
+        with pytest.raises(ConfigurationError):
+            MetricTolerance("ipc", relative=0.1, absolute=math.nan)
+
+
 class TestMigrateEndToEnd:
     def test_same_platform_publishes_without_retune(self, source_bundle,
                                                     tmp_path):
         out = tmp_path / "a_to_a.json"
-        result = migrate_bundle(source_bundle, PLATFORM_A, out,
-                                **_migrate_kwargs())
+        result = _migrate(source_bundle, PLATFORM_A, out)
         assert result.fidelity.passed
         assert result.tuning_iterations == {"memcached": 0}
         assert result.retune_deltas == {}
@@ -155,8 +193,7 @@ class TestMigrateEndToEnd:
     def test_cross_platform_retunes_and_passes_gate(self, source_bundle,
                                                     tmp_path):
         out = tmp_path / "a_to_b.json"
-        result = migrate_bundle(source_bundle, PLATFORM_B, out,
-                                **_migrate_kwargs())
+        result = _migrate(source_bundle, PLATFORM_B, out)
         assert result.fidelity.passed
         assert result.tuning_iterations["memcached"] > 0
         assert result.retune_deltas["memcached"]  # knobs actually moved
@@ -173,19 +210,16 @@ class TestMigrateEndToEnd:
 
     def test_migration_to_platform_c_passes_gate(self, source_bundle,
                                                  tmp_path):
-        result = migrate_bundle(source_bundle, PLATFORM_C,
-                                tmp_path / "a_to_c.json",
-                                **_migrate_kwargs())
+        result = _migrate(source_bundle, PLATFORM_C,
+                          tmp_path / "a_to_c.json")
         assert result.fidelity.passed
         assert result.preflight.retune_knobs()["memcached"]
 
     def test_migration_is_deterministic(self, source_bundle, tmp_path):
         first = tmp_path / "one.json"
         second = tmp_path / "two.json"
-        migrate_bundle(source_bundle, PLATFORM_B, first,
-                       **_migrate_kwargs())
-        migrate_bundle(source_bundle, PLATFORM_B, second,
-                       **_migrate_kwargs())
+        _migrate(source_bundle, PLATFORM_B, first)
+        _migrate(source_bundle, PLATFORM_B, second)
         assert first.read_bytes() == second.read_bytes()
 
     def test_impossible_destination_refuses_with_zero_work(
@@ -195,8 +229,7 @@ class TestMigrateEndToEnd:
         monkeypatch.setattr("repro.migrate.engine.fine_tune", no_tuning)
         monkeypatch.setattr("repro.migrate.engine._measure", no_tuning)
         with pytest.raises(MigrationError) as info:
-            migrate_bundle(two_node_bundle, PLATFORM_B,
-                           destination_nodes=1, **_migrate_kwargs())
+            _migrate(two_node_bundle, PLATFORM_B, destination_nodes=1)
         assert info.value.stage == "preflight"
         assert info.value.blocking == ["back/placement"]
         assert info.value.report is not None
@@ -207,7 +240,7 @@ class TestMigrateEndToEnd:
         save_bundle(features, legacy, entry_service="memcached",
                     tuned_knobs=knobs)  # no source_platform stanza
         with pytest.raises(MigrationError) as info:
-            migrate_bundle(legacy, PLATFORM_B, **_migrate_kwargs())
+            _migrate(legacy, PLATFORM_B)
         assert info.value.stage == "preflight"
         assert info.value.blocking == ["bundle/source_platform"]
         # an explicit source platform unblocks the same bundle
@@ -217,11 +250,8 @@ class TestMigrateEndToEnd:
 
     def test_gate_failure_refuses_after_ladder(self, source_bundle):
         with pytest.raises(MigrationError) as info:
-            migrate_bundle(
-                source_bundle, PLATFORM_B,
-                tolerances={"ipc": 1e-9},
-                remediation=RemediationPolicy(max_attempts=0),
-                **_migrate_kwargs())
+            _migrate(source_bundle, PLATFORM_B, tolerances={"ipc": 1e-9},
+                     remediation=RemediationPolicy(max_attempts=0))
         assert info.value.stage == "gate"
         assert "memcached/ipc" in info.value.blocking
 
@@ -277,14 +307,13 @@ class TestBundleRobustness:
             raise AssertionError("quarantined source must end migration")
         monkeypatch.setattr("repro.migrate.engine.run_preflight", no_work)
         with pytest.raises(ArtifactIntegrityError):
-            migrate_bundle(broken, PLATFORM_B, **_migrate_kwargs())
+            _migrate(broken, PLATFORM_B)
         assert not broken.exists()
 
     def test_corrupt_migrated_bundle_fails_validation_cli(
             self, source_bundle, tmp_path, capsys):
         out = tmp_path / "migrated.json"
-        migrate_bundle(source_bundle, PLATFORM_A, out,
-                       **_migrate_kwargs())
+        _migrate(source_bundle, PLATFORM_A, out)
         document = json.loads(out.read_text())
         document["tuned_knobs"]["memcached"]["instr_scale"] = 42.0
         out.write_text(json.dumps(document))
@@ -329,3 +358,51 @@ class TestMigrateCli:
         assert code == 0
         document = read_bundle_document(out)
         assert set(document["placements"].values()) == {"node0"}
+
+    def test_non_finite_input_exits_three_before_preflight(
+            self, source_bundle, monkeypatch, capsys):
+        def no_work(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("a bad request must not reach preflight")
+        monkeypatch.setattr("repro.migrate.engine.run_preflight", no_work)
+        code = migrate_main([str(source_bundle), "--destination", "B",
+                             "--duration", "nan"])
+        assert code == 3
+        assert "duration_s" in capsys.readouterr().err
+
+    def test_bad_tolerance_syntax_exits_three(self, source_bundle, capsys):
+        code = migrate_main([str(source_bundle), "--destination", "B",
+                             "--tolerance", "ipc"])
+        assert code == 3
+
+    @pytest.mark.parametrize("flags", [
+        ["--name", "job"], ["--priority", "0"], ["--max-crashes", "1"],
+        ["--flight"]])
+    def test_fleet_flags_need_store(self, source_bundle, flags, capsys):
+        code = migrate_main([str(source_bundle), "--destination", "B",
+                             *flags])
+        assert code == 3
+        assert "--store" in capsys.readouterr().err
+
+    def test_inline_flags_rejected_with_store(self, source_bundle,
+                                              tmp_path, capsys):
+        store = tmp_path / "store"
+        code = migrate_main([str(source_bundle), "--destination", "B",
+                             "--store", str(store),
+                             "--out", str(tmp_path / "m.json")])
+        assert code == 3
+        assert not store.exists()  # nothing was queued
+
+    def test_store_queues_one_job(self, source_bundle, tmp_path, capsys):
+        from repro.fleet import FleetClient, JobState
+        store = str(tmp_path / "store")
+        code = migrate_main([str(source_bundle), "--destination", "B",
+                             "--duration", "0.05", "--store", store,
+                             "--name", "to-b", "--priority", "3"])
+        assert code == 0
+        job_id = capsys.readouterr().out.strip()
+        record = FleetClient(store).get(job_id)
+        assert record.state is JobState.SUBMITTED
+        assert record.spec.name == "to-b" and record.spec.priority == 3
+        assert record.spec.request == MigrationRequest(
+            bundle_path=str(source_bundle), destination=PLATFORM_B,
+            duration_s=0.05)
