@@ -49,12 +49,19 @@ def agglomerative_cluster(
         total = sum(dist[i][j] for i in a for j in b)
         return total / (len(a) * len(b))
 
+    # Cluster-pair linkages, link[x][y] for x < y: the distances while
+    # every cluster is a singleton, then average_linkage(clusters[x],
+    # clusters[y]). A merge into x changes only x's linkages, so only
+    # x's row and column are recomputed (lower index first, the order
+    # the scan used to call it in); y's are dropped with it.
+    link = [row[:] for row in dist]
     while len(clusters) > 1:
         best = None
         best_distance = math.inf
         for x in range(len(clusters)):
+            row = link[x]
             for y in range(x + 1, len(clusters)):
-                d = average_linkage(clusters[x], clusters[y])
+                d = row[y]
                 if d < best_distance:
                     best_distance = d
                     best = (x, y)
@@ -63,6 +70,15 @@ def agglomerative_cluster(
         x, y = best
         clusters[x] = clusters[x] + clusters[y]
         del clusters[y]
+        del link[y]
+        for row in link:
+            del row[y]
+        merged = clusters[x]
+        for z in range(len(clusters)):
+            if z < x:
+                link[z][x] = average_linkage(clusters[z], merged)
+            elif z > x:
+                link[x][z] = average_linkage(merged, clusters[z])
     return [[items[i] for i in cluster] for cluster in clusters]
 
 

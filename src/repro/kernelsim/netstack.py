@@ -26,7 +26,7 @@ class _NicTransmitOp:
       completion  @ T+W          ``completion`` succeeds
 
     On a busy wire the op takes no slot while it waits: ``release()``
-    pushes the grant event, whose dispatch runs stage 1.
+    queues the op itself in the grant slot, which runs stage 1.
     """
 
     __slots__ = ("device", "completion", "_stage", "_nbytes", "_issued",

@@ -28,8 +28,7 @@ class _DiskIoOp:
       completion  @ T+L+X          ``completion`` succeeds
 
     Waiting on a busy queue or channel takes no slot: ``release()``
-    pushes the grant event, whose dispatch runs stage 1 or 3 in place
-    of the grant slot.
+    queues the op itself in the grant slot, which runs stage 1 or 3.
     """
 
     __slots__ = ("device", "completion", "_stage", "_nbytes", "_write",

@@ -29,7 +29,7 @@ class _CpuExecuteOp:
       completion  @ T+H          ``completion`` succeeds
 
     On a busy pool the op takes no slot while it waits: ``release()``
-    pushes the grant event, whose dispatch runs stage 1.
+    queues the op itself in the grant slot, which runs stage 1.
     """
 
     __slots__ = ("device", "completion", "_stage", "_hold", "_switch")

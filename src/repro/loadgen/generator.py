@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -25,6 +26,21 @@ SubmitFn = Callable[[str], Event]
 
 #: the per-request outcome vocabulary recorders count
 REQUEST_OUTCOMES = ("ok", "timeout", "shed", "error")
+
+
+def _handler_sampler(mix: Histogram) -> Tuple[List[float], List[str], int]:
+    """(CDF, handler names, last index) for inverse-CDF handler draws.
+
+    ``names[min(bisect_right(cdf, rng.random()), last)]`` replicates
+    ``rng.choice(keys, p=probs)`` bit-for-bit: the same single
+    ``rng.random()`` per request, compared against the same float64
+    CDF values (held as a Python list, so a draw is one ``bisect``
+    instead of a NumPy call).
+    """
+    keys, probs = mix.keys_and_probs()
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    return cdf.tolist(), [str(key) for key in keys], len(keys) - 1
 
 
 def classify_failure(error: BaseException) -> str:
@@ -187,30 +203,26 @@ class OpenLoopGenerator:
 
     def _inject(self):
         end = self.env.now + self.duration_s
-        keys, probs = self.mix.keys_and_probs()
-        # Inverse-CDF draw replicating rng.choice(p=probs) bit-for-bit
-        # (same single rng.random() per request) without its per-call
-        # validation overhead.
-        cdf = np.cumsum(probs)
-        cdf /= cdf[-1]
-        last = len(keys) - 1
+        cdf, names, last = _handler_sampler(self.mix)
         if self.deterministic:
-            yield from self._inject_paced(end, keys, cdf, last)
+            yield from self._inject_paced(end, names, cdf, last)
             return
         # Poisson arrivals interleave the gap and handler draws on one
         # RNG stream, so they cannot be batched without perturbing the
         # draw order — this loop stays request-at-a-time.
-        while self.env.now < end:
-            gap = float(self._rng.exponential(1.0 / self.qps))
-            yield self.env.timeout(gap)
-            if self.env.now >= end:
+        rng = self._rng
+        env = self.env
+        recorder = self.recorder
+        while env.now < end:
+            gap = float(rng.exponential(1.0 / self.qps))
+            yield env.timeout(gap)
+            if env.now >= end:
                 break
-            handler = str(keys[min(
-                cdf.searchsorted(self._rng.random(), side="right"), last)])
-            self.recorder.issued += 1
-            self.env.process(self._track(handler), name="req")
+            handler = names[min(bisect_right(cdf, rng.random()), last)]
+            recorder.issued += 1
+            env.spawn(self._track(handler), name="req")
 
-    def _inject_paced(self, end, keys, cdf, last):
+    def _inject_paced(self, end, names, cdf, last):
         """Deterministic arrivals, scheduled as whole trains.
 
         Fixed-gap arrivals carry no randomness in their timing, so a
@@ -227,10 +239,9 @@ class OpenLoopGenerator:
         env = self.env
 
         def arrive(event: Event) -> None:
-            handler = str(keys[min(
-                cdf.searchsorted(rng.random(), side="right"), last)])
+            handler = names[min(bisect_right(cdf, rng.random()), last)]
             recorder.issued += 1
-            env.process(self._track(handler), name="req")
+            env.spawn(self._track(handler), name="req")
 
         while True:
             start = env.now
@@ -296,14 +307,10 @@ class ClosedLoopGenerator:
 
     def _connection(self, index: int):
         rng = self._rng_stream.rng("closedloop", str(index))
-        keys, probs = self.mix.keys_and_probs()
-        cdf = np.cumsum(probs)
-        cdf /= cdf[-1]
-        last = len(keys) - 1
+        cdf, names, last = _handler_sampler(self.mix)
         end = self.env.now + self.duration_s
         while self.env.now < end:
-            handler = str(keys[min(
-                cdf.searchsorted(rng.random(), side="right"), last)])
+            handler = names[min(bisect_right(cdf, rng.random()), last)]
             start = self.env.now
             self.recorder.issued += 1
             try:

@@ -21,7 +21,7 @@ from repro.sim import Environment
 from repro.telemetry.context import current_session
 from repro.telemetry.spans import span
 from repro.tracing.tracer import Tracer
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, SimulationError
 from repro.util.rng import RngStream, derive_seed
 
 #: cap on how much of a co-located tier's code can pollute the i-side
@@ -236,6 +236,13 @@ def _run_experiment(
             max_events=config.max_sim_events,
             deadline=config.sim_deadline_s,
             max_stalled_events=config.max_stalled_events)
+    # Every issued request must end in exactly one outcome; a mismatch
+    # means the simulation lost (or double-counted) a request.
+    finished = sum(recorder.outcome_counts().values())
+    if finished != recorder.issued:
+        raise SimulationError(
+            f"{recorder.issued} request(s) issued but {finished} "
+            f"ended in an outcome")
     # Services fold their charge logs in chunks; fold what is left so the
     # result holds every charge and no log.
     for runtime in registry.values():

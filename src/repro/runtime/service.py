@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.app.program import ComputeOp, Handler, RpcOp, SyscallOp
+from repro.app.program import ComputeOp, RpcOp, SyscallOp
 from repro.app.service import ServiceSpec
 from repro.app.skeleton import ClientNetworkModel, ServerNetworkModel
 from repro.hw.contention import ContentionFactors
@@ -51,6 +51,46 @@ KERNEL_STATIC_BRANCHES = 1500
 @lru_cache(maxsize=8192)
 def _cached_kernel_block(invocation: SyscallInvocation):
     return kernel_block_for(invocation)
+
+
+# What a plan step does once its blocks are charged.
+#: the request ends: flush the pending cycles
+_END = 0
+#: a receive: count the bytes the NIC delivered
+_NET_RX = 1
+#: a file read: page-cache lookup, flush plus disk read on a miss
+_PAGE_READ = 2
+#: a file write: page-cache write, flush plus disk write on a miss
+_FILE_WRITE = 3
+#: an fsync: flush plus a disk write of its bytes
+_FSYNC = 4
+#: a send: count the bytes, flush plus NIC transmit off-node
+_SEND = 5
+#: a group of RPCs issued together, awaited as one
+_RPC = 6
+
+
+class _Step:
+    """One step of a compiled handler plan.
+
+    ``blocks`` are charged back to back, then ``action`` runs. Only an
+    action can yield, so a step's blocks always price and charge
+    together. ``nbytes`` and ``file`` (a resolved
+    :class:`~repro.kernelsim.filesystem.FileSpec`) belong to syscall
+    actions; ``rpcs`` holds an RPC group's ``(op, process name)`` pairs.
+    Steps hash by identity: they key the per-state pricing memo.
+    """
+
+    __slots__ = ("blocks", "action", "nbytes", "file", "rpcs")
+
+    def __init__(self, blocks: Sequence[BlockSpec], action: int,
+                 nbytes: float = 0.0, file=None,
+                 rpcs: Tuple[Tuple[RpcOp, str], ...] = ()) -> None:
+        self.blocks = tuple(blocks)
+        self.action = action
+        self.nbytes = nbytes
+        self.file = file
+        self.rpcs = rpcs
 
 
 class _DelayedReply:
@@ -127,12 +167,14 @@ class NodeState:
 class ServiceRuntime:
     """Executes one service's skeleton and handlers on a node.
 
-    Charging a block appends its pricing row (see
-    :mod:`repro.runtime.pricing`) to the service's charge log and adds
-    its cycles to the request's pending CPU work. The log folds into
-    :attr:`metrics` every :data:`~repro.runtime.metrics.FOLD_CHUNK`
-    charges and on :meth:`fold`, which the experiment calls when the run
-    ends; until then ``metrics.timing`` lags the charges.
+    Each handler is compiled once per runtime (and per cold/warm
+    wakeup) into a plan of :class:`_Step` s. Charging a step appends its
+    blocks' pricing rows (see :mod:`repro.runtime.pricing`) to the
+    service's charge log and adds their cycles, one by one, to the
+    request's pending CPU work. The log folds into :attr:`metrics` once
+    it holds :data:`~repro.runtime.metrics.FOLD_CHUNK` charges and on
+    :meth:`fold`, which the experiment calls when the run ends; until
+    then ``metrics.timing`` lags the charges.
     """
 
     def __init__(
@@ -173,9 +215,14 @@ class ServiceRuntime:
         self.metrics = ServiceMetrics()
         #: pricing rows charged since the last fold, in charge order
         self._log: List[int] = []
-        #: execution state -> (PricingKey, {id(block): pricing row});
-        #: ids stay unique because the pricer holds every priced block
-        self._state_rows: Dict[tuple, Tuple[PricingKey, Dict[int, int]]] = {}
+        #: execution state -> (PricingKey, {step: (pricing rows, their
+        #: cycles)}); the plans hold every step for the runtime's life
+        self._state_rows: Dict[
+            tuple, Tuple[PricingKey, Dict[_Step, Tuple[tuple, tuple]]]] = {}
+        #: handler name -> compiled plan, for warm and cold wakeups
+        self._warm_plans: Dict[str, Tuple[_Step, ...]] = {}
+        self._cold_plans: Dict[str, Tuple[_Step, ...]] = {}
+        self._serve_name = f"{spec.name}-serve"
         self.active = 0
         self._started = False
         # Telemetry timeline, bound once at construction (attach-time
@@ -186,6 +233,8 @@ class ServiceRuntime:
         self._cpu_execute = node.cpu.execute_op
         self._disk_io = node.disk.io_op
         self._nic_transmit = node.nic.transmit_op
+        self._asynchronous = (spec.skeleton.client_model
+                              is ClientNetworkModel.ASYNCHRONOUS)
         # Co-located tiers are fixed for the run, and so is their share
         # of every pricing key.
         self._llc_bytes = float(pricer.platform.llc.size_bytes)
@@ -206,14 +255,11 @@ class ServiceRuntime:
         self._cold_reuse = program.hot_code_bytes + self._kernel_footprint
         self._static_branches = (program.static_branch_sites()
                                  + KERNEL_STATIC_BRANCHES)
-        self._switch_block = context_switch_block()
-        self._wait_block = _cached_kernel_block(
-            SyscallInvocation(spec.skeleton.wait_syscall()))
-        # Client-side RPC kernel blocks, resolved once per message size.
-        self._epoll_block = _cached_kernel_block(
-            SyscallInvocation("epoll_ctl"))
-        self._send_blocks: Dict[float, BlockSpec] = {}
-        self._recv_blocks: Dict[float, BlockSpec] = {}
+        # A cold wakeup first pays the context switch back in and the
+        # wait syscall that blocked the worker.
+        self._cold_blocks = (context_switch_block(), _cached_kernel_block(
+            SyscallInvocation(spec.skeleton.wait_syscall())))
+        self._background_step = _Step(program.background_blocks, _END)
         # Per-handler concurrent data footprint (for LLC competition).
         self._handler_footprint = {
             hname: handler.data_footprint_bytes()
@@ -237,12 +283,12 @@ class ServiceRuntime:
         self._started = True
         workers = self.spec.skeleton.worker_threads(self.connections_hint)
         for index in range(workers):
-            self.env.process(self._worker(index),
-                             name=f"{self.spec.name}-worker-{index}")
+            self.env.spawn(self._worker(index),
+                           name=f"{self.spec.name}-worker-{index}")
         for cls in self.spec.skeleton.background_classes():
             if self.spec.program.background_blocks:
-                self.env.process(self._background(cls),
-                                 name=f"{self.spec.name}-{cls.name}")
+                self.env.spawn(self._background(cls),
+                               name=f"{self.spec.name}-{cls.name}")
 
     @property
     def worker_count(self) -> int:
@@ -269,7 +315,8 @@ class ServiceRuntime:
         :class:`~repro.util.errors.LoadSheddedError` instead of growing
         the queue without bound.
         """
-        self.spec.program.handler(handler)  # validate
+        if handler not in self.spec.program.handlers:
+            self.spec.program.handler(handler)  # raises: unknown handler
         response = self.env.event()
         faults = self.env.faults
         if faults is not None and faults.node_down(self.node.name):
@@ -298,7 +345,7 @@ class ServiceRuntime:
             trace_id=trace_id,
             parent_span_id=parent_span_id,
         )
-        self.queue.put(request)
+        self.queue.append(request)
         return response
 
     # ------------------------------------------------------------------ #
@@ -318,10 +365,10 @@ class ServiceRuntime:
             occupying a worker slot.
             """
             release = self.env.event()
-            self.env.process(
+            self.env.spawn(
                 self._serve(request, cold=cold, idle_s=idle,
                             worker_release=release),
-                name=f"{self.spec.name}-serve")
+                name=self._serve_name)
             return release
 
         while True:
@@ -343,16 +390,22 @@ class ServiceRuntime:
                 served += 1
 
     def _background(self, cls):
-        blocks = self.spec.program.background_blocks
+        step = self._background_step
         while True:
             yield self.env.timeout(cls.background_period_s)
-            pending = [0.0]
-            charge = self._charger(pending, cold=True)
-            for block in blocks:
-                charge(block)
-            if pending[0] > 0:
+            key, priced = self._rows_for(cold=True)
+            charged = priced.get(step)
+            if charged is None:
+                charged = self._price(step, key, priced)
+            self._log.extend(charged[0])
+            if len(self._log) >= FOLD_CHUNK:
+                self.fold()
+            pending = 0.0
+            for cycles in charged[1]:
+                pending += cycles
+            if pending > 0:
                 try:
-                    yield self._cpu_execute(pending[0])
+                    yield self._cpu_execute(pending)
                 except FaultInjectionError:
                     # Node down: this period's background work is lost,
                     # the thread survives to run again after restart.
@@ -362,13 +415,14 @@ class ServiceRuntime:
     # execution-state -> pricing key -> charges
     # ------------------------------------------------------------------ #
     def _rows_for(self, cold: bool, idle_s: float = 0.0
-                  ) -> Tuple[PricingKey, Dict[int, int]]:
-        """The (key, {id(block): pricing row}) memo of the current state.
+                  ) -> Tuple[PricingKey, Dict[_Step, Tuple[tuple, tuple]]]:
+        """The (key, {step: (rows, cycles)}) memo of the current state.
 
         A pricing key depends only on ``cold``, this tier's and the
         node's active threads, and — for cold requests — the code reuse
         in the key's 64 KiB steps. Requests that agree on those share
-        one memo entry, so the key is built once per state.
+        one memo entry, so the key is built, and each step priced, once
+        per state.
         """
         if cold:
             reuse = (self._cold_reuse
@@ -386,30 +440,20 @@ class ServiceRuntime:
                 self._pricing_key(cold, reuse), {})
         return entry
 
-    def _charger(self, pending: List[float], cold: bool,
-                 idle_s: float = 0.0):
-        """``charge(block)`` for the current execution state.
+    def _price(self, step: _Step, key: PricingKey,
+               priced: Dict[_Step, Tuple[tuple, tuple]]
+               ) -> Tuple[tuple, tuple]:
+        """Price ``step`` under ``key`` and memo its (rows, cycles).
 
-        A charge appends the block's pricing row to the log (folding it
-        every :data:`FOLD_CHUNK` entries) and adds the block's cycles to
-        ``pending[0]``.
+        Blocks are priced in charge order, so the pricer sees the same
+        sequence of first pricings as one charge per block would.
         """
-        key, rows = self._rows_for(cold, idle_s)
         pricer = self.pricer
+        rows = tuple([pricer.row(block, key) for block in step.blocks])
         row_cycles = pricer.row_cycles
-        log = self._log
-        fold = self.fold
-
-        def charge(block) -> None:
-            row = rows.get(id(block))
-            if row is None:
-                row = rows[id(block)] = pricer.row(block, key)
-            log.append(row)
-            if len(log) >= FOLD_CHUNK:
-                fold()
-            pending[0] += row_cycles[row]
-
-        return charge
+        charged = priced[step] = (
+            rows, tuple([row_cycles[row] for row in rows]))
+        return charged
 
     def fold(self) -> None:
         """Fold the charge log into :attr:`metrics` and empty it."""
@@ -445,84 +489,176 @@ class ServiceRuntime:
     # ------------------------------------------------------------------ #
     # request execution
     # ------------------------------------------------------------------ #
+    def _compile(self, handler_name: str, cold: bool) -> Tuple[_Step, ...]:
+        """Compile a handler into its plan of steps, once per wakeup kind.
+
+        Each step is the run of blocks charged up to the next op that
+        does something besides charging — a receive, a file read or
+        write, an fsync, a send, an RPC group, the end — plus that
+        action. Kernel blocks, RPC client blocks and files are resolved
+        here, so serving a request looks nothing up. A cold plan starts
+        with the context switch and wait syscall of the wakeup.
+        """
+        handler = self.spec.program.handler(handler_name)
+        filesystem = self.node.filesystem
+        asynchronous = self._asynchronous
+        steps: List[_Step] = []
+        blocks: List[BlockSpec] = list(self._cold_blocks) if cold else []
+        ops = handler.ops
+        index = 0
+        while index < len(ops):
+            op = ops[index]
+            if isinstance(op, ComputeOp):
+                blocks.append(op.block)
+                index += 1
+            elif isinstance(op, SyscallOp):
+                invocation = op.invocation
+                blocks.append(_cached_kernel_block(invocation))
+                device = invocation.spec.device
+                nbytes = invocation.nbytes
+                # Device-less calls (and disk calls naming no file,
+                # other than fsync) are just blocks. Receives never
+                # block; file reads and writes reach the disk only on
+                # a page-cache miss.
+                action = None
+                file = None
+                if device == "net_rx":
+                    action = _NET_RX
+                elif device == "disk" and invocation.file is not None:
+                    file = filesystem.lookup(invocation.file)
+                    action = _FILE_WRITE if invocation.write else _PAGE_READ
+                elif device == "disk" and invocation.name == "fsync":
+                    action = _FSYNC
+                elif device == "net_tx":
+                    action = _SEND
+                if action is not None:
+                    steps.append(_Step(blocks, action, nbytes, file))
+                    blocks = []
+                index += 1
+            elif isinstance(op, RpcOp):
+                group = [op]
+                if op.parallel_group is not None:
+                    while (index + len(group) < len(ops)
+                           and isinstance(ops[index + len(group)], RpcOp)
+                           and ops[index + len(group)].parallel_group
+                           == op.parallel_group):
+                        group.append(ops[index + len(group)])
+                # Client-side kernel send work for every call in the
+                # group; an asynchronous client additionally registers
+                # each response socket with its reactor (epoll_ctl).
+                for rpc in group:
+                    blocks.append(_cached_kernel_block(SyscallInvocation(
+                        "sendmsg", nbytes=rpc.request_bytes)))
+                    if asynchronous:
+                        blocks.append(_cached_kernel_block(
+                            SyscallInvocation("epoll_ctl")))
+                steps.append(_Step(blocks, _RPC, rpcs=tuple(
+                    (rpc, f"rpc-{rpc.target_service}") for rpc in group)))
+                # Client-side kernel receive work for the responses opens
+                # the next step.
+                blocks = [_cached_kernel_block(SyscallInvocation(
+                    "recv", nbytes=rpc.response_bytes)) for rpc in group]
+                index += len(group)
+            else:  # pragma: no cover - exhaustive over Op union
+                raise ConfigurationError(f"unknown op {op!r}")
+        steps.append(_Step(blocks, _END))
+        plan = tuple(steps)
+        (self._cold_plans if cold else self._warm_plans)[handler_name] = plan
+        return plan
+
+    def _flush(self, cycles: float) -> Event:
+        """Run ``cycles`` of pending work on a core (or yield a turn)."""
+        if cycles > 0:
+            return self._cpu_execute(cycles)
+        return self.env.timeout(0.0)
+
     def _serve(self, request: Request, cold: bool, idle_s: float = 0.0,
                worker_release=None):
         self.active += 1
         self.node_state.active_threads += 1
-        serve_start = self.env.now
-        handler = self.spec.program.handler(request.handler)
+        env = self.env
+        metrics = self.metrics
+        serve_start = env.now
+        plan = (self._cold_plans if cold else self._warm_plans).get(
+            request.handler)
+        if plan is None:
+            plan = self._compile(request.handler, cold)
         span = self.tracer.start_span(
             request.trace_id, self.spec.name, request.handler,
-            SpanKind.SERVER, self.env.now, parent_id=request.parent_span_id,
+            SpanKind.SERVER, serve_start, parent_id=request.parent_span_id,
         )
-        pending = [0.0]  # cycles awaiting a CPU grant
-        charge = self._charger(pending, cold, idle_s)
-
-        def flush():
-            cycles, pending[0] = pending[0], 0.0
-            if cycles > 0:
-                return self._cpu_execute(cycles)
-            return self.env.timeout(0.0)
-
+        key, priced = self._rows_for(cold, idle_s)
+        log = self._log
+        pending = 0.0  # cycles awaiting a CPU grant
         if cold:
-            self.metrics.cold_wakeups += 1
-            self.metrics.context_switches += 1
+            metrics.cold_wakeups += 1
+            metrics.context_switches += 1
             self.node.cpu.context_switches += 1
-            charge(self._switch_block)
-            charge(self._wait_block)
 
         loopback = request.src_node == self.node.name
         failure: Optional[ReproError] = None
         try:
-            index = 0
-            ops = handler.ops
-            while index < len(ops):
-                op = ops[index]
-                if isinstance(op, ComputeOp):
-                    charge(op.block)
-                    index += 1
-                elif isinstance(op, SyscallOp):
-                    invocation = op.invocation
-                    charge(_cached_kernel_block(invocation))
-                    device = invocation.spec.device
-                    # Syscalls that cannot block run inline: receives,
-                    # device-less calls and reads the page cache serves.
-                    if device == "net_rx":
-                        self.metrics.net_rx_bytes += invocation.nbytes
-                        self.node.nic.account_rx(invocation.nbytes)
-                    elif (device == "disk" and invocation.file is not None
-                          and not invocation.write):
-                        miss = self.node.filesystem.read(invocation.file,
-                                                         invocation.nbytes)
-                        if miss > 0:
-                            yield flush()
-                            yield self._disk_io(miss, write=False)
-                            self.metrics.disk_read_bytes += miss
-                    elif device is not None:
-                        yield from self._device_syscall(invocation, flush,
-                                                        loopback)
-                    index += 1
-                elif isinstance(op, RpcOp):
-                    group = [op]
-                    if op.parallel_group is not None:
-                        while (index + len(group) < len(ops)
-                               and isinstance(ops[index + len(group)], RpcOp)
-                               and ops[index + len(group)].parallel_group
-                               == op.parallel_group):
-                            group.append(ops[index + len(group)])
-                    asynchronous = (self.spec.skeleton.client_model
-                                    is ClientNetworkModel.ASYNCHRONOUS)
-                    if (asynchronous and worker_release is not None
+            for step in plan:
+                charged = priced.get(step)
+                if charged is None:
+                    charged = self._price(step, key, priced)
+                log.extend(charged[0])
+                if len(log) >= FOLD_CHUNK:
+                    self.fold()
+                # One add per block, left to right: the float sum must
+                # round exactly as one charge per block did.
+                for cycles in charged[1]:
+                    pending += cycles
+                action = step.action
+                if action == _END:
+                    yield self._flush(pending)
+                elif action == _NET_RX:
+                    metrics.net_rx_bytes += step.nbytes
+                    self.node.nic.account_rx(step.nbytes)
+                elif action == _PAGE_READ:
+                    miss = self.node.filesystem.page_cache.read(
+                        step.file, step.nbytes)
+                    if miss > 0:
+                        yield self._flush(pending)
+                        pending = 0.0
+                        yield self._disk_io(miss, write=False)
+                        metrics.disk_read_bytes += miss
+                elif action == _SEND:
+                    metrics.net_tx_bytes += step.nbytes
+                    if loopback:
+                        # Same-node peer: the payload never hits the wire.
+                        self.node.nic.tx_bytes += step.nbytes
+                    else:
+                        yield self._flush(pending)
+                        pending = 0.0
+                        yield self._nic_transmit(step.nbytes)
+                elif action == _RPC:
+                    # Synchronous clients hold the worker for the whole
+                    # handler. An event-driven client hands the
+                    # downstream wait to its reactor, not to a worker
+                    # slot (§4.3.1).
+                    if (self._asynchronous and worker_release is not None
                             and not worker_release.triggered):
-                        # Event-driven client: the downstream wait belongs to
-                        # the reactor, not to a worker slot (§4.3.1).
                         worker_release.succeed(None)
-                    yield from self._do_rpcs(group, request, span, charge,
-                                             flush, asynchronous=asynchronous)
-                    index += len(group)
-                else:  # pragma: no cover - exhaustive over Op union
-                    raise ConfigurationError(f"unknown op {op!r}")
-            yield flush()
+                    yield self._flush(pending)
+                    pending = 0.0
+                    yield env.all_of([
+                        env.process(self._one_rpc(rpc, request, span),
+                                    name=name)
+                        for rpc, name in step.rpcs])
+                elif action == _FILE_WRITE:
+                    miss = self.node.filesystem.page_cache.write(
+                        step.file, step.nbytes)
+                    if miss > 0:
+                        yield self._flush(pending)
+                        pending = 0.0
+                        yield self._disk_io(miss, write=True)
+                        metrics.disk_write_bytes += miss
+                else:  # _FSYNC
+                    yield self._flush(pending)
+                    pending = 0.0
+                    yield self._disk_io(step.nbytes, write=True)
+                    metrics.disk_write_bytes += step.nbytes
         except ConfigurationError:
             raise
         except ReproError as error:
@@ -532,11 +668,11 @@ class ServiceRuntime:
             # metrics and the caller all stay consistent: the response
             # event fails with the error so the client can classify it.
             failure = error
-            self.metrics.failed_requests += 1
+            metrics.failed_requests += 1
         if worker_release is not None and not worker_release.triggered:
             worker_release.succeed(None)
         if failure is None:
-            self.metrics.requests += 1
+            metrics.requests += 1
         self.active -= 1
         self.node_state.active_threads -= 1
         timeline = self._timeline
@@ -546,72 +682,17 @@ class ServiceRuntime:
                 detail["error"] = type(failure).__name__
             timeline.complete(
                 self.spec.name, request.handler, serve_start,
-                self.env.now - serve_start, **detail)
+                env.now - serve_start, **detail)
         if span is not None:
-            span.finish(self.env.now)
+            span.finish(env.now)
         if failure is not None:
             if not request.response.triggered:
                 request.response.fail(failure)
-        elif request.src_node != self.node.name:
-            _DelayedReply(self.env, request.response,
+        elif not loopback:
+            _DelayedReply(env, request.response,
                           self.cross_node_latency_s, self.spec.name)
         else:
-            request.response.succeed(self.env.now)
-
-    def _device_syscall(self, invocation: SyscallInvocation, flush,
-                        loopback: bool = False):
-        """Device side of a charged file write, fsync or send."""
-        device = invocation.spec.device
-        if device == "disk" and invocation.file is not None:
-            miss = self.node.filesystem.write(invocation.file,
-                                              invocation.nbytes)
-            if miss > 0:
-                yield flush()
-                yield self._disk_io(miss, write=True)
-                self.metrics.disk_write_bytes += miss
-        elif device == "disk" and invocation.name == "fsync":
-            yield flush()
-            yield self._disk_io(invocation.nbytes, write=True)
-            self.metrics.disk_write_bytes += invocation.nbytes
-        elif device == "net_tx":
-            self.metrics.net_tx_bytes += invocation.nbytes
-            if loopback:
-                # Same-node peer: the payload never hits the wire.
-                self.node.nic.tx_bytes += invocation.nbytes
-            else:
-                yield flush()
-                yield self._nic_transmit(invocation.nbytes)
-
-    def _do_rpcs(self, group: List[RpcOp], request: Request, span, charge,
-                 flush, asynchronous: bool = False):
-        # Client-side kernel send work for every call in the group; an
-        # asynchronous client additionally registers each response socket
-        # with its reactor (epoll_ctl).
-        for rpc in group:
-            charge(self._client_block(self._send_blocks, "sendmsg",
-                                      rpc.request_bytes))
-            if asynchronous:
-                charge(self._epoll_block)
-        yield flush()
-        calls = []
-        for rpc in group:
-            calls.append(self.env.process(
-                self._one_rpc(rpc, request, span), name=f"rpc-{rpc.target_service}"))
-        yield self.env.all_of(calls)
-        # Client-side kernel receive work for the responses.
-        for rpc in group:
-            charge(self._client_block(self._recv_blocks, "recv",
-                                      rpc.response_bytes))
-
-    @staticmethod
-    def _client_block(blocks: Dict[float, BlockSpec], name: str,
-                      nbytes: float) -> BlockSpec:
-        """The kernel block of a client ``name`` call of ``nbytes``."""
-        block = blocks.get(nbytes)
-        if block is None:
-            block = blocks[nbytes] = _cached_kernel_block(
-                SyscallInvocation(name, nbytes=nbytes))
-        return block
+            request.response.succeed(env.now)
 
     def _one_rpc(self, rpc: RpcOp, request: Request, parent_span):
         target = self.registry.get(rpc.target_service)

@@ -17,7 +17,11 @@ the rest of the stack depends on (see DESIGN.md "Engine invariants"):
   being drained and cost one list append, no heap operation at all;
   only entries that actually advance time touch the heap;
 * only entries that do something are queued: nothing is pushed just to
-  hold a bucket slot, so every dispatch runs a callback or a ``fire``;
+  hold a bucket slot, so every dispatch runs a callback or a ``fire``.
+  A process started with :meth:`Environment.spawn` has no completion
+  entry at all — nobody can wait on it — and an exception escaping it
+  propagates out of :meth:`Environment.run` instead of failing an event
+  no one holds;
 * a process yielding an already-triggered event resumes on the *next*
   scheduling round (via a lightweight :class:`_Resume` queue entry, not
   a proxy ``Event``), consuming exactly one bucket slot;
@@ -229,8 +233,9 @@ class Process(Event):
     An exception escaping the generator *fails* the process event:
     every waiter sees it re-raised at its own yield point (the SimPy
     semantic), which is how injected faults propagate from a device
-    process up through RPC and request handlers. A failure nobody
-    waits on is dropped with the process.
+    process up through RPC and request handlers. A process nobody will
+    wait on is started with :meth:`Environment.spawn` instead, so its
+    failure cannot be dropped unseen.
     """
 
     __slots__ = ("_generator", "_on_target", "name")
@@ -310,6 +315,33 @@ class Process(Event):
             raise SimulationError(
                 "process yielded an event from another Environment")
         target.callbacks.append(self._on_target)
+
+
+class _Spawned(Process):
+    """A process nobody can wait on: see :meth:`Environment.spawn`.
+
+    Its generator finishing queues nothing, and an exception escaping
+    it propagates out of the dispatch (and so out of
+    :meth:`Environment.run`) instead of failing an event no one holds.
+    """
+
+    __slots__ = ()
+
+    def _step_send(self, value: Any) -> None:
+        try:
+            target = self._generator.send(value)
+        except StopIteration:
+            self._triggered = True
+            return
+        self._wait_on(target)
+
+    def _step_throw(self, exception: BaseException) -> None:
+        try:
+            target = self._generator.throw(exception)
+        except StopIteration:
+            self._triggered = True
+            return
+        self._wait_on(target)
 
 
 class Environment:
@@ -493,6 +525,18 @@ class Environment:
     ) -> Process:
         """Start a new process from ``generator``."""
         return Process(self, generator, name=name)
+
+    def spawn(
+        self, generator: Generator[Event, Any, Any], name: str = ""
+    ) -> None:
+        """Start a process from ``generator`` that nobody can wait on.
+
+        The bootstrap takes the same queue slot as :meth:`process`, but
+        there is no handle: the generator's return queues no completion
+        entry, and an exception escaping it propagates out of
+        :meth:`run` rather than failing an unheld event.
+        """
+        _Spawned(self, generator, name=name)
 
     def all_of(self, events: Iterable[Event]) -> Event:
         """An event that succeeds when every event in ``events`` has.

@@ -30,7 +30,7 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._in_use = 0
-        self._waiters: Deque[tuple[Event, float]] = deque()
+        self._waiters: Deque[tuple[Any, float]] = deque()
         self.total_wait_time = 0.0
         self.total_grants = 0
         self.peak_queue_length = 0
@@ -49,11 +49,10 @@ class Resource:
         """Claim a server for ``op``, a queue entry with a ``fire(env)``.
 
         ``op`` must already be at the stage that runs once it holds the
-        server. With a server idle the grant is immediate and costs one
-        queue slot at the current time: ``op`` itself (the resume).
-        Otherwise ``op`` joins the FIFO on a grant event and takes no
-        slot until :meth:`release` hands the server over and succeeds
-        the grant; the grant's dispatch fires ``op``.
+        server. Either way the grant is one queue slot holding ``op``
+        itself. With a server idle that slot is taken now. Otherwise
+        ``op`` joins the FIFO and takes no slot until :meth:`release`
+        hands the server over and queues it.
         """
         env = self.env
         if self._in_use < self.capacity:
@@ -61,9 +60,7 @@ class Resource:
             self.total_grants += 1
             env._push(op)
         else:
-            grant = Event(env)
-            grant.callbacks.append(lambda grant: op.fire(env))
-            self._waiters.append((grant, env._now))
+            self._waiters.append((op, env._now))
             self.peak_queue_length = max(self.peak_queue_length,
                                          len(self._waiters))
 
@@ -72,10 +69,11 @@ class Resource:
         if self._in_use <= 0:
             raise SimulationError(f"release() on idle resource {self.name!r}")
         if self._waiters:
-            grant, enqueued_at = self._waiters.popleft()
-            self.total_wait_time += self.env.now - enqueued_at
+            op, enqueued_at = self._waiters.popleft()
+            env = self.env
+            self.total_wait_time += env._now - enqueued_at
             self.total_grants += 1
-            grant.succeed(self)
+            env._push(op)
         else:
             self._in_use -= 1
 
@@ -129,6 +127,23 @@ class Store:
         self.peak_occupancy = max(self.peak_occupancy, len(self._items))
         done.succeed(None)
         return done
+
+    def append(self, item: Any) -> None:
+        """Insert ``item`` into an unbounded store; nothing to wait on.
+
+        :meth:`put` without its completion event: the item is handed to
+        the oldest blocked getter or buffered, exactly as :meth:`put`
+        would, but no entry is queued for a caller that never waits.
+        """
+        if self.capacity is not None:
+            raise SimulationError(
+                f"append() on bounded store {self.name!r}; use put()")
+        self.total_puts += 1
+        if self._getters:
+            self._getters.popleft().succeed(item)
+            return
+        self._items.append(item)
+        self.peak_occupancy = max(self.peak_occupancy, len(self._items))
 
     def get(self) -> Event:
         """Remove and return the oldest item; blocks when empty."""

@@ -1,9 +1,11 @@
 """Bit-identity proofs for the clone critical path.
 
-Four per-tier computations are done once instead of many times:
+Five per-tier computations are done once instead of many times:
 
 * thread clustering memoises the tree-edit distance per pair of
   call-tree shapes;
+* average-linkage clustering keeps a cluster-pair linkage matrix and
+  recomputes only the merged cluster's row and column;
 * register assignment draws every distance target of an allocation in
   one batch;
 * the core model computes each block's key-independent pricing terms
@@ -19,6 +21,7 @@ the pricing digest was captured with the per-call core model.
 import copy
 import gc
 import hashlib
+import math
 import weakref
 from typing import Dict, List, Optional, Tuple
 
@@ -209,6 +212,85 @@ class TestThreadModelEquivalence:
         calls = _counting_treedit(monkeypatch)
         assert _class_fields(profile_thread_model(artifacts)) == want
         assert calls[0] <= len(distinct) ** 2
+
+
+# --------------------------------------------------------------------- #
+# average linkage: all-pairs-per-merge reference
+# --------------------------------------------------------------------- #
+def reference_agglomerative(items, distance, threshold, merges=None):
+    """:func:`agglomerative_cluster` recomputing every cluster pair's
+    average linkage on every merge; appends each merge to ``merges``."""
+    import math
+
+    items = list(items)
+    if not items:
+        return []
+    n = len(items)
+    dist = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i][j] = dist[j][i] = float(distance(items[i], items[j]))
+    clusters = [[i] for i in range(n)]
+
+    def average_linkage(a, b):
+        total = sum(dist[i][j] for i in a for j in b)
+        return total / (len(a) * len(b))
+
+    while len(clusters) > 1:
+        best = None
+        best_distance = math.inf
+        for x in range(len(clusters)):
+            for y in range(x + 1, len(clusters)):
+                d = average_linkage(clusters[x], clusters[y])
+                if d < best_distance:
+                    best_distance = d
+                    best = (x, y)
+        if best is None or best_distance > threshold:
+            break
+        x, y = best
+        if merges is not None:
+            merges.append((best_distance, list(clusters[x]),
+                           list(clusters[y])))
+        clusters[x] = clusters[x] + clusters[y]
+        del clusters[y]
+    return [[items[i] for i in cluster] for cluster in clusters]
+
+
+class TestAverageLinkageEquivalence:
+    @staticmethod
+    def _matrix(seed: int, ties: bool):
+        rng = np.random.default_rng([seed, ties])
+        n = int(rng.integers(2, 28))
+        if ties:
+            values = rng.choice([0.0, 0.1, 0.25, 0.25, 0.5, 0.7, 1.0],
+                                size=(n, n))
+        else:
+            values = rng.random((n, n))
+        return [[float(values[min(i, j)][max(i, j)]) for j in range(n)]
+                for i in range(n)]
+
+    @pytest.mark.parametrize("ties", [True, False])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_same_clusters_and_merge_order(self, seed, ties):
+        matrix = self._matrix(seed, ties)
+        items = list(range(len(matrix)))
+
+        def distance(i, j):
+            return matrix[i][j]
+
+        merges = []
+        full = reference_agglomerative(items, distance, math.inf, merges)
+        assert agglomerative_cluster(items, distance, math.inf) == full
+        # Stopping at, or just below, each merge's linkage pins where
+        # the memoised loop stops: the merge sequence and every cluster
+        # (members in merge order) along the way.
+        thresholds = {0.0, 0.5}
+        for linkage, _, _ in merges:
+            thresholds.update((linkage, math.nextafter(linkage, -1.0)))
+        for threshold in sorted(t for t in thresholds if t >= 0):
+            assert agglomerative_cluster(items, distance, threshold) == \
+                reference_agglomerative(items, distance, threshold), \
+                threshold
 
 
 # --------------------------------------------------------------------- #

@@ -186,3 +186,34 @@ class TestClosedLoopGenerator:
         from repro.loadgen import LatencyRecorder
         with pytest.raises(ConfigurationError):
             LatencyRecorder().mean
+
+
+class TestHandlerDraws:
+    """Bisecting the CDF list picks what ``searchsorted`` picked."""
+
+    @pytest.mark.parametrize("weights", [
+        {"get": 0.9, "set": 0.1},
+        {"a": 1.0, "b": 2.0, "c": 3.0, "d": 0.0, "e": 1e-9},
+        {"only": 5.0},
+    ])
+    def test_bisect_matches_searchsorted(self, weights):
+        from bisect import bisect_right
+
+        from repro.loadgen.generator import _handler_sampler
+
+        mix = Histogram(weights)
+        cdf, names, last = _handler_sampler(mix)
+        keys, probs = mix.keys_and_probs()
+        reference = np.cumsum(probs)
+        reference /= reference[-1]
+        assert cdf == reference.tolist()
+        rng = np.random.default_rng(3)
+        # every CDF value exactly, its neighbours, the ends, random draws
+        draws = [float(u) for value in reference
+                 for u in (np.nextafter(value, 0.0), value,
+                           np.nextafter(value, 2.0))]
+        draws += [0.0, 1.0] + rng.random(500).tolist()
+        for u in draws:
+            want = str(keys[min(reference.searchsorted(u, side="right"),
+                                last)])
+            assert names[min(bisect_right(cdf, u), last)] == want, u

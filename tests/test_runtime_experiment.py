@@ -1,5 +1,7 @@
 """Tests for the experiment driver: config plumbing and invariants."""
 
+import re
+
 import pytest
 
 from repro.app.service import Deployment
@@ -232,3 +234,55 @@ class TestSweepLoad:
         assert len(results) == 3
         throughputs = [r.throughput for r in results]
         assert throughputs[0] < throughputs[-1]
+
+
+class TestNoSilentLoss:
+    """Every issued request ends in an outcome, or the run raises."""
+
+    @staticmethod
+    def _memcached_reading(file):
+        import dataclasses
+
+        from repro.app.program import SyscallOp
+        from repro.kernelsim.syscalls import SyscallInvocation
+
+        spec = build_memcached()
+        name, handler = next(iter(spec.program.handlers.items()))
+        handler = dataclasses.replace(handler, ops=tuple(handler.ops) + (
+            SyscallOp(SyscallInvocation("pread", nbytes=4096, file=file)),))
+        return dataclasses.replace(spec, program=dataclasses.replace(
+            spec.program, handlers={**spec.program.handlers,
+                                    name: handler}))
+
+    def test_handler_reading_undeclared_file_raises(self):
+        # formerly: 52 issued, 0 completed, every outcome 0, error_rate 0
+        with pytest.raises(ConfigurationError, match="no such file 'nope'"):
+            run_experiment(
+                Deployment.single(self._memcached_reading("nope")),
+                LoadSpec.open_loop(10_000),
+                ExperimentConfig(platform=PLATFORM_A, duration_s=0.005,
+                                 seed=7))
+
+    def test_unfinished_request_raises(self, monkeypatch):
+        from repro.runtime.service import ServiceRuntime
+        from repro.util.errors import SimulationError
+
+        submit = ServiceRuntime.submit
+        submitted = []
+
+        def lossy(self, handler, *args, **kwargs):
+            response = submit(self, handler, *args, **kwargs)
+            submitted.append(handler)
+            if len(submitted) == 3:
+                return self.env.event()  # the client never hears back
+            return response
+
+        monkeypatch.setattr(ServiceRuntime, "submit", lossy)
+        with pytest.raises(SimulationError) as excinfo:
+            run_experiment(
+                Deployment.single(build_memcached()),
+                LoadSpec.open_loop(10_000),
+                ExperimentConfig(platform=PLATFORM_A, duration_s=0.005,
+                                 seed=7))
+        issued, finished = map(int, re.findall(r"\d+", str(excinfo.value)))
+        assert issued == len(submitted) and finished == issued - 1

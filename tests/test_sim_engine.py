@@ -187,6 +187,90 @@ class TestProcesses:
         assert env.now == 7.0
 
 
+class TestSpawn:
+    """``spawn``: a process nobody can wait on, and so no completion."""
+
+    @staticmethod
+    def _worker(env, log, tag, delay):
+        yield env.timeout(delay)
+        log.append((tag, env.now))
+        return tag
+
+    def test_returns_none_and_queues_only_the_bootstrap(self):
+        env = Environment()
+        assert env.spawn(self._worker(env, [], "a", 1.0)) is None
+        # the bootstrap slot, exactly as env.process takes it
+        assert len(env._buckets[0.0]) == 2
+
+    def test_return_queues_no_completion(self):
+        spawned, processed = Environment(), Environment()
+        log_s, log_p = [], []
+        spawned.spawn(self._worker(spawned, log_s, "a", 1.0))
+        processed.process(self._worker(processed, log_p, "a", 1.0))
+        spawned.run()
+        processed.run()
+        assert log_s == log_p == [("a", 1.0)]
+        # bootstrap + timeout, and for env.process its completion too
+        assert spawned.dispatched_events == 2
+        assert processed.dispatched_events == 3
+
+    def test_same_slots_as_process_for_everything_else(self):
+        def run(start):
+            env = Environment()
+            log = []
+            for tag, delay in (("x", 2.0), ("y", 0.0), ("z", 2.0)):
+                start(env)(self._worker(env, log, tag, delay))
+            env.process(self._worker(env, log, "p", 0.0))
+            env.run()
+            return log
+
+        assert run(lambda env: env.spawn) == run(lambda env: env.process)
+
+    @pytest.mark.parametrize("guarded", [False, True])
+    def test_raise_escapes_run(self, guarded):
+        env = Environment()
+
+        def broken():
+            yield env.timeout(1.0)
+            raise ValueError("lost request")
+
+        env.spawn(broken(), name="broken")
+        with pytest.raises(ValueError, match="lost request"):
+            if guarded:
+                env.run(max_events=100)
+            else:
+                env.run()
+        assert env.now == 1.0
+
+    def test_thrown_failure_escapes_run(self):
+        env = Environment()
+        failing = env.event()
+
+        def waiter():
+            yield failing
+
+        env.spawn(waiter())
+        failing.fail(SimulationError("device died"))
+        with pytest.raises(SimulationError, match="device died"):
+            env.run()
+
+    def test_caught_failure_finishes_quietly(self):
+        env = Environment()
+        failing = env.event()
+        log = []
+
+        def waiter():
+            try:
+                yield failing
+            except SimulationError:
+                log.append("handled")
+
+        env.spawn(waiter())
+        failing.fail(SimulationError("device died"))
+        env.run()
+        assert log == ["handled"]
+
+
 class TestCombinators:
     def test_all_of_collects_values_in_order(self):
         env = Environment()

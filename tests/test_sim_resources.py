@@ -9,8 +9,9 @@ from repro.util.errors import SimulationError
 class _HoldOp:
     """The device-op protocol in miniature: acquire, hold, release.
 
-    ``Resource.acquire`` fires the op once it holds the server, either
-    as its own queue entry (idle server) or from its grant event.
+    ``Resource.acquire`` fires the op once it holds the server: the op
+    is queued itself, at once on an idle server, or by ``release()``
+    on a busy one.
     """
 
     def __init__(self, resource, hold, done, tag=None):
@@ -79,21 +80,21 @@ class TestResource:
         first.start()
         # an idle server's grant is the op's own slot, nothing else
         assert env._buckets[0.0][1:] == [first]
-        # a busy server queues nothing: the op waits on a grant event
+        # a busy server queues nothing: the op waits in the FIFO
         second = _HoldOp(cpu, 1.0, [])
         second.start()
         assert env._buckets[0.0][1:] == [first]
         assert cpu.queue_length == 1
-        # release() hands the server over: the grant event takes the
-        # slot, and its dispatch fires the waiting op
+        # release() hands the server over: the waiting op itself takes
+        # the grant's slot, with no event or callback in between
         cpu.release()
-        bucket = env._buckets[0.0][1:]
-        assert len(bucket) == 2 and bucket[0] is first
-        assert bucket[1].triggered and cpu.queue_length == 0
+        assert env._buckets[0.0][1:] == [first, second]
+        assert cpu.queue_length == 0 and cpu.in_use == 1
         assert second.granted_at is None
         env.step()
         env.step()
         assert second.granted_at == 0.0
+        assert env.dispatched_events == 2
 
     def test_release_when_idle_raises(self):
         env = Environment()
@@ -209,3 +210,38 @@ class TestStore:
         env = Environment()
         with pytest.raises(SimulationError):
             Store(env, capacity=0)
+
+    @pytest.mark.parametrize("waiting", [False, True])
+    def test_append_is_put_without_its_done_event(self, waiting):
+        """Same hand-off, same getter slot, one entry fewer per item."""
+        def run(insert):
+            env = Environment()
+            store = Store(env)
+            got = []
+
+            def consumer():
+                for _ in range(2):
+                    got.append((yield store.get()))
+
+            if waiting:
+                env.process(consumer())
+                env.run()
+            insert(env, store, "a")
+            insert(env, store, "b")
+            if not waiting:
+                env.process(consumer())
+            env.run()
+            return got, store.total_puts, store.peak_occupancy, \
+                env.dispatched_events
+
+        put = run(lambda env, store, item: store.put(item))
+        append = run(lambda env, store, item: store.append(item))
+        assert append[:3] == put[:3] == (["a", "b"], 2, 1 if waiting else 2)
+        assert append[3] == put[3] - 2
+
+    def test_append_rejects_bounded_store(self):
+        env = Environment()
+        store = Store(env, capacity=1)
+        with pytest.raises(SimulationError, match="bounded"):
+            store.append("x")
+        assert len(store) == 0 and store.total_puts == 0
