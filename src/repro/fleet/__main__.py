@@ -293,10 +293,9 @@ def _cmd_drift(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.fleet.obs.flight import chrome_events, read_flight_log
+    from repro.fleet.obs.flight import read_flight_log
     from repro.fleet.store import JobStore
     from repro.telemetry.chrometrace import chrome_trace
-    from repro.telemetry.spans import SpanRecord
     store = JobStore(args.store, flight=False)
     flight = read_flight_log(store.flight_path)
     if not flight.events:
@@ -305,11 +304,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 1
     spans = []
     if args.run:
-        from repro.telemetry.report import load_run
-        spans = [SpanRecord.from_dict(entry)
-                 for entry in load_run(args.run).get("spans", [])]
-    doc = chrome_trace(spans,
-                       extra_events=chrome_events(flight.events),
+        from repro.telemetry.report import load_run, run_events
+        spans = [event for event in run_events(load_run(args.run))
+                 if event.clock is None]
+    doc = chrome_trace(spans + flight.trace_events(),
                        metadata={"source": "ditto fleet flight recorder",
                                  "store": args.store})
     with open(args.out, "w", encoding="utf-8") as handle:

@@ -17,8 +17,7 @@ from repro.fleet.obs.drift import (DriftFlag, DriftReport, analyze_drift,
                                    load_fidelity_history,
                                    render_drift_report)
 from repro.fleet.obs.flight import (FLIGHT_FORMAT, FlightEvent, FlightLog,
-                                    FlightRecorder, chrome_events,
-                                    read_flight_log)
+                                    FlightRecorder, read_flight_log)
 from repro.fleet.obs.httpd import FleetStatusServer, parse_serve_address
 from repro.fleet.obs.top import render_top
 
@@ -31,7 +30,6 @@ __all__ = [
     "FlightLog",
     "FlightRecorder",
     "analyze_drift",
-    "chrome_events",
     "load_fidelity_history",
     "parse_serve_address",
     "render_drift_report",

@@ -24,9 +24,10 @@ Crash-readability is structural, not best-effort:
 
 The recorder is pure wall-clock side logging: it never touches a
 random stream, so clone output is bit-identical with it on or off.
-:func:`chrome_events` renders the log as Chrome trace events on the
-wall-clock axis, mergeable with the PR-2 pipeline spans into one
-Perfetto timeline (``python -m repro.fleet trace``).
+:meth:`FlightLog.trace_events` lowers the log into the telemetry
+package's :class:`~repro.telemetry.chrometrace.TraceEvent` records on
+the wall clock, so one exporter merges it with the pipeline spans into
+one Perfetto timeline (``python -m repro.fleet trace``).
 """
 
 from __future__ import annotations
@@ -38,14 +39,15 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
+
+from repro.telemetry.chrometrace import TraceEvent
 
 __all__ = [
     "FLIGHT_FORMAT",
     "FlightEvent",
     "FlightLog",
     "FlightRecorder",
-    "chrome_events",
     "read_flight_log",
 ]
 
@@ -55,10 +57,8 @@ FLIGHT_FORMAT = "ditto-flight/1"
 #: hex digits of the per-line SHA-256 signature kept on disk
 _SIG_HEX = 16
 
-#: synthetic pid namespace for flight-recorder tracks in Chrome traces
-#: (distinct from the sim-timeline namespace in
-#: :mod:`repro.telemetry.chrometrace`)
-FLIGHT_PID_BASE = 1 << 21
+#: the trace row every flight event renders in
+FLIGHT_ROW = "fleet flight recorder"
 
 #: one process-wide event counter shared by every recorder instance, so
 #: ``(pid, seq)`` is unique and monotonic no matter how many JobStore
@@ -92,6 +92,15 @@ class FlightEvent:
     def order(self) -> Tuple[float, int, int]:
         """The merge key across writer processes."""
         return (self.ts, self.pid, self.seq)
+
+    @property
+    def state(self) -> Optional[str]:
+        """The job state this event enters, or None if it enters none."""
+        if self.kind == "job_submitted":
+            return "submitted"
+        if self.kind == "job_state":
+            return self.data.get("to", "")
+        return None
 
 
 class FlightRecorder:
@@ -167,19 +176,43 @@ class FlightLog:
         recovered job shows ``... -> tuning -> submitted -> ...`` with
         the requeue edge carrying reason ``recovered``.
         """
-        states: List[str] = []
-        for event in self.filter(job_id=job_id):
-            if event.kind == "job_submitted":
-                states.append("submitted")
-            elif event.kind == "job_state":
-                states.append(event.data.get("to", ""))
-        return states
+        return [event.state for event in self.filter(job_id=job_id)
+                if event.state is not None]
 
     def counts(self) -> Dict[str, int]:
         """Events per kind (the ``top`` dashboard's summary feed)."""
         out: Dict[str, int] = {}
         for event in self.events:
             out[event.kind] = out.get(event.kind, 0) + 1
+        return out
+
+    def trace_events(self) -> List[TraceEvent]:
+        """The log as wall-clock trace events, in merge order.
+
+        One row (:data:`FLIGHT_ROW`), one track per job (plus a
+        ``fleet`` track for store-level events). Consecutive state
+        events of a job become an interval named after the state the
+        job was *in* between them, so its lifecycle reads as a bar per
+        phase; every event is also an instant.
+        """
+        out: List[TraceEvent] = []
+        open_state: Dict[str, Tuple[str, float]] = {}
+        for event in self.events:
+            track = event.job_id or "fleet"
+            ts_us = event.ts * 1e6
+            state = event.state
+            if event.job_id and state is not None:
+                previous = open_state.get(event.job_id)
+                if previous is not None:
+                    name, since_us = previous
+                    out.append(TraceEvent(name, "fleet", "X", since_us,
+                                          max(0.0, ts_us - since_us),
+                                          FLIGHT_ROW, track))
+                open_state[event.job_id] = (state, ts_us)
+            out.append(TraceEvent(
+                event.kind, "fleet", "i", ts_us, 0.0, FLIGHT_ROW, track,
+                args={"job_id": event.job_id, "seq": event.seq,
+                      "writer_pid": event.pid, **event.data}))
         return out
 
 
@@ -226,60 +259,3 @@ def read_flight_log(path: str) -> FlightLog:
                 log.events.append(event)
     log.events.sort(key=lambda event: event.order)
     return log
-
-
-def chrome_events(events: Iterable[FlightEvent]) -> List[dict]:
-    """Render flight events as Chrome trace events (wall-clock axis).
-
-    One synthetic process row ("fleet flight recorder"), one thread row
-    per job (plus a ``fleet`` row for store-level events). Consecutive
-    ``job_state`` transitions become complete ("X") slices named after
-    the state the job was *in* between them, so a job's lifecycle reads
-    as a bar per phase; every event additionally lands as an instant.
-    Timestamps are absolute epoch microseconds — pass the result to
-    :func:`repro.telemetry.chrometrace.chrome_trace` as
-    ``extra_events`` and it rebases them together with pipeline spans.
-    """
-    pid = FLIGHT_PID_BASE
-    out: List[dict] = [{
-        "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-        "args": {"name": "fleet flight recorder"},
-    }]
-    tids: Dict[str, int] = {}
-    open_state: Dict[str, Tuple[str, float]] = {}
-
-    def tid_for(job_id: str) -> int:
-        label = job_id or "fleet"
-        tid = tids.get(label)
-        if tid is None:
-            tid = len(tids) + 1
-            tids[label] = tid
-            out.append({"name": "thread_name", "ph": "M", "pid": pid,
-                        "tid": tid, "args": {"name": label}})
-        return tid
-
-    for event in sorted(events, key=lambda e: e.order):
-        tid = tid_for(event.job_id)
-        ts_us = event.ts * 1e6
-        if event.job_id:
-            state: Optional[str] = None
-            if event.kind == "job_submitted":
-                state = "submitted"
-            elif event.kind == "job_state":
-                state = event.data.get("to", "")
-            if state is not None:
-                previous = open_state.get(event.job_id)
-                if previous is not None:
-                    name, since_us = previous
-                    out.append({"name": name, "cat": "fleet", "ph": "X",
-                                "ts": since_us,
-                                "dur": max(0.0, ts_us - since_us),
-                                "pid": pid, "tid": tid})
-                open_state[event.job_id] = (state, ts_us)
-        out.append({
-            "name": event.kind, "cat": "fleet", "ph": "i",
-            "ts": ts_us, "pid": pid, "tid": tid, "s": "t",
-            "args": {"job_id": event.job_id, "seq": event.seq,
-                     "writer_pid": event.pid, **event.data},
-        })
-    return out

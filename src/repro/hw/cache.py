@@ -19,7 +19,7 @@ stack of Table 1's platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Sequence
+from typing import Iterable, List
 
 import numpy as np
 
@@ -278,18 +278,6 @@ class CacheHierarchy:
         self.l2 = l2
         self.llc = llc
         self.memory_latency_cycles = memory_latency_cycles
-        # Per-hierarchy memos: the core model prices the same access
-        # specs against one hierarchy for every request in a run.
-        self._latency_memo: Dict[tuple, float] = {}
-        self._profile_memo: Dict[tuple, Dict[str, float]] = {}
-
-    def data_levels(self) -> Sequence[CacheConfig]:
-        """The data-side levels, innermost first."""
-        return (self.l1d, self.l2, self.llc)
-
-    def instruction_levels(self) -> Sequence[CacheConfig]:
-        """The instruction-side levels, innermost first."""
-        return (self.l1i, self.l2, self.llc)
 
     def with_effective_sizes(
         self,
@@ -306,40 +294,3 @@ class CacheHierarchy:
             self.llc.scaled(llc_factor),
             self.memory_latency_cycles,
         )
-
-    def data_miss_profile(self, spec: MemAccessSpec) -> Dict[str, float]:
-        """Miss fractions of ``spec`` at each data level.
-
-        Returns a mapping level-name -> miss fraction *of the accesses
-        presented to that level* — the hierarchy filters sequentially, so
-        L2's denominator is L1d's misses, etc.
-        """
-        key = (spec.pattern, spec.wset_bytes)
-        cached = self._profile_memo.get(key)
-        if cached is not None:
-            return dict(cached)
-        profile: Dict[str, float] = {}
-        for level in self.data_levels():
-            profile[level.name] = miss_fraction(spec, level.size_bytes)
-        self._profile_memo[key] = dict(profile)
-        return profile
-
-    def load_latency(self, spec: MemAccessSpec) -> float:
-        """Expected cycles to satisfy one access of ``spec`` (no MLP/prefetch).
-
-        Computed as the latency of the first level the access hits in,
-        averaged over the hit/miss fractions.
-        """
-        key = (spec.pattern, spec.wset_bytes)
-        cached = self._latency_memo.get(key)
-        if cached is not None:
-            return cached
-        remaining = 1.0
-        expected = 0.0
-        for level in self.data_levels():
-            miss = miss_fraction(spec, level.size_bytes)
-            expected += remaining * (1.0 - miss) * level.latency_cycles
-            remaining *= miss
-        expected += remaining * self.memory_latency_cycles
-        self._latency_memo[key] = expected
-        return expected

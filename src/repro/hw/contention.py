@@ -17,11 +17,9 @@ imply identical capacity shares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Tuple
+from dataclasses import dataclass
+from typing import Iterable
 
-from repro.hw.core import ExecutionContext
-from repro.hw.platform import PlatformSpec
 from repro.util.errors import ConfigurationError
 
 
@@ -112,43 +110,3 @@ def contention_factors(
         net_share=net,
         disk_share=disk,
     )
-
-
-def apply_contention(
-    ctx: ExecutionContext, factors: ContentionFactors
-) -> ExecutionContext:
-    """Return ``ctx`` with cache capacities and port sharing degraded."""
-    caches = ctx.caches.with_effective_sizes(
-        l1i_factor=factors.l1i_factor,
-        l1d_factor=factors.l1d_factor,
-        l2_factor=factors.l2_factor,
-        llc_factor=factors.llc_factor,
-    )
-    return ctx.with_(caches=caches, smt_contention=min(2.0, factors.smt_contention))
-
-
-@dataclass
-class NodeOccupancy:
-    """Tracks how many co-scheduled service threads compete on a node.
-
-    Used by the runtime to derive load-dependent cache pressure: with more
-    concurrently-active request handlers, each handler's effective share
-    of the shared caches shrinks (the paper's high-load L2/LLC miss
-    inflation in Fig. 5).
-    """
-
-    platform: PlatformSpec
-    active_handlers: float = 1.0
-    colocated_services: Tuple[str, ...] = field(default_factory=tuple)
-
-    def shared_cache_factor(self, per_handler_bytes: float) -> float:
-        """Victim share of the LLC given concurrent handler footprints."""
-        if self.active_handlers <= 1.0:
-            return 1.0
-        total = per_handler_bytes * self.active_handlers
-        if total <= 0:
-            return 1.0
-        capacity = float(self.platform.llc.size_bytes)
-        if total <= capacity:
-            return 1.0
-        return max(0.2, capacity / total)

@@ -468,10 +468,3 @@ class CoreModel:
             "topdown": topdown,
         }
         return timing
-
-    def time_blocks(self, blocks) -> BlockTiming:
-        """Sum of :meth:`time_block` over ``blocks``."""
-        total = BlockTiming()
-        for block in blocks:
-            total = total + self.time_block(block)
-        return total

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
+from typing import Mapping, Tuple
 
 from repro.isa.instructions import iform
 from repro.util.errors import ConfigurationError
@@ -225,12 +225,3 @@ class BlockSpec:
             deps=self.deps,
             rep_elements=self.rep_elements,
         )
-
-
-def merge_iform_counts(specs: List[BlockSpec]) -> Dict[str, float]:
-    """Aggregate per-request dynamic iform counts over blocks."""
-    totals: Dict[str, float] = {}
-    for spec in specs:
-        for name, count in spec.iform_counts.items():
-            totals[name] = totals.get(name, 0.0) + count * spec.iterations
-    return totals

@@ -22,7 +22,7 @@ Network    10 GbE        1 GbE         1 GbE
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -153,10 +153,6 @@ class PlatformSpec:
             caches=self.hierarchy(frequency_ghz),
             **overrides,
         )
-
-    def with_disk(self, disk: DiskSpec) -> "PlatformSpec":
-        """A copy with a different storage device."""
-        return replace(self, disk=disk)
 
 
 def _cache(name: str, size: int, assoc: int, latency: float) -> CacheConfig:

@@ -172,8 +172,3 @@ class CpuDevice:
         identically to no injector.
         """
         return _CpuExecuteOp(self, cycles, switch).completion
-
-    @property
-    def mean_run_queue_wait(self) -> float:
-        """Average scheduling delay per dispatch so far."""
-        return self._pool.mean_wait_time

@@ -208,22 +208,3 @@ def save_artifacts(path: str, artifacts: ServiceArtifacts) -> str:
 
     return integrity.save_object(path, artifacts, schema=ARTIFACTS_SCHEMA,
                                  version=ARTIFACTS_VERSION)
-
-
-def load_artifacts(path: str) -> ServiceArtifacts:
-    """Load artifacts saved by :func:`save_artifacts`.
-
-    Raises :class:`~repro.util.errors.ArtifactIntegrityError` (after
-    quarantining the file) when the envelope fails verification, and
-    also (leaving the file in place) when it holds another payload
-    version; ``FileNotFoundError`` when it simply is not there.
-    """
-    from repro.validation import integrity
-
-    loaded = integrity.load_exact(path, schema=ARTIFACTS_SCHEMA,
-                                  version=ARTIFACTS_VERSION)
-    if not isinstance(loaded, ServiceArtifacts):
-        raise ConfigurationError(
-            f"{path}: envelope holds {type(loaded).__name__}, "
-            f"expected ServiceArtifacts")
-    return loaded

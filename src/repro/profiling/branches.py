@@ -10,7 +10,7 @@ drives predictor aliasing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.profiling.artifacts import ServiceArtifacts
 from repro.util.errors import ProfilingError
@@ -29,10 +29,6 @@ class BranchProfile:
     static_sites: int = 0
     mean_taken_rate: float = 0.0
     mean_transition_rate: float = 0.0
-
-    def sample_bins(self, rng, size: int) -> List[RateBin]:
-        """Draw rate bins for generated branch instructions."""
-        return [tuple(b) for b in self.rate_distribution.sample(rng, size)]
 
     @staticmethod
     def rates_for_bin(bin_: RateBin) -> Tuple[float, float]:

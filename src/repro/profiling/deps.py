@@ -25,13 +25,6 @@ class DependencyDistanceProfile:
     waw: Dict[int, float] = field(default_factory=dict)
     pointer_chase_frac: float = 0.0
 
-    def mean_raw(self) -> float:
-        """Weighted mean of the quantised RAW distances."""
-        total = sum(self.raw.values())
-        if total <= 0:
-            return 0.0
-        return sum(edge * w for edge, w in self.raw.items()) / total
-
 
 def _quantise_into(target: Dict[int, float], distance: float) -> None:
     edge = DEP_DISTANCE_BINS[bin_index(max(1.0, distance),

@@ -49,13 +49,6 @@ class InstructionMixProfile:
                 total += prob
         return total
 
-    def memory_fraction(self) -> float:
-        """Fraction of dynamic instructions touching memory."""
-        return sum(
-            prob for name, prob in self.mix.normalized().items()
-            if iform(str(name)).uses_memory
-        )
-
 
 def profile_instruction_mix(artifacts: ServiceArtifacts) -> InstructionMixProfile:
     """Extract the instruction-mix profile from the sampled iform table."""

@@ -63,16 +63,6 @@ class ThreadModelProfile:
         """All classes with the worker role."""
         return [cls for cls in self.classes if cls.role == "worker"]
 
-    def total_workers(self, connections: int) -> int:
-        """Worker threads expected at a connection count."""
-        total = 0
-        for cls in self.worker_classes():
-            if cls.scales_with_connections:
-                total += connections
-            else:
-                total += cls.count
-        return max(1, total)
-
 
 def _classify_role(labels: List[str], trigger: str) -> str:
     if "accept" in labels:

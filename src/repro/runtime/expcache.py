@@ -95,16 +95,6 @@ class CacheStats:
         self.evictions += other.evictions
         return self
 
-    @classmethod
-    def from_registry(cls, registry: MetricsRegistry) -> "CacheStats":
-        """Aggregate view over every cache accounted in ``registry``."""
-        def total(metric_name: str) -> int:
-            metric = registry.get(metric_name)
-            return int(metric.total()) if metric is not None else 0
-
-        return cls(**{field: total(name)
-                      for field, name in CACHE_METRICS.items()})
-
 
 class ExperimentCache:
     """LRU memoization of :func:`run_experiment` results.

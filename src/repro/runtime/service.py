@@ -290,11 +290,6 @@ class ServiceRuntime:
                 self.env.spawn(self._background(cls),
                                name=f"{self.spec.name}-{cls.name}")
 
-    @property
-    def worker_count(self) -> int:
-        """Configured worker threads for the current connection hint."""
-        return self.spec.skeleton.worker_threads(self.connections_hint)
-
     # ------------------------------------------------------------------ #
     # request entry
     # ------------------------------------------------------------------ #

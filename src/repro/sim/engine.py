@@ -256,11 +256,6 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         env._push(_Resume(self, None))
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the underlying generator has not finished."""
-        return not self._triggered
-
     def _resume(self, event: Event) -> None:
         if event._ok:
             self._step_send(event._value)

@@ -17,10 +17,14 @@ Three coordinated pieces, one handle:
 - **simulated-time timelines** (:mod:`repro.telemetry.timeline`) —
   per-service/per-request events stamped with the discrete-event clock.
 
-A :class:`~repro.telemetry.session.Telemetry` session bundles all three
-and exports a Perfetto-loadable Chrome trace
-(:mod:`repro.telemetry.chrometrace`) plus a saved-run JSON that
-``python -m repro.telemetry.report`` summarizes as a text table.
+Spans, simulated intervals and the fleet flight log all record one
+:class:`~repro.telemetry.chrometrace.TraceEvent` type, and one exporter,
+:func:`~repro.telemetry.chrometrace.chrome_trace`, renders any list of
+them as a Perfetto-loadable Chrome trace. A
+:class:`~repro.telemetry.session.Telemetry` session bundles the three
+pieces; it saves a ``ditto-telemetry-run/2`` document (metrics plus one
+event list) that ``python -m repro.telemetry.report`` summarizes as a
+text table.
 
 >>> from repro.telemetry import Telemetry
 >>> telemetry = Telemetry(label="demo")
@@ -33,7 +37,7 @@ adds no simulation events, so a telemetry-enabled clone is bit-identical
 to a disabled one.
 """
 
-from repro.telemetry.chrometrace import chrome_trace, write_chrome_trace
+from repro.telemetry.chrometrace import TraceEvent, chrome_trace
 from repro.telemetry.context import current_session
 from repro.telemetry.registry import (
     Counter,
@@ -44,25 +48,23 @@ from repro.telemetry.registry import (
     set_default_registry,
 )
 from repro.telemetry.session import Telemetry, WorkerTelemetry
-from repro.telemetry.spans import SpanCollector, SpanRecord, span
-from repro.telemetry.timeline import SimEvent, SimTimeline, TimelineRun
+from repro.telemetry.spans import SpanCollector, span
+from repro.telemetry.timeline import SimTimeline, TimelineRun
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "SimEvent",
     "SimTimeline",
     "SpanCollector",
-    "SpanRecord",
     "Telemetry",
     "TimelineRun",
+    "TraceEvent",
     "WorkerTelemetry",
     "chrome_trace",
     "current_session",
     "default_registry",
     "set_default_registry",
     "span",
-    "write_chrome_trace",
 ]

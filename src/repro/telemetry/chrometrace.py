@@ -1,155 +1,110 @@
-"""Chrome trace-event JSON export (Perfetto / ``chrome://tracing``).
+"""The trace-event record and its Chrome trace-event JSON export.
 
-Renders a telemetry session as the Trace Event Format's "JSON object"
-flavour: ``{"traceEvents": [...]}``. Two track groups:
+Every timeline the reproduction records — wall-clock pipeline spans
+(:mod:`repro.telemetry.spans`), simulated-time intervals
+(:mod:`repro.telemetry.timeline`) and the fleet flight log
+(:meth:`repro.fleet.obs.flight.FlightLog.trace_events`) — is a list of
+:class:`TraceEvent`\\ s, and :func:`chrome_trace` is the one place that
+turns such a list into the Trace Event Format's "JSON object" flavour
+(``{"traceEvents": [...]}``, Perfetto / ``chrome://tracing``).
 
-- **wall-clock pipeline spans** — one process row per OS process that
-  recorded spans (so a process-pool clone shows its workers side by
-  side), one thread row per recording thread, spans as complete ("X")
-  events;
-- **simulated time** — one synthetic process row per recorded
-  simulation run (every run starts at sim time zero, so runs must not
-  share a clock axis), one thread row per service/device track, events
-  as duration ("B"/"E") and instant ("i") phases.
-
-Timestamps are microseconds, as the format requires; wall-clock spans
-are rebased to the earliest span so traces open near t=0.
+An event's ``row`` becomes a Chrome process and its ``track`` a thread
+within it. Wall-clock events share one axis and are rebased to the
+earliest of them so traces open near t=0. Simulation runs all start at
+sim time zero, so a sim-clock event is never rebased and each run gets
+a row of its own even when two runs carry the same label.
+Timestamps are microseconds, as the format requires.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Any, Dict, Iterable, Optional
 
-from repro.telemetry.spans import SpanRecord
-from repro.telemetry.timeline import SimTimeline
-
-__all__ = ["chrome_trace", "write_chrome_trace"]
-
-#: synthetic pid namespace for simulated-time tracks (real pids are
-#: comfortably below this)
-SIM_PID_BASE = 1 << 22
+__all__ = ["TraceEvent", "chrome_trace"]
 
 
-def _metadata(name: str, pid: int, tid: int, value: str) -> dict:
-    return {"name": name, "ph": "M", "pid": pid, "tid": tid,
+@dataclass
+class TraceEvent:
+    """One recorded span, simulated interval or flight event (picklable)."""
+
+    name: str
+    category: str
+    #: Chrome trace phase: "X" an interval, "i" an instant
+    ph: str
+    #: start in microseconds: since the epoch on the wall clock, since
+    #: the run began on a simulation clock
+    ts: float
+    #: interval length in microseconds ("X" events)
+    dur: float
+    #: the Chrome process the event renders in, by name
+    row: str
+    #: the Chrome thread within ``row``, by name
+    track: str
+    #: None on the wall clock, else the id of the simulation run
+    clock: Optional[int] = None
+    args: Dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def duration_s(self) -> float:
+        """Interval length in seconds."""
+        return self.dur / 1e6
+
+    def to_dict(self) -> dict:
+        """JSON-safe form (the saved-run format)."""
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "TraceEvent":
+        """Inverse of :meth:`to_dict`."""
+        return cls(**doc)
+
+
+def _name(kind: str, pid: int, tid: int, value: str) -> dict:
+    return {"name": kind, "ph": "M", "pid": pid, "tid": tid,
             "args": {"name": value}}
 
 
-def _span_events(records: Sequence[SpanRecord],
-                 main_pid: Optional[int],
-                 base_us: Optional[int] = None) -> List[dict]:
-    if not records:
-        return []
-    if base_us is None:
-        base_us = min(record.ts_us for record in records)
-    events: List[dict] = []
-    named_pids: Dict[int, None] = {}
-    named_tids: Dict[tuple, None] = {}
-    for record in records:
-        if record.pid not in named_pids:
-            named_pids[record.pid] = None
-            role = ("pipeline" if main_pid is None or record.pid == main_pid
-                    else "pipeline worker")
-            events.append(_metadata("process_name", record.pid, 0,
-                                    f"ditto {role} (pid {record.pid})"))
-        if (record.pid, record.tid) not in named_tids:
-            named_tids[(record.pid, record.tid)] = None
-            events.append(_metadata("thread_name", record.pid, record.tid,
-                                    record.thread_name))
-        events.append({
-            "name": record.name,
-            "cat": record.category,
-            "ph": "X",
-            "ts": record.ts_us - base_us,
-            "dur": record.dur_us,
-            "pid": record.pid,
-            "tid": record.tid,
-            "args": dict(record.args),
-        })
-    return events
+def chrome_trace(events: Iterable[TraceEvent], *,
+                 metadata: Optional[Dict[str, Any]] = None) -> dict:
+    """The trace-event document for ``events``.
 
-
-def _sim_events(timeline: SimTimeline) -> List[dict]:
-    events: List[dict] = []
-    track_tids: Dict[tuple, int] = {}
-    named_runs: Dict[int, None] = {}
-    for event in timeline.events:
-        pid = SIM_PID_BASE + event.run
-        if event.run not in named_runs:
-            named_runs[event.run] = None
-            label = (timeline.run_labels[event.run]
-                     if event.run < len(timeline.run_labels)
-                     else f"run {event.run}")
-            events.append(_metadata("process_name", pid, 0,
-                                    f"simulated time: {label}"))
-        key = (event.run, event.track)
-        tid = track_tids.get(key)
+    pids and tids are assigned per (row, track) in first-seen order, and
+    each row's and track's name is emitted once, before its first event.
+    ``metadata`` lands in the document's ``otherData``.
+    """
+    events = list(events)
+    wall = [event.ts for event in events if event.clock is None]
+    base = min(wall) if wall else 0
+    pids: Dict[tuple, int] = {}
+    tids: Dict[tuple, int] = {}
+    out = []
+    for event in events:
+        row = (event.clock, event.row)
+        pid = pids.get(row)
+        if pid is None:
+            pid = pids[row] = len(pids) + 1
+            out.append(_name("process_name", pid, 0, event.row))
+        track = (row, event.track)
+        tid = tids.get(track)
         if tid is None:
-            tid = len(track_tids) + 1
-            track_tids[key] = tid
-            events.append(_metadata("thread_name", pid, tid, event.track))
+            tid = tids[track] = len(tids) + 1
+            out.append(_name("thread_name", pid, tid, event.track))
         entry: Dict[str, Any] = {
             "name": event.name,
-            "cat": "sim",
+            "cat": event.category,
             "ph": event.ph,
-            "ts": event.ts * 1e6,
+            "ts": event.ts - base if event.clock is None else event.ts,
             "pid": pid,
             "tid": tid,
+            "args": dict(event.args),
         }
         if event.ph == "X":
-            entry["dur"] = (event.dur or 0.0) * 1e6
-        if event.ph == "i":
+            entry["dur"] = event.dur
+        else:
             entry["s"] = "t"    # thread-scoped instant
-        if event.args:
-            entry["args"] = dict(event.args)
-        events.append(entry)
-    return events
-
-
-def chrome_trace(
-    spans: Sequence[SpanRecord] = (),
-    timeline: Optional[SimTimeline] = None,
-    *,
-    main_pid: Optional[int] = None,
-    metadata: Optional[Dict[str, Any]] = None,
-    extra_events: Sequence[dict] = (),
-) -> dict:
-    """Build the trace-event document for spans and/or a sim timeline.
-
-    ``extra_events`` are preformatted trace events on the *wall-clock*
-    axis (``ts`` in absolute epoch microseconds, like
-    :attr:`SpanRecord.ts_us`); they are rebased together with the spans
-    so externally recorded timelines — the fleet flight recorder — line
-    up with the pipeline spans in one merged Perfetto view. Metadata
-    ("M") events pass through untouched.
-    """
-    span_list = list(spans)
-    extras = [dict(event) for event in extra_events]
-    bases = [record.ts_us for record in span_list]
-    bases += [event["ts"] for event in extras if event.get("ph") != "M"]
-    base_us = min(bases) if bases else None
-    events = _span_events(span_list, main_pid, base_us)
-    for event in extras:
-        if event.get("ph") != "M":
-            event["ts"] -= base_us
-    events.extend(extras)
-    if timeline is not None:
-        events.extend(_sim_events(timeline))
-    doc: Dict[str, Any] = {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-    }
+        out.append(entry)
+    doc: Dict[str, Any] = {"traceEvents": out, "displayTimeUnit": "ms"}
     if metadata:
         doc["otherData"] = dict(metadata)
     return doc
-
-
-def write_chrome_trace(path: str, spans: Sequence[SpanRecord] = (),
-                       timeline: Optional[SimTimeline] = None,
-                       **kwargs: Any) -> str:
-    """Write :func:`chrome_trace` output to ``path``; returns ``path``."""
-    doc = chrome_trace(spans, timeline, **kwargs)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle)
-    return path

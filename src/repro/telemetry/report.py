@@ -8,8 +8,9 @@ the raw registry in text exposition format.
 
 Inputs are detected per path:
 
-- a :meth:`repro.telemetry.session.Telemetry.save` document → the
-  classic run summary;
+- a :meth:`repro.telemetry.session.Telemetry.save` document
+  (``ditto-telemetry-run/2``) → the classic run summary; a document
+  of any other format is refused;
 - a fleet fidelity artifact (``ditto-fleet-fidelity/1``, written next
   to every gated published job) → the per-metric fidelity table;
 - a migrated clone bundle (``ditto-migration/1``, published by
@@ -24,10 +25,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import sys
 from typing import Dict, List, Optional
 
+from repro.telemetry.chrometrace import TraceEvent
 from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.spans import SpanRecord
+from repro.telemetry.session import RUN_FORMAT
+from repro.util.errors import ConfigurationError
 
 __all__ = [
     "load_run",
@@ -36,6 +40,7 @@ __all__ = [
     "render_fleet_report",
     "render_migration_document",
     "render_report",
+    "run_events",
 ]
 
 #: how many metric series the "top metrics" section shows
@@ -48,14 +53,23 @@ def load_run(path: str) -> dict:
         return json.load(handle)
 
 
-def _stage_table(spans: List[SpanRecord]) -> List[str]:
+def run_events(doc: dict) -> List[TraceEvent]:
+    """The events of a saved telemetry run; refuses any other document."""
+    if doc.get("format") != RUN_FORMAT:
+        raise ConfigurationError(
+            f"not a saved telemetry run: format {doc.get('format')!r} "
+            f"(expected {RUN_FORMAT!r})")
+    return [TraceEvent.from_dict(entry) for entry in doc["events"]]
+
+
+def _stage_table(spans: List[TraceEvent]) -> List[str]:
     lines = [f"{'stage':<32}{'count':>7}{'total s':>12}{'mean s':>12}"
              f"{'max s':>12}"]
-    grouped: Dict[str, List[SpanRecord]] = {}
+    grouped: Dict[str, List[TraceEvent]] = {}
     for record in spans:
         grouped.setdefault(record.name, []).append(record)
     ordered = sorted(grouped.items(),
-                     key=lambda item: -sum(r.dur_us for r in item[1]))
+                     key=lambda item: -sum(r.dur for r in item[1]))
     for name, records in ordered:
         durations = [r.duration_s for r in records]
         total = sum(durations)
@@ -126,44 +140,40 @@ def _label_text(labels: Dict[str, str]) -> str:
         + "}"
 
 
-def _timeline_lines(doc: Optional[dict]) -> List[str]:
-    if not doc or not doc.get("events"):
+def _timeline_lines(events: List[TraceEvent], dropped: int) -> List[str]:
+    if not events:
         return ["(no simulated-time events recorded)"]
-    events = doc["events"]
-    labels = doc.get("run_labels", [])
     lines = []
-    per_run: Dict[int, List[dict]] = {}
+    per_run: Dict[int, List[TraceEvent]] = {}
     for event in events:
-        per_run.setdefault(event["run"], []).append(event)
+        per_run.setdefault(event.clock, []).append(event)
     for run in sorted(per_run):
-        run_events = per_run[run]
-        tracks = sorted({e["track"] for e in run_events})
-        extent = max(e["ts"] for e in run_events)
-        label = labels[run] if run < len(labels) else f"run {run}"
-        lines.append(f"run {run} ({label}): {len(run_events)} events, "
-                     f"{len(tracks)} tracks, {extent * 1e3:.2f} ms sim "
+        in_run = per_run[run]
+        tracks = sorted({e.track for e in in_run})
+        extent_us = max(e.ts + e.dur for e in in_run)
+        lines.append(f"run {run} ({in_run[0].row}): {len(in_run)} events, "
+                     f"{len(tracks)} tracks, {extent_us / 1e3:.2f} ms sim "
                      f"time")
         lines.append("  tracks: " + ", ".join(tracks[:8])
                      + (" ..." if len(tracks) > 8 else ""))
-    if doc.get("dropped"):
-        lines.append(f"(capped: {doc['dropped']} events dropped beyond "
-                     f"max_events={doc.get('max_events')})")
+    if dropped:
+        lines.append(f"(capped: {dropped} simulated-time events dropped)")
     return lines
 
 
 def render_report(doc: dict) -> str:
     """Render the saved-run document as the summary table."""
+    events = run_events(doc)
     sections: List[str] = []
     label = doc.get("label") or "(unlabelled run)"
     sections.append(f"telemetry report — {label}")
-    spans = [SpanRecord.from_dict(entry)
-             for entry in doc.get("spans", [])]
+    spans = [event for event in events if event.clock is None]
     sections.append("\n== pipeline stages (wall clock) ==")
     if spans:
-        pids = sorted({record.pid for record in spans})
+        rows = {record.row for record in spans}
         sections.extend(_stage_table(spans))
-        sections.append(f"({len(spans)} spans from {len(pids)} "
-                        f"process{'es' if len(pids) != 1 else ''})")
+        sections.append(f"({len(spans)} spans from {len(rows)} "
+                        f"process{'es' if len(rows) != 1 else ''})")
     else:
         sections.append("(no spans recorded)")
     metrics = doc.get("metrics", {})
@@ -175,7 +185,9 @@ def render_report(doc: dict) -> str:
     top = _top_metrics(metrics)
     sections.extend(top if top else ["(registry is empty)"])
     sections.append("\n== simulated timeline ==")
-    sections.extend(_timeline_lines(doc.get("sim_timeline")))
+    sections.extend(_timeline_lines(
+        [event for event in events if event.clock is not None],
+        doc["sim_dropped"]))
     return "\n".join(sections)
 
 
@@ -314,7 +326,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     for index, path in enumerate(args.run):
         if index:
             print()
-        _render_any(path, args.prometheus)
+        try:
+            _render_any(path, args.prometheus)
+        except ConfigurationError as error:
+            print(f"{path}: {error}", file=sys.stderr)
+            return 2
     return 0
 
 

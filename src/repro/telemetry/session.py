@@ -12,8 +12,13 @@ Process-pool pipeline workers cannot see the parent's session; they
 build their own (:meth:`Telemetry.for_worker`), do the tier's work under
 it, and ship back a picklable :class:`WorkerTelemetry` payload that the
 parent folds in with :meth:`Telemetry.absorb` — counters add, spans
-concatenate (keeping the worker's pid, so the merged Chrome trace shows
-each worker as its own process row).
+concatenate (keeping the worker's pid in their row, so the merged Chrome
+trace shows each worker as its own process row).
+
+Spans and simulated-time events are the same
+:class:`~repro.telemetry.chrometrace.TraceEvent` record, so the Chrome
+export and the saved-run document (``ditto-telemetry-run/2``) each hold
+them as one list.
 """
 
 from __future__ import annotations
@@ -21,18 +26,18 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.telemetry import context as _context
-from repro.telemetry.chrometrace import chrome_trace, write_chrome_trace
+from repro.telemetry.chrometrace import TraceEvent, chrome_trace
 from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.spans import SpanCollector, SpanRecord
-from repro.telemetry.timeline import DEFAULT_MAX_SIM_EVENTS, SimTimeline
+from repro.telemetry.spans import SpanCollector
+from repro.telemetry.timeline import SimTimeline
 
 __all__ = ["Telemetry", "WorkerTelemetry", "current_session"]
 
 #: saved-run document format tag
-RUN_FORMAT = "ditto-telemetry-run/1"
+RUN_FORMAT = "ditto-telemetry-run/2"
 
 current_session = _context.current_session
 
@@ -42,22 +47,21 @@ class WorkerTelemetry:
     """What a pipeline worker sends back to the parent (picklable)."""
 
     metrics: Dict[str, dict] = field(default_factory=dict)
-    spans: List[SpanRecord] = field(default_factory=list)
+    spans: List[TraceEvent] = field(default_factory=list)
 
 
 class Telemetry:
     """One observability session over clone/experiment runs."""
 
-    def __init__(self, *, label: str = "", sim_timeline: bool = True,
-                 max_sim_events: int = DEFAULT_MAX_SIM_EVENTS) -> None:
+    def __init__(self, *, label: str = "",
+                 sim_timeline: bool = True) -> None:
         self.label = label
         self.registry = MetricsRegistry()
         self.spans = SpanCollector()
         self.timeline: Optional[SimTimeline] = (
-            SimTimeline(max_events=max_sim_events) if sim_timeline
-            else None)
-        #: pid of the process that owns the session (labels the main
-        #: pipeline row in the Chrome export)
+            SimTimeline() if sim_timeline else None)
+        #: pid of the process that owns the session (a pipeline task
+        #: running under another pid records into a worker session)
         self.pid = os.getpid()
         self._token = None
         self._depth = 0
@@ -116,17 +120,24 @@ class Telemetry:
     # ------------------------------------------------------------------ #
     # export
     # ------------------------------------------------------------------ #
+    def events(self) -> List[TraceEvent]:
+        """The pipeline spans, then the simulated-time events."""
+        events = list(self.spans.records)
+        if self.timeline is not None:
+            events.extend(self.timeline.events)
+        return events
+
     def chrome_trace(self) -> dict:
         """Both timelines as one Chrome trace-event document."""
-        return chrome_trace(self.spans.records, self.timeline,
-                            main_pid=self.pid,
+        return chrome_trace(self.events(),
                             metadata={"label": self.label} if self.label
                             else None)
 
     def write_chrome_trace(self, path: str) -> str:
-        """Write the Chrome trace to ``path`` (Perfetto-loadable)."""
-        return write_chrome_trace(path, self.spans.records, self.timeline,
-                                  main_pid=self.pid)
+        """Write :meth:`chrome_trace` to ``path`` (Perfetto-loadable)."""
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(self.chrome_trace(), handle)
+        return path
 
     def snapshot(self) -> dict:
         """The saved-run document (input of the report CLI)."""
@@ -134,9 +145,9 @@ class Telemetry:
             "format": RUN_FORMAT,
             "label": self.label,
             "metrics": self.registry.snapshot(),
-            "spans": [record.to_dict() for record in self.spans.records],
-            "sim_timeline": (self.timeline.to_dict()
-                             if self.timeline is not None else None),
+            "events": [event.to_dict() for event in self.events()],
+            "sim_dropped": (self.timeline.dropped
+                            if self.timeline is not None else 0),
         }
 
     def save(self, path: str) -> str:

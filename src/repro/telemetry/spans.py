@@ -1,9 +1,11 @@
 """Wall-clock pipeline spans.
 
-A :class:`SpanCollector` records :class:`SpanRecord`\\ s — named
-wall-clock intervals tagged with the recording process and thread, so a
-process-pool clone's per-tier stages land on separate tracks when the
-collection is exported as a Chrome trace. Spans are opened with the
+A :class:`SpanCollector` records one
+:class:`~repro.telemetry.chrometrace.TraceEvent` per finished span — a
+named wall-clock interval whose row is the recording process and whose
+track is the recording thread, so a process-pool clone's per-tier
+stages land on separate tracks when the collection is exported as a
+Chrome trace. Spans are opened with the
 module-level :func:`span` context manager, which consults the ambient
 telemetry session (:mod:`repro.telemetry.context`): with no session
 active it returns a shared no-op object, so instrumented code costs one
@@ -20,51 +22,12 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.telemetry.chrometrace import TraceEvent
 from repro.telemetry.context import current_session
 
-__all__ = ["SpanCollector", "SpanRecord", "span"]
-
-
-@dataclass
-class SpanRecord:
-    """One recorded wall-clock interval (picklable)."""
-
-    name: str
-    category: str
-    #: wall-clock start, microseconds since the epoch
-    ts_us: int
-    #: duration in microseconds (perf_counter precision)
-    dur_us: float
-    pid: int
-    tid: int
-    thread_name: str
-    args: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def duration_s(self) -> float:
-        """Span duration in seconds."""
-        return self.dur_us / 1e6
-
-    def to_dict(self) -> dict:
-        """JSON-safe form (the saved-run format)."""
-        return {
-            "name": self.name, "category": self.category,
-            "ts_us": self.ts_us, "dur_us": self.dur_us,
-            "pid": self.pid, "tid": self.tid,
-            "thread_name": self.thread_name, "args": dict(self.args),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SpanRecord":
-        """Inverse of :meth:`to_dict`."""
-        return cls(name=doc["name"], category=doc["category"],
-                   ts_us=doc["ts_us"], dur_us=doc["dur_us"],
-                   pid=doc["pid"], tid=doc["tid"],
-                   thread_name=doc.get("thread_name", ""),
-                   args=dict(doc.get("args", {})))
+__all__ = ["SpanCollector", "span"]
 
 
 class SpanCollector:
@@ -72,24 +35,24 @@ class SpanCollector:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.records: List[SpanRecord] = []
+        self.records: List[TraceEvent] = []
 
     def __len__(self) -> int:
         return len(self.records)
 
-    def add(self, record: SpanRecord) -> None:
+    def add(self, record: TraceEvent) -> None:
         """Record one finished span."""
         with self._lock:
             self.records.append(record)
 
-    def extend(self, records: List[SpanRecord]) -> None:
+    def extend(self, records: List[TraceEvent]) -> None:
         """Fold another collector's records in (cross-worker merge)."""
         with self._lock:
             self.records.extend(records)
 
-    def by_name(self) -> Dict[str, List[SpanRecord]]:
+    def by_name(self) -> Dict[str, List[TraceEvent]]:
         """Records grouped by span name."""
-        grouped: Dict[str, List[SpanRecord]] = {}
+        grouped: Dict[str, List[TraceEvent]] = {}
         for record in self.records:
             grouped.setdefault(record.name, []).append(record)
         return grouped
@@ -123,15 +86,14 @@ class _ActiveSpan:
         dur_us = (time.perf_counter() - self._t0) * 1e6
         if exc is not None:
             self._args["error"] = repr(exc)
-        thread = threading.current_thread()
-        self._collector.add(SpanRecord(
+        self._collector.add(TraceEvent(
             name=self._name,
             category=self._category,
-            ts_us=self._ts_us,
-            dur_us=dur_us,
-            pid=os.getpid(),
-            tid=threading.get_ident(),
-            thread_name=thread.name,
+            ph="X",
+            ts=self._ts_us,
+            dur=dur_us,
+            row=f"ditto pipeline (pid {os.getpid()})",
+            track=threading.current_thread().name,
             args=self._args,
         ))
         return False    # propagate exceptions

@@ -11,9 +11,9 @@ None`` check per site.
 
 One :class:`SimTimeline` can record several simulation runs (profiling,
 fine-tune measurements, validation): each run gets its own
-:class:`TimelineRun` handle whose events the Chrome exporter renders as
-a separate process group, since independent runs all start at sim time
-zero.
+:class:`TimelineRun` handle whose events carry the run's id as their
+clock, so the Chrome exporter renders every run as a row of its own —
+independent runs all start at sim time zero.
 
 Recording is bounded: past ``max_events`` the timeline drops new events
 (counting them in :attr:`SimTimeline.dropped`) instead of growing
@@ -22,140 +22,63 @@ without limit — telemetry must never be the memory hog.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, List
 
+from repro.telemetry.chrometrace import TraceEvent
 from repro.util.errors import ConfigurationError
 
-__all__ = ["SimEvent", "SimTimeline", "TimelineRun"]
+__all__ = ["SimTimeline", "TimelineRun"]
 
 #: default cap on recorded simulated-time events per timeline
 DEFAULT_MAX_SIM_EVENTS = 100_000
 
 
-@dataclass
-class SimEvent:
-    """One simulated-time occurrence."""
-
-    run: int
-    #: track the event renders on (service or device name)
-    track: str
-    name: str
-    #: Chrome trace phase: "X" complete, "B" begin, "E" end, "i" instant
-    ph: str
-    #: simulated time, seconds
-    ts: float
-    #: interval length in simulated seconds ("X" events only)
-    dur: Optional[float] = None
-    args: Optional[Dict[str, Any]] = None
-
-    def to_dict(self) -> dict:
-        """JSON-safe form (the saved-run format)."""
-        doc = {"run": self.run, "track": self.track, "name": self.name,
-               "ph": self.ph, "ts": self.ts}
-        if self.dur is not None:
-            doc["dur"] = self.dur
-        if self.args:
-            doc["args"] = dict(self.args)
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SimEvent":
-        """Inverse of :meth:`to_dict`."""
-        return cls(run=doc["run"], track=doc["track"], name=doc["name"],
-                   ph=doc["ph"], ts=doc["ts"], dur=doc.get("dur"),
-                   args=doc.get("args"))
-
-
 class TimelineRun:
     """Event sink for one simulation run (what ``env.timeline`` holds)."""
 
-    __slots__ = ("timeline", "run_id", "label")
+    __slots__ = ("timeline", "run_id", "row")
 
     def __init__(self, timeline: "SimTimeline", run_id: int,
                  label: str) -> None:
         self.timeline = timeline
         self.run_id = run_id
-        self.label = label
+        self.row = f"simulated time: {label}"
 
     def complete(self, track: str, name: str, ts: float, dur: float,
                  **args: Any) -> None:
         """Record a finished interval (emit at completion, ts = start).
 
-        Preferred over begin/end pairs: concurrent intervals on one
-        track (overlapping requests on a service) stay well-formed.
+        ``ts`` and ``dur`` are simulated seconds. Intervals rather than
+        begin/end pairs keep concurrent intervals on one track
+        (overlapping requests on a service) well-formed.
         """
-        self.timeline._record(SimEvent(self.run_id, track, name, "X", ts,
-                                       dur=dur, args=args or None))
-
-    def begin(self, track: str, name: str, ts: float,
-              **args: Any) -> None:
-        """Open an interval on ``track`` at sim time ``ts``."""
-        self.timeline._record(SimEvent(self.run_id, track, name, "B", ts,
-                                       args=args or None))
-
-    def end(self, track: str, name: str, ts: float) -> None:
-        """Close the innermost open interval named ``name``."""
-        self.timeline._record(SimEvent(self.run_id, track, name, "E", ts))
-
-    def instant(self, track: str, name: str, ts: float,
-                **args: Any) -> None:
-        """Record a point event."""
-        self.timeline._record(SimEvent(self.run_id, track, name, "i", ts,
-                                       args=args or None))
+        self.timeline._record(TraceEvent(name, "sim", "X", ts * 1e6,
+                                         dur * 1e6, self.row, track,
+                                         self.run_id, args))
 
 
 class SimTimeline:
-    """Bounded collection of :class:`SimEvent`\\ s across runs."""
+    """Bounded collection of simulated-time events across runs."""
 
     def __init__(self, max_events: int = DEFAULT_MAX_SIM_EVENTS) -> None:
         if max_events < 1:
             raise ConfigurationError("max_events must be >= 1")
         self.max_events = max_events
-        self.events: List[SimEvent] = []
+        self.events: List[TraceEvent] = []
         self.dropped = 0
-        self.run_labels: List[str] = []
+        self.runs = 0
 
     def __len__(self) -> int:
         return len(self.events)
 
     def begin_run(self, label: str = "") -> TimelineRun:
         """Open a new simulation run; events are namespaced under it."""
-        run_id = len(self.run_labels)
-        self.run_labels.append(label or f"run {run_id}")
-        return TimelineRun(self, run_id, self.run_labels[-1])
+        run_id = self.runs
+        self.runs += 1
+        return TimelineRun(self, run_id, label or f"run {run_id}")
 
-    def _record(self, event: SimEvent) -> None:
+    def _record(self, event: TraceEvent) -> None:
         if len(self.events) >= self.max_events:
             self.dropped += 1
             return
         self.events.append(event)
-
-    def tracks(self) -> Dict[int, List[str]]:
-        """Per run: track names in first-seen order."""
-        seen: Dict[int, List[str]] = {}
-        for event in self.events:
-            names = seen.setdefault(event.run, [])
-            if event.track not in names:
-                names.append(event.track)
-        return seen
-
-    def to_dict(self) -> dict:
-        """JSON-safe form (the saved-run format)."""
-        return {
-            "run_labels": list(self.run_labels),
-            "dropped": self.dropped,
-            "max_events": self.max_events,
-            "events": [event.to_dict() for event in self.events],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SimTimeline":
-        """Inverse of :meth:`to_dict`."""
-        timeline = cls(max_events=doc.get("max_events",
-                                          DEFAULT_MAX_SIM_EVENTS))
-        timeline.run_labels = list(doc.get("run_labels", []))
-        timeline.dropped = doc.get("dropped", 0)
-        timeline.events = [SimEvent.from_dict(entry)
-                           for entry in doc.get("events", [])]
-        return timeline

@@ -91,11 +91,6 @@ class OnlineStats:
             return 0.0
         return self._m2 / self.count
 
-    @property
-    def stddev(self) -> float:
-        """Population standard deviation of the observations so far."""
-        return math.sqrt(self.variance)
-
     def merge(self, other: "OnlineStats") -> "OnlineStats":
         """Return a new accumulator equivalent to seeing both streams."""
         if self.count == 0:

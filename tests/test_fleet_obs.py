@@ -28,7 +28,6 @@ from repro.fleet.obs import (
     FleetStatusServer,
     FlightRecorder,
     analyze_drift,
-    chrome_events,
     load_fidelity_history,
     parse_serve_address,
     read_flight_log,
@@ -36,9 +35,8 @@ from repro.fleet.obs import (
     render_top,
 )
 from repro.profiling import ProfilingBudget
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, TraceEvent
 from repro.telemetry.chrometrace import chrome_trace
-from repro.telemetry.spans import SpanRecord
 from repro.util.errors import ConfigurationError
 
 FAST_BUDGET = ProfilingBudget(
@@ -130,11 +128,15 @@ class TestFlightRecorder:
                       **{"from": "tuning", "to": "published",
                          "reason": ""})
         recorder.close()
-        events = chrome_events(read_flight_log(path).events)
+        events = chrome_trace(
+            read_flight_log(path).trace_events())["traceEvents"]
         slices = [e for e in events if e["ph"] == "X"]
         assert [s["name"] for s in slices] == ["submitted", "tuning"]
         instants = [e for e in events if e["ph"] == "i"]
         assert len(instants) == 3
+        assert all(e["s"] == "t" for e in instants)
+        assert instants[1]["args"]["to"] == "tuning"
+        assert {"job_id", "seq", "writer_pid"} <= set(instants[0]["args"])
         assert any(e["ph"] == "M" and e["args"]["name"] ==
                    "fleet flight recorder" for e in events)
 
@@ -144,12 +146,11 @@ class TestFlightRecorder:
         event = recorder.emit("job_submitted", job_id="j-0")
         recorder.close()
         # a span that started 1s before the flight event
-        span = SpanRecord(name="profiling", category="pipeline",
-                          ts_us=int(event.ts * 1e6) - 1_000_000,
-                          dur_us=500.0, pid=123, tid=1,
-                          thread_name="MainThread")
-        doc = chrome_trace([span], extra_events=chrome_events(
-            read_flight_log(path).events))
+        span = TraceEvent("profiling", "pipeline", "X",
+                          int(event.ts * 1e6) - 1_000_000, 500.0,
+                          "ditto pipeline (pid 123)", "MainThread")
+        doc = chrome_trace(
+            [span] + read_flight_log(path).trace_events())
         timed = [e for e in doc["traceEvents"] if e["ph"] != "M"]
         assert min(e["ts"] for e in timed) == 0      # span is the base
         flight_instant = next(e for e in timed if e["ph"] == "i")

@@ -215,29 +215,6 @@ class TestCacheHierarchy:
                 memory_latency_cycles=200,
             )
 
-    def test_load_latency_l1_hit(self):
-        h = self._hierarchy()
-        spec = MemAccessSpec(wset_bytes=4096, accesses=1)
-        assert h.load_latency(spec) == pytest.approx(4.0)
-
-    def test_load_latency_memory_bound(self):
-        h = self._hierarchy()
-        spec = MemAccessSpec(wset_bytes=64 * 1024 * 1024, accesses=1)
-        assert h.load_latency(spec) == pytest.approx(200.0)
-
-    def test_load_latency_monotone_in_wset(self):
-        h = self._hierarchy()
-        latencies = [
-            h.load_latency(MemAccessSpec(wset_bytes=2**e, accesses=1))
-            for e in range(10, 27)
-        ]
-        assert all(a <= b for a, b in zip(latencies, latencies[1:]))
-
     def test_effective_sizes_scale(self):
         h = self._hierarchy().with_effective_sizes(llc_factor=0.5)
         assert h.llc.size_bytes == 4 * 1024 * 1024
-
-    def test_data_miss_profile_keys(self):
-        h = self._hierarchy()
-        profile = h.data_miss_profile(MemAccessSpec(wset_bytes=4096, accesses=1))
-        assert set(profile) == {"l1d", "l2", "llc"}

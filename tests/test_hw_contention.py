@@ -6,12 +6,9 @@ from repro.hw import PLATFORM_A
 from repro.hw.contention import (
     CoRunner,
     ContentionFactors,
-    NodeOccupancy,
-    apply_contention,
     contention_factors,
 )
-from repro.kernelsim.node import Node
-from repro.sim import Environment
+from repro.runtime.pricing import BlockPricer, PricingKey
 from repro.util.errors import ConfigurationError
 
 
@@ -74,34 +71,26 @@ class TestContentionFactors:
 
 
 class TestApplyContention:
+    """Contention factors degrade the context a block is priced in."""
+
+    @staticmethod
+    def _context(factors):
+        key = PricingKey.build(
+            cold=False, concurrency=1,
+            smt_contention=factors.smt_contention,
+            cache_factors=(factors.l1i_factor, factors.l1d_factor,
+                           factors.l2_factor, factors.llc_factor),
+            code_reuse_bytes=0.0, static_branch_sites=1)
+        return BlockPricer(PLATFORM_A).context_for(key)
+
     def test_cache_capacities_scale(self):
         ctx = PLATFORM_A.context()
         factors = ContentionFactors(llc_factor=0.5, smt_contention=1.5)
-        degraded = apply_contention(ctx, factors)
+        degraded = self._context(factors)
         assert degraded.caches.llc.size_bytes < ctx.caches.llc.size_bytes
         assert degraded.smt_contention == 1.5
 
     def test_identity_factors_keep_sizes(self):
         ctx = PLATFORM_A.context()
-        degraded = apply_contention(ctx, ContentionFactors())
+        degraded = self._context(ContentionFactors())
         assert degraded.caches.llc.size_bytes == ctx.caches.llc.size_bytes
-
-
-class TestNodeOccupancy:
-    def _occupancy(self, handlers):
-        env = Environment()
-        node = Node(env, PLATFORM_A)
-        return NodeOccupancy(platform=PLATFORM_A, active_handlers=handlers)
-
-    def test_single_handler_keeps_full_share(self):
-        assert self._occupancy(1.0).shared_cache_factor(1e6) == 1.0
-
-    def test_fits_within_llc_no_penalty(self):
-        # 4 handlers x 1MB << 30MB LLC.
-        assert self._occupancy(4.0).shared_cache_factor(1e6) == 1.0
-
-    def test_overflow_shrinks_share(self):
-        # 64 handlers x 4MB >> 30MB LLC.
-        factor = self._occupancy(64.0).shared_cache_factor(4e6)
-        assert factor < 1.0
-        assert factor >= 0.2

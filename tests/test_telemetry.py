@@ -11,6 +11,7 @@ from repro.hw import PLATFORM_A
 from repro.loadgen import LoadSpec
 from repro.profiling import ProfilingBudget
 from repro.runtime import ExperimentConfig
+from repro.fleet.obs import FlightRecorder, read_flight_log
 from repro.telemetry import (
     MetricsRegistry,
     SimTimeline,
@@ -18,7 +19,7 @@ from repro.telemetry import (
     current_session,
     span,
 )
-from repro.telemetry.chrometrace import SIM_PID_BASE, chrome_trace
+from repro.telemetry.chrometrace import chrome_trace
 from repro.telemetry.registry import MAX_SERIES_PER_METRIC
 from repro.telemetry.report import main as report_main
 from repro.telemetry.spans import _NOOP
@@ -163,8 +164,9 @@ class TestSpans:
         assert names == ["inner", "outer"]     # closed innermost-first
         inner = session.spans.by_name()["inner"][0]
         assert inner.args == {"items": 3}
-        assert inner.pid == os.getpid()
-        assert inner.dur_us >= 0
+        assert inner.row == f"ditto pipeline (pid {os.getpid()})"
+        assert inner.clock is None
+        assert inner.dur >= 0
 
     def test_exception_recorded_and_propagated(self):
         with Telemetry() as session:
@@ -196,6 +198,12 @@ class TestSpans:
         assert current_session() is None
 
 
+def _rows(doc):
+    """pid -> row name, from the trace's process_name metadata."""
+    return {e["pid"]: e["args"]["name"] for e in doc["traceEvents"]
+            if e["ph"] == "M" and e["name"] == "process_name"}
+
+
 class TestChromeTrace:
     def test_round_trip_and_event_shape(self):
         telemetry = Telemetry(label="unit")
@@ -204,35 +212,75 @@ class TestChromeTrace:
                 pass
         run = telemetry.timeline.begin_run("svc (open 10 qps)")
         run.complete("svc", "req", ts=0.001, dur=0.002, queued=0.0)
-        run.instant("svc", "drop", ts=0.004)
         doc = json.loads(json.dumps(telemetry.chrome_trace()))
         events = doc["traceEvents"]
         assert doc["displayTimeUnit"] == "ms"
+        assert doc["otherData"] == {"label": "unit"}
         for event in events:
-            assert event["ph"] in {"X", "M", "B", "E", "i"}
+            assert event["ph"] in {"X", "M", "i"}
             assert isinstance(event["pid"], int)
             assert isinstance(event["tid"], int)
             if event["ph"] == "X":
                 assert event["ts"] >= 0
                 assert event["dur"] >= 0
-        spans_x = [e for e in events
-                   if e["ph"] == "X" and e["pid"] < SIM_PID_BASE]
+        rows = _rows(doc)
+        spans_x = [e for e in events if e["ph"] == "X"
+                   and rows[e["pid"]].startswith("ditto pipeline")]
         assert [e["name"] for e in spans_x] == ["stage_a"]
-        sim = [e for e in events if e.get("pid", 0) >= SIM_PID_BASE]
-        assert {e["ph"] for e in sim} >= {"X", "i", "M"}
-        instant = next(e for e in sim if e["ph"] == "i")
-        assert instant["s"] == "t"
-        process_names = [e for e in events if e["ph"] == "M"
-                         and e["name"] == "process_name"]
-        assert len(process_names) == 2      # one wall-clock, one sim run
+        sim = [e for e in events if e["ph"] == "X"
+               and rows[e["pid"]] == "simulated time: svc (open 10 qps)"]
+        assert [(e["name"], e["ts"], e["dur"]) for e in sim] == [
+            ("req", 1000.0, 2000.0)]
+        assert sim[0]["args"] == {"queued": 0.0}
+        assert len(rows) == 2      # one wall-clock, one sim run
 
     def test_sim_runs_get_separate_process_groups(self):
         timeline = SimTimeline()
-        timeline.begin_run("first").complete("svc", "a", 0.0, 0.001)
-        timeline.begin_run("second").complete("svc", "a", 0.0, 0.001)
-        doc = chrome_trace((), timeline)
+        timeline.begin_run("same").complete("svc", "a", 0.0, 0.001)
+        timeline.begin_run("same").complete("svc", "a", 0.0, 0.001)
+        doc = chrome_trace(timeline.events)
         pids = {e["pid"] for e in doc["traceEvents"] if e["ph"] == "X"}
-        assert pids == {SIM_PID_BASE, SIM_PID_BASE + 1}
+        assert len(pids) == 2
+        assert set(_rows(doc).values()) == {"simulated time: same"}
+
+    def test_every_event_is_named_and_clocks_stay_apart(self, tmp_path):
+        """Spans, two sim runs and a flight log in one export: every
+        (pid, tid) has its name metadata, the earliest wall-clock event
+        sits at 0, and sim events keep their simulated timestamps."""
+        path = str(tmp_path / "events.jsonl")
+        recorder = FlightRecorder(path)
+        recorder.emit("job_submitted", job_id="j-0")
+        telemetry = Telemetry()
+        with telemetry:
+            with span("stage"):
+                pass
+        recorder.emit("job_state", job_id="j-0",
+                      **{"from": "submitted", "to": "published"})
+        recorder.close()
+        simulated = []
+        for label, start in (("first", 0.004), ("second", 0.002)):
+            run = telemetry.timeline.begin_run(label)
+            run.complete("svc", "req", ts=start, dur=0.001)
+            run.complete("node0-nic", "tx", ts=start / 2, dur=0.0005)
+            simulated += [(start * 1e6, 0.001 * 1e6),
+                          (start / 2 * 1e6, 0.0005 * 1e6)]
+        events = (telemetry.events()
+                  + read_flight_log(path).trace_events())
+        doc = chrome_trace(events)["traceEvents"]
+        named_rows = {e["pid"] for e in doc if e["ph"] == "M"
+                      and e["name"] == "process_name"}
+        named_tracks = {(e["pid"], e["tid"]) for e in doc if e["ph"] == "M"
+                        and e["name"] == "thread_name"}
+        timed = [e for e in doc if e["ph"] != "M"]
+        for event in timed:
+            assert event["pid"] in named_rows
+            assert (event["pid"], event["tid"]) in named_tracks
+        wall = [e for e in timed if e["cat"] != "sim"]
+        assert min(e["ts"] for e in wall) == 0
+        assert len(wall) == 1 + 2 + 1    # span, 2 instants, 1 slice
+        sim = [(e["ts"], e["dur"]) for e in timed if e["cat"] == "sim"]
+        assert sorted(sim) == sorted(simulated)
+        assert len({e["pid"] for e in timed if e["cat"] == "sim"}) == 2
 
     def test_timeline_cap_counts_drops(self):
         timeline = SimTimeline(max_events=3)
@@ -241,6 +289,18 @@ class TestChromeTrace:
             run.complete("svc", f"e{i}", float(i), 0.1)
         assert len(timeline) == 3
         assert timeline.dropped == 2
+
+    def test_write_chrome_trace_equals_in_memory_document(self, tmp_path):
+        telemetry = Telemetry(label="written")
+        with telemetry:
+            with span("stage"):
+                pass
+        telemetry.timeline.begin_run("run").complete("svc", "req", 0.0,
+                                                     0.001)
+        path = telemetry.write_chrome_trace(str(tmp_path / "trace.json"))
+        with open(path, encoding="utf-8") as handle:
+            assert json.load(handle) == json.loads(
+                json.dumps(telemetry.chrome_trace()))
 
 
 class TestWorkerRoundTrip:
@@ -325,6 +385,21 @@ class TestReportCli:
         assert "75.0%" in out       # 3 hits / 4 lookups
         assert "# TYPE ditto_expcache_hits_total counter" in out
 
+    def test_sim_extent_is_the_last_interval_end(self, tmp_path, capsys):
+        telemetry = Telemetry()
+        telemetry.timeline.begin_run("one").complete("svc", "req",
+                                                     ts=0.001, dur=0.009)
+        path = telemetry.save(str(tmp_path / "run.json"))
+        assert report_main([path]) == 0
+        assert "10.00 ms sim time" in capsys.readouterr().out
+
+    def test_cli_refuses_other_formats(self, tmp_path, capsys):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"format": "ditto-telemetry-run/1",
+                                    "spans": []}))
+        assert report_main([str(path)]) == 2
+        assert "'ditto-telemetry-run/1'" in capsys.readouterr().err
+
 
 class TestPipelineTelemetry:
     """Acceptance: the clone pipeline records into one merged session."""
@@ -356,10 +431,12 @@ class TestPipelineTelemetry:
     def test_process_clone_merges_worker_spans(self, process_telemetry):
         telemetry = process_telemetry.report.telemetry
         doc = telemetry.chrome_trace()
-        span_pids = {e["pid"] for e in doc["traceEvents"]
-                     if e.get("ph") == "X" and e["pid"] < SIM_PID_BASE}
-        assert os.getpid() in span_pids
-        assert any(pid != os.getpid() for pid in span_pids), \
+        rows = _rows(doc)
+        span_rows = {rows[e["pid"]] for e in doc["traceEvents"]
+                     if e.get("ph") == "X" and e["cat"] != "sim"}
+        main_row = f"ditto pipeline (pid {os.getpid()})"
+        assert main_row in span_rows
+        assert any(row != main_row for row in span_rows), \
             "no worker-process spans in the merged trace"
         tier_names = {e["name"] for e in doc["traceEvents"]
                       if e.get("ph") == "X"
@@ -368,9 +445,8 @@ class TestPipelineTelemetry:
 
     def test_profiling_records_sim_timeline(self, process_telemetry):
         telemetry = process_telemetry.report.telemetry
-        tracks = telemetry.timeline.tracks()
-        assert tracks, "no simulated-time runs recorded"
-        all_tracks = {t for names in tracks.values() for t in names}
+        assert telemetry.timeline.events, "no simulated-time runs recorded"
+        all_tracks = {event.track for event in telemetry.timeline.events}
         assert {"frontend", "memcached"} <= all_tracks
 
     def test_report_fields_recorded_as_metrics(self, process_telemetry):
