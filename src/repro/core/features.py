@@ -9,11 +9,12 @@ skeleton plus post-processed statistical characteristics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.isa.instructions import iform
-from repro.profiling.artifacts import ServiceArtifacts
+from repro.profiling.artifacts import RegionStats, ServiceArtifacts
 from repro.profiling.branches import BranchProfile, profile_branches
 from repro.profiling.deps import (
     DependencyDistanceProfile,
@@ -24,14 +25,14 @@ from repro.profiling.netmodel import NetworkModelProfile, profile_network_model
 from repro.profiling.syscalls import SyscallProfile, profile_syscalls
 from repro.profiling.threads import ThreadModelProfile, profile_thread_model
 from repro.profiling.wset import (
+    DATA_SWEEP_SIZES,
+    INSTR_SWEEP_SIZES,
+    WorkingSetProfile,
     invert_data_hits,
-    region_chase_ratio,
     invert_instruction_hits,
-    profile_working_set_regions,
-    region_regularity_ratio,
-    region_shared_ratio,
 )
 from repro.runtime.metrics import ServiceMetrics
+from repro.util.errors import ProfilingError
 
 
 @dataclass
@@ -94,12 +95,36 @@ def _write_fraction(mix: InstructionMixProfile) -> float:
 LARGE_REGION_BYTES = 512 * 1024
 
 
-def _large_region_regularity(artifacts: ServiceArtifacts) -> float:
-    value = region_regularity_ratio(
-        artifacts.data_regions, min_region_bytes=LARGE_REGION_BYTES)
-    if value > 0.0:
-        return value
-    return region_regularity_ratio(artifacts.data_regions)
+def _sweep(regions: List[RegionStats],
+           sizes: Tuple[int, ...]) -> WorkingSetProfile:
+    """H(s) over one side's regions, summed region by region."""
+    if not regions:
+        raise ProfilingError("no regions to sweep")
+    hits = [0.0] * len(sizes)
+    total = 0.0
+    for region in regions:
+        total += region.total_weight
+        for index, hit in enumerate(region.hits):
+            hits[index] += hit
+    return WorkingSetProfile(sizes=list(sizes), hits=hits,
+                             total_weight=total)
+
+
+def _weighted_mean(regions: List[RegionStats],
+                   value: Callable[[RegionStats], float],
+                   min_region_bytes: float = 0.0) -> float:
+    """Access-weighted mean of a per-region ratio over the regions of at
+    least ``min_region_bytes`` (0.0 when they carry no weight)."""
+    num = 0.0
+    den = 0.0
+    for region in regions:
+        if region.region_bytes < min_region_bytes:
+            continue
+        num += value(region) * region.total_weight
+        den += region.total_weight
+    if den <= 0:
+        return 0.0
+    return num / den
 
 
 def extract_service_features(artifacts: ServiceArtifacts) -> ServiceFeatures:
@@ -111,9 +136,16 @@ def extract_service_features(artifacts: ServiceArtifacts) -> ServiceFeatures:
     threads = profile_thread_model(artifacts)
     network = profile_network_model(artifacts)
     requests = max(1, artifacts.requests_observed)
-    data_sweep = profile_working_set_regions(artifacts.data_regions)
-    instr_sweep = profile_working_set_regions(artifacts.instr_regions,
-                                              max_size=16 * 1024 * 1024)
+    data = artifacts.data_regions
+    data_sweep = _sweep(data, DATA_SWEEP_SIZES)
+    instr_sweep = _sweep(artifacts.instr_regions, INSTR_SWEEP_SIZES)
+    # The generator distinguishes the regularity of large (capacity-
+    # missing) working sets from small (cache-resident) ones, since only
+    # the former shapes memory-level behaviour.
+    regularity = attrgetter("regularity")
+    regular_ratio_large = (
+        _weighted_mean(data, regularity, LARGE_REGION_BYTES)
+        or _weighted_mean(data, regularity))
     data_wsets = {
         size: accesses / requests
         for size, accesses in invert_data_hits(data_sweep).items()
@@ -132,11 +164,12 @@ def extract_service_features(artifacts: ServiceArtifacts) -> ServiceFeatures:
         network=network,
         data_wsets=data_wsets,
         instr_wsets=instr_wsets,
-        regular_ratio=region_regularity_ratio(artifacts.data_regions),
-        regular_ratio_large=_large_region_regularity(artifacts),
-        chase_ratio_large=region_chase_ratio(
-            artifacts.data_regions, min_region_bytes=LARGE_REGION_BYTES),
-        shared_ratio=region_shared_ratio(artifacts.data_regions),
+        regular_ratio=_weighted_mean(data, regularity),
+        regular_ratio_large=regular_ratio_large,
+        chase_ratio_large=_weighted_mean(
+            data, attrgetter("chase_frac"), LARGE_REGION_BYTES),
+        shared_ratio=_weighted_mean(
+            data, lambda region: region.shared or 0.0),
         write_frac=_write_fraction(mix),
         handler_mix=dict(artifacts.observed_handler_mix),
         rpc_calls=dict(artifacts.rpc_calls),

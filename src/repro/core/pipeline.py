@@ -273,8 +273,10 @@ class TierCheckpoint:
 
     #: schema name stamped into every checkpoint envelope
     SCHEMA = "tier-checkpoint"
-    #: payload schema version (the pickled TierOutcome layout, which
-    #: embeds the tier's ServiceArtifacts)
+    #: payload schema version of the pickled TierOutcome layout (the
+    #: tier's ServiceFeatures, generated spec and tuning result; a
+    #: change to the artifacts already changes the key,
+    #: ``stable_digest(task)``)
     SCHEMA_VERSION = 2
 
     def __init__(self, directory: str) -> None:

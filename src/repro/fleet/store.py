@@ -82,7 +82,7 @@ from repro.fleet.job import (
     JobState,
 )
 from repro.fleet.obs.flight import FlightRecorder
-from repro.profiling.collector import ApplicationProfile
+from repro.profiling.collector import PROFILE_VERSION, ApplicationProfile
 from repro.telemetry.context import current_session
 from repro.telemetry.registry import MetricsRegistry
 from repro.util.errors import (
@@ -100,8 +100,6 @@ RECORD_SCHEMA = "fleet-job-record"
 RESULT_SCHEMA = "fleet-job-result"
 PROFILE_SCHEMA = "fleet-profile"
 SCHEMA_VERSION = 1
-#: stored profiles of any other version are misses (the job re-profiles)
-PROFILE_VERSION = 2
 
 #: registry metric names the store accounts through
 STORE_METRICS = {

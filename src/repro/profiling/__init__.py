@@ -1,11 +1,13 @@
 """Ditto's profiling toolchain (the SystemTap/Valgrind/SDE/Perf stand-ins).
 
 The collector runs the target deployment under a representative load and
-produces *execution artifacts* per service — instruction streams, data and
-instruction address traces, branch outcome traces, dependency-distance
-samples, syscall logs, thread observations, performance counters, and
-distributed-tracing spans. Feature extractors then turn artifacts into
-the platform-independent feature set the generator consumes (§4.4).
+produces *execution artifacts* per service — an instruction-mix table,
+per-region data and instruction working-set statistics, per-site branch
+rates, dependency-distance samples, syscall logs, thread observations,
+performance counters, and distributed-tracing spans. Address traces and
+branch outcome histories are reduced as they are sampled, so a profile
+ships statistics, not raw samples. Feature extractors then turn artifacts
+into the platform-independent feature set the generator consumes (§4.4).
 
 The extractors never see the application models — only the artifacts —
 so the reconstruction carries genuine sampling and quantisation error,
@@ -16,6 +18,7 @@ from repro.profiling.artifacts import (
     BranchSiteTrace,
     DepSample,
     ProfilingBudget,
+    RegionStats,
     ServiceArtifacts,
     ThreadObservation,
 )
@@ -42,6 +45,7 @@ __all__ = [
     "InstructionMixProfile",
     "NetworkModelProfile",
     "ProfilingBudget",
+    "RegionStats",
     "ServiceArtifacts",
     "SyscallProfile",
     "ThreadModelProfile",

@@ -1,17 +1,18 @@
-"""Raw execution artifacts the profilers consume.
+"""Execution artifacts the profilers consume.
 
 Everything here is *observable* instrumentation output — the kind of data
-SystemTap probes, Intel SDE instruction logs, Valgrind address traces and
-perf counters actually produce. Feature extraction operates exclusively
-on these types; the application models never cross this boundary.
+SystemTap probes, Intel SDE instruction logs, Valgrind cache sweeps and
+perf counters actually produce. Address traces and branch outcome
+histories are reduced as they are collected: a profile carries per-region
+working-set statistics and per-site branch rates, not raw samples.
+Feature extraction operates exclusively on these types; the application
+models never cross this boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.analysis.treedit import CallTree
 from repro.kernelsim.syscalls import SyscallInvocation
@@ -41,63 +42,47 @@ class ProfilingBudget:
             raise ConfigurationError("need at least one sampled request")
 
 
-@dataclass
-class RegionTrace:
-    """A spatially-sampled address trace over one memory region.
+@dataclass(frozen=True)
+class RegionStats:
+    """The working-set statistics of one sampled memory region.
 
-    Large regions are observed through a 1-in-``line_sample_factor``
-    sample of their cache lines (the set-sampling technique production
-    working-set profilers use to bound trace volume): reuse distances
-    measured on the sampled lines multiply by the factor to estimate true
-    stack distances, and each access's ``weight`` says how many real
-    accesses it represents.
+    The collector observes each region through a spatially-sampled
+    address trace (Valgrind's role) and keeps only what feature
+    extraction reads from it: the steady-state hit weight per simulated
+    cache size of its side's sweep (``wset.DATA_SWEEP_SIZES`` or
+    ``wset.INSTR_SWEEP_SIZES``), the real accesses the samples stand for, and three per-access
+    ratios. A reuse histogram reveals less than the addresses it came
+    from.
     """
 
-    addresses: np.ndarray
-    weights: np.ndarray
-    line_sample_factor: float = 1.0
-    #: a second thread's view of the same region (shared-data detection)
-    thread2_addresses: Optional[np.ndarray] = None
-    #: extent of the region in bytes (observable as the address span)
-    region_bytes: float = 0.0
+    #: weight of the accesses that hit a fully-associative LRU cache of
+    #: each sweep size, smallest size first
+    hits: Tuple[float, ...]
+    #: real accesses the sampled trace represents
+    total_weight: float
+    #: weighted fraction of accesses a stride prefetcher would cover
+    regularity: float
+    #: weighted fraction of accesses to lines a second thread touches
+    #: (None when no second thread touches the region)
+    shared: Optional[float]
     #: fraction of this region's accesses that are dependent (pointer-
     #: chasing) loads — the DCFG identifies dependent loads and their
     #: target addresses, so per-region attribution is observable
-    chase_frac: float = 0.0
-
-    def __post_init__(self) -> None:
-        if len(self.addresses) != len(self.weights):
-            raise ConfigurationError("addresses/weights must align")
-        if self.line_sample_factor < 1.0:
-            raise ConfigurationError("line_sample_factor must be >= 1")
-
-    @property
-    def total_weight(self) -> float:
-        """Real accesses this trace represents."""
-        return float(np.sum(self.weights))
+    chase_frac: float
+    #: extent of the region in bytes (observable as the address span)
+    region_bytes: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class BranchSiteTrace:
-    """Outcome history of one static conditional-branch site."""
+    """The outcome statistics of one static conditional-branch site."""
 
     pc: int
-    outcomes: np.ndarray           # bool array
+    #: fraction of taken outcomes in the site's observed history
+    taken_rate: float
+    #: fraction of direction changes between consecutive executions
+    transition_rate: float
     executions_weight: float       # total dynamic executions it represents
-
-    @property
-    def taken_rate(self) -> float:
-        """Observed fraction of taken outcomes."""
-        if len(self.outcomes) == 0:
-            return 0.0
-        return float(np.mean(self.outcomes))
-
-    @property
-    def transition_rate(self) -> float:
-        """Observed fraction of direction changes between executions."""
-        if len(self.outcomes) < 2:
-            return 0.0
-        return float(np.mean(self.outcomes[1:] != self.outcomes[:-1]))
 
 
 @dataclass(frozen=True)
@@ -151,10 +136,10 @@ class ServiceArtifacts:
     instruction_table: Dict[str, IformStats] = field(default_factory=dict)
     #: total dynamic instructions per request, per sampled request
     instructions_per_request: List[float] = field(default_factory=list)
-    #: data-side address traces, one per touched memory region
-    data_regions: List["RegionTrace"] = field(default_factory=list)
-    #: instruction-side address traces, one per code region
-    instr_regions: List["RegionTrace"] = field(default_factory=list)
+    #: data-side working-set statistics, one per touched memory region
+    data_regions: List[RegionStats] = field(default_factory=list)
+    #: instruction-side working-set statistics, one per code region
+    instr_regions: List[RegionStats] = field(default_factory=list)
     branch_sites: List[BranchSiteTrace] = field(default_factory=list)
     dep_samples: List[DepSample] = field(default_factory=list)
     #: (request sequence number, invocation), in order
@@ -184,27 +169,3 @@ class ServiceArtifacts:
     #: sizes of files the service touched (stat() during profiling)
     file_sizes: Dict[str, float] = field(default_factory=dict)
 
-
-
-# --------------------------------------------------------------------- #
-# persistence (digest-stamped envelopes)
-# --------------------------------------------------------------------- #
-#: schema name stamped into persisted ServiceArtifacts envelopes
-ARTIFACTS_SCHEMA = "service-artifacts"
-#: payload schema version (bump when the dataclass layout changes;
-#: files of any other version are misses)
-ARTIFACTS_VERSION = 2
-
-
-def save_artifacts(path: str, artifacts: ServiceArtifacts) -> str:
-    """Persist one service's artifacts atomically, digest-stamped.
-
-    Profiling a real deployment is the expensive half of a clone run;
-    saving its artifacts lets a later session re-clone (or re-validate)
-    without re-profiling. The envelope format detects truncation and
-    bit-rot on load instead of feeding damaged traces to the generator.
-    """
-    from repro.validation import integrity
-
-    return integrity.save_object(path, artifacts, schema=ARTIFACTS_SCHEMA,
-                                 version=ARTIFACTS_VERSION)

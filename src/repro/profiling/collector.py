@@ -3,8 +3,11 @@
 Runs the target deployment under the profiling load with full tracing,
 then — playing the role of SystemTap + Intel SDE + Valgrind attached to
 each service process — materialises per-service execution artifacts:
-sampled instruction streams, address traces, branch outcome histories,
-dependency samples, syscall logs, and thread observations.
+the sampled instruction stream as a per-iform table, per-region
+working-set statistics, per-site branch rates, dependency samples,
+syscall logs, and thread observations. Address traces and branch
+outcome histories are sampled and reduced here; a profile carries the
+statistics, not the raw samples.
 
 The harness necessarily reads the application models to synthesise the
 streams (it *is* the instrumentation, running inside the profiled
@@ -23,6 +26,7 @@ from repro.app.program import ComputeOp, Handler, RpcOp, SyscallOp
 from repro.app.service import Deployment, ServiceSpec
 from repro.app.skeleton import ClientNetworkModel, ThreadTrigger
 from repro.hw.branch import generate_branch_outcomes
+from repro.hw.cache import LINE_BYTES
 from repro.kernelsim.syscalls import SyscallInvocation
 from repro.hw.ir import BlockSpec
 from repro.loadgen.generator import LoadSpec
@@ -31,8 +35,17 @@ from repro.profiling.artifacts import (
     DepSample,
     IformStats,
     ProfilingBudget,
+    RegionStats,
     ServiceArtifacts,
     ThreadObservation,
+)
+from repro.profiling.wset import (
+    DATA_SWEEP_SIZES,
+    INSTR_SWEEP_SIZES,
+    regularity_ratio,
+    reuse_distances,
+    shared_ratio,
+    sweep_hits,
 )
 from repro.runtime.experiment import ExperimentConfig, run_experiment
 from repro.tracing.span import Span, SpanKind
@@ -83,8 +96,9 @@ class _RegionAccumulator:
     """Accumulates one region's sampled accesses across requests.
 
     Implements the spatial (set-sampling) discipline: regions larger than
-    ``target_lines`` cache lines are observed through a strided 1-in-K
-    line sample, recorded as the trace's ``line_sample_factor``.
+    ``TARGET_LINES`` cache lines are observed through a strided 1-in-K
+    line sample (``stride_lines``), so each sampled reuse distance
+    stands for K times as many lines.
     """
 
     TARGET_LINES = 512
@@ -154,21 +168,44 @@ class _RegionAccumulator:
         self.weights.append(np.full(
             length, dynamic_instructions / length, dtype=np.float64))
 
-    def finalize(self):
-        from repro.profiling.artifacts import RegionTrace
+    def finalize(self, sizes: Tuple[int, ...]) -> Optional[RegionStats]:
+        """Reduce the sampled trace to its working-set statistics.
+
+        Reuse distances measured on the sampled lines are scaled by the
+        line-sampling stride to estimate true stack distances.
+        A long-running service's lines are not really cold — the bounded
+        trace window merely starts mid-stream — so first touches take
+        the region's steady-state stack distance: the full extent for
+        regular (cyclic) traces, and a uniform spread over the extent
+        for irregular ones (the stack-distance law of uniform random
+        access).
+        """
         if not self.offsets:
             return None
         addresses = np.concatenate(self.offsets)
-        span = float(addresses.max() - addresses.min()) + 64.0 * (
+        weights = np.concatenate(self.weights)
+        region_bytes = float(addresses.max() - addresses.min()) + 64.0 * (
             self.stride_lines)
-        return RegionTrace(
-            addresses=addresses,
-            weights=np.concatenate(self.weights),
-            line_sample_factor=float(self.stride_lines),
-            thread2_addresses=(np.concatenate(self.offsets_t2)
-                               if self.offsets_t2 else None),
-            region_bytes=span,
+        distances = reuse_distances(addresses).astype(np.float64)
+        scaled = distances * float(self.stride_lines)
+        first = distances < 0
+        n_first = int(first.sum())
+        if n_first:
+            region_lines = max(1.0, region_bytes / LINE_BYTES)
+            if regularity_ratio(addresses) >= 0.5:
+                scaled[first] = region_lines
+            else:
+                scaled[first] = np.linspace(
+                    region_lines / n_first, region_lines, n_first)
+        return RegionStats(
+            hits=sweep_hits(scaled, weights, sizes),
+            total_weight=float(weights.sum()),
+            regularity=regularity_ratio(addresses, weights),
+            shared=(shared_ratio(addresses, np.concatenate(self.offsets_t2),
+                                 weights)
+                    if self.offsets_t2 else None),
             chase_frac=self.chase_frac,
+            region_bytes=region_bytes,
         )
 
 
@@ -355,7 +392,11 @@ def _collect_branch_artifacts(
                 taken, trans, budget.branch_outcomes_per_site, rng)
             artifacts.branch_sites.append(BranchSiteTrace(
                 pc=code_base + 64 * (pop_index * 97 + site),
-                outcomes=outcomes,
+                taken_rate=(float(np.mean(outcomes))
+                            if len(outcomes) else 0.0),
+                transition_rate=(
+                    float(np.mean(outcomes[1:] != outcomes[:-1]))
+                    if len(outcomes) >= 2 else 0.0),
                 executions_weight=weight,
             ))
 
@@ -536,15 +577,16 @@ def _collect_service_artifacts(
         artifacts.instructions_per_request.append(request_instructions)
         artifacts.handler_of_request[seq] = handler_name
         artifacts.requests_observed += 1
-    # Finalise the per-region traces.
+    # Reduce each region's sampled trace to its working-set statistics.
     for (side, _), accumulator in regions.items():
-        trace = accumulator.finalize()
-        if trace is None:
-            continue
         if side == "d":
-            artifacts.data_regions.append(trace)
+            stats = accumulator.finalize(DATA_SWEEP_SIZES)
+            found = artifacts.data_regions
         else:
-            artifacts.instr_regions.append(trace)
+            stats = accumulator.finalize(INSTR_SWEEP_SIZES)
+            found = artifacts.instr_regions
+        if stats is not None:
+            found.append(stats)
     # Thread probing "experiments with different connections" (§4.3.2).
     artifacts.threads.extend(_thread_observations(spec, connections, rng))
     artifacts.threads.extend(
@@ -621,9 +663,10 @@ def profile_deployment(
 # --------------------------------------------------------------------- #
 #: schema name stamped into persisted ApplicationProfile envelopes
 PROFILE_SCHEMA = "application-profile"
-#: payload schema version (bump when the profile layout changes;
-#: files of any other version are misses)
-PROFILE_VERSION = 2
+#: payload version of the pickled ApplicationProfile layout, shared by
+#: every store of profiles (bump when the layout changes; files of any
+#: other version are misses)
+PROFILE_VERSION = 3
 
 
 def save_profile(path: str, profile: ApplicationProfile) -> str:

@@ -1,7 +1,7 @@
 """Working-set profiling and the Eq. 1 / Eq. 2 inversions (§4.4.4–4.4.5).
 
-The Valgrind stand-in sweeps simulated cache sizes over the captured
-address traces. Rather than re-simulating an LRU cache once per size, the
+The Valgrind stand-in sweeps simulated cache sizes over each captured
+address trace. Rather than re-simulating an LRU cache once per size, the
 sweep computes Mattson reuse distances (distinct lines touched since the
 previous access to the same line) in one pass: under fully-associative
 LRU an access hits a cache of C lines iff its reuse distance is < C, so
@@ -11,6 +11,10 @@ tests cross-validate against the classic O(N log N) Fenwick-tree loop.
 The paper notes associativity changes move miss rates by only ~1.9%,
 justifying the fully-associative sweep; tests cross-validate it against
 the explicit set-associative simulator.
+
+The collector runs these kernels once per sampled region and keeps only
+the hit weight per sweep size (a ``RegionStats``); feature extraction
+sums those per side.
 
 The inversions recover the generator's working-set histograms:
 
@@ -22,7 +26,7 @@ The inversions recover the generator's working-set histograms:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,6 +37,10 @@ from repro.util.quantize import pow2_bins
 
 #: instructions per cache line assumed by Eq. 2 (64B line / 4B instruction)
 INSTRUCTIONS_PER_LINE = 16
+#: simulated cache sizes of the data-side sweep (64 B .. 256 MB)
+DATA_SWEEP_SIZES = tuple(pow2_bins(LINE_BYTES, 256 * 1024 * 1024))
+#: simulated cache sizes of the instruction-side sweep (64 B .. 16 MB)
+INSTR_SWEEP_SIZES = tuple(pow2_bins(LINE_BYTES, 16 * 1024 * 1024))
 
 
 def reuse_distances(addresses: np.ndarray) -> np.ndarray:
@@ -53,7 +61,6 @@ class WorkingSetProfile:
     sizes: List[int]
     hits: List[float]
     total_weight: float
-    per_request_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if len(self.sizes) != len(self.hits):
@@ -73,10 +80,21 @@ class WorkingSetProfile:
         return self.hits[index] / self.total_weight
 
 
+def sweep_hits(distances: np.ndarray, weights: np.ndarray,
+               sizes: Sequence[int]) -> Tuple[float, ...]:
+    """Weight of the accesses hitting each simulated cache size.
+
+    An access hits a cache of C lines iff its reuse distance (in lines)
+    is < C; a cold access carries an infinite distance.
+    """
+    return tuple(float(weights[distances < max(1, size // LINE_BYTES)].sum())
+                 for size in sizes)
+
+
 def profile_working_sets(
     addresses: np.ndarray,
     weights: Optional[np.ndarray] = None,
-    max_size: int = 256 * 1024 * 1024,
+    max_size: int = DATA_SWEEP_SIZES[-1],
     min_size: int = LINE_BYTES,
 ) -> WorkingSetProfile:
     """Sweep cache sizes over an address trace (one Mattson pass)."""
@@ -88,118 +106,11 @@ def profile_working_sets(
     if len(weights) != len(addresses):
         raise ConfigurationError("weights must align with addresses")
     sizes = pow2_bins(min_size, max_size)
-    distances = reuse_distances(addresses)
-    hits: List[float] = []
-    for size in sizes:
-        capacity_lines = max(1, size // LINE_BYTES)
-        mask = (distances >= 0) & (distances < capacity_lines)
-        hits.append(float(weights[mask].sum()))
+    distances = reuse_distances(addresses).astype(np.float64)
+    distances[distances < 0] = np.inf
     return WorkingSetProfile(
-        sizes=sizes, hits=hits, total_weight=float(weights.sum()))
-
-
-def profile_working_set_regions(
-    regions,
-    max_size: int = 256 * 1024 * 1024,
-    min_size: int = LINE_BYTES,
-    steady_state: bool = True,
-) -> WorkingSetProfile:
-    """Sweep cache sizes over spatially-sampled per-region traces.
-
-    Each region's reuse distances are measured on its sampled lines and
-    scaled by its ``line_sample_factor`` to estimate true stack
-    distances; H(s) sums over regions. Cross-region interference is a
-    second-order effect for working-set extraction (and the paper's Eq. 1
-    argument is per-working-set anyway).
-
-    ``steady_state``: a long-running service's lines are not really cold
-    — the bounded trace window merely starts mid-stream. First touches
-    are therefore assigned the region's steady-state stack distance: the
-    full extent for regular (cyclic) traces, and a uniform spread over
-    the extent for irregular ones (the stack-distance law of uniform
-    random access).
-    """
-    regions = list(regions)
-    if not regions:
-        raise ProfilingError("no region traces to sweep")
-    sizes = pow2_bins(min_size, max_size)
-    hits = np.zeros(len(sizes), dtype=np.float64)
-    total = 0.0
-    for region in regions:
-        distances = reuse_distances(region.addresses).astype(np.float64)
-        scaled = distances * region.line_sample_factor
-        weights = np.asarray(region.weights, dtype=np.float64)
-        total += float(weights.sum())
-        valid = distances >= 0
-        if steady_state and region.region_bytes > 0:
-            first = ~valid
-            n_first = int(first.sum())
-            if n_first:
-                region_lines = max(1.0, region.region_bytes / LINE_BYTES)
-                if regularity_ratio(region.addresses) >= 0.5:
-                    scaled[first] = region_lines
-                else:
-                    scaled[first] = np.linspace(
-                        region_lines / n_first, region_lines, n_first)
-                valid = np.ones_like(valid)
-        for index, size in enumerate(sizes):
-            capacity_lines = max(1, size // LINE_BYTES)
-            mask = valid & (scaled < capacity_lines)
-            hits[index] += float(weights[mask].sum())
-    return WorkingSetProfile(sizes=sizes, hits=[float(h) for h in hits],
-                             total_weight=total)
-
-
-def region_regularity_ratio(regions, min_region_bytes: float = 0.0,
-                            max_region_bytes: float = float("inf")) -> float:
-    """Weighted prefetch-coverable fraction across region traces.
-
-    Optionally restricted to regions within a footprint band — the
-    generator distinguishes the regularity of large (capacity-missing)
-    working sets from small (cache-resident) ones, since only the former
-    shapes memory-level behaviour.
-    """
-    num = 0.0
-    den = 0.0
-    for region in regions:
-        if not min_region_bytes <= region.region_bytes <= max_region_bytes:
-            continue
-        weight = region.total_weight
-        num += regularity_ratio(region.addresses, region.weights) * weight
-        den += weight
-    if den <= 0:
-        return 0.0
-    return num / den
-
-
-def region_chase_ratio(regions, min_region_bytes: float = 0.0) -> float:
-    """Weighted dependent-load fraction across region traces."""
-    num = 0.0
-    den = 0.0
-    for region in regions:
-        if region.region_bytes < min_region_bytes:
-            continue
-        weight = region.total_weight
-        num += region.chase_frac * weight
-        den += weight
-    if den <= 0:
-        return 0.0
-    return num / den
-
-
-def region_shared_ratio(regions) -> float:
-    """Weighted fraction of accesses to lines another thread touches."""
-    num = 0.0
-    den = 0.0
-    for region in regions:
-        weight = region.total_weight
-        den += weight
-        if region.thread2_addresses is not None:
-            num += shared_ratio(region.addresses, region.thread2_addresses,
-                                region.weights) * weight
-    if den <= 0:
-        return 0.0
-    return num / den
+        sizes=sizes, hits=list(sweep_hits(distances, weights, sizes)),
+        total_weight=float(weights.sum()))
 
 
 def invert_data_hits(profile: WorkingSetProfile) -> Dict[int, float]:
@@ -213,7 +124,7 @@ def invert_data_hits(profile: WorkingSetProfile) -> Dict[int, float]:
             accesses = hit - previous
         previous = hit
         if accesses > 1e-9:
-            result[size] = accesses * profile.per_request_scale
+            result[size] = accesses
     return result
 
 
@@ -240,13 +151,13 @@ def invert_instruction_hits(
         value = factor * (hit - previous)
         previous = hit
         if value > 1e-9:
-            executions[size] = value * profile.per_request_scale
+            executions[size] = value
             assigned += value
     # The smallest bin absorbs the remainder (the paper's 64-byte case).
     remainder = max(0.0, factor * total - assigned * 1.0) if line_grain_hits \
         else max(0.0, total - assigned)
     if remainder > 1e-9:
-        executions[profile.sizes[0]] = remainder * profile.per_request_scale
+        executions[profile.sizes[0]] = remainder
     return executions
 
 

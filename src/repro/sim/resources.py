@@ -77,13 +77,6 @@ class Resource:
         else:
             self._in_use -= 1
 
-    @property
-    def mean_wait_time(self) -> float:
-        """Average queueing delay per grant so far."""
-        if self.total_grants == 0:
-            return 0.0
-        return self.total_wait_time / self.total_grants
-
 
 class Store:
     """A FIFO buffer of items with blocking get and optional capacity."""

@@ -11,7 +11,10 @@ Five per-tier computations are done once instead of many times:
 * the core model computes each block's key-independent pricing terms
   once per block;
 * the profiler keeps the sampled instruction stream as a per-iform
-  table (count, REP sum, REP samples) instead of the raw samples.
+  table (count, REP sum, REP samples) instead of the raw samples;
+* the profiler reduces each sampled address trace to its working-set
+  statistics, and each branch site's outcome history to its taken and
+  transition rates, as it collects them.
 
 Each must change no result. The references below are copies of the
 code paths they replaced, kept here (not in ``src/``) as the oracle;
@@ -19,10 +22,12 @@ the pricing digest was captured with the per-call core model.
 """
 
 import copy
+import dataclasses
 import gc
 import hashlib
 import math
 import weakref
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -30,6 +35,7 @@ import pytest
 
 from repro.analysis.clustering import agglomerative_cluster
 from repro.analysis.treedit import CallTree, normalized_tree_distance
+from repro.core.features import LARGE_REGION_BYTES, extract_service_features
 from repro.core.regalloc import (
     AllocationResult,
     RegisterAssignment,
@@ -41,6 +47,8 @@ from repro.isa.instructions import feature_vector, iform
 from repro.isa.registers import RegisterFile
 from repro.profiling import collector
 from repro.profiling.artifacts import ServiceArtifacts, ThreadObservation
+from repro.hw.cache import LINE_BYTES
+from repro.profiling.branches import BranchProfile, RateBin
 from repro.profiling.deps import DependencyDistanceProfile
 from repro.profiling.instmix import (
     CLUSTER_THRESHOLD as MIX_CLUSTER_THRESHOLD,
@@ -55,6 +63,15 @@ from repro.profiling.threads import (
     _tree_labels,
     profile_thread_model,
 )
+from repro.profiling.wset import (
+    WorkingSetProfile,
+    invert_data_hits,
+    invert_instruction_hits,
+    regularity_ratio,
+    reuse_distances,
+    shared_ratio,
+)
+from repro.util.quantize import LogScaleQuantizer, pow2_bins
 from repro.util.stats import Histogram
 
 
@@ -631,3 +648,294 @@ class TestInstructionMixEquivalence:
             for name, artifacts in profile.services.items()
             if profile_instruction_mix(artifacts).rep_counts]
         assert len(with_rep) >= 4
+
+
+# --------------------------------------------------------------------- #
+# working sets and branches: the trace-based reducers
+# --------------------------------------------------------------------- #
+@dataclass
+class ReferenceRegionTrace:
+    """A region's raw sampled trace, as profiles used to carry it."""
+
+    addresses: np.ndarray
+    weights: np.ndarray
+    line_sample_factor: float
+    thread2_addresses: Optional[np.ndarray]
+    region_bytes: float
+    chase_frac: float
+
+    @property
+    def total_weight(self) -> float:
+        return float(np.sum(self.weights))
+
+
+@dataclass
+class ReferenceBranchSite:
+    """A branch site's raw outcome history."""
+
+    pc: int
+    outcomes: np.ndarray
+    executions_weight: float
+
+    @property
+    def taken_rate(self) -> float:
+        if len(self.outcomes) == 0:
+            return 0.0
+        return float(np.mean(self.outcomes))
+
+    @property
+    def transition_rate(self) -> float:
+        if len(self.outcomes) < 2:
+            return 0.0
+        return float(np.mean(self.outcomes[1:] != self.outcomes[:-1]))
+
+
+def reference_sweep(regions, max_size: int) -> WorkingSetProfile:
+    """The steady-state sweep over spatially-sampled region traces."""
+    sizes = pow2_bins(LINE_BYTES, max_size)
+    hits = np.zeros(len(sizes), dtype=np.float64)
+    total = 0.0
+    for region in regions:
+        distances = reuse_distances(region.addresses).astype(np.float64)
+        scaled = distances * region.line_sample_factor
+        weights = np.asarray(region.weights, dtype=np.float64)
+        total += float(weights.sum())
+        valid = distances >= 0
+        if region.region_bytes > 0:
+            first = ~valid
+            n_first = int(first.sum())
+            if n_first:
+                region_lines = max(1.0, region.region_bytes / LINE_BYTES)
+                if regularity_ratio(region.addresses) >= 0.5:
+                    scaled[first] = region_lines
+                else:
+                    scaled[first] = np.linspace(
+                        region_lines / n_first, region_lines, n_first)
+                valid = np.ones_like(valid)
+        for index, size in enumerate(sizes):
+            capacity_lines = max(1, size // LINE_BYTES)
+            mask = valid & (scaled < capacity_lines)
+            hits[index] += float(weights[mask].sum())
+    return WorkingSetProfile(sizes=sizes, hits=[float(h) for h in hits],
+                             total_weight=total)
+
+
+def reference_regularity(regions, min_region_bytes: float = 0.0) -> float:
+    num = 0.0
+    den = 0.0
+    for region in regions:
+        if not min_region_bytes <= region.region_bytes <= float("inf"):
+            continue
+        weight = region.total_weight
+        num += regularity_ratio(region.addresses, region.weights) * weight
+        den += weight
+    if den <= 0:
+        return 0.0
+    return num / den
+
+
+def reference_chase(regions, min_region_bytes: float) -> float:
+    num = 0.0
+    den = 0.0
+    for region in regions:
+        if region.region_bytes < min_region_bytes:
+            continue
+        weight = region.total_weight
+        num += region.chase_frac * weight
+        den += weight
+    if den <= 0:
+        return 0.0
+    return num / den
+
+
+def reference_shared(regions) -> float:
+    num = 0.0
+    den = 0.0
+    for region in regions:
+        weight = region.total_weight
+        den += weight
+        if region.thread2_addresses is not None:
+            num += shared_ratio(region.addresses, region.thread2_addresses,
+                                region.weights) * weight
+    if den <= 0:
+        return 0.0
+    return num / den
+
+
+def reference_branches(sites) -> BranchProfile:
+    """:func:`profile_branches` over per-site outcome arrays."""
+    quantizer = LogScaleQuantizer(max_exponent=10)
+    profile = BranchProfile()
+    weighted_taken = 0.0
+    weighted_transition = 0.0
+    total_weight = 0.0
+    for site in sites:
+        taken = site.taken_rate
+        transition = site.transition_rate
+        bin_: RateBin = (
+            quantizer.quantize(taken),
+            quantizer.quantize(transition),
+            taken >= 0.5,
+        )
+        profile.rate_distribution.add(bin_, site.executions_weight)
+        weighted_taken += taken * site.executions_weight
+        weighted_transition += transition * site.executions_weight
+        total_weight += site.executions_weight
+    profile.static_sites = len({site.pc for site in sites})
+    if total_weight > 0:
+        profile.mean_taken_rate = weighted_taken / total_weight
+        profile.mean_transition_rate = weighted_transition / total_weight
+    return profile
+
+
+def reference_features(artifacts: ServiceArtifacts, data, instr, sites):
+    """:func:`extract_service_features` with every field the traces fed
+    taken from the trace-based reducers."""
+    requests = max(1, artifacts.requests_observed)
+    large = reference_regularity(data, LARGE_REGION_BYTES)
+    return dataclasses.replace(
+        extract_service_features(artifacts),
+        branches=reference_branches(sites),
+        data_wsets={
+            size: accesses / requests
+            for size, accesses in invert_data_hits(
+                reference_sweep(data, 256 * 1024 * 1024)).items()},
+        instr_wsets={
+            size: execs / requests
+            for size, execs in invert_instruction_hits(
+                reference_sweep(instr, 16 * 1024 * 1024)).items()},
+        regular_ratio=reference_regularity(data),
+        regular_ratio_large=(large if large > 0.0
+                             else reference_regularity(data)),
+        chase_ratio_large=reference_chase(data, LARGE_REGION_BYTES),
+        shared_ratio=reference_shared(data),
+    )
+
+
+def _recording_finalize(traces: Dict[int, ReferenceRegionTrace]):
+    """``_RegionAccumulator.finalize``, also keeping the raw trace it
+    reduced (keyed by the id of the statistics it returned)."""
+    finalize = collector._RegionAccumulator.finalize
+
+    def recording(self, sizes):
+        stats = finalize(self, sizes)
+        if stats is not None:
+            addresses = np.concatenate(self.offsets)
+            traces[id(stats)] = ReferenceRegionTrace(
+                addresses=addresses,
+                weights=np.concatenate(self.weights),
+                line_sample_factor=float(self.stride_lines),
+                thread2_addresses=(np.concatenate(self.offsets_t2)
+                                   if self.offsets_t2 else None),
+                region_bytes=float(addresses.max() - addresses.min())
+                + 64.0 * self.stride_lines,
+                chase_frac=self.chase_frac,
+            )
+        return stats
+
+    return recording
+
+
+def _recording_outcomes(outcomes: List[np.ndarray]):
+    generate = collector.generate_branch_outcomes
+
+    def recording(taken, transition, length, rng):
+        drawn = generate(taken, transition, length, rng)
+        outcomes.append(drawn.copy())
+        return drawn
+
+    return recording
+
+
+def _trace_deployments():
+    from repro import Deployment, LoadSpec, build_mongodb
+
+    return dict(_mix_deployments(),
+                mongodb=(Deployment.single(build_mongodb()),
+                         LoadSpec.closed_loop(16)))
+
+
+@pytest.fixture(scope="module")
+def trace_profiles():
+    """``{workload: (profile, traces by stats id, sites by service)}``."""
+    from repro import ExperimentConfig, PLATFORM_A
+    from repro.profiling import ProfilingBudget, profile_deployment
+
+    found = {}
+    for workload, (deployment, load) in _trace_deployments().items():
+        traces: Dict[int, ReferenceRegionTrace] = {}
+        outcomes: List[np.ndarray] = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(collector._RegionAccumulator, "finalize",
+                          _recording_finalize(traces))
+            patch.setattr(collector, "generate_branch_outcomes",
+                          _recording_outcomes(outcomes))
+            profile = profile_deployment(
+                deployment, load,
+                ExperimentConfig(platform=PLATFORM_A, duration_s=0.02,
+                                 seed=7),
+                budget=ProfilingBudget(sampled_requests=8,
+                                       profile_duration_s=0.015),
+                seed=7)
+        # Services are profiled in order, each drawing its sites' outcome
+        # histories in the order it lists the sites.
+        sites: Dict[str, List[ReferenceBranchSite]] = {}
+        for name, artifacts in profile.services.items():
+            drawn, outcomes = (outcomes[:len(artifacts.branch_sites)],
+                               outcomes[len(artifacts.branch_sites):])
+            sites[name] = [
+                ReferenceBranchSite(site.pc, history,
+                                    site.executions_weight)
+                for site, history in zip(artifacts.branch_sites, drawn)]
+        assert not outcomes
+        found[workload] = (profile, traces, sites)
+    return found
+
+
+def _hexed(value):
+    """A value with every float as ``float.hex`` and every dict in its
+    order, walking dataclasses and plain objects field by field."""
+    if isinstance(value, (float, np.floating)):
+        return float(value).hex()
+    if value is None or isinstance(value, (bool, int, str, np.integer,
+                                           np.bool_)):
+        return value
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__,
+                [(f.name, _hexed(getattr(value, f.name)))
+                 for f in dataclasses.fields(value)])
+    if isinstance(value, dict):
+        return [(_hexed(key), _hexed(item)) for key, item in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [_hexed(item) for item in value]
+    if isinstance(value, (set, frozenset)):
+        return sorted(repr(item) for item in value)
+    if isinstance(value, np.ndarray):
+        return _hexed(value.tolist())
+    if hasattr(value, "__dict__"):
+        return (type(value).__name__, _hexed(vars(value)))
+    return repr(value)
+
+
+class TestRegionStatsEquivalence:
+    @pytest.mark.parametrize("workload", sorted(_trace_deployments()))
+    def test_features_match_trace_reducers(self, trace_profiles, workload):
+        profile, traces, sites = trace_profiles[workload]
+        for name, artifacts in profile.services.items():
+            data = [traces[id(region)] for region in artifacts.data_regions]
+            instr = [traces[id(region)]
+                     for region in artifacts.instr_regions]
+            features = extract_service_features(artifacts)
+            oracle = reference_features(artifacts, data, instr, sites[name])
+            assert _hexed(features) == _hexed(oracle), name
+
+    def test_every_reducer_is_exercised(self, trace_profiles):
+        features = [
+            extract_service_features(artifacts)
+            for profile, _, _ in trace_profiles.values()
+            for artifacts in profile.services.values()]
+        assert any(f.shared_ratio > 0 for f in features)
+        assert any(f.chase_ratio_large > 0 for f in features)
+        assert any(f.regular_ratio_large != f.regular_ratio
+                   for f in features)
+        assert any(f.instr_wsets for f in features)

@@ -96,34 +96,32 @@ class TestAssemblyEmitter:
 
 
 class TestWsetHelpers:
+    @staticmethod
+    def _region(weight, region_bytes, chase_frac):
+        from repro.profiling.artifacts import RegionStats
+        return RegionStats(hits=(weight,), total_weight=weight,
+                           regularity=1.0, shared=None,
+                           chase_frac=chase_frac, region_bytes=region_bytes)
+
     def test_region_chase_ratio_weighted(self):
-        import numpy as np
-        from repro.profiling.artifacts import RegionTrace
-        from repro.profiling.wset import region_chase_ratio
-        chasing = RegionTrace(
-            addresses=np.arange(10, dtype=np.int64) * 64,
-            weights=np.full(10, 3.0), region_bytes=1 << 21, chase_frac=1.0)
-        plain = RegionTrace(
-            addresses=np.arange(10, dtype=np.int64) * 64,
-            weights=np.full(10, 1.0), region_bytes=1 << 21, chase_frac=0.0)
-        assert region_chase_ratio([chasing, plain]) == pytest.approx(0.75)
+        from operator import attrgetter
+        from repro.core.features import _weighted_mean
+        chasing = self._region(30.0, 1 << 21, chase_frac=1.0)
+        plain = self._region(10.0, 1 << 21, chase_frac=0.0)
+        assert _weighted_mean([chasing, plain], attrgetter(
+            "chase_frac")) == pytest.approx(0.75)
 
     def test_region_chase_ratio_band_filter(self):
-        import numpy as np
-        from repro.profiling.artifacts import RegionTrace
-        from repro.profiling.wset import region_chase_ratio
-        small = RegionTrace(
-            addresses=np.arange(4, dtype=np.int64) * 64,
-            weights=np.full(4, 1.0), region_bytes=4096, chase_frac=1.0)
-        assert region_chase_ratio([small],
-                                  min_region_bytes=1 << 20) == 0.0
+        from operator import attrgetter
+        from repro.core.features import _weighted_mean
+        small = self._region(4.0, 4096, chase_frac=1.0)
+        assert _weighted_mean([small], attrgetter("chase_frac"),
+                              min_region_bytes=1 << 20) == 0.0
 
     def test_empty_regions_zero(self):
-        from repro.profiling.wset import (
-            region_chase_ratio,
-            region_regularity_ratio,
-            region_shared_ratio,
-        )
-        assert region_chase_ratio([]) == 0.0
-        assert region_regularity_ratio([]) == 0.0
-        assert region_shared_ratio([]) == 0.0
+        from repro.core.features import _sweep, _weighted_mean
+        from repro.profiling.wset import DATA_SWEEP_SIZES
+        from repro.util.errors import ProfilingError
+        assert _weighted_mean([], lambda region: 1.0) == 0.0
+        with pytest.raises(ProfilingError):
+            _sweep([], DATA_SWEEP_SIZES)

@@ -168,7 +168,8 @@ class TestLegacyProfile:
         # list instead of the per-iform table. Reading it must be a
         # miss (the job re-profiles and replaces it), never a crash
         # inside feature extraction.
-        from repro.fleet.store import PROFILE_SCHEMA, PROFILE_VERSION
+        from repro.fleet.store import PROFILE_SCHEMA
+        from repro.profiling.collector import PROFILE_VERSION
         from repro.profiling import profile_deployment
         from repro.validation import integrity
 

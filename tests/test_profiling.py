@@ -22,9 +22,10 @@ from repro.profiling import (
     profile_working_sets,
 )
 from repro.profiling.wset import (
+    DATA_SWEEP_SIZES,
+    INSTR_SWEEP_SIZES,
     invert_data_hits,
     invert_instruction_hits,
-    profile_working_set_regions,
     regularity_ratio,
     reuse_distances,
     shared_ratio,
@@ -73,7 +74,12 @@ class TestCollector:
         assert memcached_artifacts.instr_regions
         for region in memcached_artifacts.data_regions:
             assert region.total_weight > 0
-            assert region.line_sample_factor >= 1.0
+            assert region.region_bytes >= 64
+            assert len(region.hits) == len(DATA_SWEEP_SIZES)
+            assert 0.0 <= region.regularity <= 1.0
+        for region in memcached_artifacts.instr_regions:
+            assert len(region.hits) == len(INSTR_SWEEP_SIZES)
+            assert region.shared is None
 
 
 def _socialnet_4node():
@@ -135,6 +141,24 @@ class TestProfilePersistence:
             load_profile(path)
         assert excinfo.value.reason == "version"
         assert not (tmp_path / "profile.bin.quarantined").exists()
+
+    def test_socialnet_profile_ships_statistics_not_samples(self):
+        # The seed-7 social-network profile at the clone benchmark's
+        # budget: 7.03 MB while regions carried address traces and sites
+        # outcome arrays, 0.66 MB as statistics.
+        import pickle
+
+        profile = profile_deployment(
+            _socialnet_4node(), LoadSpec.open_loop(2_000),
+            ExperimentConfig(platform=PLATFORM_A, duration_s=0.2, seed=7),
+            budget=ProfilingBudget(sampled_requests=8,
+                                   profile_duration_s=0.06))
+        assert len(pickle.dumps(profile)) < 1_000_000
+        for artifacts in profile.services.values():
+            for record in (artifacts.data_regions + artifacts.instr_regions
+                           + artifacts.branch_sites):
+                assert not any(isinstance(value, np.ndarray)
+                               for value in vars(record).values())
 
 
 class TestReuseDistances:
@@ -201,13 +225,17 @@ class TestWorkingSetInversion:
                 assert per_line[size] == pytest.approx(16 * direct[size])
 
     def test_monotone_hits(self, memcached_artifacts):
-        profile = profile_working_set_regions(memcached_artifacts.data_regions)
-        assert all(a <= b + 1e-9 for a, b in zip(profile.hits,
-                                                 profile.hits[1:]))
+        # Every region is swept in the steady state: each access hits a
+        # cache as large as the sweep's largest size.
+        for region in memcached_artifacts.data_regions:
+            assert all(a <= b + 1e-9 for a, b in zip(region.hits,
+                                                     region.hits[1:]))
+            assert region.hits[-1] == pytest.approx(region.total_weight)
 
     def test_memcached_store_visible_in_big_bins(self, memcached_artifacts):
-        profile = profile_working_set_regions(memcached_artifacts.data_regions)
-        inverted = invert_data_hits(profile)
+        from repro.core.features import extract_service_features
+
+        inverted = extract_service_features(memcached_artifacts).data_wsets
         big = sum(v for k, v in inverted.items() if k >= 1 << 20)
         assert big > 0   # the ~41MB value store shows up
 

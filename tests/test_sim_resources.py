@@ -70,7 +70,6 @@ class TestResource:
         assert cpu.total_grants == 2
         assert cpu.peak_queue_length == 1
         assert cpu.total_wait_time == pytest.approx(4.0)
-        assert cpu.mean_wait_time == pytest.approx(2.0)
         assert cpu.in_use == 0 and cpu.queue_length == 0
 
     def test_idle_grant_is_one_slot_busy_grant_waits_for_release(self):
