@@ -94,19 +94,17 @@ def best_rate(fn: Callable[[], int], repeat: int = 3,
 
 
 #: event mix driven by :func:`bench_engine`, mirroring a service
-#: simulation's queue traffic under the batched load generator: the
-#: bulk of the entries are arrival-train timeouts scheduled through
-#: ``Environment.timeout_many`` (the path loadgen arrival trains take),
-#: the remainder split between zero-delay completion timeouts (the
-#: device-op fast-path churn) and already-triggered event ping-pong
-#: (RPC resume traffic). The weights are explicit so the metric stays
-#: reproducible and renegotiable in one place.
-ENGINE_MIX = {"arrival_trains": 0.80, "zero_delay": 0.10, "pingpong": 0.10}
+#: simulation's queue traffic: the bulk of the entries are arrival
+#: timeouts, one ``Environment.timeout(gap)`` per arrival as the
+#: open-loop generator schedules them, the remainder split between
+#: zero-delay completion timeouts (the device-op fast-path churn) and
+#: already-triggered event ping-pong (RPC resume traffic). The weights
+#: are explicit so the metric stays reproducible and renegotiable in
+#: one place.
+ENGINE_MIX = {"arrivals": 0.80, "zero_delay": 0.10, "pingpong": 0.10}
 
-#: arrivals per ``timeout_many`` train in :func:`bench_engine` — sized
-#: like a real paced-loadgen batch (and within the engine's Timeout
-#: freelist, so steady-state trains allocate nothing)
-ENGINE_TRAIN = 4_096
+#: simulated gap between arrivals in :func:`bench_engine`
+ENGINE_GAP = 1e-7
 
 
 def bench_engine(n: int) -> int:
@@ -119,19 +117,14 @@ def bench_engine(n: int) -> int:
     from repro.sim import Environment
 
     env = Environment()
-    train = min(ENGINE_TRAIN, max(1, n // 4))
-    n_train = max(train, int(n * ENGINE_MIX["arrival_trains"])
-                  // train * train)
+    n_arrivals = int(n * ENGINE_MIX["arrivals"])
     n_zero = int(n * ENGINE_MIX["zero_delay"])
-    n_ping = max(0, n - n_train - n_zero)
-    delays = [1e-7] * train
+    n_ping = max(0, n - n_arrivals - n_zero)
 
     def arrivals(count):
-        done = 0
-        timeout_many = env.timeout_many
-        while done < count:
-            yield timeout_many(delays)[-1]
-            done += train
+        timeout = env.timeout
+        for _ in range(count):
+            yield timeout(ENGINE_GAP)
 
     def completions(count):
         timeout = env.timeout
@@ -145,7 +138,7 @@ def bench_engine(n: int) -> int:
             evt.succeed(1)
             yield evt
 
-    env.process(arrivals(n_train))
+    env.process(arrivals(n_arrivals))
     env.process(completions(n_zero))
     env.process(pingpong(n_ping))
     env.run()

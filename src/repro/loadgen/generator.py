@@ -131,16 +131,15 @@ class LatencyRecorder:
 class LoadSpec:
     """One load point.
 
-    Open-loop: ``qps`` target arrival rate (Poisson unless
-    ``deterministic``); closed-loop: ``connections`` each keeping one
-    outstanding request with ``think_time_s`` between completions.
+    Open-loop: ``qps`` mean rate of Poisson arrivals; closed-loop:
+    ``connections`` each keeping one outstanding request with
+    ``think_time_s`` between completions.
     """
 
     kind: str                      # "open" | "closed"
     qps: float = 0.0
     connections: int = 0
     think_time_s: float = 0.0
-    deterministic: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in ("open", "closed"):
@@ -158,9 +157,9 @@ class LoadSpec:
             raise ConfigurationError("think time must be non-negative")
 
     @staticmethod
-    def open_loop(qps: float, deterministic: bool = False) -> "LoadSpec":
+    def open_loop(qps: float) -> "LoadSpec":
         """An open-loop (mutated/tcpkali/wrk2-style) load point."""
-        return LoadSpec(kind="open", qps=qps, deterministic=deterministic)
+        return LoadSpec(kind="open", qps=qps)
 
     @staticmethod
     def closed_loop(connections: int, think_time_s: float = 0.0) -> "LoadSpec":
@@ -170,7 +169,11 @@ class LoadSpec:
 
 
 class OpenLoopGenerator:
-    """Injects requests at a target rate, regardless of completions."""
+    """Injects Poisson arrivals at a mean rate, regardless of completions.
+
+    Each arrival draws its exponential gap and then its handler from one
+    RNG stream, one request at a time.
+    """
 
     def __init__(
         self,
@@ -181,7 +184,6 @@ class OpenLoopGenerator:
         duration_s: float,
         rng_stream: RngStream,
         recorder: Optional[LatencyRecorder] = None,
-        deterministic: bool = False,
     ) -> None:
         if qps <= 0 or duration_s <= 0:
             raise ConfigurationError("qps and duration must be positive")
@@ -191,25 +193,15 @@ class OpenLoopGenerator:
         self.qps = qps
         self.duration_s = duration_s
         self.recorder = recorder if recorder is not None else LatencyRecorder()
-        self.deterministic = deterministic
         self._rng = rng_stream.rng("openloop")
 
     def start(self) -> Event:
         """Start injecting; returns the injector process."""
         return self.env.process(self._inject(), name="open-loop")
 
-    #: arrivals scheduled per ``timeout_many`` pass in deterministic mode
-    ARRIVAL_TRAIN = 1024
-
     def _inject(self):
         end = self.env.now + self.duration_s
         cdf, names, last = _handler_sampler(self.mix)
-        if self.deterministic:
-            yield from self._inject_paced(end, names, cdf, last)
-            return
-        # Poisson arrivals interleave the gap and handler draws on one
-        # RNG stream, so they cannot be batched without perturbing the
-        # draw order — this loop stays request-at-a-time.
         rng = self._rng
         env = self.env
         recorder = self.recorder
@@ -221,45 +213,6 @@ class OpenLoopGenerator:
             handler = names[min(bisect_right(cdf, rng.random()), last)]
             recorder.issued += 1
             env.spawn(self._track(handler), name="req")
-
-    def _inject_paced(self, end, names, cdf, last):
-        """Deterministic arrivals, scheduled as whole trains.
-
-        Fixed-gap arrivals carry no randomness in their timing, so a
-        train of them is scheduled in one
-        :meth:`~repro.sim.engine.Environment.timeout_many` insertion
-        pass; each arrival timeout carries a callback that draws the
-        handler (in chronological order, exactly like the sequential
-        loop) and issues the request — no injector wake-up and no
-        per-arrival process between requests.
-        """
-        gap = 1.0 / self.qps
-        rng = self._rng
-        recorder = self.recorder
-        env = self.env
-
-        def arrive(event: Event) -> None:
-            handler = names[min(bisect_right(cdf, rng.random()), last)]
-            recorder.issued += 1
-            env.spawn(self._track(handler), name="req")
-
-        while True:
-            start = env.now
-            count = 0
-            delays = []
-            while count < self.ARRIVAL_TRAIN:
-                count += 1
-                if start + count * gap >= end:
-                    break
-                delays.append(count * gap)
-            if not delays:
-                return
-            train = env.timeout_many(delays)
-            for timeout in train:
-                timeout.callbacks.append(arrive)
-            # Ride the train's tail so the next one starts where this
-            # one ended (float-for-float with arrivals at start + k*gap).
-            yield train[-1]
 
     def _track(self, handler: str):
         start = self.env.now
@@ -338,7 +291,7 @@ def build_generator(
     if load.kind == "open":
         return OpenLoopGenerator(
             env, submit, mix, load.qps, duration_s, rng_stream,
-            recorder=recorder, deterministic=load.deterministic,
+            recorder=recorder,
         )
     return ClosedLoopGenerator(
         env, submit, mix, load.connections, duration_s, rng_stream,

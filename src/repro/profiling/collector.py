@@ -16,6 +16,7 @@ process); the feature extractors downstream consume only the artifacts.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -367,6 +368,15 @@ def _collect_block_artifacts(
         int(min(budget.max_istream_per_block, max(16, dynamic_instructions))))
 
 
+def _name_hash(name: str) -> int:
+    """A hash of ``name`` that is the same in every interpreter.
+
+    Python's ``hash`` of a ``str`` is salted per process, so anything
+    derived from it would make a profile's digest differ between runs.
+    """
+    return zlib.crc32(name.encode())
+
+
 def _collect_branch_artifacts(
     block: BlockSpec,
     artifacts: ServiceArtifacts,
@@ -374,7 +384,7 @@ def _collect_branch_artifacts(
     rng: np.random.Generator,
     executions_scale: float,
 ) -> None:
-    code_base = (abs(hash(block.name)) % (1 << 24)) << 8
+    code_base = (_name_hash(block.name) % (1 << 24)) << 8
     for pop_index, population in enumerate(block.branches):
         executions = population.executions * max(1.0, block.iterations)
         if executions <= 0:
@@ -445,7 +455,7 @@ def _call_tree_for_worker(spec: ServiceSpec) -> CallTree:
                 loop.add(CallTree(op.invocation.name))
             elif isinstance(op, ComputeOp):
                 loop.add(CallTree(
-                    f"fn_{abs(hash(op.block.name)) % 99991:05d}"))
+                    f"fn_{_name_hash(op.block.name) % 99991:05d}"))
             elif isinstance(op, RpcOp):
                 rpc = loop.add(CallTree("rpc_call"))
                 rpc.add(CallTree("sendmsg"))

@@ -25,9 +25,8 @@ the rest of the stack depends on (see DESIGN.md "Engine invariants"):
 * a process yielding an already-triggered event resumes on the *next*
   scheduling round (via a lightweight :class:`_Resume` queue entry, not
   a proxy ``Event``), consuming exactly one bucket slot;
-* ``Timeout`` objects are pooled per environment and recycled only when
-  provably unreferenced, so reuse is invisible to callers; the pool is
-  trimmed back after bursty phases (see :meth:`Environment.run`);
+* :meth:`Environment.timeout` is the one timer: a fresh ``Timeout`` per
+  call, born triggered and queued at ``now + delay``;
 * an empty fault plan / absent telemetry leaves the schedule untouched,
   keeping runs bit-identical.
 """
@@ -35,23 +34,9 @@ the rest of the stack depends on (see DESIGN.md "Engine invariants"):
 from __future__ import annotations
 
 import heapq
-from sys import getrefcount
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from repro.util.errors import SimBudgetExceededError, SimulationError
-
-#: cap on the per-environment freelist of recycled Timeout objects.
-#: Sized to cover a whole arrival train scheduled via ``timeout_many``
-#: (load generators batch thousands of arrivals at once); the trim in
-#: :meth:`Environment.run` shrinks the freelist back to
-#: ``_TIMEOUT_POOL_KEEP`` whenever the queue drains, so a burst-sized
-#: pool never outlives the burst.
-_TIMEOUT_POOL_MAX = 8192
-
-#: freelist floor kept across trims: enough for steady-state reuse
-#: without re-warming, small enough that an idle environment does not
-#: pin a burst's worth of dead Timeout objects.
-_TIMEOUT_POOL_KEEP = 32
 
 #: the horizon of a run with no ``until``: every scheduled time is below it
 _INFINITY = float("inf")
@@ -146,8 +131,8 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` time units after creation.
 
-    Prefer :meth:`Environment.timeout`, which recycles triggered-and-
-    dispatched instances from a per-environment pool.
+    Create one with :meth:`Environment.timeout`. It is born triggered
+    (successfully, with ``value``) and queued at ``now + delay``.
     """
 
     __slots__ = ("delay",)
@@ -205,22 +190,6 @@ class _Deferred:
 
     def fire(self, env: "Environment") -> None:
         self.callback(self.event)
-
-
-class _Call:
-    """Queue entry invoking a plain callable at its scheduled time.
-
-    Backs :meth:`Environment.call_at` — the cheapest way to run code at
-    a future simulated time without an ``Event`` or a process.
-    """
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable[[], None]) -> None:
-        self.fn = fn
-
-    def fire(self, env: "Environment") -> None:
-        self.fn()
 
 
 class Process(Event):
@@ -373,8 +342,6 @@ class Environment:
         self._now = float(initial_time)
         self._buckets: dict = {}
         self._times: List[float] = []
-        self._timeout_pool: List[Timeout] = []
-        self._pool_served = 0
         #: queue entries dispatched over the environment's lifetime.
         #: Maintained per drained bucket (not per entry) in the fast
         #: drain loops, so it is exact at run() boundaries but may lag
@@ -393,127 +360,8 @@ class Environment:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event firing ``delay`` time units from now.
-
-        Serves from the environment's freelist of recycled ``Timeout``
-        instances when possible; a recycled timeout is indistinguishable
-        from a fresh one (instances are only recycled once dispatched
-        and provably unreferenced).
-        """
-        pool = self._timeout_pool
-        if pool:
-            if not delay >= 0:
-                raise SimulationError(f"negative timeout delay: {delay}")
-            timeout = pool.pop()
-            self._pool_served += 1
-            # _ok/_triggered are still True from the recycled instance's
-            # previous life: timeouts are born triggered and fail()
-            # rejects triggered events, so neither flag can have flipped.
-            timeout.delay = delay
-            timeout._value = value
-            timeout._scheduled = True
-            when = self._now + delay
-            bucket = self._buckets.get(when)
-            if bucket is None:
-                self._buckets[when] = [1, timeout]
-                heapq.heappush(self._times, when)
-            else:
-                bucket.append(timeout)
-            return timeout
+        """Create an event firing ``delay`` time units from now."""
         return Timeout(self, delay, value)
-
-    def timeout_many(self, delays: Iterable[float],
-                     value: Any = None) -> List[Timeout]:
-        """Create one timeout per delay in a single insertion pass.
-
-        Equivalent to ``[env.timeout(d, value) for d in delays]`` — same
-        pool reuse, same bucket slots in the same order — but with the
-        per-call overhead (attribute lookups, pool probing) hoisted out
-        of the loop. Load generators use this to schedule whole arrival
-        trains at once.
-        """
-        now = self._now
-        pool = self._timeout_pool
-        buckets = self._buckets
-        times = self._times
-        push = heapq.heappush
-        get_bucket = buckets.get
-        pool_pop = pool.pop
-        new = Timeout.__new__
-        out: List[Timeout] = []
-        append = out.append
-        # The pool is only mutated here for the duration of the loop (no
-        # callbacks run inside timeout_many), so a local countdown stands
-        # in for per-iteration truth tests on the list itself.
-        avail = len(pool)
-        initial = avail
-        # Trains are dominated by runs of identical timestamps (paced
-        # arrival batches, same-tick bursts); caching the last bucket's
-        # bound append skips the dict lookup and the method resolution
-        # for every repeat.
-        last_when: Optional[float] = None
-        last_append: Optional[Callable[[Timeout], None]] = None
-        for delay in delays:
-            if not delay >= 0:
-                self._pool_served += initial - avail
-                raise SimulationError(f"negative timeout delay: {delay}")
-            if avail:
-                avail -= 1
-                timeout = pool_pop()
-                # _ok/_triggered survive recycling still True (see
-                # Environment.timeout).
-                timeout.delay = delay
-                timeout._value = value
-                timeout._scheduled = True
-            else:
-                timeout = new(Timeout)
-                timeout.env = self
-                timeout.callbacks = []
-                timeout._value = value
-                timeout._ok = True
-                timeout._triggered = True
-                timeout._scheduled = True
-                timeout.delay = delay
-            when = now + delay
-            if when == last_when:
-                last_append(timeout)
-            else:
-                bucket = get_bucket(when)
-                if bucket is None:
-                    bucket = [1, timeout]
-                    buckets[when] = bucket
-                    push(times, when)
-                else:
-                    bucket.append(timeout)
-                last_when = when
-                last_append = bucket.append
-            append(timeout)
-        self._pool_served += initial - avail
-        return out
-
-    def call_at(self, when: float, fn: Callable[[], None]) -> None:
-        """Invoke ``fn()`` at simulated time ``when``.
-
-        The cheapest scheduling primitive — one bucket slot, no
-        ``Event``, nothing to wait on — for fire-and-forget callbacks
-        that must land at an exact timestamp.
-        """
-        when = float(when)
-        if not when >= self._now:
-            raise SimulationError(
-                f"call_at({when:g}) is in the past (now={self._now:g})")
-        bucket = self._buckets.get(when)
-        if bucket is None:
-            self._buckets[when] = [1, _Call(fn)]
-            heapq.heappush(self._times, when)
-        else:
-            bucket.append(_Call(fn))
-
-    def call_after(self, delay: float, fn: Callable[[], None]) -> None:
-        """Invoke ``fn()`` after ``delay`` time units."""
-        if not delay >= 0:
-            raise SimulationError(f"negative call_after delay: {delay}")
-        self.call_at(self._now + delay, fn)
 
     def process(
         self, generator: Generator[Event, Any, Any], name: str = ""
@@ -652,20 +500,6 @@ class Environment:
         else:
             bucket.append(entry)
 
-    def _dispatch(self, item: Any) -> None:
-        """Run one popped queue entry's effects."""
-        item.fire(self)
-        if item.__class__ is Timeout and getrefcount(item) == 3:
-            # Dispatched and provably unreferenced: exactly three refs
-            # remain — our parameter, the run()/step() local that passed
-            # it in, and getrefcount's own argument. Any caller still
-            # holding the timeout inflates the count and keeps it out of
-            # the pool. (The bucket slot it occupied was overwritten
-            # with None at pop time.)
-            pool = self._timeout_pool
-            if len(pool) < _TIMEOUT_POOL_MAX:
-                pool.append(item)
-
     def _pop(self) -> Any:
         """Remove and return the next queue entry, advancing the clock."""
         times = self._times
@@ -689,38 +523,8 @@ class Environment:
         """Process the single next entry in the event queue."""
         if not self._times:
             raise SimulationError("step() on an empty event queue")
-        self._dispatch(self._pop())
+        self._pop().fire(self)
         self.dispatched_events += 1
-
-    def trim_timeout_pool(self) -> int:
-        """Shrink the Timeout freelist after a bursty phase.
-
-        Keeps as many instances as were actually served from the pool
-        since the last trim (a proxy for steady-state demand), floored
-        at a small warm set — so a burst that briefly inflated the pool
-        does not pin up to ``_TIMEOUT_POOL_MAX`` dead objects for the
-        life of the environment. Publishes the resulting size as the
-        ``ditto_engine_timeout_pool_size`` gauge when a telemetry
-        session is active. Returns the retained pool size.
-
-        :meth:`run` calls this automatically whenever a run drains the
-        queue; long-lived environments driven in ``run(until=horizon)``
-        windows may call it explicitly.
-        """
-        pool = self._timeout_pool
-        keep = max(_TIMEOUT_POOL_KEEP, self._pool_served)
-        self._pool_served = 0
-        if len(pool) > keep:
-            del pool[keep:]
-        size = len(pool)
-        from repro.telemetry.context import current_session
-        session = current_session()
-        if session is not None:
-            session.registry.gauge(
-                "ditto_engine_timeout_pool_size",
-                "recycled Timeout instances pooled by the DES engine",
-            ).set(size)
-        return size
 
     def run(
         self,
@@ -741,10 +545,6 @@ class Environment:
           ``any_of`` race, or a pending watchdog timeout) stay queued
           instead of being drained and silently advancing the clock.
         - ``until`` is None: run until no events remain.
-
-        A run that drains the queue also trims the Timeout freelist
-        (:meth:`trim_timeout_pool`), so burst-sized pools do not outlive
-        the burst.
 
         Watchdogs (all off by default; a run with none set takes the
         historical fast paths and is bit-identical):
@@ -775,10 +575,8 @@ class Environment:
                     if until._triggered:
                         break
                     raise SimulationError(self._drained_message(until))
-                self._dispatch(self._pop())
+                self._pop().fire(self)
                 self.dispatched_events += 1
-            if not self._times:
-                self.trim_timeout_pool()
             if not until.ok:
                 raise until.value
             return until.value
@@ -786,22 +584,15 @@ class Environment:
         times = self._times
         buckets = self._buckets
         pop_time = heapq.heappop
-        pool = self._timeout_pool
-        pool_append = pool.append
-        refcount = getrefcount
         timeout_cls = Timeout
         event_cls = Event
         process_cls = Process
-        pool_max = _TIMEOUT_POOL_MAX
         # Drain bucket by bucket up to the horizon: entries pushed at the
         # current time while draining append to the live bucket and are
         # picked up by the same inner loop — the dominant zero-delay
         # traffic never touches the heap. Event delivery is inlined for
         # timeouts (the hottest entry kind by far), plain events and
-        # process completions; every other entry fires directly. The
-        # timeout refcount bar is 2 here — the loop local plus
-        # getrefcount's argument; the bucket slot was overwritten with
-        # None above — where _dispatch (one call deeper) requires 3.
+        # process completions; every other entry fires directly.
         while times:
             when = times[0]
             if when > horizon:
@@ -836,9 +627,6 @@ class Environment:
                                     item.callbacks = []
                                     for callback in callbacks:
                                         callback(item)
-                            if (cls is timeout_cls and refcount(item) == 2
-                                    and len(pool) < pool_max):
-                                pool_append(item)
                         else:
                             item.fire(self)
                     size = len(bucket)
@@ -849,8 +637,6 @@ class Environment:
             pop_time(times)
         if until is not None:
             self._now = max(self._now, horizon)
-        if not times:
-            self.trim_timeout_pool()
         return None
 
     def _drained_message(self, until: Event) -> str:
@@ -920,7 +706,7 @@ class Environment:
             # is identified.
             label = (self._entry_label(head)
                      if max_stalled_events is not None else "")
-            self._dispatch(self._pop())
+            self._pop().fire(self)
             dispatched += 1
             self.dispatched_events += 1
             if max_stalled_events is not None:

@@ -1,14 +1,14 @@
 """Shared-resource primitives built on the DES engine.
 
 :class:`Resource` models a counted server pool (CPU cores, disk channels,
-worker slots) with FIFO queueing. :class:`Store` models an unbounded or
-bounded FIFO of items (request queues, mailboxes between threads).
+worker slots) with FIFO queueing. :class:`Store` models an unbounded
+FIFO of items (a service's request queue).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, Optional
+from typing import Any, Deque
 
 from repro.sim.engine import Environment, Event
 from repro.util.errors import SimulationError
@@ -79,82 +79,33 @@ class Resource:
 
 
 class Store:
-    """A FIFO buffer of items with blocking get and optional capacity."""
+    """An unbounded FIFO of items with a blocking get.
 
-    def __init__(
-        self, env: Environment, capacity: Optional[int] = None, name: str = ""
-    ) -> None:
-        if capacity is not None and capacity < 1:
-            raise SimulationError(f"store capacity must be >= 1, got {capacity}")
+    :meth:`append` hands an item to the oldest blocked getter or buffers
+    it; nothing is queued for the producer, which never waits.
+    """
+
+    def __init__(self, env: Environment, name: str = "") -> None:
         self.env = env
-        self.capacity = capacity
         self.name = name
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple[Event, Any]] = deque()
-        self.total_puts = 0
-        self.peak_occupancy = 0
 
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def items(self) -> List[Any]:
-        """A snapshot of buffered items (oldest first)."""
-        return list(self._items)
-
-    def put(self, item: Any) -> Event:
-        """Insert ``item``; blocks (as an event) when at capacity."""
-        done = self.env.event()
-        if self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            self.total_puts += 1
-            done.succeed(None)
-            return done
-        if self.capacity is not None and len(self._items) >= self.capacity:
-            self._putters.append((done, item))
-            return done
-        self._items.append(item)
-        self.total_puts += 1
-        self.peak_occupancy = max(self.peak_occupancy, len(self._items))
-        done.succeed(None)
-        return done
-
     def append(self, item: Any) -> None:
-        """Insert ``item`` into an unbounded store; nothing to wait on.
-
-        :meth:`put` without its completion event: the item is handed to
-        the oldest blocked getter or buffered, exactly as :meth:`put`
-        would, but no entry is queued for a caller that never waits.
-        """
-        if self.capacity is not None:
-            raise SimulationError(
-                f"append() on bounded store {self.name!r}; use put()")
-        self.total_puts += 1
+        """Insert ``item``; nothing to wait on."""
         if self._getters:
             self._getters.popleft().succeed(item)
-            return
-        self._items.append(item)
-        self.peak_occupancy = max(self.peak_occupancy, len(self._items))
+        else:
+            self._items.append(item)
 
     def get(self) -> Event:
         """Remove and return the oldest item; blocks when empty."""
         got = self.env.event()
         if self._items:
-            item = self._items.popleft()
-            self._admit_blocked_putter()
-            got.succeed(item)
+            got.succeed(self._items.popleft())
         else:
             self._getters.append(got)
         return got
-
-    def _admit_blocked_putter(self) -> None:
-        if self._putters and (
-            self.capacity is None or len(self._items) < self.capacity
-        ):
-            done, item = self._putters.popleft()
-            self._items.append(item)
-            self.total_puts += 1
-            self.peak_occupancy = max(self.peak_occupancy, len(self._items))
-            done.succeed(None)

@@ -1,7 +1,10 @@
 """The fleet control plane: store, state machine, scheduler, client, CLI."""
 
+import copyreg
+import io
 import json
 import os
+import pickle
 
 import pytest
 
@@ -191,6 +194,40 @@ class TestLegacyProfile:
         assert _states(client.get(record.job_id))[0] is JobState.PROFILING
         stored = client.store.load_profile(record.spec_digest)
         assert stored.artifacts("memcached").instruction_table
+
+
+class _DeterministicLoadPickler(pickle.Pickler):
+    """Pickles a record the way the store wrote it while ``LoadSpec``
+    had a ``deterministic`` field (always ``False`` in stored specs)."""
+
+    def reducer_override(self, obj):
+        if type(obj) is LoadSpec:
+            state = dict(vars(obj), deterministic=False)
+            return copyreg.__newobj__, (LoadSpec,), state
+        return NotImplemented
+
+
+class TestLegacyLoadSpec:
+    def test_record_with_deterministic_field_loads(self, tmp_path):
+        from repro.fleet.store import RECORD_SCHEMA, SCHEMA_VERSION
+        from repro.util.spec_hash import stable_digest
+        from repro.validation import integrity
+
+        client = FleetClient(str(tmp_path))
+        record = client.submit(_request(), name="legacy-load")
+        buffer = io.BytesIO()
+        _DeterministicLoadPickler(buffer, protocol=4).dump(record)
+        assert b"deterministic" in buffer.getvalue()
+        integrity.write_envelope(
+            client.store.record_path(record.job_id), buffer.getvalue(),
+            schema=RECORD_SCHEMA, version=SCHEMA_VERSION)
+
+        loaded = client.get(record.job_id)
+        load = loaded.spec.request.load
+        assert vars(load)["deterministic"] is False
+        assert load == LOAD
+        assert stable_digest(load) == stable_digest(LOAD)
+        assert loaded.spec.digest() == record.spec.digest()
 
 
 class TestFleetEndToEnd:

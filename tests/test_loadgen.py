@@ -146,17 +146,6 @@ class TestOpenLoopGenerator:
         assert gen.recorder.mean == pytest.approx(0.002, rel=0.05)
         assert gen.recorder.percentile(99) >= gen.recorder.percentile(50)
 
-    def test_deterministic_mode(self):
-        env = Environment()
-        gen = OpenLoopGenerator(
-            env, _echo_submit(env), Histogram({"get": 1.0}),
-            qps=1000, duration_s=0.05, rng_stream=RngStream(5),
-            deterministic=True,
-        )
-        gen.start()
-        env.run()
-        assert gen.recorder.issued in (49, 50)
-
 
 class TestClosedLoopGenerator:
     def test_one_outstanding_per_connection(self):

@@ -1,10 +1,15 @@
 """Tests for the profiling toolchain: collector + feature extractors."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.app.service import Deployment
 from repro.app.skeleton import ServerNetworkModel
 from repro.app.workloads import build_memcached, build_mongodb, build_redis
@@ -121,6 +126,43 @@ class TestProfilingWindow:
                                  seed=5),
                 budget=ProfilingBudget(sampled_requests=8,
                                        profile_duration_s=0.002))
+
+
+_PROFILE_DIGESTS = """
+from repro.app.service import Deployment
+from repro.app.workloads import build_memcached
+from repro.core.features import extract_service_features
+from repro.hw import PLATFORM_A
+from repro.loadgen import LoadSpec
+from repro.profiling import ProfilingBudget, profile_deployment
+from repro.runtime import ExperimentConfig
+from repro.util.spec_hash import stable_digest
+
+profile = profile_deployment(
+    Deployment.single(build_memcached()), LoadSpec.open_loop(100_000),
+    ExperimentConfig(platform=PLATFORM_A, duration_s=0.02, seed=5),
+    budget=ProfilingBudget(sampled_requests=8, profile_duration_s=0.015))
+artifacts = profile.artifacts("memcached")
+print(stable_digest(artifacts))
+print(stable_digest(extract_service_features(artifacts)))
+"""
+
+
+class TestProfileAcrossInterpreters:
+    def test_digests_do_not_depend_on_the_str_hash_seed(self):
+        # Python salts str hashes per process; a profile (and the
+        # features and checkpoint keys derived from it) must not.
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        digests = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-c", _PROFILE_DIGESTS], env=env,
+                capture_output=True, text=True, timeout=300)
+            assert run.returncode == 0, run.stderr
+            digests.append(run.stdout.split())
+        assert len(digests[0]) == 2
+        assert digests[0] == digests[1]
 
 
 class TestProfilePersistence:

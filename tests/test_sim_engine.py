@@ -67,18 +67,15 @@ class TestNonFiniteTimes:
 
     @pytest.mark.parametrize("schedule", [
         lambda env: env.timeout(float("nan")),
-        lambda env: env.timeout_many([float("nan")]),
-        lambda env: env.call_after(float("nan"), lambda: None),
-        lambda env: env.call_at(float("nan"), lambda: None),
         lambda env: env.run(until=float("nan")),
-    ], ids=["timeout", "timeout_many", "call_after", "call_at", "run"])
-    @pytest.mark.parametrize("pooled", [False, True])
-    def test_nan_rejected(self, schedule, pooled):
+    ], ids=["timeout", "run"])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_nan_rejected(self, schedule, warm):
         env = Environment()
-        if pooled:
+        if warm:
             env.timeout(0.25)
             env.run()
-            assert env._timeout_pool
+            assert env.now == 0.25
         now = env.now
         with pytest.raises(SimulationError):
             schedule(env)
@@ -413,40 +410,6 @@ class TestDrainedQueueDiagnostics:
             env.run(until=process)
 
 
-class TestTimeoutPooling:
-    def test_pool_recycles_and_preserves_values(self):
-        env = Environment()
-        seen = []
-
-        def proc():
-            for index in range(200):
-                seen.append((yield env.timeout(0.5, value=index)))
-
-        env.process(proc())
-        env.run()
-        assert seen == list(range(200))
-        assert env._timeout_pool  # recycling actually kicked in
-
-    def test_held_timeout_is_never_recycled(self):
-        env = Environment()
-        held = []
-
-        def holder():
-            timeout = env.timeout(1.0, value="keep")
-            held.append(timeout)
-            yield timeout
-
-        def churner():
-            for _ in range(100):
-                yield env.timeout(0.25)
-
-        env.process(holder())
-        env.process(churner())
-        env.run()
-        assert held[0].value == "keep"
-        assert all(pooled is not held[0] for pooled in env._timeout_pool)
-
-
 class TestWatchdogBudgets:
     def test_max_events_trips_on_infinite_loop(self):
         from repro.util.errors import SimBudgetExceededError
@@ -637,6 +600,14 @@ class TestCalendarHeapEquivalence:
         """
         delays = [0.0, 0.0, 1e-9, 1e-9, 3e-7, 0.5, 0.5, 1e3]
         counter = [0]
+        if isinstance(scheduler, Environment):
+            # the engine's one timer: each entry is a timeout whose
+            # callback runs the step
+            def after(delay, fn):
+                scheduler.timeout(delay).callbacks.append(
+                    lambda _event: fn())
+        else:
+            after = scheduler.call_after
 
         def spawn(depth):
             label = counter[0]
@@ -646,13 +617,12 @@ class TestCalendarHeapEquivalence:
                 order.append((label, scheduler.now))
                 if depth > 0:
                     for _ in range(rng.randrange(3)):
-                        scheduler.call_after(rng.choice(delays),
-                                             spawn(depth - 1))
+                        after(rng.choice(delays), spawn(depth - 1))
 
             return fire
 
         for _ in range(40):
-            scheduler.call_after(rng.choice(delays), spawn(3))
+            after(rng.choice(delays), spawn(3))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_dispatch_order_matches_reference(self, seed):
@@ -669,9 +639,16 @@ class TestCalendarHeapEquivalence:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_timeouts_and_calls_interleave_like_reference(self, seed):
-        """Same property with Timeout entries mixed among _Call entries
-        (timeouts traverse the pool/recycling machinery)."""
-        import random
+        """Same property with Timeout entries mixed among raw
+        ``fire(env)`` entries queued by ``_push_after``, the way the
+        kernel device ops schedule themselves."""
+
+        class _Entry:
+            def __init__(self, fn):
+                self.fn = fn
+
+            def fire(self, env):
+                self.fn()
 
         def drive_env(env, rng, order):
             delays = [0.0, 1e-9, 1e-9, 2e-4, 7.0]
@@ -690,7 +667,8 @@ class TestCalendarHeapEquivalence:
                                 timeout = env.timeout(delay)
                                 timeout.callbacks.append(spawn(depth - 1))
                             else:
-                                env.call_after(delay, spawn(depth - 1))
+                                env._push_after(_Entry(spawn(depth - 1)),
+                                                delay)
 
                 return fire
 
@@ -729,90 +707,6 @@ class TestCalendarHeapEquivalence:
         drive_env(env, _random.Random(seed), cal_order)
         env.run()
         assert cal_order == ref_order
-
-
-class TestTimeoutMany:
-    def test_matches_loop_of_single_timeouts(self):
-        delays = [0.0, 2.0, 1.0, 1.0, 0.0, 3e-9, 1.0, 0.5, 0.5]
-
-        def collect(schedule):
-            env = Environment()
-            order = []
-            timeouts = schedule(env)
-            for index, timeout in enumerate(timeouts):
-                timeout.callbacks.append(
-                    lambda _evt, i=index: order.append((i, env.now)))
-            env.run()
-            return order
-
-        batched = collect(lambda env: env.timeout_many(delays, value="v"))
-        looped = collect(
-            lambda env: [env.timeout(d, value="v") for d in delays])
-        assert batched == looped
-
-    def test_returns_timeouts_in_input_order_with_values(self):
-        env = Environment()
-        timeouts = env.timeout_many([3.0, 1.0, 2.0], value=9)
-        assert [t.delay for t in timeouts] == [3.0, 1.0, 2.0]
-        assert all(t.value == 9 for t in timeouts)
-
-    def test_negative_delay_raises(self):
-        env = Environment()
-        with pytest.raises(SimulationError):
-            env.timeout_many([1.0, -0.5])
-
-    def test_recycles_from_pool(self):
-        env = Environment()
-
-        def driver():
-            for _ in range(5):
-                yield env.timeout_many([1e-6] * 64)[-1]
-
-        env.process(driver())
-        env.run()
-        # steady-state trains were served from recycled instances
-        assert env._pool_served == 0  # reset by the post-drain trim
-        env.timeout_many([0.0] * 8)
-        assert env._pool_served == 8
-
-
-class TestTimeoutPoolTrim:
-    def test_pool_shrinks_after_burst(self):
-        from repro.sim.engine import _TIMEOUT_POOL_KEEP
-
-        env = Environment()
-
-        def burst():
-            yield env.timeout_many([1e-6] * 2048)[-1]
-
-        env.process(burst())
-        env.run()
-        # the drain trimmed the burst-sized freelist back down
-        assert len(env._timeout_pool) <= max(_TIMEOUT_POOL_KEEP, 2048)
-        env.trim_timeout_pool()
-        env.trim_timeout_pool()
-        assert len(env._timeout_pool) <= _TIMEOUT_POOL_KEEP
-
-    def test_trim_publishes_gauge_when_session_active(self):
-        from repro.telemetry import Telemetry
-
-        env = Environment()
-
-        def burst():
-            yield env.timeout_many([1e-6] * 256)[-1]
-
-        env.process(burst())
-        with Telemetry() as session:
-            env.run()
-            size = env.trim_timeout_pool()
-            gauge = session.registry.gauge("ditto_engine_timeout_pool_size")
-            assert gauge.value() == float(size)
-
-    def test_trim_without_session_is_silent(self):
-        env = Environment()
-        env.timeout(1.0)
-        env.run()
-        assert env.trim_timeout_pool() >= 0
 
 
 class TestDispatchedEventsCounter:

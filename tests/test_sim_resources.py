@@ -9,9 +9,11 @@ from repro.util.errors import SimulationError
 class _HoldOp:
     """The device-op protocol in miniature: acquire, hold, release.
 
-    ``Resource.acquire`` fires the op once it holds the server: the op
-    is queued itself, at once on an idle server, or by ``release()``
-    on a busy one.
+    A state machine that fires once per queue slot it owns, as the
+    kernel device ops do: stage 0 claims the server, stage 1 runs on
+    the grant and queues the op again with ``_push_after`` for the hold,
+    stage 2 releases. ``Resource.acquire`` queues the op itself for the
+    grant, at once on an idle server, or by ``release()`` on a busy one.
     """
 
     def __init__(self, resource, hold, done, tag=None):
@@ -20,23 +22,27 @@ class _HoldOp:
         self.done = done
         self.tag = tag
         self.granted_at = None
+        self._stage = 0
 
     def start(self):
+        self._stage = 1
         self.resource.acquire(self)
 
     def fire(self, env):
-        self.granted_at = env.now
-        env.call_after(self.hold, self._finish)
-
-    def _finish(self):
-        self.resource.release()
-        self.done.append(self.tag if self.tag is not None
-                         else self.resource.env.now)
+        if self._stage == 0:
+            self.start()
+        elif self._stage == 1:
+            self.granted_at = env.now
+            self._stage = 2
+            env._push_after(self, self.hold)
+        else:
+            self.resource.release()
+            self.done.append(self.tag if self.tag is not None else env.now)
 
 
 def _start(env, resource, hold, done, at=0.0, tag=None):
     op = _HoldOp(resource, hold, done, tag)
-    env.call_at(at, op.start)
+    env._push_after(op, at - env.now)
     return op
 
 
@@ -128,7 +134,7 @@ class TestStore:
 
         def producer():
             yield env.timeout(1.0)
-            yield store.put("msg")
+            store.append("msg")
 
         env.process(consumer())
         env.process(producer())
@@ -146,7 +152,7 @@ class TestStore:
 
         def producer():
             yield env.timeout(5.0)
-            yield store.put(1)
+            store.append(1)
 
         env.process(consumer())
         env.process(producer())
@@ -158,89 +164,46 @@ class TestStore:
         store = Store(env)
         got = []
 
-        def producer():
-            for i in range(3):
-                yield store.put(i)
-
         def consumer():
             for _ in range(3):
                 item = yield store.get()
                 got.append(item)
 
-        env.process(producer())
+        for i in range(3):
+            store.append(i)
         env.process(consumer())
         env.run()
         assert got == [0, 1, 2]
 
-    def test_bounded_put_blocks(self):
-        env = Environment()
-        store = Store(env, capacity=1)
-        times = []
-
-        def producer():
-            yield store.put("a")
-            times.append(env.now)
-            yield store.put("b")
-            times.append(env.now)
-
-        def consumer():
-            yield env.timeout(10.0)
-            yield store.get()
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        assert times == [0.0, 10.0]
-
     def test_len_and_items(self):
         env = Environment()
         store = Store(env)
-
-        def producer():
-            yield store.put("x")
-            yield store.put("y")
-
-        env.process(producer())
-        env.run()
+        store.append("x")
+        store.append("y")
         assert len(store) == 2
-        assert store.items == ["x", "y"]
+        first, second = store.get(), store.get()
+        assert len(store) == 0
+        env.run()
+        assert (first.value, second.value) == ("x", "y")
 
-    def test_zero_capacity_rejected(self):
+    def test_append_hands_item_to_oldest_getter(self):
+        """A blocked getter takes the item in its own slot: append
+        queues nothing for the producer, and buffers nothing."""
         env = Environment()
-        with pytest.raises(SimulationError):
-            Store(env, capacity=0)
+        store = Store(env)
+        got = []
 
-    @pytest.mark.parametrize("waiting", [False, True])
-    def test_append_is_put_without_its_done_event(self, waiting):
-        """Same hand-off, same getter slot, one entry fewer per item."""
-        def run(insert):
-            env = Environment()
-            store = Store(env)
-            got = []
+        def consumer(tag):
+            got.append((tag, (yield store.get())))
 
-            def consumer():
-                for _ in range(2):
-                    got.append((yield store.get()))
-
-            if waiting:
-                env.process(consumer())
-                env.run()
-            insert(env, store, "a")
-            insert(env, store, "b")
-            if not waiting:
-                env.process(consumer())
-            env.run()
-            return got, store.total_puts, store.peak_occupancy, \
-                env.dispatched_events
-
-        put = run(lambda env, store, item: store.put(item))
-        append = run(lambda env, store, item: store.append(item))
-        assert append[:3] == put[:3] == (["a", "b"], 2, 1 if waiting else 2)
-        assert append[3] == put[3] - 2
-
-    def test_append_rejects_bounded_store(self):
-        env = Environment()
-        store = Store(env, capacity=1)
-        with pytest.raises(SimulationError, match="bounded"):
-            store.append("x")
-        assert len(store) == 0 and store.total_puts == 0
+        env.spawn(consumer("first"))
+        env.spawn(consumer("second"))
+        env.run()
+        dispatched = env.dispatched_events
+        store.append("a")
+        store.append("b")
+        assert len(store) == 0
+        env.run()
+        assert got == [("first", "a"), ("second", "b")]
+        # one getter event per item, nothing else
+        assert env.dispatched_events == dispatched + 2
