@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.util.errors import ConfigurationError
 from repro.util.stats import relative_error
@@ -64,13 +64,6 @@ class ErrorReport:
         if not finite:
             raise ConfigurationError("no finite comparisons")
         return max(finite)
-
-    def by_metric(self) -> Dict[str, List[MetricComparison]]:
-        """Comparisons grouped by metric name."""
-        grouped: Dict[str, List[MetricComparison]] = {}
-        for comparison in self.comparisons:
-            grouped.setdefault(comparison.name, []).append(comparison)
-        return grouped
 
     def table(self) -> str:
         """A printable actual/synthetic/error table."""

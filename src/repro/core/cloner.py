@@ -9,8 +9,8 @@ names, placements and entry point — runnable anywhere the original runs,
 without reprofiling (§4.1 Portability).
 
 The per-tier stage runs through :mod:`repro.core.pipeline`: tiers fan
-out across a process pool (or thread pool / serial loop — see
-``executor``), each with deterministically derived seeds and a private
+out across a process pool (or a serial loop — see ``executor``), each
+with deterministically derived seeds and a private
 :class:`~repro.runtime.expcache.ExperimentCache` memoizing its tuning
 measurements, so parallel and serial clones are bit-identical.
 
@@ -143,8 +143,8 @@ class _EarlyBaseline:
     process-executor clone runs it in a one-worker pool of its own and
     profiles meanwhile. The gate uses it only on attempt 0 and only for
     the inputs it was started with; remediation rungs, a worker that
-    dies and a replay that raises all replay inline, as serial and
-    thread clones always do.
+    dies and a replay that raises all replay inline, as serial clones
+    always do.
     """
 
     def __init__(self, deployment: Deployment, load: LoadSpec,
@@ -186,15 +186,15 @@ class DittoCloner:
     fails at construction instead of minutes later inside a tuning loop.
 
     ``executor`` selects how the per-tier stage fans out: ``"process"``
-    (pool of worker processes), ``"thread"``, ``"serial"``, or
-    ``"auto"`` (the default: a process pool whenever there is more than
-    one tier and more than one CPU, else serial).
+    (pool of worker processes), ``"serial"``, or ``"auto"`` (the
+    default: a process pool whenever there is more than one tier and
+    more than one CPU, else serial).
 
     ``tier_retries`` re-runs a failed tier that many extra times before
     the pipeline gives up with a
     :class:`~repro.util.errors.TierExecutionError` (which still carries
-    the sibling tiers' finished outcomes); a broken worker pool
-    degrades process → thread → serial automatically.
+    the sibling tiers' finished outcomes); a broken worker pool falls
+    back to serial for the tiers it had not finished.
     ``checkpoint_dir`` persists each finished tier outcome to disk so a
     killed clone resumes from where it stopped instead of re-running
     completed tiers.
@@ -216,8 +216,8 @@ class DittoCloner:
     per-metric verdict lands on :class:`CloneReport.fidelity`. A clone
     that fails the gate is not returned silently — the cloner climbs
     the ``remediation`` ladder (:class:`RemediationPolicy`: derived
-    re-seeds, widened tune budgets, degraded executors) and, if every
-    rung fails, raises
+    re-seeds and widened tune budgets, on the clone's own executor)
+    and, if every rung fails, raises
     :class:`~repro.util.errors.FidelityGateError` carrying the failing
     report *and* the clone, so callers can inspect or salvage it. The
     same ladder retries tiers whose simulations trip a watchdog budget
@@ -475,7 +475,6 @@ class DittoCloner:
             steps: List[RemediationStep] = []
             seed = self.seed
             max_tune_iterations = self.max_tune_iterations
-            executor = self.executor
             attempt = 0
             while True:
                 failure: Optional[Exception] = None
@@ -485,7 +484,7 @@ class DittoCloner:
                         profile, deployment, profiling_config, topology,
                         steps, validation_load, seed=seed,
                         max_tune_iterations=max_tune_iterations,
-                        executor=executor, baseline=baseline)
+                        baseline=baseline)
                 except (SimBudgetExceededError, TierExecutionError) as error:
                     reason = self._budget_reason(error)
                     if reason is None or self.remediation is None:
@@ -501,8 +500,7 @@ class DittoCloner:
                 if self.remediation is not None:
                     step = self.remediation.plan(
                         attempt, reason=reason, base_seed=self.seed,
-                        base_tune_iterations=self.max_tune_iterations,
-                        base_executor=self.executor)
+                        base_tune_iterations=self.max_tune_iterations)
                 if step is None:
                     if failure is not None:
                         raise failure
@@ -520,7 +518,6 @@ class DittoCloner:
                 self._count_remediation(step)
                 seed = step.seed
                 max_tune_iterations = step.max_tune_iterations
-                executor = step.executor
 
     def _clone_attempt(
         self,
@@ -533,7 +530,6 @@ class DittoCloner:
         *,
         seed: int,
         max_tune_iterations: int,
-        executor: str,
         baseline: Optional[_EarlyBaseline] = None,
     ) -> CloneResult:
         """One pipeline pass plus (when configured) its fidelity gate."""
@@ -545,7 +541,7 @@ class DittoCloner:
             for name in deployment.services
         ]
         outcomes, mode = run_tier_pipeline(
-            tasks, executor=executor, max_workers=self.max_workers,
+            tasks, executor=self.executor, max_workers=self.max_workers,
             tier_retries=self.tier_retries,
             checkpoint_dir=self.checkpoint_dir)
         report = CloneReport(features={}, topology=topology,

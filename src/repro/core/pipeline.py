@@ -11,25 +11,25 @@ Determinism: a tier's outcome is a pure function of its
 :class:`TierTask` payload. Every random stream a tier consumes is
 derived from the task's own seeds via the named-stream discipline in
 :mod:`repro.util.rng` (see :func:`derive_tier_seed`), never from shared
-mutable state, so serial, threaded and process-pool runs produce
-bit-identical clones and execution order cannot leak between tiers.
+mutable state, so serial and process-pool runs produce bit-identical
+clones and execution order cannot leak between tiers.
 
 Executor selection: ``"process"`` (a :class:`ProcessPoolExecutor`, the
-default on multi-core hosts), ``"thread"`` (in-process, useful when task
-payloads are large relative to tier compute), ``"serial"`` (plain loop,
-also the single-core/single-tier fallback), or ``"auto"`` (process pool
-whenever it can actually help: more than one tier and more than one
-CPU).
+default on multi-core hosts), ``"serial"`` (plain loop, also the
+single-core/single-tier fallback), or ``"auto"`` (process pool whenever
+it can actually help: more than one tier and more than one CPU). There
+is no thread mode: the tier stage is pure Python, so threads only
+serialise on the interpreter lock.
 
 Robustness: a tier that raises is retried up to ``tier_retries`` times
 before the pipeline gives up with a
 :class:`~repro.util.errors.TierExecutionError` naming the tier and
 carrying every sibling outcome completed so far. A broken worker pool
-(a worker killed mid-task) degrades the executor — process → thread →
-serial — and re-runs only the unfinished tiers. With ``checkpoint_dir``
-set, each finished :class:`TierOutcome` is pickled under a key derived
-from the task's :func:`~repro.util.spec_hash.stable_digest`, so a
-killed pipeline resumes without re-running completed tiers (and a
+(a worker killed mid-task) falls back to serial once and re-runs only
+the unfinished tiers there. With ``checkpoint_dir`` set, each finished
+:class:`TierOutcome` is pickled under a key derived from the task's
+:func:`~repro.util.spec_hash.stable_digest`, so a killed pipeline
+resumes without re-running completed tiers (and a
 *changed* task never matches a stale checkpoint).
 """
 
@@ -39,9 +39,7 @@ import os
 import time
 from concurrent.futures import (
     BrokenExecutor,
-    Executor,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
     FIRST_COMPLETED,
 )
@@ -85,16 +83,7 @@ __all__ = [
     "run_tier_pipeline",
 ]
 
-EXECUTOR_MODES = ("auto", "process", "thread", "serial")
-
-#: fallback order when a pool breaks mid-run: each mode degrades to the
-#: next-safer one (threads share the parent process; serial needs no
-#: pool at all, so it can never break)
-_DEGRADATION = {
-    "process": ("process", "thread", "serial"),
-    "thread": ("thread", "serial"),
-    "serial": ("serial",),
-}
+EXECUTOR_MODES = ("auto", "process", "serial")
 
 
 def derive_tier_seed(root_seed: int, tier: str, stage: str) -> int:
@@ -162,8 +151,8 @@ def clone_tier(task: TierTask) -> TierOutcome:
         # session and ship it back with the outcome. The pid check
         # matters on fork-start pools, where the child inherits the
         # parent's ambient session but anything recorded into that copy
-        # would be lost. Serial and thread modes see the parent's own
-        # session and record straight into it.
+        # would be lost. Serial mode sees the parent's own session and
+        # records straight into it.
         worker_session = Telemetry.for_worker()
         worker_session.activate()
     try:
@@ -243,12 +232,6 @@ def resolve_executor(
     if n_tasks > 1 and cpus > 1 and workers > 1:
         return "process"
     return "serial"
-
-
-def _make_pool(mode: str, max_workers: int) -> Executor:
-    if mode == "process":
-        return ProcessPoolExecutor(max_workers=max_workers)
-    return ThreadPoolExecutor(max_workers=max_workers)
 
 
 class TierCheckpoint:
@@ -397,14 +380,15 @@ class _PipelineRun:
                 break
             self.complete(index, outcome)
 
-    def run_pool(self, mode: str, workers: int) -> None:
-        """Drain pending tiers through a pool; checkpoint as they finish.
+    def run_pool(self, workers: int) -> None:
+        """Drain pending tiers through a process pool; checkpoint as
+        they finish.
 
         Raises :class:`concurrent.futures.BrokenExecutor` when the pool
-        dies (e.g. a worker process was killed) — the caller degrades
-        the mode and re-runs whatever is still pending.
+        dies (e.g. a worker process was killed) — the caller runs
+        whatever is still pending serially.
         """
-        with _make_pool(mode, workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             active = {pool.submit(self.tier_fn, self.tasks[index]): index
                       for index in self.pending}
             while active:
@@ -439,14 +423,14 @@ def run_tier_pipeline(
     clones themselves) cannot depend on scheduling.
 
     ``tier_fn`` is the per-tier stage (default :func:`clone_tier`); it
-    must be picklable for pool modes. A tier that raises is re-run up
-    to ``tier_retries`` extra times; exhaustion raises
+    must be picklable for the process mode. A tier that raises is
+    re-run up to ``tier_retries`` extra times; exhaustion raises
     :class:`~repro.util.errors.TierExecutionError` carrying every
     sibling outcome that did complete. A broken pool (worker killed)
-    degrades process → thread → serial and re-runs only unfinished
-    tiers — ``resolved_mode`` reports the mode that actually finished
-    the work. ``checkpoint_dir`` persists each outcome as it lands so
-    an interrupted run resumes from disk (see :class:`TierCheckpoint`).
+    falls back to serial and re-runs only unfinished tiers —
+    ``resolved_mode`` reports the mode that actually finished the work.
+    ``checkpoint_dir`` persists each outcome as it lands so an
+    interrupted run resumes from disk (see :class:`TierCheckpoint`).
     """
     if max_workers is not None and max_workers < 1:
         raise ConfigurationError("max_workers must be >= 1")
@@ -467,23 +451,13 @@ def run_tier_pipeline(
         workers = (max_workers if max_workers is not None
                    else (os.cpu_count() or 1))
         workers = max(1, min(workers, len(tasks)))
-        ladder = _DEGRADATION[mode]
-        for rung, current in enumerate(ladder):
-            if not state.pending:
-                break
-            if current == "serial":
-                state.run_serial()
-                mode = "serial"
-                break
-            try:
-                state.run_pool(current, workers)
-                mode = current
-                break
-            except BrokenExecutor:
-                fallback = ladder[rung + 1]
-                _count_pipeline_event(
-                    "ditto_pipeline_degradations_total",
-                    "executor degradations after a broken worker pool",
-                    from_mode=current, to_mode=fallback)
-                mode = fallback
+        try:
+            state.run_pool(workers)
+        except BrokenExecutor:
+            _count_pipeline_event(
+                "ditto_pipeline_degradations_total",
+                "executor degradations after a broken worker pool",
+                from_mode="process", to_mode="serial")
+            state.run_serial()
+            mode = "serial"
         return list(state.outcomes), mode

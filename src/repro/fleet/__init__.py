@@ -16,8 +16,8 @@ watch, list and cancel.
 - :class:`~repro.fleet.store.JobStore` — atomic, integrity-enveloped
   persistence with leases, cancel markers, shared profiles and the
   fleet-wide experiment cache;
-- :class:`~repro.fleet.scheduler.FleetScheduler` — process/thread/
-  serial fan-out with the tier pipeline's degradation ladder;
+- :class:`~repro.fleet.scheduler.FleetScheduler` — process-pool or
+  serial fan-out; a broken pool falls back to serial once;
 - :class:`~repro.fleet.client.FleetClient` — the user-facing handle;
 - :mod:`repro.fleet.chaos` — seeded crashpoint injection
   (:class:`~repro.fleet.chaos.ChaosPlan`) for chaos-testing the

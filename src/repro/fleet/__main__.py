@@ -70,6 +70,7 @@ from typing import List, Optional
 
 from repro.app.service import Deployment
 from repro.app.workloads import DEPLOYMENT_BUILDERS, WORKLOAD_BUILDERS
+from repro.core.pipeline import EXECUTOR_MODES
 from repro.core.request import CloneRequest
 from repro.fleet.client import FleetClient
 from repro.fleet.job import JobState
@@ -372,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = commands.add_parser("run", parents=[common],
                               help="drain the queue, then exit")
     run.add_argument("--executor", default="auto",
-                     choices=("auto", "process", "thread", "serial"))
+                     choices=EXECUTOR_MODES)
     run.add_argument("--max-workers", type=int, default=None)
     run.add_argument("--telemetry", action="store_true",
                      help="aggregate fleet telemetry while running and "

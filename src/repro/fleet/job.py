@@ -19,8 +19,8 @@ map the error surface onto explicit states rather than stack traces:
   (``max_crashes``) and lands in ``dead_lettered`` — terminal until an
   operator requeues it with ``fleet dlq retry``.
 
-Remediation rungs (re-seed, widened tune budget, degraded executor)
-show up as ``validating → tuning`` self-healing transitions, so the
+Remediation rungs (re-seed, widened tune budget) show up as
+``validating → tuning`` self-healing transitions, so the
 :class:`~repro.validation.remediate.RemediationPolicy` ladder is
 visible in the job history instead of buried inside one opaque
 ``clone()`` call. ``published`` jobs can only be ``retired``;

@@ -1,10 +1,9 @@
 """The fleet scheduler: shard submitted jobs across a worker pool.
 
-Jobs fan out across a ``concurrent.futures`` pool exactly like tiers do
-inside one clone — same executor modes (``process``/``thread``/
-``serial``/``auto``) and the same degradation ladder: a pool that
-breaks mid-run (a worker killed) degrades process → thread → serial and
-re-runs only the jobs that did not finish. Ownership is tracked with
+Jobs fan out across a process pool like tiers do inside one clone, with
+the same executor modes (``process``/``serial``/``auto``): a pool that
+breaks mid-run (a worker killed) falls back to serial once and re-runs
+there every claimed job that did not finish. Ownership is tracked with
 store leases (claimed before dispatch, released afterwards — on *any*
 exit, including a crash unwinding through the scheduler), each claim
 carrying a fencing epoch the workers heartbeat and re-check, so a job
@@ -47,13 +46,12 @@ import time
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
+    ProcessPoolExecutor,
     wait,
 )
 from typing import Dict, List, Optional, Set, Union
 
-# The tier pipeline's pool plumbing is deliberately reused — jobs
-# degrade process → thread → serial exactly like tiers do.
-from repro.core.pipeline import _DEGRADATION, _make_pool, resolve_executor
+from repro.core.pipeline import resolve_executor
 from repro.fleet.chaos import ChaosPlan, crashpoint, maybe_active
 from repro.fleet.job import JobState
 from repro.fleet.obs.httpd import FleetStatusServer, parse_serve_address
@@ -266,45 +264,30 @@ class FleetScheduler:
             self.store.release_lease(record.job_id, epoch=epoch)
 
     # ------------------------------------------------------------------ #
-    # batch execution (executor + degradation ladder)
+    # batch execution (process pool, serial fallback)
     # ------------------------------------------------------------------ #
     def _run_batch(self, claims: Dict[str, int]
                    ) -> List[JobWorkerOutcome]:
         job_ids = list(claims)
         mode = resolve_executor(self.executor, n_tasks=len(job_ids),
                                 max_workers=self.max_workers)
-        if mode == "serial":
-            outcomes = []
-            for job_id in job_ids:
-                if self._drain.is_set():
-                    break  # unstarted claims release; records stay queued
-                outcomes.append(self._run_one(job_id, claims[job_id]))
-            return outcomes
-        workers = (self.max_workers if self.max_workers is not None
-                   else (os.cpu_count() or 1))
-        workers = max(1, min(workers, len(job_ids)))
         outcomes: List[JobWorkerOutcome] = []
-        finished: Set[str] = set()
-        pending = list(job_ids)
-        ladder = _DEGRADATION[mode]
-        for rung, current in enumerate(ladder):
-            if not pending or self._drain.is_set():
-                break
-            if current == "serial":
-                for job_id in pending:
-                    if self._drain.is_set():
-                        break
-                    outcomes.append(self._run_one(job_id, claims[job_id]))
-                    finished.add(job_id)
-                break
+        if mode == "process" and not self._drain.is_set():
+            workers = (self.max_workers if self.max_workers is not None
+                       else (os.cpu_count() or 1))
+            workers = max(1, min(workers, len(job_ids)))
+            finished: Set[str] = set()
             try:
-                outcomes.extend(self._run_pool(current, workers, pending,
-                                               claims, finished))
-                break
+                self._run_pool(workers, job_ids, claims, finished, outcomes)
+                return outcomes
             except BrokenExecutor:
-                self._count_degradation(current, ladder[rung + 1])
-                pending = [job_id for job_id in pending
+                self._count_degradation()
+                job_ids = [job_id for job_id in job_ids
                            if job_id not in finished]
+        for job_id in job_ids:
+            if self._drain.is_set():
+                break  # unstarted claims release; records stay queued
+            outcomes.append(self._run_one(job_id, claims[job_id]))
         return outcomes
 
     def _run_one(self, job_id: str, epoch: int) -> JobWorkerOutcome:
@@ -312,18 +295,19 @@ class FleetScheduler:
                            collect_telemetry=self.telemetry is not None,
                            epoch=epoch, chaos=self.chaos)
 
-    def _run_pool(self, mode: str, workers: int, job_ids: List[str],
-                  claims: Dict[str, int],
-                  finished: Set[str]) -> List[JobWorkerOutcome]:
-        """Drain ``job_ids`` through one pool; BrokenExecutor escapes.
+    def _run_pool(self, workers: int, job_ids: List[str],
+                  claims: Dict[str, int], finished: Set[str],
+                  outcomes: List[JobWorkerOutcome]) -> None:
+        """Drain ``job_ids`` through one process pool into ``outcomes``;
+        BrokenExecutor escapes.
 
-        ``finished`` accrues job ids as their futures resolve, so a
-        degradation rung re-runs only the unfinished remainder (and a
-        drain knows what it can still cancel).
+        ``finished`` accrues a job id once its future has returned an
+        outcome (or failed out of band) or has been cancelled by a
+        drain, so the serial fallback re-runs exactly the claimed jobs
+        that did not finish.
         """
-        outcomes: List[JobWorkerOutcome] = []
         collect = self.telemetry is not None
-        pool = _make_pool(mode, workers)
+        pool = ProcessPoolExecutor(max_workers=workers)
         try:
             active = {pool.submit(execute_job, self.store.root, job_id,
                                   collect, epoch=claims[job_id],
@@ -334,7 +318,6 @@ class FleetScheduler:
                                return_when=FIRST_COMPLETED, timeout=0.2)
                 for future in done:
                     job_id = active.pop(future)
-                    finished.add(job_id)
                     try:
                         outcomes.append(future.result())
                     except BrokenExecutor:
@@ -347,6 +330,7 @@ class FleetScheduler:
                         # rather than leaving it running forever.
                         outcomes.append(self._fail_out_of_band(
                             job_id, error))
+                    finished.add(job_id)
                 if self._drain.is_set() and active:
                     # Drain: in-flight futures run to completion,
                     # unstarted ones are cancelled (their jobs stay
@@ -359,7 +343,6 @@ class FleetScheduler:
         finally:
             pool.shutdown(wait=not self._abort.is_set(),
                           cancel_futures=True)
-        return outcomes
 
     def _fail_out_of_band(self, job_id: str,
                           error: Exception) -> JobWorkerOutcome:
@@ -377,11 +360,11 @@ class FleetScheduler:
         return JobWorkerOutcome(job_id=job_id, state=record.state,
                                 error=message)
 
-    def _count_degradation(self, from_mode: str, to_mode: str) -> None:
+    def _count_degradation(self) -> None:
         self.store.registry.counter(
             "ditto_fleet_scheduler_degradations_total",
             "fleet pool degradations after a broken worker pool",
             ("from_mode", "to_mode"),
-        ).inc(1, from_mode=from_mode, to_mode=to_mode)
-        self.store._emit("pool_degraded", from_mode=from_mode,
-                         to_mode=to_mode)
+        ).inc(1, from_mode="process", to_mode="serial")
+        self.store._emit("pool_degraded", from_mode="process",
+                         to_mode="serial")

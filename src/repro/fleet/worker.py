@@ -1,8 +1,8 @@
 """One fleet job, executed end to end (the scheduler's unit of work).
 
 :func:`execute_job` is a module-level function of picklable arguments —
-``(store_root, job_id)`` — so the scheduler can run it in-process, in a
-thread, or in a process-pool worker interchangeably. It loads the job
+``(store_root, job_id)`` — so the scheduler can run it in-process or in
+a process-pool worker interchangeably. It loads the job
 record and runs its request — a clone through
 :class:`~repro.core.cloner.DittoCloner`, a migration through
 :func:`~repro.migrate.engine.migrate_request`; that one call is the only
@@ -247,9 +247,10 @@ def _execute_fenced(store: JobStore, record,
                        "cancelled before start", "cancelled before start",
                        attempts_before)
     if record.running:
-        # Re-dispatched after a pool degradation (or a requeue the
-        # scheduler missed): rewind to submitted so the phase
-        # transitions replay legally; tier checkpoints keep it cheap.
+        # Re-dispatched by the serial fallback of a broken pool (or a
+        # requeue the scheduler missed): rewind to submitted so the
+        # phase transitions replay legally; tier checkpoints keep it
+        # cheap.
         store.transition(record, JobState.SUBMITTED, reason="resume")
     run = (_run_migration if isinstance(record.spec.request,
                                         MigrationRequest)

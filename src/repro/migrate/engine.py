@@ -232,8 +232,7 @@ def migrate_request(
             except SimBudgetExceededError as trip:
                 step = policy.plan(
                     attempt + 1, reason="sim_budget", base_seed=seed,
-                    base_tune_iterations=max_tune_iterations,
-                    base_executor="serial")
+                    base_tune_iterations=max_tune_iterations)
                 if step is None:
                     raise MigrationError(
                         f"{tier}: destination re-tune exhausted the "
@@ -280,8 +279,7 @@ def migrate_request(
         attempt += 1
         step = policy.plan(
             attempt, reason="gate_failure", base_seed=seed,
-            base_tune_iterations=max_tune_iterations,
-            base_executor="serial")
+            base_tune_iterations=max_tune_iterations)
         if step is None:
             merged = _merge_reports(tier_reports, document, destination,
                                     seed)

@@ -15,7 +15,6 @@ render as Prometheus text exposition for scraping/diffing.
 
 from __future__ import annotations
 
-import json
 import threading
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -366,10 +365,6 @@ class MetricsRegistry:
                 entry.get("label_names", ()), **kwargs)
             metric._merge_series(entry["series"])
         return self
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """The snapshot as a JSON document."""
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
     def to_prometheus_text(self) -> str:
         """Prometheus text exposition format (0.0.4)."""

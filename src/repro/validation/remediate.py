@@ -4,10 +4,12 @@ When a clone fails its :class:`~repro.validation.gate.FidelityGate` (or
 a tier's simulation trips a watchdog budget), the cloner does not just
 give up: it climbs a deterministic ladder of increasingly conservative
 retries. Each rung is a :class:`RemediationStep` that perturbs only
-*derived* state — a re-seed drawn from the named-stream hierarchy, a
-widened fine-tune budget, a degraded (more conservative) tier executor
-— so remediation never compromises reproducibility: the same failure
-under the same root seed climbs the same ladder.
+*derived* state — a re-seed drawn from the named-stream hierarchy and a
+widened fine-tune budget — so remediation never compromises
+reproducibility: the same failure under the same root seed climbs the
+same ladder. A rung runs on the clone's own executor: a tier's outcome
+is a pure function of its task, so changing the executor could only
+make the retry slower, never different.
 
 The policy is pure planning; the cloner owns execution and records every
 step it took (and why) on the :class:`~repro.core.cloner.CloneReport`.
@@ -16,17 +18,12 @@ step it took (and why) on the :class:`~repro.core.cloner.CloneReport`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.util.errors import ConfigurationError
 from repro.util.rng import derive_seed
 
 __all__ = ["RemediationPolicy", "RemediationStep"]
-
-#: conservative-executor ladder: each rung trades parallel throughput
-#: for isolation (process pools can be poisoned by a crashing tier;
-#: serial execution cannot)
-_EXECUTOR_LADDER: Tuple[str, ...] = ("process", "thread", "serial")
 
 
 @dataclass(frozen=True)
@@ -42,17 +39,6 @@ class RemediationStep:
     seed: int
     #: widened fine-tune iteration budget
     max_tune_iterations: int
-    #: executor mode for the retry (possibly degraded)
-    executor: str
-
-    def to_dict(self) -> dict:
-        """JSON-safe form for reports and telemetry payloads."""
-        return {
-            "attempt": self.attempt, "reason": self.reason,
-            "seed": self.seed,
-            "max_tune_iterations": self.max_tune_iterations,
-            "executor": self.executor,
-        }
 
 
 @dataclass(frozen=True)
@@ -61,17 +47,15 @@ class RemediationPolicy:
 
     ``max_attempts`` counts *retries* after the original run;
     ``widen_tune_factor`` multiplies the fine-tune budget per rung
-    (compounding); ``reseed``/``degrade_executor`` gate the other two
-    escalation axes. Defaults climb every axis at once — re-seed,
-    widen, degrade — because the three address disjoint failure causes
-    (unlucky sampling, under-converged tuning, executor-level flakiness)
+    (compounding); ``reseed`` gates the other escalation axis. Defaults
+    climb both axes at once — re-seed and widen — because they address
+    disjoint failure causes (unlucky sampling, under-converged tuning)
     and a retry is expensive enough to make each one count.
     """
 
     max_attempts: int = 2
     widen_tune_factor: float = 1.5
     reseed: bool = True
-    degrade_executor: bool = True
 
     def __post_init__(self) -> None:
         if self.max_attempts < 0:
@@ -82,8 +66,7 @@ class RemediationPolicy:
                 f"got {self.widen_tune_factor!r}")
 
     def plan(self, attempt: int, *, reason: str, base_seed: int,
-             base_tune_iterations: int,
-             base_executor: str) -> Optional[RemediationStep]:
+             base_tune_iterations: int) -> Optional[RemediationStep]:
         """The rung for retry ``attempt`` (1-based); None when exhausted."""
         if attempt < 1:
             raise ConfigurationError("remediation attempts are 1-based")
@@ -98,21 +81,5 @@ class RemediationPolicy:
             base_tune_iterations + 1,
             int(round(base_tune_iterations
                       * self.widen_tune_factor ** attempt)))
-        executor = base_executor
-        if self.degrade_executor:
-            executor = self._degrade(base_executor, attempt)
         return RemediationStep(attempt=attempt, reason=reason, seed=seed,
-                               max_tune_iterations=iterations,
-                               executor=executor)
-
-    @staticmethod
-    def _degrade(executor: str, rungs: int) -> str:
-        """Step ``rungs`` rungs down the conservative-executor ladder."""
-        if executor in ("auto", "process"):
-            start = 0
-        elif executor in _EXECUTOR_LADDER:
-            start = _EXECUTOR_LADDER.index(executor)
-        else:
-            return executor
-        index = min(start + rungs, len(_EXECUTOR_LADDER) - 1)
-        return _EXECUTOR_LADDER[index]
+                               max_tune_iterations=iterations)

@@ -12,7 +12,7 @@ from repro.core import (
 )
 from repro.core.cloner import CloneReport
 from repro.core.finetune import fine_tune
-from repro.core.pipeline import resolve_executor
+from repro.core.pipeline import resolve_executor, run_tier_pipeline
 from repro.hw import PLATFORM_A
 from repro.loadgen import LoadSpec
 from repro.profiling import ProfilingBudget, profile_deployment
@@ -52,7 +52,7 @@ def _clone_with(executor, socialnet_profile):
 @pytest.fixture(scope="module")
 def executor_clones(socialnet_profile):
     return {mode: _clone_with(mode, socialnet_profile)
-            for mode in ("serial", "process", "thread")}
+            for mode in ("serial", "process")}
 
 
 class TestExecutorDeterminism:
@@ -159,8 +159,16 @@ class TestConstructionValidation:
 
 class TestExecutorResolution:
     def test_explicit_modes_honoured(self):
-        for mode in ("process", "thread", "serial"):
+        for mode in ("process", "serial"):
             assert resolve_executor(mode, n_tasks=8) == mode
+
+    def test_thread_mode_rejected(self):
+        with pytest.raises(ConfigurationError):
+            resolve_executor("thread", n_tasks=2)
+        with pytest.raises(ConfigurationError):
+            DittoCloner(executor="thread")
+        with pytest.raises(ConfigurationError):
+            run_tier_pipeline([], executor="thread")
 
     def test_auto_serial_for_single_task(self):
         assert resolve_executor("auto", n_tasks=1) == "serial"

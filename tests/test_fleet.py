@@ -1,6 +1,7 @@
 """The fleet control plane: store, state machine, scheduler, client, CLI."""
 
 import copyreg
+import functools
 import io
 import json
 import os
@@ -14,6 +15,7 @@ from repro import (
     ExperimentConfig,
     LoadSpec,
     PLATFORM_A,
+    PLATFORM_B,
     build_memcached,
 )
 from repro.fleet import (
@@ -24,7 +26,10 @@ from repro.fleet import (
     JobStore,
     execute_job,
 )
+from repro.fleet import scheduler as scheduler_module
+from repro.fleet import worker as worker_module
 from repro.fleet.__main__ import main as fleet_main
+from repro.migrate import MigrationRequest
 from repro.migrate.__main__ import main as migrate_main
 from repro.profiling import ProfilingBudget
 from repro.telemetry import Telemetry
@@ -230,6 +235,50 @@ class TestLegacyLoadSpec:
         assert loaded.spec.digest() == record.spec.digest()
 
 
+class _ExecutorStepPickler(pickle.Pickler):
+    """Pickles a record the way the store wrote it while
+    ``RemediationPolicy`` had a ``degrade_executor`` field."""
+
+    def reducer_override(self, obj):
+        if type(obj) is RemediationPolicy:
+            state = dict(vars(obj), degrade_executor=True)
+            return copyreg.__newobj__, (RemediationPolicy,), state
+        return NotImplemented
+
+
+class TestLegacyRemediationPolicy:
+    POLICY = RemediationPolicy(max_attempts=1, widen_tune_factor=2.0)
+
+    @pytest.mark.parametrize("request_kind", ["clone", "migration"])
+    def test_record_with_degrade_executor_loads(self, tmp_path,
+                                                request_kind):
+        from repro.fleet.store import RECORD_SCHEMA, SCHEMA_VERSION
+        from repro.util.spec_hash import stable_digest
+        from repro.validation import integrity
+
+        if request_kind == "clone":
+            request = _request(remediation=self.POLICY)
+        else:
+            request = MigrationRequest(
+                bundle_path=str(tmp_path / "bundle.json"),
+                destination=PLATFORM_B, remediation=self.POLICY)
+        client = FleetClient(str(tmp_path / "store"))
+        record = client.submit(request, name="legacy-policy")
+        buffer = io.BytesIO()
+        _ExecutorStepPickler(buffer, protocol=4).dump(record)
+        assert b"degrade_executor" in buffer.getvalue()
+        integrity.write_envelope(
+            client.store.record_path(record.job_id), buffer.getvalue(),
+            schema=RECORD_SCHEMA, version=SCHEMA_VERSION)
+
+        loaded = client.get(record.job_id)
+        policy = loaded.spec.request.remediation
+        assert vars(policy)["degrade_executor"] is True
+        assert policy == self.POLICY
+        assert stable_digest(policy) == stable_digest(self.POLICY)
+        assert loaded.spec.digest() == record.spec.digest()
+
+
 class TestFleetEndToEnd:
     @pytest.fixture(scope="class")
     def published(self, tmp_path_factory):
@@ -401,6 +450,47 @@ class TestScheduler:
             client.watch(record.job_id, timeout_s=0.05, poll_s=0.01)
 
 
+def _crash_once_then_execute(marker, parent_pid, store_root, job_id,
+                             *args, **options):
+    # Kill one pool worker, once. Never the parent: the serial fallback
+    # re-runs this same function there.
+    if os.getpid() != parent_pid:
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            pass
+        else:
+            os._exit(23)
+    return worker_module.execute_job(store_root, job_id, *args, **options)
+
+
+class TestPoolFallback:
+    def test_broken_pool_reruns_every_unfinished_job_serially(
+            self, tmp_path, monkeypatch):
+        client = FleetClient(str(tmp_path / "store"))
+        jobs = [client.submit(_request(), name=f"job-{index}")
+                for index in range(4)]
+        marker = str(tmp_path / "crashed")
+        monkeypatch.setattr(
+            scheduler_module, "execute_job",
+            functools.partial(_crash_once_then_execute, marker,
+                              os.getpid()))
+        scheduler = FleetScheduler(client.store, executor="process",
+                                   max_workers=2)
+        outcomes = scheduler._run_round()
+        assert os.path.exists(marker)  # a worker did die
+        for job in jobs:
+            assert client.get(job.job_id).state is JobState.PUBLISHED
+        # every claimed job reports exactly one outcome from this round
+        assert sorted(o.job_id for o in outcomes) == sorted(
+            job.job_id for job in jobs)
+        degradations = client.store.registry.get(
+            "ditto_fleet_scheduler_degradations_total")
+        assert degradations.value(from_mode="process",
+                                  to_mode="serial") == 1
+        assert degradations.total() == 1
+
+
 class TestFleetCLI:
     def test_submit_run_watch_show(self, tmp_path, capsys):
         store = str(tmp_path)
@@ -455,6 +545,13 @@ class TestFleetCLI:
         # one migrate CLI: the fleet has no subcommand of its own
         with pytest.raises(SystemExit):
             fleet_main(["migrate", "--store", store])
+
+    def test_thread_executor_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            fleet_main(["run", "--store", str(tmp_path),
+                        "--executor", "thread"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
 
     def test_cancel_exit_codes(self, tmp_path, capsys):
         store = str(tmp_path)

@@ -119,9 +119,8 @@ class TestOverlappedGate:
         assert _experiments(telemetry) == experiments
         assert _children() <= before
 
-    def test_serial_and_thread_replay_inline(self, serial_report,
-                                             inline_replays):
-        report = _cloner("thread").clone(REQUEST).report.fidelity
+    def test_serial_replays_inline(self, serial_report, inline_replays):
+        report = _cloner("serial").clone(REQUEST).report.fidelity
         assert report.to_dict() == serial_report
         assert inline_replays == {"original": 1, "clone": 1}
 

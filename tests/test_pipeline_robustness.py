@@ -1,4 +1,4 @@
-"""Pipeline hardening: tier retry, executor degradation, checkpoints."""
+"""Pipeline hardening: tier retry, serial fallback, checkpoints."""
 
 import functools
 import os
@@ -16,6 +16,7 @@ from repro.hw import PLATFORM_A
 from repro.loadgen import LoadSpec
 from repro.profiling import ProfilingBudget, profile_deployment
 from repro.runtime import ExperimentConfig, run_experiment
+from repro.telemetry import Telemetry
 from repro.util.errors import ConfigurationError, TierExecutionError
 from repro.util.spec_hash import stable_digest
 from repro.validation import integrity
@@ -55,9 +56,8 @@ def tier_tasks():
 # ---------------------------------------------------------------------- #
 
 def _bump(counter_path):
-    # Atomic write-then-rename: concurrent bumpers (pool workers, or
-    # parent threads after degradation) never observe a torn/truncated
-    # counter file.
+    # Atomic write-then-rename: concurrent bumpers (pool workers) never
+    # observe a torn/truncated counter file.
     count = 0
     if os.path.exists(counter_path):
         with open(counter_path) as handle:
@@ -83,9 +83,9 @@ def _fail_n_then_clone(counter_path, failures, task):
 
 def _crash_once_then_clone(counter_path, parent_pid, task):
     # Hard worker death breaks the whole process pool — but only ever
-    # kill a *worker*: after degradation this same function re-runs in
-    # the parent (thread/serial mode), where exiting would take the
-    # test session down with it.
+    # kill a *worker*: after the serial fallback this same function
+    # re-runs in the parent, where exiting would take the test session
+    # down with it.
     if _bump(counter_path) == 1 and os.getpid() != parent_pid:
         os._exit(23)
     return clone_tier(task)
@@ -168,14 +168,20 @@ class TestExecutorDegradation:
     def test_worker_crash_degrades_and_completes(self, tier_tasks, tmp_path):
         crashing = functools.partial(
             _crash_once_then_clone, str(tmp_path / "counter"), os.getpid())
-        outcomes, mode = run_tier_pipeline(
-            tier_tasks, executor="process", max_workers=2,
-            tier_fn=crashing, tier_retries=1)
-        # The killed worker broke the process pool; the survivors were
-        # re-run on a degraded executor and the clone still finished.
-        assert mode in ("thread", "serial")
+        with Telemetry() as telemetry:
+            outcomes, mode = run_tier_pipeline(
+                tier_tasks, executor="process", max_workers=2,
+                tier_fn=crashing, tier_retries=1)
+        # The killed worker broke the process pool; the unfinished
+        # tiers were re-run serially and the clone still finished.
+        assert mode == "serial"
         assert sorted(o.service for o in outcomes) == sorted(
             task.artifacts.service for task in tier_tasks)
+        degradations = telemetry.registry.get(
+            "ditto_pipeline_degradations_total")
+        assert degradations.value(from_mode="process",
+                                  to_mode="serial") == 1
+        assert degradations.total() == 1
 
 
 class TestCheckpointResume:

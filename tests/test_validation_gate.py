@@ -1,5 +1,6 @@
 """Fidelity gates, remediation, and the bundle-validation CLI."""
 
+import dataclasses
 import json
 
 import pytest
@@ -142,28 +143,37 @@ class TestRemediation:
     def test_policy_ladder_is_deterministic_and_escalating(self):
         policy = RemediationPolicy(max_attempts=2, widen_tune_factor=2.0)
         one = policy.plan(1, reason="gate_failure", base_seed=17,
-                          base_tune_iterations=10, base_executor="auto")
+                          base_tune_iterations=10)
         two = policy.plan(2, reason="gate_failure", base_seed=17,
-                          base_tune_iterations=10, base_executor="auto")
+                          base_tune_iterations=10)
         again = policy.plan(1, reason="gate_failure", base_seed=17,
-                            base_tune_iterations=10, base_executor="auto")
+                            base_tune_iterations=10)
         assert one == again  # same failure climbs the same ladder
         assert one.seed != 17 and two.seed != one.seed
         assert one.max_tune_iterations == 20
         assert two.max_tune_iterations == 40
-        assert one.executor == "thread"
-        assert two.executor == "serial"
         assert policy.plan(3, reason="gate_failure", base_seed=17,
-                           base_tune_iterations=10,
-                           base_executor="auto") is None
+                           base_tune_iterations=10) is None
+
+    def test_rungs_carry_no_executor(self):
+        # A rung runs on the clone's own executor: plan() takes none and
+        # a step names none.
+        policy = RemediationPolicy()
+        with pytest.raises(TypeError):
+            policy.plan(1, reason="gate_failure", base_seed=17,
+                        base_tune_iterations=10, base_executor="process")
+        step = policy.plan(1, reason="gate_failure", base_seed=17,
+                           base_tune_iterations=10)
+        assert [f.name for f in dataclasses.fields(step)] == [
+            "attempt", "reason", "seed", "max_tune_iterations"]
+        assert [f.name for f in dataclasses.fields(policy)] == [
+            "max_attempts", "widen_tune_factor", "reseed"]
 
     def test_policy_axes_can_be_disabled(self):
-        policy = RemediationPolicy(reseed=False, degrade_executor=False,
-                                   widen_tune_factor=1.0)
+        policy = RemediationPolicy(reseed=False, widen_tune_factor=1.0)
         step = policy.plan(1, reason="sim_budget", base_seed=17,
-                           base_tune_iterations=10, base_executor="process")
+                           base_tune_iterations=10)
         assert step.seed == 17
-        assert step.executor == "process"
         assert step.max_tune_iterations == 11  # still nudged upward
 
     def test_policy_validation(self):
@@ -199,7 +209,7 @@ class TestRemediation:
         steps = error.result.report.remediation
         assert len(steps) == 1
         assert steps[0].reason == "gate_failure"
-        assert steps[0].executor == "serial"
+        assert error.result.report.executor == "serial"
 
 
 class TestValidationCLI:
