@@ -137,11 +137,11 @@ def single_tier_clones() -> Dict[str, Tuple[Deployment, Deployment, object]]:
     clones = {}
     for name, setup in APPS.items():
         original = Deployment.single(setup.builder())
-        cloner = DittoCloner(fine_tune_tiers=True, max_tune_iterations=5,
-                             budget=BENCH_BUDGET)
-        result = cloner.clone(CloneRequest(
+        result = DittoCloner().clone(CloneRequest(
             deployment=original, load=setup.profiling_load,
-            config=setup.config(duration_s=PROFILE_SECONDS, seed=5)))
+            config=setup.config(duration_s=PROFILE_SECONDS, seed=5),
+            fine_tune_tiers=True, max_tune_iterations=5,
+            budget=BENCH_BUDGET))
         clones[name] = (original, result.synthetic, result.report)
     return clones
 
@@ -150,9 +150,9 @@ def single_tier_clones() -> Dict[str, Tuple[Deployment, Deployment, object]]:
 def socialnet_clone() -> Tuple[Deployment, Deployment, object]:
     """(original, synthetic, report) for the 14-tier Social Network."""
     original = social_network_deployment()
-    cloner = DittoCloner(fine_tune_tiers=False, budget=BENCH_BUDGET)
     config = ExperimentConfig(platform=PLATFORM_A,
                               duration_s=PROFILE_SECONDS * 2, seed=5)
-    result = cloner.clone(CloneRequest(
-        deployment=original, load=SOCIALNET_LOADS["medium"], config=config))
+    result = DittoCloner().clone(CloneRequest(
+        deployment=original, load=SOCIALNET_LOADS["medium"], config=config,
+        fine_tune_tiers=False, budget=BENCH_BUDGET))
     return original, result.synthetic, result.report

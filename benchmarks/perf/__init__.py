@@ -208,18 +208,16 @@ def bench_clone(duration_s: float, qps: float, repeat: int = 3) -> float:
 
     times = []
     for _ in range(repeat):
-        cloner = DittoCloner(
-            fine_tune_tiers=True, max_tune_iterations=3,
-            budget=ProfilingBudget(sampled_requests=8,
-                                   profile_duration_s=0.015),
-            executor="serial",
-        )
+        cloner = DittoCloner(executor="serial")
         start = time.perf_counter()
         cloner.clone(CloneRequest(
             deployment=Deployment.single(build_memcached()),
             load=LoadSpec.open_loop(qps),
             config=ExperimentConfig(platform=PLATFORM_A,
-                                    duration_s=duration_s, seed=5)))
+                                    duration_s=duration_s, seed=5),
+            fine_tune_tiers=True, max_tune_iterations=3,
+            budget=ProfilingBudget(sampled_requests=8,
+                                   profile_duration_s=0.015)))
         times.append(time.perf_counter() - start)
     return min(times)
 

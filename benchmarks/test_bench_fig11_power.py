@@ -33,11 +33,10 @@ def test_fig11_power_management(benchmark):
     original = Deployment.single(build_memcached(worker_threads=16))
     profiling_config = ExperimentConfig(platform=PLATFORM_A,
                                         duration_s=0.02, seed=5)
-    synthetic = DittoCloner(
-        fine_tune_tiers=True, max_tune_iterations=3, budget=BENCH_BUDGET,
-    ).clone(CloneRequest(deployment=original,
-                         load=LoadSpec.open_loop(300_000),
-                         config=profiling_config)).synthetic
+    synthetic = DittoCloner().clone(CloneRequest(
+        deployment=original, load=LoadSpec.open_loop(300_000),
+        config=profiling_config, fine_tune_tiers=True,
+        max_tune_iterations=3, budget=BENCH_BUDGET)).synthetic
 
     def run_grid():
         cells = {}

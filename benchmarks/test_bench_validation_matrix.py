@@ -36,11 +36,11 @@ ASYNCGW_LOAD = LoadSpec.open_loop(3_000)
 
 def _gateway_clone():
     original = async_gateway_deployment()
-    cloner = DittoCloner(fine_tune_tiers=False, budget=BENCH_BUDGET)
     config = ExperimentConfig(platform=PLATFORM_A,
                               duration_s=PROFILE_SECONDS, seed=5)
-    result = cloner.clone(CloneRequest(deployment=original,
-                                       load=ASYNCGW_LOAD, config=config))
+    result = DittoCloner().clone(CloneRequest(
+        deployment=original, load=ASYNCGW_LOAD, config=config,
+        fine_tune_tiers=False, budget=BENCH_BUDGET))
     return original, result.synthetic, result.report
 
 

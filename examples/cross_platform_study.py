@@ -36,10 +36,9 @@ def main() -> None:
         original = Deployment.single(builder())
         profiling_config = ExperimentConfig(platform=PLATFORM_A,
                                             duration_s=0.02, seed=5)
-        synthetic = DittoCloner(
-            fine_tune_tiers=True, max_tune_iterations=4,
-        ).clone(CloneRequest(deployment=original, load=load,
-                             config=profiling_config)).synthetic
+        synthetic = DittoCloner().clone(CloneRequest(
+            deployment=original, load=load, config=profiling_config,
+            fine_tune_tiers=True, max_tune_iterations=4)).synthetic
         print(f"\n=== {name} (profiled on A only) ===")
         print(f"{'platform':<10}{'':>10}{'IPC':>8}{'branch':>8}"
               f"{'l1i':>8}{'l2':>8}{'llc':>8}{'p99 ms':>9}")

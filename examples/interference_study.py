@@ -27,10 +27,9 @@ def main() -> None:
     load = LoadSpec.open_loop(15_000)
     profiling_config = ExperimentConfig(platform=PLATFORM_A,
                                         duration_s=0.02, seed=5)
-    synthetic = DittoCloner(
-        fine_tune_tiers=True, max_tune_iterations=4,
-    ).clone(CloneRequest(deployment=original, load=load,
-                         config=profiling_config)).synthetic
+    synthetic = DittoCloner().clone(CloneRequest(
+        deployment=original, load=load, config=profiling_config,
+        fine_tune_tiers=True, max_tune_iterations=4)).synthetic
 
     scenarios = [("none", ())] + [
         (name, (stressor(name),)) for name in interference_suite()

@@ -56,11 +56,10 @@ def main() -> None:
     original = Deployment.single(build_memcached(worker_threads=16))
     profiling_config = ExperimentConfig(platform=PLATFORM_A,
                                         duration_s=0.02, seed=5)
-    synthetic = DittoCloner(
-        fine_tune_tiers=True, max_tune_iterations=4,
-    ).clone(CloneRequest(deployment=original,
-                         load=LoadSpec.open_loop(100_000),
-                         config=profiling_config)).synthetic
+    synthetic = DittoCloner().clone(CloneRequest(
+        deployment=original, load=LoadSpec.open_loop(100_000),
+        config=profiling_config, fine_tune_tiers=True,
+        max_tune_iterations=4)).synthetic
     actual_cells = heatmap(original)
     synth_cells = heatmap(synthetic)
     render("actual Memcached", actual_cells)

@@ -40,11 +40,12 @@ def main() -> None:
     profiling_config = ExperimentConfig(platform=PLATFORM_A,
                                         duration_s=0.02, seed=5)
     telemetry = Telemetry(label="quickstart: memcached clone")
-    cloner = DittoCloner(fine_tune_tiers=True, max_tune_iterations=6,
-                         telemetry=telemetry)
+    cloner = DittoCloner(telemetry=telemetry)
     result = cloner.clone(CloneRequest(deployment=original,
                                        load=profiling_load,
-                                       config=profiling_config))
+                                       config=profiling_config,
+                                       fine_tune_tiers=True,
+                                       max_tune_iterations=6))
     synthetic, report = result.synthetic, result.report
     tuning = report.tuning["memcached"]
     print(f"fine-tuning: {tuning.iterations} iterations, "

@@ -29,14 +29,11 @@ def main() -> None:
                                         duration_s=0.05, seed=5)
     # Per-tier fine tuning is disabled to keep the example fast; the
     # structural clone already tracks end-to-end behaviour well.
-    cloner = DittoCloner(
+    result = DittoCloner().clone(CloneRequest(
+        deployment=original, load=profiling_load, config=profiling_config,
         fine_tune_tiers=False,
         budget=ProfilingBudget(sampled_requests=8,
-                               profile_duration_s=0.05),
-    )
-    result = cloner.clone(CloneRequest(deployment=original,
-                                       load=profiling_load,
-                                       config=profiling_config))
+                               profile_duration_s=0.05)))
     synthetic, report = result.synthetic, result.report
 
     topology = report.topology

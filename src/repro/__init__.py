@@ -9,8 +9,14 @@ Top-level convenience exports — the typical flow:
 >>> original = Deployment.single(build_memcached())
 >>> request = CloneRequest(
 ...     deployment=original, load=LoadSpec.open_loop(100_000),
-...     config=ExperimentConfig(platform=PLATFORM_A, duration_s=0.02))
+...     config=ExperimentConfig(platform=PLATFORM_A, duration_s=0.02),
+...     max_tune_iterations=6)
 >>> result = DittoCloner().clone(request)   # doctest: +SKIP
+
+Every option that shapes the clone (seed, profiling budget, tuning,
+generator, fidelity gate, remediation) sits on the request;
+:class:`DittoCloner` takes only infrastructure (executor, workers,
+checkpoints, telemetry), none of which changes the clone.
 >>> synthetic, report = result.synthetic, result.report  # doctest: +SKIP
 
 Many clones at once go through the fleet control plane instead

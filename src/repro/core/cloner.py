@@ -6,7 +6,10 @@ topology from traces, generates synthetic skeleton+body per tier, and
 optionally fine-tunes each tier's knobs. The result is a drop-in
 synthetic :class:`~repro.app.service.Deployment` with the same service
 names, placements and entry point — runnable anywhere the original runs,
-without reprofiling (§4.1 Portability).
+without reprofiling (§4.1 Portability). What to clone, and every option
+that shapes the clone, comes from one
+:class:`~repro.core.request.CloneRequest`, resolved once on entry; the
+cloner itself holds only execution infrastructure.
 
 The per-tier stage runs through :mod:`repro.core.pipeline`: tiers fan
 out across a process pool (or a serial loop — see ``executor``), each
@@ -25,13 +28,11 @@ from __future__ import annotations
 import contextlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.app.service import Deployment, Placement, ServiceSpec
-from repro.core.body_gen import GeneratorConfig
 from repro.core.features import ServiceFeatures
-from repro.core.request import CloneRequest
-from repro.core.finetune import DEFAULT_MAX_TUNE_ITERATIONS, FineTuneResult
+from repro.core.finetune import FineTuneResult
 from repro.core.pipeline import (
     EXECUTOR_MODES,
     TierTask,
@@ -39,9 +40,9 @@ from repro.core.pipeline import (
     resolve_executor,
     run_tier_pipeline,
 )
+from repro.core.request import CloneRequest
 from repro.core.topology import TopologySummary, analyze_topology
 from repro.loadgen.generator import LoadSpec
-from repro.profiling.artifacts import ProfilingBudget
 from repro.profiling.collector import ApplicationProfile, profile_deployment
 from repro.runtime.expcache import CacheStats
 from repro.runtime.experiment import ExperimentConfig, run_experiment
@@ -56,8 +57,8 @@ from repro.util.errors import (
     TierExecutionError,
 )
 from repro.util.rng import derive_seed
-from repro.validation.gate import FidelityGate, FidelityReport
-from repro.validation.remediate import RemediationPolicy, RemediationStep
+from repro.validation.gate import FidelityReport
+from repro.validation.remediate import RemediationStep
 
 
 @dataclass
@@ -79,7 +80,7 @@ class CloneReport:
     #: was not enabled on the cloner
     telemetry: Optional[Telemetry] = None
     #: fidelity-gate verdict for the accepted clone; None when the
-    #: cloner ran without ``validate=``
+    #: request was not gated
     fidelity: Optional[FidelityReport] = None
     #: remediation rungs climbed before this clone was produced (empty
     #: when the first attempt was accepted)
@@ -182,8 +183,11 @@ class _EarlyBaseline:
 class DittoCloner:
     """The automated cloning framework.
 
-    All parameters are keyword-only and validated here, so a bad knob
-    fails at construction instead of minutes later inside a tuning loop.
+    What to clone, and every option that shapes the clone, lives on the
+    :class:`~repro.core.request.CloneRequest` passed to :meth:`clone`.
+    The cloner holds only execution infrastructure, none of which
+    changes clone output. All parameters are keyword-only and validated
+    here, so a bad setting fails at construction.
 
     ``executor`` selects how the per-tier stage fans out: ``"process"``
     (pool of worker processes), ``"serial"``, or ``"auto"`` (the
@@ -209,49 +213,29 @@ class DittoCloner:
     JSON. Telemetry never touches a random stream: clone output is
     bit-identical with it on or off.
 
-    ``validate`` turns the clone into a *gated* clone: pass ``True``
-    (default tolerances) or a configured
-    :class:`~repro.validation.gate.FidelityGate`, and the finished
-    synthetic is replayed against the original under matched seeds; the
-    per-metric verdict lands on :class:`CloneReport.fidelity`. A clone
-    that fails the gate is not returned silently — the cloner climbs
-    the ``remediation`` ladder (:class:`RemediationPolicy`: derived
-    re-seeds and widened tune budgets, on the clone's own executor)
-    and, if every rung fails, raises
-    :class:`~repro.util.errors.FidelityGateError` carrying the failing
-    report *and* the clone, so callers can inspect or salvage it. The
-    same ladder retries tiers whose simulations trip a watchdog budget
-    (:class:`~repro.util.errors.SimBudgetExceededError`). With
-    ``validate=None`` (the default) none of this machinery runs and
-    clone output is bit-identical to previous releases.
+    A request with ``validate=`` set is a *gated* clone: the finished
+    synthetic is replayed against the original under matched seeds, and
+    the per-metric verdict lands on :class:`CloneReport.fidelity`. A
+    clone that fails the gate is not returned silently — the cloner
+    climbs the request's ``remediation`` ladder (derived re-seeds and
+    widened tune budgets, on the clone's own executor) and, if every
+    rung fails, raises :class:`~repro.util.errors.FidelityGateError`
+    carrying the failing report *and* the clone, so callers can inspect
+    or salvage it. The same ladder retries tiers whose simulations trip
+    a watchdog budget (:class:`~repro.util.errors.SimBudgetExceededError`).
     """
 
     def __init__(
         self,
         *,
-        generator_config: Optional[GeneratorConfig] = None,
-        budget: Optional[ProfilingBudget] = None,
-        fine_tune_tiers: bool = True,
-        max_tune_iterations: int = DEFAULT_MAX_TUNE_ITERATIONS,
-        seed: int = 17,
         executor: str = "auto",
         max_workers: Optional[int] = None,
         tier_retries: int = 1,
         checkpoint_dir: Optional[str] = None,
         telemetry: Union[bool, Telemetry, None] = None,
-        validate: Union[bool, FidelityGate, None] = None,
-        remediation: Optional[RemediationPolicy] = None,
         observer: Optional[CloneObserver] = None,
         shared_cache_dir: Optional[str] = None,
     ) -> None:
-        if not isinstance(max_tune_iterations, int) \
-                or isinstance(max_tune_iterations, bool) \
-                or max_tune_iterations < 1:
-            raise ConfigurationError(
-                f"max_tune_iterations must be an int >= 1, "
-                f"got {max_tune_iterations!r}")
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigurationError(f"seed must be an int, got {seed!r}")
         if executor not in EXECUTOR_MODES:
             raise ConfigurationError(
                 f"unknown executor {executor!r}; "
@@ -267,12 +251,6 @@ class DittoCloner:
             raise ConfigurationError(
                 f"checkpoint_dir must be a path string, "
                 f"got {checkpoint_dir!r}")
-        self.generator_config = (generator_config if generator_config
-                                 is not None else GeneratorConfig())
-        self.budget = budget if budget is not None else ProfilingBudget()
-        self.fine_tune_tiers = fine_tune_tiers
-        self.max_tune_iterations = max_tune_iterations
-        self.seed = seed
         self.executor = executor
         self.max_workers = max_workers
         self.tier_retries = tier_retries
@@ -286,25 +264,6 @@ class DittoCloner:
                 f"telemetry must be a Telemetry session or a bool, "
                 f"got {telemetry!r}")
         self.telemetry = telemetry
-        if validate is True:
-            validate = FidelityGate()
-        elif validate is False:
-            validate = None
-        if validate is not None and not isinstance(validate, FidelityGate):
-            raise ConfigurationError(
-                f"validate must be a FidelityGate or a bool, "
-                f"got {validate!r}")
-        self.validate = validate
-        if remediation is not None \
-                and not isinstance(remediation, RemediationPolicy):
-            raise ConfigurationError(
-                f"remediation must be a RemediationPolicy, "
-                f"got {remediation!r}")
-        if remediation is None and validate is not None:
-            # Gated clones self-heal by default; pass
-            # RemediationPolicy(max_attempts=0) for a strict single shot.
-            remediation = RemediationPolicy()
-        self.remediation = remediation
         if observer is not None and not isinstance(observer, CloneObserver):
             raise ConfigurationError(
                 f"observer must be a CloneObserver, got {observer!r}")
@@ -316,40 +275,6 @@ class DittoCloner:
                 f"got {shared_cache_dir!r}")
         self.shared_cache_dir = shared_cache_dir
 
-    # ------------------------------------------------------------------ #
-    # request plumbing
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def for_request(cls, request: CloneRequest,
-                    **overrides: Any) -> "DittoCloner":
-        """A cloner configured from ``request``'s option fields.
-
-        ``overrides`` (executor, checkpoint_dir, observer, telemetry,
-        shared_cache_dir, ...) win over the request — this is how the
-        fleet worker pins its per-job infrastructure while the request
-        keeps the reproducibility knobs.
-        """
-        kwargs = request.cloner_options()
-        kwargs.update(overrides)
-        return cls(**kwargs)
-
-    def _effective(self, request: CloneRequest) -> "DittoCloner":
-        """``self`` with the request's option overrides applied."""
-        options = request.cloner_options()
-        if not options:
-            return self
-        kwargs: Dict[str, Any] = dict(
-            generator_config=self.generator_config, budget=self.budget,
-            fine_tune_tiers=self.fine_tune_tiers,
-            max_tune_iterations=self.max_tune_iterations, seed=self.seed,
-            executor=self.executor, max_workers=self.max_workers,
-            tier_retries=self.tier_retries,
-            checkpoint_dir=self.checkpoint_dir, telemetry=self.telemetry,
-            validate=self.validate, remediation=self.remediation,
-            observer=self.observer, shared_cache_dir=self.shared_cache_dir)
-        kwargs.update(options)
-        return type(self)(**kwargs)
-
     def _phase(self, phase: str, *, attempt: int = 0,
                reason: str = "") -> None:
         """Notify the observer of a phase boundary (may raise to abort)."""
@@ -359,113 +284,73 @@ class DittoCloner:
     def clone(self, request: CloneRequest) -> CloneResult:
         """Clone the request's deployment; returns a :class:`CloneResult`.
 
-        Option fields set on the :class:`CloneRequest` override this
-        cloner's knobs for the call. Profiling happens once, at the
-        request's load on its ``config.platform`` — the synthetic
-        deployment then runs on any platform or load without
-        reprofiling.
+        Profiling happens once, at the request's load on its
+        ``config.platform`` — the synthetic deployment then runs on any
+        platform or load without reprofiling.
         """
-        if not isinstance(request, CloneRequest):
-            raise ConfigurationError(
-                f"clone() takes a repro.CloneRequest, got "
-                f"{type(request).__name__}")
-        cloner = self._effective(request)
-        config = request.effective_config()
-        validation_load = request.effective_validation_load()
-        with cloner._observed(), cloner._early_baseline(
-                request.deployment, validation_load, config) as baseline:
-            cloner._phase("profiling")
+        request = self._resolve(request)
+        with self._observed(), self._early_baseline(request) as baseline:
+            self._phase("profiling")
             with span("profiling",
                       service=request.deployment.entry_service,
                       tiers=len(request.deployment.services)):
                 profile = profile_deployment(
-                    request.deployment, request.load, config,
-                    budget=cloner.budget, seed=cloner.seed,
+                    request.deployment, request.load, request.config,
+                    budget=request.budget, seed=request.seed,
                 )
-            return cloner._clone_from_profile(
-                profile,
-                deployment=request.deployment,
-                profiling_config=config,
-                validation_load=validation_load,
-                baseline=baseline,
-            )
+            return self._clone_from_profile(profile, request,
+                                            baseline=baseline)
+
+    @staticmethod
+    def _resolve(request: CloneRequest) -> CloneRequest:
+        if not isinstance(request, CloneRequest):
+            raise ConfigurationError(
+                f"expected a repro.CloneRequest, got "
+                f"{type(request).__name__}")
+        return request.resolved()
 
     @contextlib.contextmanager
     def _early_baseline(
-        self, deployment: Deployment, load: LoadSpec,
-        profiling_config: ExperimentConfig,
+        self, request: CloneRequest,
     ) -> Iterator[Optional[_EarlyBaseline]]:
         """Attempt 0's original replay, started now on a gated process
         clone (None otherwise); its pool closes on every exit path."""
         mode = resolve_executor(self.executor,
-                                n_tasks=len(deployment.services),
+                                n_tasks=len(request.deployment.services),
                                 max_workers=self.max_workers)
-        if self.validate is None or mode != "process":
+        if request.validate is None or mode != "process":
             yield None
             return
         baseline = _EarlyBaseline(
-            deployment, load, self._gate_config(profiling_config, self.seed),
+            request.deployment, request.validation_load,
+            self._gate_config(request.config, request.seed),
             self.telemetry)
         try:
             yield baseline
         finally:
             baseline.close()
 
-    def clone_from_profile(
-        self,
-        profile: ApplicationProfile,
-        *,
-        request: Optional[CloneRequest] = None,
-        deployment: Optional[Deployment] = None,
-        profiling_config: Optional[ExperimentConfig] = None,
-        validation_load: Optional[LoadSpec] = None,
-    ) -> CloneResult:
+    def clone_from_profile(self, profile: ApplicationProfile,
+                           request: CloneRequest) -> CloneResult:
         """Run the per-tier pipeline over an existing profiling session.
 
         Splitting this from :meth:`clone` lets callers re-generate (e.g.
-        with different generator configs, tuning budgets or executors)
-        without paying for profiling again — the fleet worker also
-        enters here when it resumes a job whose profile is already in
-        the store. Pass either ``request=`` (its option fields override
-        this cloner's knobs, as in :meth:`clone`) or the explicit
-        ``deployment``/``profiling_config``/``validation_load`` trio.
-        With ``validate=`` set, the finished clone is gated against the
-        original under ``validation_load`` (reconstructed from the
-        profile when not given) and remediated on failure — see the
-        class docstring.
+        with a different generator config or tuning budget on the
+        request, or on another executor) without paying for profiling
+        again — the fleet worker also enters here when it runs a job
+        whose profile is already in the store. A gated request is gated
+        and remediated exactly as in :meth:`clone`.
         """
-        if request is not None:
-            if deployment is not None or profiling_config is not None \
-                    or validation_load is not None:
-                raise ConfigurationError(
-                    "pass either request= or the explicit "
-                    "deployment/profiling_config/validation_load set, "
-                    "not both")
-            cloner = self._effective(request)
-            return cloner._clone_from_profile(
-                profile,
-                deployment=request.deployment,
-                profiling_config=request.effective_config(),
-                validation_load=request.effective_validation_load(),
-            )
-        if deployment is None or profiling_config is None:
-            raise ConfigurationError(
-                "clone_from_profile needs a request= or both deployment "
-                "and profiling_config")
-        return self._clone_from_profile(
-            profile, deployment=deployment,
-            profiling_config=profiling_config,
-            validation_load=validation_load)
+        return self._clone_from_profile(profile, self._resolve(request))
 
     def _clone_from_profile(
         self,
         profile: ApplicationProfile,
+        request: CloneRequest,
         *,
-        deployment: Deployment,
-        profiling_config: ExperimentConfig,
-        validation_load: Optional[LoadSpec] = None,
         baseline: Optional[_EarlyBaseline] = None,
     ) -> CloneResult:
+        deployment = request.deployment
         with self._observed():
             topology: Optional[TopologySummary] = None
             if len(deployment.services) > 1:
@@ -473,21 +358,20 @@ class DittoCloner:
                           spans=len(profile.spans)):
                     topology = analyze_topology(profile.spans)
             steps: List[RemediationStep] = []
-            seed = self.seed
-            max_tune_iterations = self.max_tune_iterations
+            seed = request.seed
+            max_tune_iterations = request.max_tune_iterations
             attempt = 0
             while True:
                 failure: Optional[Exception] = None
                 result: Optional[CloneResult] = None
                 try:
                     result = self._clone_attempt(
-                        profile, deployment, profiling_config, topology,
-                        steps, validation_load, seed=seed,
+                        profile, request, topology, steps, seed=seed,
                         max_tune_iterations=max_tune_iterations,
                         baseline=baseline)
                 except (SimBudgetExceededError, TierExecutionError) as error:
                     reason = self._budget_reason(error)
-                    if reason is None or self.remediation is None:
+                    if reason is None or request.remediation is None:
                         raise
                     failure = error
                 else:
@@ -497,10 +381,10 @@ class DittoCloner:
                     reason = "gate_failure"
                 attempt += 1
                 step = None
-                if self.remediation is not None:
-                    step = self.remediation.plan(
-                        attempt, reason=reason, base_seed=self.seed,
-                        base_tune_iterations=self.max_tune_iterations)
+                if request.remediation is not None:
+                    step = request.remediation.plan(
+                        attempt, reason=reason, base_seed=request.seed,
+                        base_tune_iterations=request.max_tune_iterations)
                 if step is None:
                     if failure is not None:
                         raise failure
@@ -522,21 +406,20 @@ class DittoCloner:
     def _clone_attempt(
         self,
         profile: ApplicationProfile,
-        deployment: Deployment,
-        profiling_config: ExperimentConfig,
+        request: CloneRequest,
         topology: Optional[TopologySummary],
         steps: List[RemediationStep],
-        validation_load: Optional[LoadSpec],
         *,
         seed: int,
         max_tune_iterations: int,
         baseline: Optional[_EarlyBaseline] = None,
     ) -> CloneResult:
-        """One pipeline pass plus (when configured) its fidelity gate."""
+        """One pipeline pass plus (when gated) its fidelity gate."""
         self._phase("tuning", attempt=len(steps),
                     reason=steps[-1].reason if steps else "")
+        deployment = request.deployment
         tasks = [
-            self._tier_task(profile, name, profiling_config, seed=seed,
+            self._tier_task(profile, name, request, seed=seed,
                             max_tune_iterations=max_tune_iterations)
             for name in deployment.services
         ]
@@ -567,16 +450,15 @@ class DittoCloner:
         )
         with span("interface_validation"):
             self._validate_interfaces(synthetic)
-        if self.validate is not None:
+        if request.validate is not None:
             self._phase("validating", attempt=len(steps))
-            load = (validation_load if validation_load is not None
-                    else self._reconstruct_load(profile))
-            gate_config = self._gate_config(profiling_config, seed)
+            load = request.validation_load
+            gate_config = self._gate_config(request.config, seed)
             early = None
             if baseline is not None and not steps \
                     and baseline.replays(deployment, load, gate_config):
                 early = baseline.result
-            report.fidelity = self.validate._validate(
+            report.fidelity = request.validate._validate(
                 deployment, synthetic, load, gate_config,
                 label=deployment.entry_service, baseline=early)
         return CloneResult(synthetic=synthetic, report=report)
@@ -594,15 +476,6 @@ class DittoCloner:
         """
         return replace(profiling_config, tracer=None, fault_plan=None,
                        resilience=None, seed=derive_seed(seed, "validate"))
-
-    @staticmethod
-    def _reconstruct_load(profile: ApplicationProfile) -> LoadSpec:
-        """A validation load matching what profiling observed."""
-        if profile.profiling_qps > 0:
-            return LoadSpec.open_loop(profile.profiling_qps)
-        entry = profile.services.get(profile.entry_service)
-        connections = entry.observed_connections if entry is not None else 0
-        return LoadSpec(kind="closed", connections=max(1, connections))
 
     @staticmethod
     def _budget_reason(error: Exception) -> Optional[str]:
@@ -658,32 +531,29 @@ class DittoCloner:
         self,
         profile: ApplicationProfile,
         name: str,
-        profiling_config: ExperimentConfig,
+        request: CloneRequest,
         *,
-        seed: Optional[int] = None,
-        max_tune_iterations: Optional[int] = None,
+        seed: int,
+        max_tune_iterations: int,
     ) -> TierTask:
         """Build one tier's pipeline payload with derived seeds.
 
-        ``seed``/``max_tune_iterations`` default to the cloner's own;
-        remediation passes its per-attempt overrides (the task digest
-        then changes too, so a retried tier never resurrects the failed
+        ``seed``/``max_tune_iterations`` are the attempt's: the
+        request's own, or a remediation rung's (the task digest then
+        changes too, so a retried tier never resurrects the failed
         attempt's checkpoint).
         """
-        seed = self.seed if seed is None else seed
-        if max_tune_iterations is None:
-            max_tune_iterations = self.max_tune_iterations
         generator_config = replace(
-            self.generator_config,
+            request.generator_config,
             seed=derive_tier_seed(seed, name, "bodygen"),
         )
         tune_config: Optional[ExperimentConfig] = None
-        if self.fine_tune_tiers:
+        if request.fine_tune_tiers:
             # Tuning must measure the tier's clean behaviour: carrying
             # the profiling run's fault plan or resilience policy into
             # the calibration loop would fit knobs to injected noise.
             tune_config = replace(
-                profiling_config, tracer=None,
+                request.config, tracer=None,
                 fault_plan=None, resilience=None,
                 seed=derive_tier_seed(seed, name, "finetune"),
             )

@@ -48,7 +48,7 @@ DAMPING = 0.6
 #: knob clamp range
 KNOB_RANGE = (0.1, 10.0)
 #: default tuning budget, shared by :func:`fine_tune` and
-#: :class:`~repro.core.cloner.DittoCloner`. The paper reports the loop
+#: :class:`~repro.core.request.CloneRequest`. The paper reports the loop
 #: "converges within ten iterations to reach over 95% accuracy" (§4.5),
 #: so ten is the budget; convergence under ``tolerance`` exits earlier.
 DEFAULT_MAX_TUNE_ITERATIONS = 10

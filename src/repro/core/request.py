@@ -1,13 +1,14 @@
 """The typed clone-request spec shared by every cloning entry point.
 
 A :class:`CloneRequest` is the *what* of a clone — the deployment to
-clone, the profiling load/platform, and the reproducibility knobs (seed,
-tuning budget, validation gate, fault/resilience options) — captured in
-one frozen, keyword-only, picklable object. The same request drives all
-three entry points:
+clone, the profiling load, platform and fault/resilience options (all on
+``config``), and the reproducibility knobs (seed, tuning budget,
+generator, validation gate) — captured in one frozen, keyword-only,
+picklable object. It is the only place an option that shapes a clone
+lives, and the same request drives all three entry points:
 
 - one-shot: ``DittoCloner().clone(request)``;
-- re-generation: ``cloner.clone_from_profile(profile, request=request)``;
+- re-generation: ``cloner.clone_from_profile(profile, request)``;
 - fleet submission: ``FleetClient(store).submit(request)`` — the fleet
   job store keys jobs, shared profiles and the fleet-wide experiment
   cache by :meth:`CloneRequest.digest`.
@@ -18,22 +19,24 @@ none of it changes clone output (the pipeline is bit-identical across
 executors), so none of it belongs in the digest that decides whether
 two jobs are the same experiment.
 
-Option fields default to ``None``, meaning "inherit from the executing
-cloner" — a request only pins what it cares about.
+Option fields default to ``None``, meaning "the default" — a request
+only pins what it cares about. The defaults live here, in
+:meth:`CloneRequest.resolved`; ``None`` stays in the digest, so a
+request that spells a default out is a different job from one that
+leaves it ``None``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional, Union
+from typing import Any, Optional, Union
 
 from repro.app.service import Deployment
 from repro.core.body_gen import GeneratorConfig
-from repro.faults.plan import FaultPlan
+from repro.core.finetune import DEFAULT_MAX_TUNE_ITERATIONS
 from repro.loadgen.generator import LoadSpec
 from repro.profiling.artifacts import ProfilingBudget
 from repro.runtime.experiment import ExperimentConfig
-from repro.runtime.resilience import ResilienceConfig
 from repro.util.errors import ConfigurationError
 from repro.util.spec_hash import stable_digest
 from repro.validation.gate import FidelityGate
@@ -41,23 +44,21 @@ from repro.validation.remediate import RemediationPolicy
 
 __all__ = ["CloneRequest"]
 
+#: the clone seed of a request that leaves ``seed`` unset
+DEFAULT_SEED = 17
+
 
 @dataclass(frozen=True, kw_only=True)
 class CloneRequest:
     """One clone, fully specified (frozen, keyword-only, picklable).
 
     ``deployment``/``load``/``config`` are the required *what*:
-    profile ``deployment`` at ``load`` on ``config.platform``. The
-    remaining fields are optional overrides of the executing
-    :class:`~repro.core.cloner.DittoCloner`'s own knobs; ``None`` means
-    "use the cloner's setting". ``validate`` is tri-state: ``None``
-    inherits, ``False`` forces the gate off, ``True``/a configured
-    :class:`~repro.validation.gate.FidelityGate` turns it on.
-
-    ``fault_plan``/``resilience`` are folded into the experiment config
-    (it is an error to set them both here and on ``config``), so a
-    request can ask for a degraded-mode clone without rebuilding the
-    config by hand.
+    profile ``deployment`` at ``load`` on ``config.platform`` (with
+    ``config``'s fault plan and resilience policy, if any). The
+    remaining fields are optional; ``None`` means the default that
+    :meth:`resolved` fills in. ``validate=True`` or a configured
+    :class:`~repro.validation.gate.FidelityGate` gates the clone;
+    ``None`` and ``False`` (normalised to ``None``) leave it ungated.
     """
 
     deployment: Deployment
@@ -72,8 +73,6 @@ class CloneRequest:
     generator_config: Optional[GeneratorConfig] = None
     validate: Union[bool, FidelityGate, None] = None
     remediation: Optional[RemediationPolicy] = None
-    fault_plan: Optional[FaultPlan] = None
-    resilience: Optional[ResilienceConfig] = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.deployment, Deployment):
@@ -105,51 +104,56 @@ class CloneRequest:
             raise ConfigurationError(
                 f"validate must be a bool or FidelityGate, "
                 f"got {self.validate!r}")
+        if self.validate is False:
+            # off has one form, so an ungated request has one digest
+            object.__setattr__(self, "validate", None)
         if self.remediation is not None \
                 and not isinstance(self.remediation, RemediationPolicy):
             raise ConfigurationError(
                 f"remediation must be a RemediationPolicy, "
                 f"got {self.remediation!r}")
-        if self.fault_plan is not None \
-                and self.config.fault_plan is not None:
-            raise ConfigurationError(
-                "fault_plan set on both the request and its config — "
-                "pick one")
-        if self.resilience is not None \
-                and self.config.resilience is not None:
-            raise ConfigurationError(
-                "resilience set on both the request and its config — "
-                "pick one")
 
-    # ------------------------------------------------------------------ #
-    # derived views
-    # ------------------------------------------------------------------ #
-    def effective_config(self) -> ExperimentConfig:
-        """``config`` with request-level fault/resilience folded in."""
-        if self.fault_plan is None and self.resilience is None:
-            return self.config
-        overrides: Dict[str, Any] = {}
-        if self.fault_plan is not None:
-            overrides["fault_plan"] = self.fault_plan
-        if self.resilience is not None:
-            overrides["resilience"] = self.resilience
-        return replace(self.config, **overrides)
+    def __setstate__(self, state: dict) -> None:
+        # Requests pickled while fault_plan/resilience were request
+        # fields load with them folded into config (where they live
+        # now); the digest already hashed the folded config.
+        state = dict(state)
+        folded = {name: value for name in ("fault_plan", "resilience")
+                  if (value := state.pop(name, None)) is not None}
+        if folded:
+            state["config"] = replace(state["config"], **folded)
+        self.__dict__.update(state)
 
-    def effective_validation_load(self) -> LoadSpec:
-        """The load the fidelity gate replays under."""
-        return self.validation_load if self.validation_load is not None \
-            else self.load
+    def resolved(self) -> "CloneRequest":
+        """This request with every default filled in — what the cloner
+        reads.
 
-    def cloner_options(self) -> Dict[str, Any]:
-        """The non-``None`` option fields as ``DittoCloner`` kwargs."""
-        options: Dict[str, Any] = {}
-        for name in ("seed", "fine_tune_tiers", "max_tune_iterations",
-                     "budget", "generator_config", "validate",
-                     "remediation"):
-            value = getattr(self, name)
-            if value is not None:
-                options[name] = value
-        return options
+        ``validate`` becomes a :class:`FidelityGate` or ``None``, and a
+        gated request without ``remediation`` gets the default
+        :class:`RemediationPolicy` (pass ``RemediationPolicy(
+        max_attempts=0)`` for a strict single shot). Digest the request
+        as submitted, not its resolved form: the two differ.
+        """
+        validate = FidelityGate() if self.validate is True else self.validate
+        remediation = self.remediation
+        if remediation is None and validate is not None:
+            remediation = RemediationPolicy()
+        return replace(
+            self,
+            validation_load=(self.load if self.validation_load is None
+                             else self.validation_load),
+            seed=DEFAULT_SEED if self.seed is None else self.seed,
+            fine_tune_tiers=(True if self.fine_tune_tiers is None
+                             else self.fine_tune_tiers),
+            max_tune_iterations=(DEFAULT_MAX_TUNE_ITERATIONS
+                                 if self.max_tune_iterations is None
+                                 else self.max_tune_iterations),
+            budget=(ProfilingBudget() if self.budget is None
+                    else self.budget),
+            generator_config=(GeneratorConfig()
+                              if self.generator_config is None
+                              else self.generator_config),
+            validate=validate, remediation=remediation)
 
     def digest(self) -> str:
         """Stable identity of this request (the fleet's job/cache key).
@@ -163,7 +167,7 @@ class CloneRequest:
         return stable_digest({
             "deployment": self.deployment,
             "load": self.load,
-            "config": replace(self.effective_config(), tracer=None),
+            "config": replace(self.config, tracer=None),
             "validation_load": self.validation_load,
             "seed": self.seed,
             "fine_tune_tiers": self.fine_tune_tiers,

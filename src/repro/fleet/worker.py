@@ -322,8 +322,7 @@ def _run_clone(store: JobStore, record, observer: _StoreObserver,
     """Clone the job's request; returns its result and bundle writer."""
     job_id = record.job_id
     request = record.spec.request
-    cloner = DittoCloner.for_request(
-        request,
+    cloner = DittoCloner(
         observer=observer,
         checkpoint_dir=store.checkpoint_dir(job_id),
         shared_cache_dir=store.cache_dir,
@@ -331,7 +330,7 @@ def _run_clone(store: JobStore, record, observer: _StoreObserver,
     )
     profile = store.load_profile(record.spec_digest)
     if profile is not None:
-        result = cloner.clone_from_profile(profile, request=request)
+        result = cloner.clone_from_profile(profile, request)
     else:
         result = cloner.clone(request)
     report = result.report

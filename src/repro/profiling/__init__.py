@@ -3,7 +3,7 @@
 The collector runs the target deployment under a representative load and
 produces *execution artifacts* per service — an instruction-mix table,
 per-region data and instruction working-set statistics, per-site branch
-rates, dependency-distance samples, syscall logs, thread observations,
+rates, dependency-distance tallies, syscall logs, thread observations,
 performance counters, and distributed-tracing spans. Address traces and
 branch outcome histories are reduced as they are sampled, so a profile
 ships statistics, not raw samples. Feature extractors then turn artifacts
@@ -16,7 +16,7 @@ which the fine-tuner (§4.5) subsequently reduces.
 
 from repro.profiling.artifacts import (
     BranchSiteTrace,
-    DepSample,
+    DepTally,
     ProfilingBudget,
     RegionStats,
     ServiceArtifacts,
@@ -40,7 +40,7 @@ __all__ = [
     "ApplicationProfile",
     "BranchProfile",
     "BranchSiteTrace",
-    "DepSample",
+    "DepTally",
     "DependencyDistanceProfile",
     "InstructionMixProfile",
     "NetworkModelProfile",

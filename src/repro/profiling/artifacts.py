@@ -4,7 +4,8 @@ Everything here is *observable* instrumentation output — the kind of data
 SystemTap probes, Intel SDE instruction logs, Valgrind cache sweeps and
 perf counters actually produce. Address traces and branch outcome
 histories are reduced as they are collected: a profile carries per-region
-working-set statistics and per-site branch rates, not raw samples.
+working-set statistics, per-site branch rates and dependency-distance
+tallies, not raw samples.
 Feature extraction operates exclusively on these types; the application
 models never cross this boundary.
 """
@@ -15,9 +16,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.treedit import CallTree
+from repro.hw.ir import DEP_DISTANCE_BINS
 from repro.kernelsim.syscalls import SyscallInvocation
 from repro.runtime.metrics import ServiceMetrics
 from repro.util.errors import ConfigurationError
+from repro.util.quantize import bin_index
 
 
 @dataclass(frozen=True)
@@ -85,14 +88,33 @@ class BranchSiteTrace:
     executions_weight: float       # total dynamic executions it represents
 
 
-@dataclass(frozen=True)
-class DepSample:
-    """One sampled dependency tuple from the DCFG (§4.4.6)."""
+@dataclass
+class DepTally:
+    """The sampled DCFG dependency tuples (§4.4.6), tallied.
 
-    raw: float
-    war: float
-    waw: float
-    pointer_chase: bool
+    The dependency profile needs only how many sampled RAW/WAR/WAW
+    distances fell in each :data:`~repro.hw.ir.DEP_DISTANCE_BINS` bin
+    and how many samples were pointer chases, so each tuple is binned
+    as it is drawn. Each kind's bins are keyed by upper edge, in the
+    order each bin was first drawn.
+    """
+
+    raw: Dict[int, int] = field(default_factory=dict)
+    war: Dict[int, int] = field(default_factory=dict)
+    waw: Dict[int, int] = field(default_factory=dict)
+    chases: int = 0
+    samples: int = 0
+
+    def add(self, raw: float, war: float, waw: float,
+            pointer_chase: bool) -> None:
+        """Tally one sampled ``(raw, war, waw, pointer_chase)`` tuple."""
+        for bins, distance in ((self.raw, raw), (self.war, war),
+                               (self.waw, waw)):
+            edge = DEP_DISTANCE_BINS[bin_index(max(1.0, distance),
+                                               DEP_DISTANCE_BINS)]
+            bins[edge] = bins.get(edge, 0) + 1
+        self.chases += int(pointer_chase)
+        self.samples += 1
 
 
 @dataclass
@@ -141,7 +163,7 @@ class ServiceArtifacts:
     #: instruction-side working-set statistics, one per code region
     instr_regions: List[RegionStats] = field(default_factory=list)
     branch_sites: List[BranchSiteTrace] = field(default_factory=list)
-    dep_samples: List[DepSample] = field(default_factory=list)
+    deps: DepTally = field(default_factory=DepTally)
     #: (request sequence number, invocation), in order
     syscall_log: List[Tuple[int, SyscallInvocation]] = field(
         default_factory=list)

@@ -4,10 +4,10 @@ Runs the target deployment under the profiling load with full tracing,
 then — playing the role of SystemTap + Intel SDE + Valgrind attached to
 each service process — materialises per-service execution artifacts:
 the sampled instruction stream as a per-iform table, per-region
-working-set statistics, per-site branch rates, dependency samples,
-syscall logs, and thread observations. Address traces and branch
-outcome histories are sampled and reduced here; a profile carries the
-statistics, not the raw samples.
+working-set statistics, per-site branch rates, dependency-distance
+tallies, syscall logs, and thread observations. Address traces, branch
+outcome histories and dependency tuples are sampled and reduced here; a
+profile carries the statistics, not the raw samples.
 
 The harness necessarily reads the application models to synthesise the
 streams (it *is* the instrumentation, running inside the profiled
@@ -33,7 +33,6 @@ from repro.hw.ir import BlockSpec
 from repro.loadgen.generator import LoadSpec
 from repro.profiling.artifacts import (
     BranchSiteTrace,
-    DepSample,
     IformStats,
     ProfilingBudget,
     RegionStats,
@@ -431,12 +430,11 @@ def _collect_dep_artifacts(
     war_hist = Histogram(dict(deps.war)) if deps.war else None
     waw_hist = Histogram(dict(deps.waw)) if deps.waw else None
     for _ in range(budget.dep_samples_per_block):
-        artifacts.dep_samples.append(DepSample(
-            raw=sample_distance(raw_hist, default=24.0),
-            war=sample_distance(war_hist, default=32.0),
-            waw=sample_distance(waw_hist, default=48.0),
-            pointer_chase=bool(rng.random() < deps.pointer_chase_frac),
-        ))
+        raw = sample_distance(raw_hist, default=24.0)
+        war = sample_distance(war_hist, default=32.0)
+        waw = sample_distance(waw_hist, default=48.0)
+        artifacts.deps.add(raw, war, waw,
+                           bool(rng.random() < deps.pointer_chase_frac))
 
 
 def _call_tree_for_worker(spec: ServiceSpec) -> CallTree:
@@ -676,16 +674,16 @@ PROFILE_SCHEMA = "application-profile"
 #: payload version of the pickled ApplicationProfile layout, shared by
 #: every store of profiles (bump when the layout changes; files of any
 #: other version are misses)
-PROFILE_VERSION = 3
+PROFILE_VERSION = 4
 
 
 def save_profile(path: str, profile: ApplicationProfile) -> str:
     """Persist a whole profiling session atomically, digest-stamped.
 
     One file per session: every tier's artifacts plus the span record,
-    so ``clone_from_profile`` can re-run later — on another machine,
-    against another platform model — without touching the original
-    deployment again.
+    so :meth:`~repro.core.cloner.DittoCloner.clone_from_profile` can
+    re-run later — on another machine, against another platform model —
+    without touching the original deployment again.
     """
     from repro.validation import integrity
 

@@ -29,12 +29,14 @@ text table.
 >>> from repro.telemetry import Telemetry
 >>> telemetry = Telemetry(label="demo")
 >>> cloner = DittoCloner(telemetry=telemetry)     # doctest: +SKIP
->>> result = cloner.clone(...)                    # doctest: +SKIP
+>>> result = cloner.clone(request)                # doctest: +SKIP
 >>> result.report.telemetry.write_chrome_trace("trace.json")  # doctest: +SKIP
 
 Telemetry observes and never steers: it consumes no random streams and
 adds no simulation events, so a telemetry-enabled clone is bit-identical
-to a disabled one.
+to a disabled one. That is why it is set on the cloner, as
+infrastructure, while everything that shapes the clone is set on the
+:class:`~repro.core.request.CloneRequest`.
 """
 
 from repro.telemetry.chrometrace import TraceEvent, chrome_trace

@@ -79,12 +79,12 @@ class TestAsyncDetectionAndCloning:
 
     def test_clone_preserves_async_behaviour(self, clones):
         deployment, _profile = clones[True]
-        cloner = DittoCloner(fine_tune_tiers=False, budget=FAST_BUDGET)
         config = ExperimentConfig(platform=PLATFORM_A, duration_s=0.02,
                                   seed=6)
-        synthetic = cloner.clone(CloneRequest(
+        synthetic = DittoCloner().clone(CloneRequest(
             deployment=deployment, load=LoadSpec.open_loop(3000),
-            config=config)).synthetic
+            config=config, fine_tune_tiers=False,
+            budget=FAST_BUDGET)).synthetic
         skeleton = synthetic.services["gateway"].skeleton
         assert skeleton.client_model is ClientNetworkModel.ASYNCHRONOUS
         # And the synthetic keeps the async capacity advantage.

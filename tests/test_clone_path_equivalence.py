@@ -14,7 +14,9 @@ Five per-tier computations are done once instead of many times:
   table (count, REP sum, REP samples) instead of the raw samples;
 * the profiler reduces each sampled address trace to its working-set
   statistics, and each branch site's outcome history to its taken and
-  transition rates, as it collects them.
+  transition rates, as it collects them;
+* the profiler tallies each sampled dependency tuple into per-kind
+  distance-bin counts and a pointer-chase count as it draws it.
 
 Each must change no result. The references below are copies of the
 code paths they replaced, kept here (not in ``src/``) as the oracle;
@@ -41,7 +43,7 @@ from repro.core.regalloc import (
     RegisterAssignment,
     assign_registers,
 )
-from repro.hw.ir import DependencyProfile
+from repro.hw.ir import DEP_DISTANCE_BINS, DependencyProfile
 from repro.analysis.clustering import hierarchical_feature_clusters
 from repro.isa.instructions import feature_vector, iform
 from repro.isa.registers import RegisterFile
@@ -49,7 +51,10 @@ from repro.profiling import collector
 from repro.profiling.artifacts import ServiceArtifacts, ThreadObservation
 from repro.hw.cache import LINE_BYTES
 from repro.profiling.branches import BranchProfile, RateBin
-from repro.profiling.deps import DependencyDistanceProfile
+from repro.profiling.deps import (
+    DependencyDistanceProfile,
+    profile_dependencies,
+)
 from repro.profiling.instmix import (
     CLUSTER_THRESHOLD as MIX_CLUSTER_THRESHOLD,
     InstructionMixProfile,
@@ -71,7 +76,7 @@ from repro.profiling.wset import (
     reuse_distances,
     shared_ratio,
 )
-from repro.util.quantize import LogScaleQuantizer, pow2_bins
+from repro.util.quantize import LogScaleQuantizer, bin_index, pow2_bins
 from repro.util.stats import Histogram
 
 
@@ -847,6 +852,57 @@ def _recording_outcomes(outcomes: List[np.ndarray]):
     return recording
 
 
+#: one sampled DCFG dependency tuple: (raw, war, waw, pointer_chase)
+DepTuple = Tuple[float, float, float, bool]
+
+
+def reference_dependencies(samples: List[DepTuple],
+                           ) -> DependencyDistanceProfile:
+    """:func:`profile_dependencies` over the raw sampled tuples."""
+    def quantise_into(target: Dict[int, float], distance: float) -> None:
+        edge = DEP_DISTANCE_BINS[bin_index(max(1.0, distance),
+                                           DEP_DISTANCE_BINS)]
+        target[edge] = target.get(edge, 0.0) + 1.0
+
+    profile = DependencyDistanceProfile()
+    chases = 0
+    for raw, war, waw, pointer_chase in samples:
+        quantise_into(profile.raw, raw)
+        quantise_into(profile.war, war)
+        quantise_into(profile.waw, waw)
+        if pointer_chase:
+            chases += 1
+    profile.pointer_chase_frac = chases / len(samples)
+    return profile
+
+
+def _recording_dep_sampler(samples: Dict[str, List[DepTuple]]):
+    """:func:`collector._collect_dep_artifacts`, also logging the raw
+    tuples it draws (replayed on a copy of the profiler's generator, as
+    the pre-tally collector drew them)."""
+    sample_deps = collector._collect_dep_artifacts
+
+    def recording(block, artifacts, budget, rng):
+        replay = copy.deepcopy(rng)
+
+        def distance(weights, default):
+            if not weights:
+                return default
+            edge = float(Histogram(dict(weights)).sample(replay, 1)[0])
+            return max(1.0, edge * float(replay.uniform(0.75, 1.25)))
+
+        drawn = samples.setdefault(artifacts.service, [])
+        deps = block.deps
+        for _ in range(budget.dep_samples_per_block):
+            drawn.append((
+                distance(deps.raw, 24.0), distance(deps.war, 32.0),
+                distance(deps.waw, 48.0),
+                bool(replay.random() < deps.pointer_chase_frac)))
+        sample_deps(block, artifacts, budget, rng)
+
+    return recording
+
+
 def _trace_deployments():
     from repro import Deployment, LoadSpec, build_mongodb
 
@@ -857,7 +913,8 @@ def _trace_deployments():
 
 @pytest.fixture(scope="module")
 def trace_profiles():
-    """``{workload: (profile, traces by stats id, sites by service)}``."""
+    """``{workload: (profile, traces by stats id, sites by service,
+    dependency tuples by service)}``."""
     from repro import ExperimentConfig, PLATFORM_A
     from repro.profiling import ProfilingBudget, profile_deployment
 
@@ -865,11 +922,14 @@ def trace_profiles():
     for workload, (deployment, load) in _trace_deployments().items():
         traces: Dict[int, ReferenceRegionTrace] = {}
         outcomes: List[np.ndarray] = []
+        dep_samples: Dict[str, List[DepTuple]] = {}
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(collector._RegionAccumulator, "finalize",
                           _recording_finalize(traces))
             patch.setattr(collector, "generate_branch_outcomes",
                           _recording_outcomes(outcomes))
+            patch.setattr(collector, "_collect_dep_artifacts",
+                          _recording_dep_sampler(dep_samples))
             profile = profile_deployment(
                 deployment, load,
                 ExperimentConfig(platform=PLATFORM_A, duration_s=0.02,
@@ -888,7 +948,7 @@ def trace_profiles():
                                     site.executions_weight)
                 for site, history in zip(artifacts.branch_sites, drawn)]
         assert not outcomes
-        found[workload] = (profile, traces, sites)
+        found[workload] = (profile, traces, sites, dep_samples)
     return found
 
 
@@ -920,7 +980,7 @@ def _hexed(value):
 class TestRegionStatsEquivalence:
     @pytest.mark.parametrize("workload", sorted(_trace_deployments()))
     def test_features_match_trace_reducers(self, trace_profiles, workload):
-        profile, traces, sites = trace_profiles[workload]
+        profile, traces, sites, _ = trace_profiles[workload]
         for name, artifacts in profile.services.items():
             data = [traces[id(region)] for region in artifacts.data_regions]
             instr = [traces[id(region)]
@@ -932,10 +992,23 @@ class TestRegionStatsEquivalence:
     def test_every_reducer_is_exercised(self, trace_profiles):
         features = [
             extract_service_features(artifacts)
-            for profile, _, _ in trace_profiles.values()
+            for profile, _, _, _ in trace_profiles.values()
             for artifacts in profile.services.values()]
         assert any(f.shared_ratio > 0 for f in features)
         assert any(f.chase_ratio_large > 0 for f in features)
         assert any(f.regular_ratio_large != f.regular_ratio
                    for f in features)
         assert any(f.instr_wsets for f in features)
+
+
+class TestDependencyTallyEquivalence:
+    @pytest.mark.parametrize("workload", sorted(_trace_deployments()))
+    def test_tallies_match_raw_samples(self, trace_profiles, workload):
+        profile, _, _, dep_samples = trace_profiles[workload]
+        assert set(dep_samples) == set(profile.services)
+        for name, artifacts in profile.services.items():
+            samples = dep_samples[name]
+            assert artifacts.deps.samples == len(samples)
+            oracle = reference_dependencies(samples)
+            assert _hexed(profile_dependencies(artifacts)) == \
+                _hexed(oracle), name

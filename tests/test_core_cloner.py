@@ -25,10 +25,9 @@ def memcached_clone():
     deployment = Deployment.single(build_memcached())
     load = LoadSpec.open_loop(100000)
     config = ExperimentConfig(platform=PLATFORM_A, duration_s=0.02, seed=5)
-    cloner = DittoCloner(fine_tune_tiers=True, max_tune_iterations=6,
-                         budget=FAST_BUDGET)
-    result = cloner.clone(CloneRequest(deployment=deployment, load=load,
-                                       config=config))
+    result = DittoCloner().clone(CloneRequest(
+        deployment=deployment, load=load, config=config,
+        fine_tune_tiers=True, max_tune_iterations=6, budget=FAST_BUDGET))
     return deployment, result.synthetic, result.report, load
 
 
@@ -139,9 +138,9 @@ class TestNginxClone:
         load = LoadSpec.open_loop(20000)
         config = ExperimentConfig(platform=PLATFORM_A, duration_s=0.02,
                                   seed=5)
-        cloner = DittoCloner(fine_tune_tiers=False, budget=FAST_BUDGET)
-        result = cloner.clone(CloneRequest(deployment=deployment, load=load,
-                                           config=config))
+        result = DittoCloner().clone(CloneRequest(
+            deployment=deployment, load=load, config=config,
+            fine_tune_tiers=False, budget=FAST_BUDGET))
         synthetic = result.synthetic
         skeleton = synthetic.services["nginx"].skeleton
         assert skeleton.worker_threads() == 1

@@ -6,6 +6,7 @@ from repro.app.service import Deployment
 from repro.app.workloads import build_memcached, social_network_deployment
 from repro.core import (
     DEFAULT_MAX_TUNE_ITERATIONS,
+    CloneRequest,
     CloneResult,
     DittoCloner,
     derive_tier_seed,
@@ -40,13 +41,17 @@ def socialnet_profile():
     return deployment, profile
 
 
+def _socialnet_request(deployment, **options):
+    return CloneRequest(deployment=deployment, load=SOCIALNET_LOAD,
+                        config=SOCIALNET_CONFIG, **options)
+
+
 def _clone_with(executor, socialnet_profile):
     deployment, profile = socialnet_profile
-    cloner = DittoCloner(fine_tune_tiers=True, max_tune_iterations=2,
-                         budget=FAST_BUDGET, seed=17,
-                         executor=executor, max_workers=4)
-    return cloner.clone_from_profile(profile, deployment=deployment,
-                                     profiling_config=SOCIALNET_CONFIG)
+    cloner = DittoCloner(executor=executor, max_workers=4)
+    return cloner.clone_from_profile(profile, _socialnet_request(
+        deployment, fine_tune_tiers=True, max_tune_iterations=2,
+        budget=FAST_BUDGET, seed=17))
 
 
 @pytest.fixture(scope="module")
@@ -133,14 +138,16 @@ class TestConstructionValidation:
             DittoCloner(None)
 
     def test_max_tune_iterations_validated(self):
+        deployment = Deployment.single(build_memcached())
         for bad in (0, -3, 2.5, True):
             with pytest.raises(ConfigurationError):
-                DittoCloner(max_tune_iterations=bad)
+                _socialnet_request(deployment, max_tune_iterations=bad)
 
     def test_seed_validated(self):
-        for bad in ("17", 1.5, None, False):
+        deployment = Deployment.single(build_memcached())
+        for bad in ("17", 1.5, False):
             with pytest.raises(ConfigurationError):
-                DittoCloner(seed=bad)
+                _socialnet_request(deployment, seed=bad)
 
     def test_executor_validated(self):
         with pytest.raises(ConfigurationError):
@@ -151,7 +158,8 @@ class TestConstructionValidation:
     def test_defaults_unified_with_fine_tune(self):
         # The paper's "within ten iterations" guidance, one constant.
         assert DEFAULT_MAX_TUNE_ITERATIONS == 10
-        assert (DittoCloner().max_tune_iterations
+        request = _socialnet_request(Deployment.single(build_memcached()))
+        assert (request.resolved().max_tune_iterations
                 == DEFAULT_MAX_TUNE_ITERATIONS)
         assert (fine_tune.__defaults__[2]  # max_iterations
                 == DEFAULT_MAX_TUNE_ITERATIONS)

@@ -6,18 +6,22 @@ import io
 import json
 import os
 import pickle
+from dataclasses import replace
 
 import pytest
 
 from repro import (
     CloneRequest,
     Deployment,
+    DittoCloner,
     ExperimentConfig,
+    FaultPlan,
     LoadSpec,
     PLATFORM_A,
     PLATFORM_B,
     build_memcached,
 )
+from repro.faults import DiskSlowdownFault
 from repro.fleet import (
     CloneJobSpec,
     FleetClient,
@@ -32,12 +36,14 @@ from repro.fleet.__main__ import main as fleet_main
 from repro.migrate import MigrationRequest
 from repro.migrate.__main__ import main as migrate_main
 from repro.profiling import ProfilingBudget
+from repro.runtime import ResilienceConfig
 from repro.telemetry import Telemetry
 from repro.util.errors import (
     ArtifactIntegrityError,
     ConfigurationError,
     JobStateError,
 )
+from repro.util.spec_hash import stable_digest
 from repro.validation import FidelityGate, RemediationPolicy
 
 FAST_BUDGET = ProfilingBudget(
@@ -277,6 +283,72 @@ class TestLegacyRemediationPolicy:
         assert policy == self.POLICY
         assert stable_digest(policy) == stable_digest(self.POLICY)
         assert loaded.spec.digest() == record.spec.digest()
+
+
+class _RequestFaultsPickler(pickle.Pickler):
+    """Pickles a record the way the store wrote it while
+    ``CloneRequest`` had ``fault_plan``/``resilience`` fields: set on
+    the request, not on its config."""
+
+    def reducer_override(self, obj):
+        if type(obj) is CloneRequest:
+            config = obj.config
+            state = dict(vars(obj), fault_plan=config.fault_plan,
+                         resilience=config.resilience,
+                         config=replace(config, fault_plan=None,
+                                        resilience=None))
+            return copyreg.__newobj__, (CloneRequest,), state
+        return NotImplemented
+
+
+class TestLegacyRequestFaults:
+    PLAN = FaultPlan((DiskSlowdownFault(factor=4.0),))
+
+    @pytest.mark.parametrize("faults", ["none", "fault_plan", "both"])
+    def test_record_with_request_faults_loads(self, tmp_path, faults):
+        from repro.fleet.store import RECORD_SCHEMA, SCHEMA_VERSION
+        from repro.validation import integrity
+
+        config = CONFIG
+        if faults != "none":
+            config = replace(config, fault_plan=self.PLAN)
+        if faults == "both":
+            config = replace(config, resilience=ResilienceConfig())
+        client = FleetClient(str(tmp_path))
+        record = client.submit(_request(config=config),
+                               name="legacy-faults")
+        buffer = io.BytesIO()
+        _RequestFaultsPickler(buffer, protocol=4).dump(record)
+        assert b"fault_plan" in buffer.getvalue()
+        integrity.write_envelope(
+            client.store.record_path(record.job_id), buffer.getvalue(),
+            schema=RECORD_SCHEMA, version=SCHEMA_VERSION)
+
+        loaded = client.get(record.job_id).spec.request
+        assert "fault_plan" not in vars(loaded)
+        assert "resilience" not in vars(loaded)
+        assert loaded.config == config
+        assert loaded.digest() == record.spec.digest()
+
+
+class TestFleetMatchesOneShot:
+    def test_published_digest_equals_one_shot_clone(self, tmp_path):
+        # Every option is on the request, so a fleet job and a one-shot
+        # clone of the same request are the same experiment.
+        request = _request(
+            seed=23, max_tune_iterations=2, fine_tune_tiers=False,
+            budget=replace(FAST_BUDGET, sampled_requests=5))
+        client = FleetClient(str(tmp_path))
+        record = client.submit(request, name="one-shot")
+        outcomes = client.run_until_idle(executor="serial")
+        assert [o.state for o in outcomes] == [JobState.PUBLISHED]
+        result = DittoCloner(executor="serial").clone(request)
+        tuned = {name: tuning.knobs
+                 for name, tuning in result.report.tuning.items()}
+        assert outcomes[0].result_digest == stable_digest(
+            {"synthetic": result.synthetic, "tuned_knobs": tuned})
+        assert client.get(record.job_id).result_digest == \
+            outcomes[0].result_digest
 
 
 class TestFleetEndToEnd:

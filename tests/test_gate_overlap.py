@@ -1,6 +1,6 @@
 """The overlapped fidelity gate: same verdicts, original replayed early.
 
-With ``validate=`` set and a process executor, :class:`DittoCloner`
+For a request with ``validate=`` set on a process executor, :class:`DittoCloner`
 replays the original in a one-worker pool while profiling runs, and
 the gate then replays only the clone. These tests hold it to the
 inline gate: equal reports on every path, no reuse of the early replay
@@ -10,6 +10,7 @@ child process left behind when the clone raises.
 
 import multiprocessing
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -37,6 +38,7 @@ REQUEST = CloneRequest(
     config=ExperimentConfig(platform=PLATFORM_A, duration_s=0.02, seed=5),
     budget=ProfilingBudget(sampled_requests=8, profile_duration_s=0.015),
     max_tune_iterations=2,
+    validate=True,
 )
 #: zero tolerance everywhere: every attempt fails its gate
 IMPOSSIBLE = FidelityGate({
@@ -47,8 +49,12 @@ IMPOSSIBLE = FidelityGate({
 
 
 def _cloner(executor: str, **options) -> DittoCloner:
-    options.setdefault("validate", True)
     return DittoCloner(executor=executor, max_workers=2, **options)
+
+
+def _impossible(policy: RemediationPolicy) -> CloneRequest:
+    """:data:`REQUEST` gated by :data:`IMPOSSIBLE` under ``policy``."""
+    return replace(REQUEST, validate=IMPOSSIBLE, remediation=policy)
 
 
 def _children() -> set:
@@ -88,8 +94,7 @@ def serial_report(serial_clone):
 
 def _serial_failure(policy: RemediationPolicy) -> FidelityGateError:
     with pytest.raises(FidelityGateError) as failure:
-        _cloner("serial", validate=IMPOSSIBLE,
-                remediation=policy).clone(REQUEST)
+        _cloner("serial").clone(_impossible(policy))
     return failure.value
 
 
@@ -132,8 +137,7 @@ class TestOverlappedGate:
         inline_replays.update(original=0, clone=0)
         before = _children()
         with pytest.raises(FidelityGateError) as failure:
-            _cloner("process", validate=IMPOSSIBLE,
-                    remediation=policy).clone(REQUEST)
+            _cloner("process").clone(_impossible(policy))
         assert failure.value.attempts == expected.attempts == 2
         assert failure.value.report.to_dict() == expected.report.to_dict()
         # attempt 0 took the early replay; the rung replayed inline

@@ -46,13 +46,13 @@ from repro.validation.remediate import RemediationPolicy
 
 
 def _clone_features():
-    clone = DittoCloner(validate=True, executor="serial",
-                        max_tune_iterations=3).clone(
+    clone = DittoCloner(executor="serial").clone(
         CloneRequest(
             deployment=Deployment.single(build_memcached()),
             load=LoadSpec.open_loop(20_000),
             config=ExperimentConfig(platform=PLATFORM_A,
-                                    duration_s=0.02)))
+                                    duration_s=0.02),
+            validate=True, max_tune_iterations=3))
     return (clone.report.features,
             {name: r.knobs for name, r in clone.report.tuning.items()})
 

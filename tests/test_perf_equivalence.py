@@ -545,16 +545,14 @@ class TestDigestEquivalence:
         from repro.hw import PLATFORM_A
         from repro.profiling import ProfilingBudget
 
-        cloner = DittoCloner(
-            fine_tune_tiers=True, max_tune_iterations=3,
-            budget=ProfilingBudget(sampled_requests=8,
-                                   profile_duration_s=0.015),
-            executor="serial")
-        clone = cloner.clone(CloneRequest(
+        clone = DittoCloner(executor="serial").clone(CloneRequest(
             deployment=Deployment.single(build_memcached()),
             load=LoadSpec.open_loop(100_000),
             config=ExperimentConfig(platform=PLATFORM_A, duration_s=0.02,
-                                    seed=5)))
+                                    seed=5),
+            fine_tune_tiers=True, max_tune_iterations=3,
+            budget=ProfilingBudget(sampled_requests=8,
+                                   profile_duration_s=0.015)))
         probe, executed, ops = _metered_run(
             monkeypatch, clone.synthetic, LoadSpec.open_loop(50_000),
             ExperimentConfig(platform=PLATFORM_A, duration_s=0.01, seed=7))

@@ -9,7 +9,7 @@ import pytest
 
 from repro.app.service import Deployment, Placement
 from repro.app.workloads import build_memcached, build_redis
-from repro.core import DittoCloner
+from repro.core import CloneRequest, DittoCloner
 from repro.core.pipeline import TierCheckpoint, clone_tier, run_tier_pipeline
 from repro.faults import FaultPlan, LatencySpikeFault, PacketLossFault
 from repro.hw import PLATFORM_A
@@ -43,10 +43,15 @@ def _two_tier_deployment():
 @pytest.fixture(scope="module")
 def tier_tasks():
     deployment = _two_tier_deployment()
-    cloner = DittoCloner(fine_tune_tiers=False, budget=FAST_BUDGET, seed=17)
-    profile = profile_deployment(deployment, LoadSpec.open_loop(30_000),
-                                 CONFIG, budget=FAST_BUDGET, seed=17)
-    return [cloner._tier_task(profile, name, CONFIG)
+    request = CloneRequest(
+        deployment=deployment, load=LoadSpec.open_loop(30_000),
+        config=CONFIG, fine_tune_tiers=False, budget=FAST_BUDGET,
+        seed=17).resolved()
+    profile = profile_deployment(deployment, request.load, CONFIG,
+                                 budget=FAST_BUDGET, seed=17)
+    return [DittoCloner()._tier_task(
+                profile, name, request, seed=request.seed,
+                max_tune_iterations=request.max_tune_iterations)
             for name in deployment.services]
 
 

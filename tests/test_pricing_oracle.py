@@ -207,15 +207,13 @@ def clone_blocks() -> List[BlockSpec]:
                        build_memcached)
     from repro.profiling import ProfilingBudget
 
-    cloner = DittoCloner(
-        fine_tune_tiers=False,
-        budget=ProfilingBudget(sampled_requests=8, profile_duration_s=0.015),
-        executor="serial")
-    result = cloner.clone(CloneRequest(
+    result = DittoCloner(executor="serial").clone(CloneRequest(
         deployment=Deployment.single(build_memcached()),
         load=LoadSpec.open_loop(100_000),
         config=ExperimentConfig(platform=PLATFORM_A, duration_s=0.02,
-                                seed=5)))
+                                seed=5),
+        fine_tune_tiers=False,
+        budget=ProfilingBudget(sampled_requests=8, profile_duration_s=0.015)))
     blocks: List[BlockSpec] = []
     for spec in result.synthetic.services.values():
         blocks.extend(spec.program.all_blocks())

@@ -37,11 +37,10 @@ TWO_TIER_CONFIG = ExperimentConfig(platform=PLATFORM_A, duration_s=0.015,
 
 
 def _clone(**kwargs):
-    cloner = DittoCloner(budget=FAST_BUDGET, max_tune_iterations=1,
-                         seed=17, **kwargs)
-    return cloner.clone(CloneRequest(deployment=two_tier_deployment(),
-                                     load=TWO_TIER_LOAD,
-                                     config=TWO_TIER_CONFIG))
+    return DittoCloner(**kwargs).clone(CloneRequest(
+        deployment=two_tier_deployment(), load=TWO_TIER_LOAD,
+        config=TWO_TIER_CONFIG, budget=FAST_BUDGET, max_tune_iterations=1,
+        seed=17))
 
 
 @pytest.fixture(scope="module")

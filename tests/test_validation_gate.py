@@ -35,10 +35,9 @@ def original():
 
 @pytest.fixture(scope="module")
 def gated_clone(original):
-    cloner = DittoCloner(validate=True, executor="serial",
-                         max_tune_iterations=3)
-    return cloner.clone(CloneRequest(deployment=original, load=LOAD,
-                                     config=CONFIG))
+    return DittoCloner(executor="serial").clone(CloneRequest(
+        deployment=original, load=LOAD, config=CONFIG, validate=True,
+        max_tune_iterations=3))
 
 
 def _counters(ipc=1.0, branch=0.02, l1i=0.1, l1d=0.1, l2=0.2, llc=0.3):
@@ -86,11 +85,10 @@ class TestFidelityGate:
         # with the failures attributed to the distorted metrics.
         bad_knobs = TuningKnobs(dmem_scale=8.0, big_wset_scale=8.0,
                                 transition_scale=5.0)
-        cloner = DittoCloner(
-            fine_tune_tiers=False, executor="serial",
-            generator_config=GeneratorConfig(knobs=bad_knobs))
-        mistuned = cloner.clone(CloneRequest(deployment=original,
-                                             load=LOAD, config=CONFIG))
+        mistuned = DittoCloner(executor="serial").clone(CloneRequest(
+            deployment=original, load=LOAD, config=CONFIG,
+            fine_tune_tiers=False,
+            generator_config=GeneratorConfig(knobs=bad_knobs)))
         baseline = run_experiment(original, LOAD, CONFIG)
         distorted = run_experiment(mistuned.synthetic, LOAD, CONFIG)
         report = FidelityGate().compare_runs(baseline, distorted)
@@ -181,10 +179,13 @@ class TestRemediation:
             RemediationPolicy(max_attempts=-1)
         with pytest.raises(ConfigurationError):
             RemediationPolicy(widen_tune_factor=0.5)
+        original = Deployment.single(build_memcached())
         with pytest.raises(ConfigurationError):
-            DittoCloner(validate=True, remediation="retry-harder")
+            CloneRequest(deployment=original, load=LOAD, config=CONFIG,
+                         validate=True, remediation="retry-harder")
         with pytest.raises(ConfigurationError):
-            DittoCloner(validate="strict")
+            CloneRequest(deployment=original, load=LOAD, config=CONFIG,
+                         validate="strict")
 
     def test_unsatisfiable_gate_exhausts_ladder(self, original):
         # Zero-tolerance everywhere: no clone can pass, so the cloner
@@ -196,12 +197,11 @@ class TestRemediation:
                          "branch", "p50_latency", "p99_latency",
                          "error_rate")
         })
-        cloner = DittoCloner(
-            validate=impossible, fine_tune_tiers=False, executor="serial",
-            remediation=RemediationPolicy(max_attempts=1))
         with pytest.raises(FidelityGateError) as excinfo:
-            cloner.clone(CloneRequest(deployment=original, load=LOAD,
-                                      config=CONFIG))
+            DittoCloner(executor="serial").clone(CloneRequest(
+                deployment=original, load=LOAD, config=CONFIG,
+                validate=impossible, fine_tune_tiers=False,
+                remediation=RemediationPolicy(max_attempts=1)))
         error = excinfo.value
         assert error.attempts == 2  # original + one remediation rung
         assert error.report is not None and not error.report.passed
