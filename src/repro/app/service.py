@@ -7,6 +7,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.app.program import Program
 from repro.app.skeleton import Skeleton
+from repro.util.dag import topological_order
 from repro.util.errors import ConfigurationError
 from repro.util.stats import Histogram
 
@@ -79,31 +80,23 @@ class Deployment:
                 raise ConfigurationError(
                     f"placement references unknown service {placement.service!r}"
                 )
-        self._check_dag()
-
-    def _check_dag(self) -> None:
-        # Depth-first cycle check over RPC dependencies.
-        WHITE, GREY, BLACK = 0, 1, 2
-        color = {name: WHITE for name in self.services}
-
-        def visit(name: str) -> None:
-            color[name] = GREY
-            for target in self.services[name].program.downstream_services():
-                if target not in self.services:
+        calls = self._calls()
+        for name, targets in calls.items():
+            for target in targets:
+                if target not in calls:
                     raise ConfigurationError(
                         f"{name!r} calls unknown service {target!r}"
                     )
-                if color[target] == GREY:
-                    raise ConfigurationError(
-                        f"RPC cycle through {name!r} -> {target!r}"
-                    )
-                if color[target] == WHITE:
-                    visit(target)
-            color[name] = BLACK
+        cyclic = set(calls).difference(topological_order(calls))
+        if cyclic:
+            raise ConfigurationError(f"RPC cycle through {sorted(cyclic)}")
 
-        for name in self.services:
-            if color[name] == WHITE:
-                visit(name)
+    def _calls(self) -> Dict[str, List[str]]:
+        """Each service's RPC targets, entry service first."""
+        calls = {self.entry_service: []}
+        for name, spec in self.services.items():
+            calls[name] = spec.program.downstream_services()
+        return calls
 
     def node_of(self, service: str) -> str:
         """The node a service is placed on."""
@@ -125,22 +118,8 @@ class Deployment:
         return [p.service for p in self.placements if p.node == node]
 
     def tier_order(self) -> List[str]:
-        """Services in topological order (entry first)."""
-        order: List[str] = []
-        visited: set = set()
-
-        def visit(name: str) -> None:
-            if name in visited:
-                return
-            visited.add(name)
-            order.append(name)
-            for target in self.services[name].program.downstream_services():
-                visit(target)
-
-        visit(self.entry_service)
-        for name in self.services:
-            visit(name)
-        return order
+        """Services in topological order (callers first, entry first)."""
+        return topological_order(self._calls())
 
     @staticmethod
     def single(service: ServiceSpec, node: str = "node0") -> "Deployment":

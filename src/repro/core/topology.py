@@ -12,7 +12,6 @@ from typing import Dict, List, Tuple
 
 from repro.tracing.graph import DependencyGraph, extract_dependency_graph
 from repro.tracing.span import Span
-from repro.util.errors import ProfilingError
 
 
 @dataclass
@@ -37,13 +36,11 @@ class TopologySummary:
 def analyze_topology(spans: List[Span]) -> TopologySummary:
     """Extract and summarise the RPC dependency DAG from traces."""
     graph = extract_dependency_graph(spans)
-    if not graph.root_services:
-        raise ProfilingError("topology has no root service")
     entry = graph.root_services[0]
     tiers = graph.services()
     edges = [
         (src, dst, graph.edge(src, dst).calls)
-        for src, dst in graph.graph.edges()
+        for src, dst in graph.edges()
     ]
     return TopologySummary(
         graph=graph,

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple, Union
 
 from repro.fleet.job import JobState
@@ -87,6 +86,8 @@ class FleetStatusServer:
     def __init__(self, store: "JobStore", *,
                  registries: Iterable[MetricsRegistry] = (),
                  address: Union[bool, int, str, None] = True) -> None:
+        # Lazy: http.server loads http.client, ssl and email.
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
         parsed = parse_serve_address(address)
         if parsed is None:
             raise ConfigurationError(

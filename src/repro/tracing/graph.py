@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-import networkx as nx
-
 from repro.tracing.span import Span, SpanKind
+from repro.util.dag import topological_order
 from repro.util.errors import ProfilingError
 from repro.util.stats import OnlineStats
 
@@ -35,24 +34,30 @@ class EdgeStats:
 class DependencyGraph:
     """The extracted topology."""
 
-    graph: nx.DiGraph
+    #: service -> callee -> edge stats, both levels in insertion order
+    successors: Dict[str, Dict[str, EdgeStats]]
     root_services: List[str]
     operation_mix: Dict[str, Dict[str, float]]   # service -> op -> weight
 
     def services(self) -> List[str]:
         """All services, topologically sorted from the roots."""
-        return list(nx.topological_sort(self.graph))
+        return topological_order(self.successors)
+
+    def edges(self) -> List[Tuple[str, str]]:
+        """Every ``(caller, callee)`` pair, in insertion order."""
+        return [(src, dst) for src, callees in self.successors.items()
+                for dst in callees]
 
     def edge(self, src: str, dst: str) -> EdgeStats:
         """Stats for one edge."""
-        data = self.graph.get_edge_data(src, dst)
-        if data is None:
+        stats = self.successors.get(src, {}).get(dst)
+        if stats is None:
             raise ProfilingError(f"no edge {src!r} -> {dst!r}")
-        return data["stats"]
+        return stats
 
     def downstreams(self, service: str) -> List[str]:
         """Callee services of ``service``."""
-        return list(self.graph.successors(service))
+        return list(self.successors[service])
 
 
 def extract_dependency_graph(spans: List[Span]) -> DependencyGraph:
@@ -73,13 +78,13 @@ def extract_dependency_graph(spans: List[Span]) -> DependencyGraph:
         for span in finished
         if span.kind is SpanKind.SERVER and span.parent_id is not None
     }
-    graph = nx.DiGraph()
+    successors: Dict[str, Dict[str, EdgeStats]] = {}
     roots: Dict[str, int] = {}
     op_mix: Dict[str, Dict[str, float]] = {}
-    parent_call_counts: Dict[Tuple[str, str, int, int], int] = {}
+    callers: Dict[Tuple[str, str], set] = {}  # edge -> parent executions
     for span in finished:
         if span.kind is SpanKind.SERVER:
-            graph.add_node(span.service)
+            successors.setdefault(span.service, {})
             op_mix.setdefault(span.service, {})
             op_mix[span.service][span.operation] = (
                 op_mix[span.service].get(span.operation, 0.0) + 1.0
@@ -100,30 +105,29 @@ def extract_dependency_graph(spans: List[Span]) -> DependencyGraph:
             continue
         callee_operation = callee_span.operation
         src, dst = parent.service, callee_span.service
-        graph.add_edge(src, dst)
-        data = graph.get_edge_data(src, dst)
-        stats: EdgeStats = data.setdefault("stats", EdgeStats())
+        stats = successors.setdefault(src, {}).get(dst)
+        if stats is None:
+            stats = successors[src][dst] = EdgeStats()
+            successors.setdefault(dst, {})
         stats.calls += 1
         stats.operations[callee_operation] = (
             stats.operations.get(callee_operation, 0) + 1
         )
         stats.request_bytes.add(span.tags.get("request_bytes", 0.0))
         stats.response_bytes.add(span.tags.get("response_bytes", 0.0))
-        key = (src, dst, parent.trace_id, parent.span_id)
-        parent_call_counts[key] = parent_call_counts.get(key, 0) + 1
+        callers.setdefault((src, dst), set()).add(
+            (parent.trace_id, parent.span_id))
     # Fan-out per parent execution.
-    per_edge_parents: Dict[Tuple[str, str], List[int]] = {}
-    for (src, dst, _, _), count in parent_call_counts.items():
-        per_edge_parents.setdefault((src, dst), []).append(count)
-    for (src, dst), counts in per_edge_parents.items():
-        stats = graph.get_edge_data(src, dst)["stats"]
-        stats.calls_per_parent = sum(counts) / len(counts)
-    if not nx.is_directed_acyclic_graph(graph):
-        raise ProfilingError("extracted topology contains a cycle")
-    if not roots:
-        raise ProfilingError("no root services found in traces")
-    return DependencyGraph(
-        graph=graph,
+    for (src, dst), parents in callers.items():
+        stats = successors[src][dst]
+        stats.calls_per_parent = stats.calls / len(parents)
+    graph = DependencyGraph(
+        successors=successors,
         root_services=sorted(roots, key=roots.get, reverse=True),
         operation_mix=op_mix,
     )
+    if len(graph.services()) < len(successors):
+        raise ProfilingError("extracted topology contains a cycle")
+    if not roots:
+        raise ProfilingError("no root services found in traces")
+    return graph

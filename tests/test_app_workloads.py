@@ -115,6 +115,9 @@ class TestSocialNetwork:
         order = deployment.tier_order()
         assert order[0] == "frontend"
         assert set(order) == set(deployment.services)
+        for name, spec in deployment.services.items():
+            for callee in spec.program.downstream_services():
+                assert order.index(name) < order.index(callee)
 
     def test_compose_path_reaches_text_service(self):
         services = build_social_network()
@@ -159,7 +162,7 @@ class TestSocialNetwork:
             resident_bytes=leaf.program.resident_bytes,
         )
         services["unique-id-service"] = replace(leaf, program=bad_program)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="RPC cycle"):
             Deployment(
                 services=services,
                 placements=[Placement(name, "n0") for name in services],

@@ -36,6 +36,37 @@ class TestAnalyzeTopology:
                      "social-graph-service", "post-storage-service"):
             assert tier in summary.tiers
 
+    def test_tiers_and_edges_in_recorded_order(self, socialnet_spans):
+        # Tiers in Kahn-by-generations order, edges in insertion order:
+        # the order the synthetic tiers are generated and reported in.
+        summary = analyze_topology(socialnet_spans)
+        assert summary.tiers == [
+            "frontend", "home-timeline-service", "user-timeline-service",
+            "compose-post-service", "text-service", "unique-id-service",
+            "media-service", "user-service", "post-storage-service",
+            "write-home-timeline-service", "url-shorten-service",
+            "user-mention-service", "social-graph-service",
+            "socialgraph-redis",
+        ]
+        assert summary.edges == [
+            ("frontend", "home-timeline-service", 10),
+            ("frontend", "user-timeline-service", 4),
+            ("frontend", "compose-post-service", 3),
+            ("home-timeline-service", "social-graph-service", 10),
+            ("home-timeline-service", "post-storage-service", 10),
+            ("social-graph-service", "socialgraph-redis", 13),
+            ("user-timeline-service", "post-storage-service", 4),
+            ("compose-post-service", "text-service", 3),
+            ("compose-post-service", "unique-id-service", 3),
+            ("compose-post-service", "media-service", 3),
+            ("compose-post-service", "user-service", 3),
+            ("compose-post-service", "post-storage-service", 3),
+            ("compose-post-service", "write-home-timeline-service", 3),
+            ("text-service", "url-shorten-service", 3),
+            ("text-service", "user-mention-service", 3),
+            ("write-home-timeline-service", "social-graph-service", 3),
+        ]
+
     def test_edges_carry_call_counts(self, socialnet_spans):
         summary = analyze_topology(socialnet_spans)
         for src, dst, calls in summary.edges:

@@ -177,6 +177,25 @@ class TestDependencyGraph:
         with pytest.raises(ProfilingError):
             extract_dependency_graph([])
 
+    def test_two_service_cycle_rejected(self):
+        tracer = Tracer()
+        _make_trace(tracer, [("a", "x"), ("b", "y")])
+        _make_trace(tracer, [("b", "y"), ("a", "x")])
+        with pytest.raises(ProfilingError, match="cycle"):
+            extract_dependency_graph(tracer.finished_spans())
+
+    def test_order_is_kahn_by_generations(self):
+        # Roots in first-seen order, then each generation's callees in
+        # the order their last caller freed them.
+        tracer = Tracer()
+        _make_trace(tracer, [("a", "op"), ("c", "op"), ("d", "op")])
+        _make_trace(tracer, [("b", "op"), ("d", "op")])
+        _make_trace(tracer, [("a", "op"), ("b", "op")])
+        graph = extract_dependency_graph(tracer.finished_spans())
+        assert graph.edges() == [("a", "c"), ("a", "b"), ("c", "d"),
+                                 ("b", "d")]
+        assert graph.services() == ["a", "c", "b", "d"]
+
     def test_missing_edge_rejected(self):
         tracer = Tracer()
         _make_trace(tracer, [("a", "op")])
