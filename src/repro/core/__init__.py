@@ -10,7 +10,8 @@ The pipeline mirrors Fig. 3 of the paper:
    calls (§4.4.1), instruction mix (§4.4.2), branch bitmask behaviour
    (§4.4.3), working-set data memory (Eq. 1, §4.4.4), instruction-memory
    blocks (Eq. 2, §4.4.5), and register-assigned data dependencies
-   (§4.4.6);
+   (§4.4.6); :func:`~repro.core.synthesis.synthesize_service` joins
+   skeleton and body into one runnable tier;
 4. :mod:`repro.core.finetune` — the feedback calibration loop (§4.5);
 5. :mod:`repro.core.cloner` — end-to-end orchestration producing a
    drop-in synthetic deployment;
@@ -21,6 +22,7 @@ The pipeline mirrors Fig. 3 of the paper:
 from repro.core.features import ServiceFeatures, extract_service_features
 from repro.core.body_gen import GeneratorConfig, TuningKnobs, generate_program
 from repro.core.skeleton_gen import generate_skeleton
+from repro.core.synthesis import synthesize_service, tier_load
 from repro.core.topology import analyze_topology
 from repro.core.finetune import (
     DEFAULT_MAX_TUNE_ITERATIONS,
@@ -75,4 +77,6 @@ __all__ = [
     "generate_program",
     "generate_skeleton",
     "run_tier_pipeline",
+    "synthesize_service",
+    "tier_load",
 ]

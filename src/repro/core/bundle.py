@@ -9,15 +9,20 @@ JSON bundle, deserialises it, and regenerates a runnable synthetic
 deployment from the bundle alone. A small audit helper verifies the
 bundle leaks none of the original's identifiers.
 
-Bundle v2 adds two things on top of v1's tier features:
+Bundle v2 adds three things on top of v1's tier features:
 
 - an embedded ``integrity`` stanza (canonical-JSON SHA-256, see
   :func:`repro.validation.integrity.stamp_json`) so a damaged bundle is
   quarantined and reported instead of silently regenerating a wrong
   clone — v1 bundles (no stanza) still load;
-- optional per-tier **tuned knobs** (the fine-tuner's output), so a
-  consumer regenerates the *calibrated* clone, not the pre-tuning one —
-  which is what ``python -m repro.validation`` gates a bundle on.
+- optional per-tier **tuned knobs** (the fine-tuner's output) and
+  **generator seeds** (:attr:`~repro.core.cloner.CloneReport
+  .generator_seeds`), so a consumer regenerates the calibrated clone
+  bit for bit — the program the knobs were tuned on. Bundles without
+  seeds regenerate with ``GeneratorConfig().seed``.
+
+Every consumer decodes tiers, knobs and seeds through
+:func:`bundle_tiers`.
 """
 
 from __future__ import annotations
@@ -26,12 +31,12 @@ import dataclasses
 import json
 import os
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NoReturn, Optional, Tuple
 
-from repro.app.service import Deployment, Placement, ServiceSpec
-from repro.core.body_gen import GeneratorConfig, TuningKnobs, generate_program
+from repro.app.service import Deployment, Placement
+from repro.core.body_gen import GeneratorConfig, TuningKnobs
 from repro.core.features import ServiceFeatures
-from repro.core.skeleton_gen import generate_skeleton
+from repro.core.synthesis import synthesize_service
 from repro.app.skeleton import ClientNetworkModel, ServerNetworkModel
 from repro.hw.core import BlockTiming
 from repro.profiling.branches import BranchProfile
@@ -57,6 +62,9 @@ BUNDLE_VERSION = 2
 #: deltas and the destination fidelity report — see ``repro.migrate``
 MIGRATION_FORMAT = "ditto-migration"
 MIGRATION_VERSION = 1
+#: readable document formats and the newest version of each
+_FORMAT_VERSIONS = {BUNDLE_FORMAT: BUNDLE_VERSION,
+                    MIGRATION_FORMAT: MIGRATION_VERSION}
 
 
 # --------------------------------------------------------------------- #
@@ -255,68 +263,50 @@ def _decode_counters(data: Optional[dict]) -> Optional[ServiceMetrics]:
 # --------------------------------------------------------------------- #
 # bundle-level API
 # --------------------------------------------------------------------- #
+#: ServiceFeatures fields a bundle stores as they are
+_PLAIN_FIELDS = (
+    "service", "regular_ratio", "regular_ratio_large", "chase_ratio_large",
+    "shared_ratio", "write_frac", "resident_bytes", "hot_code_bytes",
+    "observed_qps", "observed_connections", "observed_closed_loop",
+)
+#: (encode, decode) of an int-keyed table (JSON keys are strings)
+_INT_KEYED = (lambda table: {str(k): v for k, v in table.items()},
+              lambda table: {int(k): v for k, v in table.items()})
+#: the other ServiceFeatures fields: name -> (encode, decode)
+_FIELD_CODECS = {
+    "mix": (_encode_mix, _decode_mix),
+    "branches": (_encode_branches, _decode_branches),
+    "deps": (_encode_deps, _decode_deps),
+    "syscalls": (_encode_syscalls, _decode_syscalls),
+    "threads": (_encode_threads, _decode_threads),
+    "network": (_encode_network, _decode_network),
+    "target_counters": (_encode_counters, _decode_counters),
+    "data_wsets": _INT_KEYED,
+    "instr_wsets": _INT_KEYED,
+    "handler_mix": (dict, dict),
+    "file_sizes": (dict, dict),
+    "rpc_calls": (
+        lambda calls: {handler: [list(call) for call in entries]
+                       for handler, entries in calls.items()},
+        lambda calls: {handler: [tuple(call) for call in entries]
+                       for handler, entries in calls.items()}),
+}
+
+
 def encode_features(features: ServiceFeatures) -> dict:
     """Serialise one tier's feature set to a JSON-safe dict."""
-    return {
-        "service": features.service,
-        "mix": _encode_mix(features.mix),
-        "branches": _encode_branches(features.branches),
-        "deps": _encode_deps(features.deps),
-        "syscalls": _encode_syscalls(features.syscalls),
-        "threads": _encode_threads(features.threads),
-        "network": _encode_network(features.network),
-        "data_wsets": {str(k): v for k, v in features.data_wsets.items()},
-        "instr_wsets": {str(k): v for k, v in features.instr_wsets.items()},
-        "regular_ratio": features.regular_ratio,
-        "regular_ratio_large": features.regular_ratio_large,
-        "chase_ratio_large": features.chase_ratio_large,
-        "shared_ratio": features.shared_ratio,
-        "write_frac": features.write_frac,
-        "handler_mix": dict(features.handler_mix),
-        "rpc_calls": {
-            handler: [list(call) for call in calls]
-            for handler, calls in features.rpc_calls.items()
-        },
-        "resident_bytes": features.resident_bytes,
-        "hot_code_bytes": features.hot_code_bytes,
-        "file_sizes": dict(features.file_sizes),
-        "target_counters": _encode_counters(features.target_counters),
-        "observed_qps": features.observed_qps,
-        "observed_connections": features.observed_connections,
-        "observed_closed_loop": features.observed_closed_loop,
-    }
+    data = {name: getattr(features, name) for name in _PLAIN_FIELDS}
+    for name, (encode, _decode) in _FIELD_CODECS.items():
+        data[name] = encode(getattr(features, name))
+    return data
 
 
 def decode_features(data: dict) -> ServiceFeatures:
     """Deserialise one tier's feature set."""
     return ServiceFeatures(
-        service=data["service"],
-        mix=_decode_mix(data["mix"]),
-        branches=_decode_branches(data["branches"]),
-        deps=_decode_deps(data["deps"]),
-        syscalls=_decode_syscalls(data["syscalls"]),
-        threads=_decode_threads(data["threads"]),
-        network=_decode_network(data["network"]),
-        data_wsets={int(k): v for k, v in data["data_wsets"].items()},
-        instr_wsets={int(k): v for k, v in data["instr_wsets"].items()},
-        regular_ratio=data["regular_ratio"],
-        regular_ratio_large=data["regular_ratio_large"],
-        chase_ratio_large=data["chase_ratio_large"],
-        shared_ratio=data["shared_ratio"],
-        write_frac=data["write_frac"],
-        handler_mix=dict(data["handler_mix"]),
-        rpc_calls={
-            handler: [tuple(call) for call in calls]
-            for handler, calls in data["rpc_calls"].items()
-        },
-        resident_bytes=data["resident_bytes"],
-        hot_code_bytes=data["hot_code_bytes"],
-        file_sizes=dict(data["file_sizes"]),
-        target_counters=_decode_counters(data["target_counters"]),
-        observed_qps=data["observed_qps"],
-        observed_connections=data["observed_connections"],
-        observed_closed_loop=data["observed_closed_loop"],
-    )
+        **{name: data[name] for name in _PLAIN_FIELDS},
+        **{name: decode(data[name])
+           for name, (_encode, decode) in _FIELD_CODECS.items()})
 
 
 def save_bundle(
@@ -326,26 +316,27 @@ def save_bundle(
     placements: Optional[Dict[str, str]] = None,
     tuned_knobs: Optional[Dict[str, TuningKnobs]] = None,
     source_platform=None,
+    generator_seeds: Optional[Dict[str, int]] = None,
 ) -> Path:
     """Write a shareable clone bundle to ``path``.
 
     The document is digest-stamped (canonical-JSON SHA-256 embedded in
     an ``integrity`` stanza) and written atomically — a crash mid-write
     leaves the previous bundle, never half of the new one. Pass the
-    fine-tuner's per-tier knobs as ``tuned_knobs`` so consumers
-    regenerate the calibrated clone, and the profiling platform as
-    ``source_platform`` so migration preflight knows what environment
-    the ``target_counters`` were tuned on. The stanza is only added
-    when a platform is given — bundles written without one keep their
-    historical bytes (and digests) exactly.
+    fine-tuner's per-tier knobs as ``tuned_knobs`` and the clone
+    report's ``generator_seeds`` so consumers regenerate the clone bit
+    for bit, and the profiling platform as ``source_platform`` so
+    migration preflight knows where the ``target_counters`` were tuned.
+    The seed and platform stanzas are only added when given — bundles
+    written without them keep their historical bytes exactly.
     """
     if entry_service not in features_by_service:
         raise ConfigurationError(
             f"entry service {entry_service!r} not among the tiers")
-    for name in tuned_knobs or {}:
+    for name in {**(tuned_knobs or {}), **(generator_seeds or {})}:
         if name not in features_by_service:
             raise ConfigurationError(
-                f"tuned knobs for unknown tier {name!r}")
+                f"tuned knobs or seed for unknown tier {name!r}")
     document = {
         "format": BUNDLE_FORMAT,
         "version": BUNDLE_VERSION,
@@ -360,10 +351,19 @@ def save_bundle(
             for name, knobs in (tuned_knobs or {}).items()
         },
     }
+    if generator_seeds:
+        document["generator_seeds"] = dict(generator_seeds)
     if source_platform is not None:
         from repro.hw.platform import platform_to_dict
         document["source_platform"] = platform_to_dict(source_platform)
     integrity.stamp_json(document)
+    return write_bundle_document(document, path)
+
+
+def write_bundle_document(document: dict, path) -> Path:
+    """Atomically write a stamped bundle (or migration) document: the
+    same document always gives the same bytes, and a crash mid-write
+    leaves the previous file, never half of the new one."""
     path = Path(path)
     scratch = Path(f"{path}.tmp-{os.getpid()}")
     scratch.write_text(json.dumps(document, indent=1, sort_keys=True))
@@ -380,127 +380,82 @@ def read_bundle_document(path) -> dict:
     bundle must never silently regenerate a wrong clone. v1 documents
     (written before stamping existed) carry no stanza and pass.
     """
-    text = Path(path).read_text()
     try:
-        document = json.loads(text)
+        document = json.loads(Path(path).read_text())
     except json.JSONDecodeError as error:
-        moved = integrity.quarantine_and_report(
-            str(path), schema=BUNDLE_FORMAT, reason="undecodable")
-        raise ArtifactIntegrityError(
-            f"{path}: bundle is not valid JSON ({error})"
-            + (f"; quarantined to {moved}" if moved else ""),
-            path=str(path), reason="undecodable",
-            quarantined_to=moved) from error
+        _quarantine(path, BUNDLE_FORMAT, "undecodable",
+                    f"{path}: bundle is not valid JSON ({error})", error)
     fmt = document.get("format")
-    if fmt == BUNDLE_FORMAT:
-        if document.get("version") not in range(1, BUNDLE_VERSION + 1):
-            raise ConfigurationError(
-                f"unsupported bundle version {document.get('version')}")
-    elif fmt == MIGRATION_FORMAT:
-        # A migrated bundle is a strict superset of a clone bundle, so
-        # everything downstream (load/regenerate/validate) just works.
-        if document.get("version") not in range(1, MIGRATION_VERSION + 1):
-            raise ConfigurationError(
-                f"unsupported migration version {document.get('version')}")
-    else:
+    if fmt not in _FORMAT_VERSIONS:
         raise ConfigurationError(f"{path} is not a clone bundle")
+    if document.get("version") not in range(1, _FORMAT_VERSIONS[fmt] + 1):
+        raise ConfigurationError(
+            f"unsupported {fmt} version {document.get('version')}")
     try:
         integrity.verify_json(document, path=str(path))
     except ArtifactIntegrityError as error:
-        moved = integrity.quarantine_and_report(
-            str(path), schema=fmt, reason=error.reason)
-        raise ArtifactIntegrityError(
-            f"{error}" + (f"; quarantined to {moved}" if moved else ""),
-            path=str(path), reason=error.reason,
-            quarantined_to=moved) from error
+        _quarantine(path, fmt, error.reason, str(error), error)
     return document
+
+
+def _quarantine(path, schema: str, reason: str, message: str,
+                cause: Exception) -> NoReturn:
+    moved = integrity.quarantine_and_report(str(path), schema=schema,
+                                            reason=reason)
+    raise ArtifactIntegrityError(
+        message + (f"; quarantined to {moved}" if moved else ""),
+        path=str(path), reason=reason, quarantined_to=moved) from cause
+
+
+def bundle_tiers(
+    document: dict,
+) -> Tuple[Dict[str, ServiceFeatures], Dict[str, GeneratorConfig]]:
+    """Each tier's features and the generator config of its clone.
+
+    A tier is named by its key in the document. Its config carries the
+    tier's tuned knobs (default knobs when it has none) and its recorded
+    generator seed (``GeneratorConfig().seed`` for bundles written
+    before seeds were recorded).
+    """
+    knobs = document.get("tuned_knobs", {})
+    seeds = document.get("generator_seeds", {})
+    features: Dict[str, ServiceFeatures] = {}
+    generators: Dict[str, GeneratorConfig] = {}
+    for name, data in document["tiers"].items():
+        features[name] = dataclasses.replace(decode_features(data),
+                                             service=name)
+        generators[name] = GeneratorConfig(
+            knobs=TuningKnobs(**knobs.get(name, {})),
+            seed=seeds.get(name, GeneratorConfig().seed))
+    return features, generators
 
 
 def load_bundle(path) -> Tuple[Dict[str, ServiceFeatures], str, Dict[str, str]]:
     """Read a clone bundle; returns (features, entry service, placements)."""
     document = read_bundle_document(path)
-    features = {
-        name: decode_features(data)
-        for name, data in document["tiers"].items()
-    }
+    features, _generators = bundle_tiers(document)
     return features, document["entry_service"], dict(document["placements"])
 
 
-def bundle_tuned_knobs(path) -> Dict[str, TuningKnobs]:
-    """The per-tier tuned knobs stored in a bundle (empty for v1)."""
-    document = read_bundle_document(path)
-    return {
-        name: TuningKnobs(**data)
-        for name, data in document.get("tuned_knobs", {}).items()
-    }
-
-
-def bundle_source_platform(document: dict):
-    """The source platform embedded in a bundle *document*, or None.
-
-    Bundles written before the stanza existed (and bundles whose
-    authors chose not to disclose their platform) return None —
-    migration preflight then needs an explicit ``--source-platform``.
-    """
-    data = document.get("source_platform")
-    if not data:
-        return None
-    from repro.hw.platform import platform_from_dict
-    return platform_from_dict(data)
-
-
-def deployment_from_bundle(
-    path,
-    config: Optional[GeneratorConfig] = None,
-    default_node: str = "node0",
-    use_tuned_knobs: bool = True,
-) -> Deployment:
+def deployment_from_bundle(path) -> Deployment:
     """Regenerate a runnable synthetic deployment from a bundle alone.
 
     This is the consumer side of the sharing story: a hardware vendor
     with only the bundle (never the original code, binary, or traces)
-    builds and runs the synthetic service. When the bundle carries
-    tuned knobs (v2) and ``use_tuned_knobs`` is on, each tier is
-    generated with its calibrated knob set; an explicit non-default
-    ``config.knobs`` wins over the bundle's. ``path`` may also be a
+    builds and runs the synthetic service — each tier generated with
+    its recorded knobs and seed (see :func:`bundle_tiers`), so a bundle
+    saved from a clone regenerates that clone. ``path`` may also be a
     bundle document already in memory (e.g. a fresh migration result).
     """
     document = path if isinstance(path, dict) else read_bundle_document(path)
-    features_by_service = {
-        name: decode_features(data)
-        for name, data in document["tiers"].items()
-    }
-    entry_service = document["entry_service"]
-    placements = dict(document["placements"])
-    knobs_by_tier: Dict[str, TuningKnobs] = {}
-    if use_tuned_knobs:
-        caller_tuned = config is not None and config.knobs != TuningKnobs()
-        if not caller_tuned:
-            knobs_by_tier = {
-                name: TuningKnobs(**data)
-                for name, data in document.get("tuned_knobs", {}).items()
-            }
-    services: Dict[str, ServiceSpec] = {}
-    for name, features in features_by_service.items():
-        tier_config = config
-        if name in knobs_by_tier:
-            tier_config = dataclasses.replace(
-                config or GeneratorConfig(), knobs=knobs_by_tier[name])
-        program, files = generate_program(features, tier_config)
-        services[name] = ServiceSpec(
-            name=name,
-            skeleton=generate_skeleton(features.threads, features.network),
-            program=program,
-            request_mix=dict(features.handler_mix) or None,
-            files=files,
-        )
+    features, generators = bundle_tiers(document)
+    placements = document["placements"]
     return Deployment(
-        services=services,
-        placements=[
-            Placement(name, placements.get(name, default_node))
-            for name in services
-        ],
-        entry_service=entry_service,
+        services={name: synthesize_service(features[name], generators[name])
+                  for name in features},
+        placements=[Placement(name, placements.get(name, "node0"))
+                    for name in features],
+        entry_service=document["entry_service"],
     )
 
 

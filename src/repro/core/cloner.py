@@ -85,6 +85,10 @@ class CloneReport:
     #: remediation rungs climbed before this clone was produced (empty
     #: when the first attempt was accepted)
     remediation: List[RemediationStep] = field(default_factory=list)
+    #: the seed each tier's body was generated with (derived from the
+    #: accepted attempt's seed); a bundle records it so its consumers
+    #: regenerate this exact clone
+    generator_seeds: Dict[str, int] = field(default_factory=dict)
 
     def tier_names(self) -> List[str]:
         """Cloned tiers."""
@@ -430,7 +434,10 @@ class DittoCloner:
         report = CloneReport(features={}, topology=topology,
                              profile=profile, executor=mode,
                              telemetry=self.telemetry,
-                             remediation=list(steps))
+                             remediation=list(steps),
+                             generator_seeds={
+                                 t.artifacts.service: t.generator_config.seed
+                                 for t in tasks})
         synthetic_services: Dict[str, ServiceSpec] = {}
         for outcome in outcomes:
             report.features[outcome.service] = outcome.features
@@ -458,7 +465,7 @@ class DittoCloner:
             if baseline is not None and not steps \
                     and baseline.replays(deployment, load, gate_config):
                 early = baseline.result
-            report.fidelity = request.validate._validate(
+            report.fidelity = request.validate.validate(
                 deployment, synthetic, load, gate_config,
                 label=deployment.entry_service, baseline=early)
         return CloneResult(synthetic=synthetic, report=report)

@@ -22,14 +22,11 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.app.service import Deployment, ServiceSpec
-from repro.core.body_gen import GeneratorConfig, TuningKnobs, generate_program
+from repro.core.body_gen import GeneratorConfig, TuningKnobs
 from repro.core.features import ServiceFeatures
-from repro.core.skeleton_gen import generate_skeleton
-from repro.app.program import ComputeOp, Handler, Program, RpcOp, SyscallOp
-from repro.loadgen.generator import LoadSpec
+from repro.core.synthesis import measure_standalone
 from repro.runtime.expcache import ExperimentCache
-from repro.runtime.experiment import ExperimentConfig, run_experiment
+from repro.runtime.experiment import ExperimentConfig
 from repro.runtime.metrics import ServiceMetrics
 from repro.telemetry.context import current_session
 from repro.telemetry.spans import span
@@ -70,46 +67,6 @@ class FineTuneResult:
         if not self.final_errors:
             return math.inf
         return sum(self.final_errors.values()) / len(self.final_errors)
-
-
-def _strip_rpcs(program: Program) -> Program:
-    """Remove downstream calls so a tier can be tuned stand-alone."""
-    handlers = {}
-    for name, handler in program.handlers.items():
-        ops = tuple(op for op in handler.ops if not isinstance(op, RpcOp))
-        if not ops:
-            ops = handler.ops
-        handlers[name] = Handler(name, ops)
-    return Program(
-        handlers=handlers,
-        background_blocks=program.background_blocks,
-        hot_code_bytes=program.hot_code_bytes,
-        resident_bytes=program.resident_bytes,
-    )
-
-
-def _measure(
-    features: ServiceFeatures,
-    config: GeneratorConfig,
-    platform_config: ExperimentConfig,
-    load: LoadSpec,
-    cache: Optional[ExperimentCache] = None,
-) -> Tuple[ServiceMetrics, ServiceSpec]:
-    program, files = generate_program(features, config)
-    skeleton = generate_skeleton(features.threads, features.network)
-    spec = ServiceSpec(
-        name=features.service,
-        skeleton=skeleton,
-        program=_strip_rpcs(program),
-        request_mix=dict(features.handler_mix) or None,
-        files=files,
-    )
-    deployment = Deployment.single(spec)
-    if cache is not None:
-        result = cache.run(deployment, load, platform_config)
-    else:
-        result = run_experiment(deployment, load, platform_config)
-    return result.service(features.service), spec
 
 
 def _record_tuning(service: str, iterations: int, converged: bool) -> None:
@@ -154,7 +111,6 @@ def _errors(
 def fine_tune(
     features: ServiceFeatures,
     platform_config: ExperimentConfig,
-    load: Optional[LoadSpec] = None,
     base_config: Optional[GeneratorConfig] = None,
     max_iterations: int = DEFAULT_MAX_TUNE_ITERATIONS,
     tolerance: float = 0.05,
@@ -177,14 +133,6 @@ def fine_tune(
         raise ConfigurationError("max_iterations must be >= 1")
     target = features.target_counters
     config = base_config if base_config is not None else GeneratorConfig()
-    if load is None:
-        if features.observed_closed_loop:
-            # Closed-loop-profiled services saturate at their observed
-            # throughput; tuning open-loop at that rate would sit exactly
-            # on the hockey stick. Reuse the closed-loop discipline.
-            load = LoadSpec.closed_loop(max(1, features.observed_connections))
-        else:
-            load = LoadSpec.open_loop(max(100.0, features.observed_qps))
     knobs = config.knobs
     history: List[float] = []
     best_knobs = knobs
@@ -197,8 +145,8 @@ def fine_tune(
         try:
             with span("tune_iteration", category="finetune",
                       service=features.service, iteration=iteration) as tick:
-                measured, _ = _measure(features, config, platform_config,
-                                       load, cache=cache)
+                measured = measure_standalone(features, config,
+                                              platform_config, cache=cache)
                 errors = _errors(target, measured, metrics)
                 finite = [e for e in errors.values() if e != math.inf]
                 mean_error = (sum(finite) / len(finite) if finite

@@ -47,14 +47,14 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.app.service import ServiceSpec
-from repro.core.body_gen import GeneratorConfig, generate_program
+from repro.core.body_gen import GeneratorConfig
 from repro.core.features import ServiceFeatures, extract_service_features
 from repro.core.finetune import (
     DEFAULT_MAX_TUNE_ITERATIONS,
     FineTuneResult,
     fine_tune,
 )
-from repro.core.skeleton_gen import generate_skeleton
+from repro.core.synthesis import synthesize_service
 from repro.profiling.artifacts import ServiceArtifacts
 from repro.runtime.expcache import (
     DEFAULT_CACHE_ENTRIES,
@@ -191,15 +191,7 @@ def _clone_tier(task: TierTask) -> TierOutcome:
                 )
             config = replace(config, knobs=tuning.knobs)
         with span("generation", category="tier", service=service):
-            program, files = generate_program(features, config)
-            skeleton = generate_skeleton(features.threads, features.network)
-        spec = ServiceSpec(
-            name=features.service,
-            skeleton=skeleton,
-            program=program,
-            request_mix=dict(features.handler_mix) or None,
-            files=files,
-        )
+            spec = synthesize_service(features, config)
     return TierOutcome(
         service=features.service,
         features=features,

@@ -49,12 +49,16 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.core.bundle import deployment_from_bundle, save_bundle
+from repro.core.bundle import (
+    deployment_from_bundle,
+    save_bundle,
+    write_bundle_document,
+)
 from repro.core.cloner import CloneObserver, DittoCloner
 from repro.fleet.chaos import ChaosPlan, crashpoint, maybe_active
 from repro.fleet.job import JobResult, JobState
 from repro.fleet.store import JobStore
-from repro.migrate.engine import migrate_request, write_migration_document
+from repro.migrate.engine import migrate_request
 from repro.migrate.request import MigrationRequest
 from repro.telemetry.context import current_session
 from repro.telemetry.session import Telemetry, WorkerTelemetry
@@ -357,8 +361,15 @@ def _run_clone(store: JobStore, record, observer: _StoreObserver,
         tuning_iterations={name: tuning.iterations
                            for name, tuning in report.tuning.items()},
     )
-    return job_result, lambda: _save_bundle(
-        store, job_id, result, source_platform=request.config.platform)
+    # The bundle records the job's platform, so it can go straight into
+    # a migration, and each tier's generator seed, so it regenerates
+    # this clone.
+    return job_result, lambda: save_bundle(
+        report.features, store.bundle_path(job_id),
+        entry_service=result.synthetic.entry_service,
+        placements={p.service: p.node for p in result.synthetic.placements},
+        tuned_knobs=tuned, source_platform=request.config.platform,
+        generator_seeds=report.generator_seeds)
 
 
 def _run_migration(store: JobStore, record, observer: _StoreObserver,
@@ -376,7 +387,7 @@ def _run_migration(store: JobStore, record, observer: _StoreObserver,
         result_digest=stable_digest({"migration_document": document}),
         tuning_iterations=dict(result.tuning_iterations),
     )
-    return job_result, lambda: write_migration_document(
+    return job_result, lambda: write_bundle_document(
         document, store.bundle_path(record.job_id))
 
 
@@ -392,24 +403,3 @@ def _fenced_outcome(store: JobStore, record,
         "zombie workers stopped by lease fencing", ()).inc()
     return JobWorkerOutcome(job_id=record.job_id, state=record.state,
                             error=str(error), fenced=True)
-
-
-def _save_bundle(store: JobStore, job_id: str, result,
-                 source_platform=None) -> None:
-    """Write the shareable clone bundle next to the result.
-
-    The job's platform is recorded as provenance so the published
-    bundle can go straight into a migration without the caller
-    restating where its ``target_counters`` came from.
-    """
-    report = result.report
-    save_bundle(
-        report.features,
-        store.bundle_path(job_id),
-        entry_service=result.synthetic.entry_service,
-        placements={p.service: p.node
-                    for p in result.synthetic.placements},
-        tuned_knobs={name: tuning.knobs
-                     for name, tuning in report.tuning.items()},
-        source_platform=source_platform,
-    )

@@ -15,7 +15,6 @@ from repro.migrate.engine import (
     MIGRATION_TOLERANCES,
     MigrationResult,
     migrate_request,
-    write_migration_document,
 )
 from repro.migrate.preflight import (
     ObjectVerdict,
@@ -36,5 +35,4 @@ __all__ = [
     "Verdict",
     "migrate_request",
     "run_preflight",
-    "write_migration_document",
 ]

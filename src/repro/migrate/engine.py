@@ -13,43 +13,45 @@ robustness surface:
 2. **re-tune** — ``NEEDS_RETUNE`` knobs are re-calibrated on the
    destination with :func:`repro.core.finetune.fine_tune`, warm-started
    from the source knob values and *scoped* to the metrics paired with
-   the stale knobs. Sim watchdogs bound every run; trips climb the
+   the stale knobs. Every tier keeps the generator seed the bundle
+   records, so the re-tune calibrates the program that was cloned. Sim
+   watchdogs bound every run; trips climb the
    :class:`~repro.validation.remediate.RemediationPolicy` ladder.
-3. **destination gate** — each tier is replayed on the destination and
-   gated by :class:`~repro.validation.gate.FidelityGate` against the
-   source bundle's recorded ``target_counters``. Gate failures climb
-   the same remediation ladder (re-seed + widened re-tune); exhaustion
-   refuses publication.
+3. **destination gate** — each tier is replayed stand-alone on the
+   destination and gated against the source bundle's recorded
+   ``target_counters`` by :func:`~repro.validation.gate
+   .gate_bundle_tiers`, the bundle gate ``python -m repro.validation``
+   runs. Gate failures climb the same remediation ladder (re-seed +
+   widened re-tune of the failed tiers, which are then re-gated);
+   exhaustion refuses publication.
 
 A successful migration publishes a stamped ``ditto-migration/1``
 artifact: a strict superset of the clone-bundle document (so every
 bundle consumer — ``load_bundle``, ``deployment_from_bundle``,
 ``python -m repro.validation`` — works on it unchanged) plus a
 ``migration`` stanza embedding the preflight report, the destination
-fidelity report, and the per-knob retune deltas.
+fidelity report, and the per-knob retune deltas. The bundle's
+``generator_seeds`` record is carried through unchanged.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.core.body_gen import GeneratorConfig, TuningKnobs
+from repro.core.body_gen import TuningKnobs
 from repro.core.bundle import (
     MIGRATION_FORMAT,
     MIGRATION_VERSION,
-    bundle_source_platform,
-    decode_features,
+    bundle_tiers,
     read_bundle_document,
+    write_bundle_document,
 )
 from repro.core.cloner import CloneObserver
-from repro.core.finetune import KNOB_FOR_METRIC, _measure, fine_tune
-from repro.hw.platform import PlatformSpec, platform_to_dict
-from repro.loadgen.generator import LoadSpec
+from repro.core.finetune import KNOB_FOR_METRIC, fine_tune
+from repro.hw.platform import platform_from_dict, platform_to_dict
 from repro.migrate.preflight import PreflightReport, run_preflight
 from repro.migrate.request import MigrationRequest
 from repro.runtime.experiment import ExperimentConfig
@@ -62,6 +64,7 @@ from repro.validation.gate import (
     FidelityGate,
     FidelityReport,
     MetricTolerance,
+    gate_bundle_tiers,
 )
 from repro.validation.remediate import RemediationPolicy
 
@@ -69,7 +72,6 @@ __all__ = [
     "MIGRATION_TOLERANCES",
     "MigrationResult",
     "migrate_request",
-    "write_migration_document",
 ]
 
 #: gate/tune metric order (fixed so scoped subsets stay deterministic)
@@ -101,8 +103,6 @@ class MigrationResult:
 
     preflight: PreflightReport
     fidelity: FidelityReport
-    #: final per-tier knob vectors written into the migrated bundle
-    knobs: Dict[str, TuningKnobs]
     #: tier → knob → {"from": source value, "to": destination value}
     retune_deltas: Dict[str, Dict[str, Dict[str, float]]]
     tuning_iterations: Dict[str, int]
@@ -112,13 +112,6 @@ class MigrationResult:
     document: dict = field(default_factory=dict)
     #: where the artifact was written (None = caller kept it in memory)
     path: Optional[Path] = None
-
-
-def _tier_load(features) -> LoadSpec:
-    """The load discipline the tier was profiled (and tuned) under."""
-    if features.observed_closed_loop:
-        return LoadSpec.closed_loop(max(1, features.observed_connections))
-    return LoadSpec.open_loop(max(100.0, features.observed_qps))
 
 
 def _scoped_metrics(needed: List[str]) -> tuple:
@@ -163,9 +156,9 @@ def migrate_request(
     max_tune_iterations = request.max_tune_iterations
     document = read_bundle_document(bundle_path)
     observer.on_phase("profiling", reason="preflight")
-    source = (request.source_platform
-              if request.source_platform is not None
-              else bundle_source_platform(document))
+    source = request.source_platform
+    if source is None and document.get("source_platform"):
+        source = platform_from_dict(document["source_platform"])
     if source is None:
         raise MigrationError(
             f"{bundle_path}: bundle records no source platform "
@@ -183,11 +176,7 @@ def migrate_request(
             + ", ".join(blocking),
             stage="preflight", blocking=blocking, report=preflight)
 
-    features = {name: decode_features(data)
-                for name, data in document["tiers"].items()}
-    stored_knobs = {name: TuningKnobs(**data)
-                    for name, data in
-                    document.get("tuned_knobs", {}).items()}
+    features, generators = bundle_tiers(document)
     retune = preflight.retune_knobs()
     policy = (request.remediation if request.remediation is not None
               else RemediationPolicy())
@@ -204,9 +193,7 @@ def migrate_request(
                   metrics: tuple):
         return fine_tune(
             features[tier], config_for(run_seed),
-            load=_tier_load(features[tier]),
-            base_config=GeneratorConfig(
-                knobs=stored_knobs.get(tier, TuningKnobs())),
+            base_config=generators[tier],
             max_iterations=budget, tolerance=request.tune_tolerance,
             metrics=metrics or _TUNE_METRICS)
 
@@ -218,10 +205,9 @@ def migrate_request(
     iterations: Dict[str, int] = {}
     remediation_log: List[str] = []
     for tier in sorted(features):
-        base = stored_knobs.get(tier, TuningKnobs())
         stale = retune.get(tier, [])
         if not stale:
-            knobs[tier] = base
+            knobs[tier] = generators[tier].knobs
             iterations[tier] = 0
             continue
         metrics = _scoped_metrics(stale)
@@ -229,6 +215,7 @@ def migrate_request(
         while True:
             try:
                 result = tune_tier(tier, run_seed, budget, metrics)
+                break
             except SimBudgetExceededError as trip:
                 step = policy.plan(
                     attempt + 1, reason="sim_budget", base_seed=seed,
@@ -248,8 +235,6 @@ def migrate_request(
                 observer.on_remediation(step)
                 observer.on_phase("tuning", attempt=attempt,
                                   reason=step.reason)
-                continue
-            break
         knobs[tier] = result.knobs
         iterations[tier] = result.iterations
 
@@ -258,22 +243,24 @@ def migrate_request(
     # ------------------------------------------------------------- #
     observer.on_phase("validating", reason="gate")
 
-    def gate_tier(tier: str, run_seed: int) -> FidelityReport:
-        measured, _spec = _measure(
-            features[tier], GeneratorConfig(knobs=knobs[tier]),
-            config_for(run_seed), _tier_load(features[tier]))
-        return gate.compare_counters(
-            tier, features[tier].target_counters, measured,
-            platform=destination.name, seed=run_seed)
+    def gate_tiers(tiers, run_seed: int) -> Dict[str, FidelityReport]:
+        return gate_bundle_tiers(
+            {tier: features[tier] for tier in tiers},
+            {tier: dataclasses.replace(generators[tier], knobs=knobs[tier])
+             for tier in tiers},
+            gate, config_for(run_seed))
 
-    gated = [tier for tier in sorted(features)
-             if features[tier].target_counters is not None]
-    tier_reports: Dict[str, FidelityReport] = {}
-    failed: List[str] = []
-    for tier in gated:
-        tier_reports[tier] = gate_tier(tier, seed)
-        if not tier_reports[tier].passed:
-            failed.append(tier)
+    def merged() -> FidelityReport:
+        """The per-tier reports as one deployment-level report."""
+        return FidelityReport(
+            checks=[check for report in tier_reports.values()
+                    for check in report.checks],
+            label=document["entry_service"], platform=destination.name,
+            seed=seed, mode="counters")
+
+    tier_reports = gate_tiers(sorted(features), seed)
+    failed = [tier for tier, report in tier_reports.items()
+              if not report.passed]
     attempt = 0
     while failed:
         attempt += 1
@@ -281,15 +268,13 @@ def migrate_request(
             attempt, reason="gate_failure", base_seed=seed,
             base_tune_iterations=max_tune_iterations)
         if step is None:
-            merged = _merge_reports(tier_reports, document, destination,
-                                    seed)
             blocking = [f"{tier}/{check.metric}" for tier in failed
                         for check in tier_reports[tier].failures()]
             raise MigrationError(
                 f"destination gate failed for {', '.join(failed)} on "
                 f"{destination.name} after exhausting the remediation "
                 "ladder — refusing to publish",
-                stage="gate", blocking=blocking, report=merged)
+                stage="gate", blocking=blocking, report=merged())
         remediation_log.append(
             f"{'+'.join(failed)}: gate_failure → attempt {step.attempt} "
             f"(seed {step.seed}, {step.max_tune_iterations} iterations)")
@@ -313,21 +298,16 @@ def migrate_request(
             iterations[tier] = iterations.get(tier, 0) + result.iterations
         observer.on_phase("validating", attempt=step.attempt,
                           reason="gate")
-        still_failed = []
-        for tier in failed:
-            tier_reports[tier] = gate_tier(tier, step.seed)
-            if not tier_reports[tier].passed:
-                still_failed.append(tier)
-        failed = still_failed
+        tier_reports.update(gate_tiers(failed, step.seed))
+        failed = [tier for tier in failed if not tier_reports[tier].passed]
 
-    fidelity = _merge_reports(tier_reports, document, destination, seed)
+    fidelity = merged()
     deltas = {
         tier: {
-            knob: {"from": getattr(stored_knobs.get(tier, TuningKnobs()),
-                                   knob),
+            knob: {"from": getattr(generators[tier].knobs, knob),
                    "to": getattr(knobs[tier], knob)}
             for knob in (f.name for f in dataclasses.fields(TuningKnobs))
-            if getattr(stored_knobs.get(tier, TuningKnobs()), knob)
+            if getattr(generators[tier].knobs, knob)
             != getattr(knobs[tier], knob)
         }
         for tier in sorted(features)
@@ -359,39 +339,13 @@ def migrate_request(
             "remediation": list(remediation_log),
         },
     }
+    if "generator_seeds" in document:
+        out_document["generator_seeds"] = document["generator_seeds"]
     integrity.stamp_json(out_document)
     path = None
     if out_path is not None:
-        path = write_migration_document(out_document, out_path)
+        path = write_bundle_document(out_document, out_path)
     return MigrationResult(
-        preflight=preflight, fidelity=fidelity, knobs=knobs,
+        preflight=preflight, fidelity=fidelity,
         retune_deltas=deltas, tuning_iterations=iterations,
         remediation=remediation_log, document=out_document, path=path)
-
-
-def write_migration_document(document: dict, path) -> Path:
-    """Atomically write a stamped ``ditto-migration/1`` document.
-
-    Same bytes discipline as :func:`repro.core.bundle.save_bundle`
-    (sorted keys, ``indent=1``, tmp + ``os.replace``), so a crash
-    mid-publish leaves the previous artifact, never half of the new
-    one — and the same document always serialises to the same bytes.
-    """
-    path = Path(path)
-    scratch = Path(f"{path}.tmp-{os.getpid()}")
-    scratch.write_text(json.dumps(document, indent=1, sort_keys=True))
-    os.replace(scratch, path)
-    return path
-
-
-def _merge_reports(tier_reports: Dict[str, FidelityReport],
-                   document: dict, destination: PlatformSpec,
-                   seed: int) -> FidelityReport:
-    """Fold per-tier gate reports into one deployment-level report."""
-    merged = FidelityReport(
-        label=document.get("entry_service", ""),
-        platform=destination.name, seed=seed, mode="counters")
-    for tier in sorted(tier_reports):
-        merged.checks.extend(tier_reports[tier].checks)
-    return merged
-

@@ -16,7 +16,9 @@ operational:
   fails or a simulation watchdog trips.
 
 ``python -m repro.validation bundle.json`` validates a saved clone
-bundle from the command line and exits nonzero on gate failure.
+bundle from the command line and exits nonzero on gate failure; its
+gate, :func:`gate_bundle_tiers`, is also a migration's destination
+gate.
 """
 
 from repro.validation.gate import (
@@ -25,6 +27,7 @@ from repro.validation.gate import (
     FidelityReport,
     MetricCheck,
     MetricTolerance,
+    gate_bundle_tiers,
 )
 from repro.validation.integrity import (
     load_object,
@@ -45,6 +48,7 @@ __all__ = [
     "MetricTolerance",
     "RemediationPolicy",
     "RemediationStep",
+    "gate_bundle_tiers",
     "load_object",
     "quarantine",
     "read_envelope",

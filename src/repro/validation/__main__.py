@@ -6,12 +6,13 @@
         [--duration 0.5] [--json report.json] [--tolerance ipc=0.1 ...]
 
 Loads the bundle (integrity-checked: a corrupted file is quarantined
-and the run fails), regenerates each tier with its stored tuned knobs,
-runs every tier stand-alone at its profiled load on the chosen
-platform, and gates the measured counters against the bundle's
-``target_counters`` through a :class:`~repro.validation.gate
-.FidelityGate`. Prints one per-metric table per tier and exits **0**
-only when every tier passes — wire it straight into CI.
+and the run fails), regenerates each tier with its recorded knobs and
+generator seed, runs every tier stand-alone at its profiled load on the
+chosen platform, and gates the measured counters against the bundle's
+``target_counters`` through :func:`~repro.validation.gate
+.gate_bundle_tiers`, the bundle gate a migration's destination stage
+runs too. Prints one per-metric table per tier and exits **0** only
+when every tier passes — wire it straight into CI.
 
 ``--json`` additionally writes the full machine-readable report (one
 :meth:`FidelityReport.to_dict` per tier plus a roll-up verdict).
@@ -22,42 +23,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.app.service import Deployment, ServiceSpec
-from repro.core.body_gen import GeneratorConfig
-from repro.core.bundle import bundle_tuned_knobs, load_bundle
-from repro.core.finetune import _strip_rpcs
-from repro.core.skeleton_gen import generate_skeleton
-from repro.core.body_gen import generate_program
+from repro.core.bundle import bundle_tiers, read_bundle_document
 from repro.hw.platform import _PLATFORMS, platform_by_name
-from repro.loadgen.generator import LoadSpec
-from repro.runtime.experiment import ExperimentConfig, run_experiment
-from repro.util.errors import ArtifactIntegrityError, ReproError
-from repro.validation.gate import FidelityGate, FidelityReport, MetricTolerance
-
-
-def _parse_tolerances(entries: List[str]) -> Dict[str, float]:
-    tolerances: Dict[str, float] = {}
-    for entry in entries:
-        name, _, value = entry.partition("=")
-        if not name or not value:
-            raise SystemExit(
-                f"--tolerance takes metric=value, got {entry!r}")
-        try:
-            tolerances[name] = float(value)
-        except ValueError:
-            raise SystemExit(
-                f"--tolerance value for {name!r} must be a number, "
-                f"got {value!r}") from None
-    return tolerances
-
-
-def _tier_load(features) -> LoadSpec:
-    """The load discipline the tier was profiled (and tuned) under."""
-    if features.observed_closed_loop:
-        return LoadSpec.closed_loop(max(1, features.observed_connections))
-    return LoadSpec.open_loop(max(100.0, features.observed_qps))
+from repro.runtime.experiment import ExperimentConfig
+from repro.util.errors import (
+    ArtifactIntegrityError,
+    ConfigurationError,
+    ReproError,
+)
+from repro.validation.gate import (
+    FidelityGate,
+    FidelityReport,
+    gate_bundle_tiers,
+    parse_tolerances,
+)
 
 
 def validate_bundle(
@@ -66,45 +47,18 @@ def validate_bundle(
     platform_name: str = "A",
     seed: int = 17,
     duration_s: float = 1.0,
-    tolerances: Optional[Dict[str, float]] = None,
     gate: Optional[FidelityGate] = None,
 ) -> List[FidelityReport]:
-    """Gate every tier of a saved bundle; returns one report per tier."""
-    features_by_service, _entry, _placements = load_bundle(path)
-    knobs_by_tier = bundle_tuned_knobs(path)
-    if gate is None:
-        gate = FidelityGate(dict(tolerances or {}))
-    platform = platform_by_name(platform_name)
-    reports: List[FidelityReport] = []
-    for name in sorted(features_by_service):
-        features = features_by_service[name]
-        if features.target_counters is None:
-            # Nothing to gate against: the bundle author stripped the
-            # counters. Record an empty (vacuously passing) report so
-            # the tier still shows up in the output.
-            reports.append(FidelityReport(label=name,
-                                          platform=platform_name,
-                                          seed=seed, mode="counters"))
-            continue
-        config = GeneratorConfig()
-        if name in knobs_by_tier:
-            config = GeneratorConfig(knobs=knobs_by_tier[name])
-        program, files = generate_program(features, config)
-        spec = ServiceSpec(
-            name=name,
-            skeleton=generate_skeleton(features.threads, features.network),
-            program=_strip_rpcs(program),
-            request_mix=dict(features.handler_mix) or None,
-            files=files,
-        )
-        result = run_experiment(
-            Deployment.single(spec), _tier_load(features),
-            ExperimentConfig(platform=platform, duration_s=duration_s,
-                             seed=seed))
-        reports.append(gate.compare_counters(
-            name, features.target_counters, result.service(name),
-            platform=platform_name, seed=seed))
-    return reports
+    """Gate every tier of a saved bundle; returns one report per tier.
+
+    ``gate`` defaults to :class:`FidelityGate`'s default tolerances.
+    """
+    features, generators = bundle_tiers(read_bundle_document(path))
+    config = ExperimentConfig(platform=platform_by_name(platform_name),
+                              duration_s=duration_s, seed=seed)
+    return list(gate_bundle_tiers(
+        features, generators, gate if gate is not None else FidelityGate(),
+        config).values())
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -129,6 +83,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--quiet", action="store_true",
                         help="suppress the per-tier tables")
     options = parser.parse_args(argv)
+    try:
+        tolerances = parse_tolerances(options.tolerance)
+    except ConfigurationError as error:
+        raise SystemExit(str(error)) from None
 
     try:
         reports = validate_bundle(
@@ -136,7 +94,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             platform_name=options.platform,
             seed=options.seed,
             duration_s=options.duration,
-            tolerances=_parse_tolerances(options.tolerance),
+            gate=FidelityGate(tolerances),
         )
     except ArtifactIntegrityError as error:
         print(f"bundle integrity failure: {error}", file=sys.stderr)

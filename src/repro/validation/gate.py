@@ -21,8 +21,9 @@ Two comparison modes:
   included;
 - :meth:`FidelityGate.compare_counters` — compare a measured
   :class:`~repro.runtime.metrics.ServiceMetrics` against a profiled
-  target (what the ``python -m repro.validation`` CLI does to a saved
-  bundle, where only the original's counters are available).
+  target, which is all a saved bundle has. :func:`gate_bundle_tiers`
+  gates a bundle's tiers this way for ``python -m repro.validation``
+  and a migration's destination stage alike.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.core.body_gen import GeneratorConfig
+from repro.core.features import ServiceFeatures
+from repro.core.synthesis import measure_standalone
 from repro.runtime.experiment import ExperimentConfig, run_experiment
 from repro.runtime.metrics import RunResult, ServiceMetrics
 from repro.telemetry.context import current_session
@@ -43,6 +47,7 @@ __all__ = [
     "FidelityReport",
     "MetricCheck",
     "MetricTolerance",
+    "gate_bundle_tiers",
     "parse_tolerances",
 ]
 
@@ -317,15 +322,12 @@ class FidelityGate:
         return name if name in self.tolerances else "p99_latency"
 
     def compare_runs(self, original: RunResult, clone: RunResult, *,
-                     services: Optional[Iterable[str]] = None,
                      label: str = "", platform: str = "",
                      seed: int = 0) -> FidelityReport:
         """Gate a clone's :class:`RunResult` against the original's."""
         report = FidelityReport(label=label, platform=platform,
                                 seed=seed, mode="runs")
-        names = sorted(services if services is not None
-                       else original.services)
-        for name in names:
+        for name in sorted(original.services):
             target = original.service(name)
             measured = clone.service(name)
             for metric in self.metrics:
@@ -347,8 +349,7 @@ class FidelityGate:
         return report
 
     def compare_counters(self, service: str, target: ServiceMetrics,
-                         measured: ServiceMetrics, *, label: str = "",
-                         platform: str = "",
+                         measured: ServiceMetrics, *, platform: str = "",
                          seed: int = 0) -> FidelityReport:
         """Gate measured counters against a profiled target's.
 
@@ -356,9 +357,8 @@ class FidelityGate:
         bundle's ``target_counters``, so only hardware metrics are
         comparable (no latency distribution travels in a bundle).
         """
-        report = FidelityReport(label=label or service,
-                                platform=platform, seed=seed,
-                                mode="counters")
+        report = FidelityReport(label=service, platform=platform,
+                                seed=seed, mode="counters")
         for metric in COUNTER_METRICS:
             report.checks.append(self._check(
                 metric, service,
@@ -370,30 +370,19 @@ class FidelityGate:
     # ------------------------------------------------------------------ #
     # end-to-end validation
     # ------------------------------------------------------------------ #
-    def validate(self, original, clone, load,
-                 config: ExperimentConfig, *,
-                 label: str = "") -> FidelityReport:
+    def validate(self, original, clone, load, config: ExperimentConfig,
+                 *, label: str = "",
+                 baseline: Optional[Callable[[], Optional[RunResult]]]
+                 = None) -> FidelityReport:
         """Replay both deployments under matched seeds and gate them.
 
         ``original`` and ``clone`` are
-        :class:`~repro.app.service.Deployment` objects; both runs use
-        ``config`` exactly as given (same seed — the comparison is
-        like-for-like by construction). Tier coverage is the
-        intersection-checked clone service set: a clone must expose the
-        same services as the original to be gated at all.
-        """
-        return self._validate(original, clone, load, config, label=label)
-
-    def _validate(self, original, clone, load, config: ExperimentConfig,
-                  *, label: str = "",
-                  baseline: Optional[Callable[[], Optional[RunResult]]]
-                  = None) -> FidelityReport:
-        """:meth:`validate`, when the original's replay may already be
-        under way elsewhere.
-
-        ``baseline`` blocks until that replay (of ``original`` under
-        ``load`` and ``config``) finishes and returns it, or None when
-        it failed; the gate then replays the original itself.
+        :class:`~repro.app.service.Deployment` objects with the same
+        services; both runs use ``config`` exactly as given (same seed —
+        the comparison is like-for-like by construction). When the
+        original's replay is already under way elsewhere, ``baseline``
+        blocks until it finishes and returns it, or None when it
+        failed; the gate then replays the original itself.
         """
         if set(original.services) != set(clone.services):
             raise ConfigurationError(
@@ -426,3 +415,32 @@ class FidelityGate:
             "individual metric checks that failed a gate", ("metric",))
         for check in report.failures():
             failed.inc(1, metric=check.metric)
+
+
+def gate_bundle_tiers(
+    features: Dict[str, ServiceFeatures],
+    generators: Dict[str, GeneratorConfig],
+    gate: FidelityGate,
+    config: ExperimentConfig,
+) -> Dict[str, FidelityReport]:
+    """Gate each tier, run stand-alone, against its target counters.
+
+    Each tier is generated with its ``generators`` config and measured
+    on ``config`` by :func:`repro.core.synthesis.measure_standalone`.
+    A tier without ``target_counters`` gets an empty, passing report.
+    Returns one report per tier, in tier-name order.
+    """
+    platform = config.platform.name
+    reports: Dict[str, FidelityReport] = {}
+    for name in sorted(features):
+        tier = features[name]
+        if tier.target_counters is None:
+            reports[name] = FidelityReport(label=name, platform=platform,
+                                           seed=config.seed,
+                                           mode="counters")
+            continue
+        reports[name] = gate.compare_counters(
+            name, tier.target_counters,
+            measure_standalone(tier, generators[name], config),
+            platform=platform, seed=config.seed)
+    return reports

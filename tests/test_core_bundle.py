@@ -7,18 +7,23 @@ import pytest
 from repro.app.service import Deployment
 from repro.app.workloads import build_memcached
 from repro.core import (
+    CloneRequest,
+    DittoCloner,
+    GeneratorConfig,
     audit_bundle_confidentiality,
     deployment_from_bundle,
     extract_service_features,
     load_bundle,
     save_bundle,
+    synthesize_service,
 )
-from repro.core.bundle import decode_features, encode_features
+from repro.core.bundle import bundle_tiers, decode_features, encode_features
 from repro.hw import PLATFORM_A
 from repro.loadgen import LoadSpec
-from repro.profiling import profile_deployment
+from repro.profiling import ProfilingBudget, profile_deployment
 from repro.runtime import ExperimentConfig, run_experiment
 from repro.util.errors import ConfigurationError
+from repro.util.spec_hash import stable_digest
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +34,25 @@ def memcached_setup():
                                  config)
     features = extract_service_features(profile.artifacts("memcached"))
     return deployment, features
+
+
+@pytest.fixture(scope="module")
+def tuned_clone():
+    return DittoCloner(executor="serial").clone(CloneRequest(
+        deployment=Deployment.single(build_memcached()),
+        load=LoadSpec.open_loop(100_000),
+        config=ExperimentConfig(platform=PLATFORM_A, duration_s=0.02, seed=5),
+        fine_tune_tiers=True, max_tune_iterations=3,
+        budget=ProfilingBudget(sampled_requests=8,
+                               profile_duration_s=0.015)))
+
+
+def _save_clone(clone, path):
+    report = clone.report
+    save_bundle(report.features, path, entry_service="memcached",
+                tuned_knobs={name: tuning.knobs
+                             for name, tuning in report.tuning.items()},
+                generator_seeds=report.generator_seeds)
 
 
 @pytest.fixture(scope="module")
@@ -101,19 +125,34 @@ class TestRegenerationFromBundle:
         assert result.latency.completed > 100
         assert result.service("memcached").ipc > 0.2
 
-    def test_bundle_clone_matches_direct_clone(self, memcached_setup,
-                                               bundle_path):
-        # Generating from the bundle equals generating from live features.
-        from repro.core import generate_program
-        _deployment, features = memcached_setup
-        direct_program, _ = generate_program(features)
-        synthetic = deployment_from_bundle(bundle_path)
-        bundle_program = synthetic.services["memcached"].program
-        direct_total = sum(b.instructions_per_request
-                           for b in direct_program.all_blocks())
-        bundle_total = sum(b.instructions_per_request
-                           for b in bundle_program.all_blocks())
-        assert bundle_total == pytest.approx(direct_total, rel=1e-6)
+    def test_bundle_regenerates_tuned_clone_bit_for_bit(self, tuned_clone,
+                                                        tmp_path):
+        path = tmp_path / "tuned.json"
+        _save_clone(tuned_clone, path)
+        assert (stable_digest(deployment_from_bundle(path))
+                == stable_digest(tuned_clone.synthetic))
+
+    def test_bundle_without_seeds_uses_default_seed(self, tuned_clone,
+                                                    tmp_path):
+        # Bundles written before generator seeds were recorded (v1, and
+        # v2 without the stanza) regenerate with GeneratorConfig().seed.
+        path = tmp_path / "legacy.json"
+        _save_clone(tuned_clone, path)
+        document = json.loads(path.read_text())
+        del document["generator_seeds"]
+        document.pop("integrity")
+        document["version"] = 1
+        path.write_text(json.dumps(document))
+        report = tuned_clone.report
+        features, generators = bundle_tiers(document)
+        assert generators["memcached"] == GeneratorConfig(
+            knobs=report.tuning["memcached"].knobs)
+        legacy = deployment_from_bundle(path).services["memcached"]
+        assert stable_digest(legacy) == stable_digest(synthesize_service(
+            features["memcached"], generators["memcached"]))
+        assert report.generator_seeds["memcached"] != GeneratorConfig().seed
+        assert (stable_digest(legacy)
+                != stable_digest(tuned_clone.synthetic.services["memcached"]))
 
 
 class TestConfidentiality:

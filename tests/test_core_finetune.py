@@ -7,11 +7,8 @@ import pytest
 from repro.app.service import Deployment
 from repro.app.workloads import build_redis
 from repro.core import TuningKnobs, extract_service_features, fine_tune
-from repro.core.finetune import FineTuneResult, _strip_rpcs
-from repro.app.program import ComputeOp, Handler, Program, RpcOp, SyscallOp
+from repro.core.finetune import FineTuneResult
 from repro.hw import PLATFORM_A
-from repro.hw.ir import BlockSpec
-from repro.kernelsim.syscalls import SyscallInvocation
 from repro.loadgen import LoadSpec
 from repro.profiling import ProfilingBudget, profile_deployment
 from repro.runtime import ExperimentConfig
@@ -78,25 +75,3 @@ class TestFineTuneLoop:
         empty = FineTuneResult(knobs=TuningKnobs(), iterations=0,
                                final_errors={})
         assert empty.mean_error == math.inf
-
-
-class TestStripRpcs:
-    def test_rpcs_removed_other_ops_kept(self):
-        handler = Handler("h", (
-            SyscallOp(SyscallInvocation("recv", nbytes=10)),
-            RpcOp("downstream", 100, 100),
-            ComputeOp(BlockSpec(name="b",
-                                iform_counts={"ADD_r64_r64": 10.0})),
-            SyscallOp(SyscallInvocation("send", nbytes=10)),
-        ))
-        program = Program(handlers={"h": handler})
-        stripped = _strip_rpcs(program)
-        ops = stripped.handler("h").ops
-        assert len(ops) == 3
-        assert not any(isinstance(op, RpcOp) for op in ops)
-
-    def test_rpc_only_handler_kept_as_is(self):
-        handler = Handler("h", (RpcOp("downstream", 1, 1),))
-        program = Program(handlers={"h": handler})
-        stripped = _strip_rpcs(program)
-        assert len(stripped.handler("h").ops) == 1

@@ -1,5 +1,7 @@
 """Parallel clone pipeline: determinism, the CloneResult API, validation."""
 
+import inspect
+
 import pytest
 
 from repro.app.service import Deployment
@@ -161,7 +163,8 @@ class TestConstructionValidation:
         request = _socialnet_request(Deployment.single(build_memcached()))
         assert (request.resolved().max_tune_iterations
                 == DEFAULT_MAX_TUNE_ITERATIONS)
-        assert (fine_tune.__defaults__[2]  # max_iterations
+        assert (inspect.signature(fine_tune)
+                .parameters["max_iterations"].default
                 == DEFAULT_MAX_TUNE_ITERATIONS)
 
 

@@ -41,7 +41,8 @@ from repro.migrate import (
 from repro.migrate.__main__ import main as migrate_main
 from repro.util.errors import ArtifactIntegrityError, ConfigurationError
 from repro.validation.__main__ import main as validation_main
-from repro.validation.gate import MetricTolerance
+from repro.validation.__main__ import validate_bundle
+from repro.validation.gate import FidelityGate, MetricTolerance
 from repro.validation.remediate import RemediationPolicy
 
 
@@ -54,7 +55,8 @@ def _clone_features():
                                     duration_s=0.02),
             validate=True, max_tune_iterations=3))
     return (clone.report.features,
-            {name: r.knobs for name, r in clone.report.tuning.items()})
+            {name: r.knobs for name, r in clone.report.tuning.items()},
+            clone.report.generator_seeds)
 
 
 @pytest.fixture(scope="module")
@@ -64,17 +66,18 @@ def clone_parts():
 
 @pytest.fixture(scope="module")
 def source_bundle(clone_parts, tmp_path_factory):
-    features, knobs = clone_parts
+    features, knobs, seeds = clone_parts
     path = tmp_path_factory.mktemp("migrate") / "source.bundle.json"
     save_bundle(features, path, entry_service="memcached",
-                tuned_knobs=knobs, source_platform=PLATFORM_A)
+                tuned_knobs=knobs, source_platform=PLATFORM_A,
+                generator_seeds=seeds)
     return path
 
 
 @pytest.fixture()
 def two_node_bundle(clone_parts, tmp_path):
     """A bundle whose DAG spans two nodes (for placement preflight)."""
-    features, knobs = clone_parts
+    features, knobs, _seeds = clone_parts
     tier = features["memcached"]
     path = tmp_path / "twonode.bundle.json"
     save_bundle({"front": tier, "back": tier}, path,
@@ -208,6 +211,28 @@ class TestMigrateEndToEnd:
         synthetic = deployment_from_bundle(out)
         assert "memcached" in synthetic.services
 
+    def test_validation_cli_gate_reproduces_migration_gate(
+            self, source_bundle, tmp_path):
+        # One bundle gate, two entry points: with no remediation, the
+        # validation CLI's gate on the destination measures exactly
+        # what the migration's destination gate measured.
+        out = tmp_path / "a_to_b.json"
+        result = _migrate(source_bundle, PLATFORM_B, out)
+        assert result.remediation == []
+        document = read_bundle_document(out)
+        assert (document["generator_seeds"]
+                == read_bundle_document(source_bundle)["generator_seeds"])
+        stanza = document["migration"]
+        reports = validate_bundle(
+            str(out), platform_name="B", seed=stanza["seed"],
+            duration_s=0.05, gate=FidelityGate(MIGRATION_TOLERANCES))
+        measured = [(check.service, check.metric, check.clone)
+                    for report in reports for check in report.checks]
+        assert measured == [
+            (check["service"], check["metric"], check["clone"])
+            for check in stanza["fidelity"]["checks"]]
+        assert all(report.passed for report in reports)
+
     def test_migration_to_platform_c_passes_gate(self, source_bundle,
                                                  tmp_path):
         result = _migrate(source_bundle, PLATFORM_C,
@@ -227,7 +252,8 @@ class TestMigrateEndToEnd:
         def no_tuning(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("preflight refusal must spend no tuning")
         monkeypatch.setattr("repro.migrate.engine.fine_tune", no_tuning)
-        monkeypatch.setattr("repro.migrate.engine._measure", no_tuning)
+        monkeypatch.setattr("repro.migrate.engine.gate_bundle_tiers",
+                            no_tuning)
         with pytest.raises(MigrationError) as info:
             _migrate(two_node_bundle, PLATFORM_B, destination_nodes=1)
         assert info.value.stage == "preflight"
@@ -235,7 +261,7 @@ class TestMigrateEndToEnd:
         assert info.value.report is not None
 
     def test_missing_source_platform_refuses(self, clone_parts, tmp_path):
-        features, knobs = clone_parts
+        features, knobs, _seeds = clone_parts
         legacy = tmp_path / "legacy.bundle.json"
         save_bundle(features, legacy, entry_service="memcached",
                     tuned_knobs=knobs)  # no source_platform stanza

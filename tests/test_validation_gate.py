@@ -17,6 +17,7 @@ from repro import (
 )
 from repro.core.body_gen import GeneratorConfig, TuningKnobs
 from repro.core.bundle import save_bundle
+from repro.core.pipeline import derive_tier_seed
 from repro.hw.core import BlockTiming
 from repro.runtime.metrics import ServiceMetrics
 from repro.util.errors import ConfigurationError, FidelityGateError
@@ -210,6 +211,11 @@ class TestRemediation:
         assert len(steps) == 1
         assert steps[0].reason == "gate_failure"
         assert error.result.report.executor == "serial"
+        # the surfaced clone was generated with the rung's seed, and the
+        # report records it for bundles
+        assert error.result.report.generator_seeds == {
+            "memcached": derive_tier_seed(steps[0].seed, "memcached",
+                                          "bodygen")}
 
 
 class TestValidationCLI:
@@ -219,7 +225,8 @@ class TestValidationCLI:
         save_bundle(
             gated_clone.report.features, path, entry_service="memcached",
             tuned_knobs={name: result.knobs for name, result
-                         in gated_clone.report.tuning.items()})
+                         in gated_clone.report.tuning.items()},
+            generator_seeds=gated_clone.report.generator_seeds)
         return path
 
     def test_tuned_bundle_passes(self, bundle, tmp_path):
