@@ -2,8 +2,9 @@
 
 The pipeline mirrors Fig. 3 of the paper:
 
-1. :mod:`repro.core.topology` — learn the RPC dependency graph from
-   distributed traces (§4.2);
+1. :func:`repro.tracing.analyze_topology` — learn the RPC dependency
+   graph from distributed traces (§4.2); profiling reduces its spans
+   with it, so the profile carries the graph;
 2. :mod:`repro.core.skeleton_gen` — reconstruct each tier's thread and
    network models (§4.3);
 3. :mod:`repro.core.body_gen` — generate the application body: system
@@ -23,7 +24,6 @@ from repro.core.features import ServiceFeatures, extract_service_features
 from repro.core.body_gen import GeneratorConfig, TuningKnobs, generate_program
 from repro.core.skeleton_gen import generate_skeleton
 from repro.core.synthesis import synthesize_service, tier_load
-from repro.core.topology import analyze_topology
 from repro.core.finetune import (
     DEFAULT_MAX_TUNE_ITERATIONS,
     FineTuneResult,
@@ -68,7 +68,6 @@ __all__ = [
     "TierOutcome",
     "TierTask",
     "TuningKnobs",
-    "analyze_topology",
     "clone_tier",
     "derive_tier_seed",
     "emit_assembly",

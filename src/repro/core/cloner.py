@@ -1,9 +1,9 @@
 """End-to-end cloning orchestration (the Fig. 3 pipeline).
 
 :class:`DittoCloner` profiles a deployment once (at a representative
-load, on one platform), extracts per-tier features, reconstructs the
-topology from traces, generates synthetic skeleton+body per tier, and
-optionally fine-tunes each tier's knobs. The result is a drop-in
+load, on one platform), extracts per-tier features, takes the topology
+the profile learned from traces, generates synthetic skeleton+body per
+tier, and optionally fine-tunes each tier's knobs. The result is a drop-in
 synthetic :class:`~repro.app.service.Deployment` with the same service
 names, placements and entry point — runnable anywhere the original runs,
 without reprofiling (§4.1 Portability). What to clone, and every option
@@ -41,7 +41,6 @@ from repro.core.pipeline import (
     run_tier_pipeline,
 )
 from repro.core.request import CloneRequest
-from repro.core.topology import TopologySummary, analyze_topology
 from repro.loadgen.generator import LoadSpec
 from repro.profiling.collector import ApplicationProfile, profile_deployment
 from repro.runtime.expcache import CacheStats
@@ -50,6 +49,7 @@ from repro.runtime.metrics import RunResult
 from repro.telemetry.context import current_session
 from repro.telemetry.session import Telemetry, WorkerTelemetry
 from repro.telemetry.spans import span
+from repro.tracing.graph import Topology
 from repro.util.errors import (
     ConfigurationError,
     FidelityGateError,
@@ -66,7 +66,7 @@ class CloneReport:
     """What the cloning session produced and how well tuning went."""
 
     features: Dict[str, ServiceFeatures]
-    topology: Optional[TopologySummary]
+    topology: Topology
     tuning: Dict[str, FineTuneResult] = field(default_factory=dict)
     profile: Optional[ApplicationProfile] = None
     #: resolved executor mode the per-tier pipeline ran under
@@ -356,11 +356,6 @@ class DittoCloner:
     ) -> CloneResult:
         deployment = request.deployment
         with self._observed():
-            topology: Optional[TopologySummary] = None
-            if len(deployment.services) > 1:
-                with span("topology_analysis",
-                          spans=len(profile.spans)):
-                    topology = analyze_topology(profile.spans)
             steps: List[RemediationStep] = []
             seed = request.seed
             max_tune_iterations = request.max_tune_iterations
@@ -370,7 +365,7 @@ class DittoCloner:
                 result: Optional[CloneResult] = None
                 try:
                     result = self._clone_attempt(
-                        profile, request, topology, steps, seed=seed,
+                        profile, request, steps, seed=seed,
                         max_tune_iterations=max_tune_iterations,
                         baseline=baseline)
                 except (SimBudgetExceededError, TierExecutionError) as error:
@@ -411,7 +406,6 @@ class DittoCloner:
         self,
         profile: ApplicationProfile,
         request: CloneRequest,
-        topology: Optional[TopologySummary],
         steps: List[RemediationStep],
         *,
         seed: int,
@@ -431,7 +425,7 @@ class DittoCloner:
             tasks, executor=self.executor, max_workers=self.max_workers,
             tier_retries=self.tier_retries,
             checkpoint_dir=self.checkpoint_dir)
-        report = CloneReport(features={}, topology=topology,
+        report = CloneReport(features={}, topology=profile.topology,
                              profile=profile, executor=mode,
                              telemetry=self.telemetry,
                              remediation=list(steps),

@@ -4,10 +4,11 @@ The collector runs the target deployment under a representative load and
 produces *execution artifacts* per service — an instruction-mix table,
 per-region data and instruction working-set statistics, per-site branch
 rates, dependency-distance tallies, syscall logs, thread observations,
-performance counters, and distributed-tracing spans. Address traces and
-branch outcome histories are reduced as they are sampled, so a profile
-ships statistics, not raw samples. Feature extractors then turn artifacts
-into the platform-independent feature set the generator consumes (§4.4).
+performance counters — plus the RPC topology its traces reduce to.
+Address traces, branch outcome histories and spans are reduced as they
+are collected, so a profile ships statistics, not raw samples. Feature
+extractors then turn artifacts into the platform-independent feature set
+the generator consumes (§4.4).
 
 The extractors never see the application models — only the artifacts —
 so the reconstruction carries genuine sampling and quantisation error,

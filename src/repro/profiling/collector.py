@@ -48,6 +48,7 @@ from repro.profiling.wset import (
     sweep_hits,
 )
 from repro.runtime.experiment import ExperimentConfig, run_experiment
+from repro.tracing.graph import Topology, analyze_topology
 from repro.tracing.span import Span, SpanKind
 from repro.tracing.tracer import Tracer
 from repro.util.errors import ProfilingError
@@ -67,7 +68,8 @@ class ApplicationProfile:
 
     entry_service: str
     services: Dict[str, ServiceArtifacts]
-    spans: List[Span]
+    #: the RPC dependency graph the session's traces reduce to
+    topology: Topology
     platform_name: str
     profiling_qps: float
 
@@ -622,12 +624,11 @@ def profile_deployment(
     declared = [operation for operation, weight in entry.request_mix.items()
                 if weight > 0]
     for doubling in range(MAX_WINDOW_DOUBLINGS + 1):
-        tracer = Tracer(sample_rate=1.0, seed=seed)
+        tracer = Tracer()
         instrumented = replace(
             config,
             tracer=tracer,
             duration_s=budget.profile_duration_s * 2 ** doubling,
-            trace_sample_rate=1.0,
         )
         result = run_experiment(deployment, load, instrumented)
         spans = tracer.finished_spans()
@@ -660,7 +661,7 @@ def profile_deployment(
     return ApplicationProfile(
         entry_service=deployment.entry_service,
         services=services,
-        spans=spans,
+        topology=analyze_topology(spans),
         platform_name=config.platform.name,
         profiling_qps=(load.qps if load.kind == "open" else 0.0),
     )
@@ -674,14 +675,14 @@ PROFILE_SCHEMA = "application-profile"
 #: payload version of the pickled ApplicationProfile layout, shared by
 #: every store of profiles (bump when the layout changes; files of any
 #: other version are misses)
-PROFILE_VERSION = 4
+PROFILE_VERSION = 5
 
 
 def save_profile(path: str, profile: ApplicationProfile) -> str:
     """Persist a whole profiling session atomically, digest-stamped.
 
-    One file per session: every tier's artifacts plus the span record,
-    so :meth:`~repro.core.cloner.DittoCloner.clone_from_profile` can
+    One file per session: every tier's artifacts plus the topology, so
+    :meth:`~repro.core.cloner.DittoCloner.clone_from_profile` can
     re-run later — on another machine, against another platform model —
     without touching the original deployment again.
     """

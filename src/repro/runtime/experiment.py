@@ -39,8 +39,8 @@ class ExperimentConfig:
     cores: Optional[int] = None              # core-count override (Fig. 11)
     corunners: Tuple[CoRunner, ...] = ()     # interference (Fig. 10)
     page_cache_bytes: Optional[float] = None
-    trace_sample_rate: float = 0.1
     connections_hint: Optional[int] = None
+    #: records every RPC span of the run; ``None`` traces nothing
     tracer: Optional[Tracer] = None
     #: scripted faults injected into the run; ``None`` or an empty plan
     #: leaves the run bit-identical to a fault-free one
@@ -141,8 +141,7 @@ def _run_experiment(
         injector = FaultInjector(
             config.fault_plan,
             seed=derive_seed(config.seed, "faults")).attach(env)
-    tracer = config.tracer if config.tracer is not None else Tracer(
-        sample_rate=config.trace_sample_rate, seed=config.seed)
+    tracer = config.tracer
     platform = config.platform
     corunners = list(config.corunners)
     # Nodes with their devices (NIC/disk shares degraded by stressors).
@@ -207,15 +206,12 @@ def _run_experiment(
     entry = registry[deployment.entry_service]
     recorder = LatencyRecorder()
 
-    def submit(handler: str):
-        trace_id = tracer.start_trace()
-        response = entry.submit(handler, src_node="client",
-                                trace_id=trace_id)
-        # Evict the sampling verdict once the request tree completes —
-        # every span below the root has been opened by then, and without
-        # this the tracer's verdict map grows one entry per request.
-        response.callbacks.append(lambda _evt: tracer.end_trace(trace_id))
-        return response
+    if tracer is None:
+        submit = entry.submit
+    else:
+        def submit(handler: str):
+            return entry.submit(handler, src_node="client",
+                                trace_id=tracer.start_trace())
 
     generator = build_generator(
         env=env,

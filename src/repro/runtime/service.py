@@ -184,7 +184,7 @@ class ServiceRuntime:
         node: Node,
         node_state: NodeState,
         pricer: BlockPricer,
-        tracer: Tracer,
+        tracer: Optional[Tracer] = None,
         base_factors: ContentionFactors = ContentionFactors(),
         connections_hint: int = 32,
         registry: Optional[Dict[str, "ServiceRuntime"]] = None,
@@ -578,10 +578,12 @@ class ServiceRuntime:
             request.handler)
         if plan is None:
             plan = self._compile(request.handler, cold)
-        span = self.tracer.start_span(
-            request.trace_id, self.spec.name, request.handler,
-            SpanKind.SERVER, serve_start, parent_id=request.parent_span_id,
-        )
+        span = None
+        if self.tracer is not None:
+            span = self.tracer.start_span(
+                request.trace_id, self.spec.name, request.handler,
+                SpanKind.SERVER, serve_start,
+                parent_id=request.parent_span_id)
         key, priced = self._rows_for(cold, idle_s)
         log = self._log
         pending = 0.0  # cycles awaiting a CPU grant
@@ -768,16 +770,16 @@ class ServiceRuntime:
                      target: "ServiceRuntime", attempt: int,
                      timeout_s: Optional[float]):
         """One try of one RPC; ``attempt`` 0 means the bare legacy path."""
-        tags = {"request_bytes": rpc.request_bytes,
-                "response_bytes": rpc.response_bytes}
-        if attempt:
-            tags["attempt"] = attempt
-        client_span = self.tracer.start_span(
-            request.trace_id, self.spec.name,
-            f"call_{rpc.target_service}", SpanKind.CLIENT, self.env.now,
-            parent_id=parent_span.span_id if parent_span is not None else None,
-            tags=tags,
-        )
+        client_span = None
+        if self.tracer is not None:
+            tags = {"request_bytes": rpc.request_bytes,
+                    "response_bytes": rpc.response_bytes}
+            if attempt:
+                tags["attempt"] = attempt
+            client_span = self.tracer.start_span(
+                request.trace_id, self.spec.name,
+                f"call_{rpc.target_service}", SpanKind.CLIENT, self.env.now,
+                parent_id=parent_span.span_id, tags=tags)
         try:
             self.metrics.net_tx_bytes += rpc.request_bytes
             if target.node.name != self.node.name:

@@ -1,20 +1,20 @@
 """Distributed-tracing substrate (§4.2).
 
 Production microservice deployments run tracers like Jaeger/Zipkin/Dapper;
-Ditto consumes their sampled end-to-end traces to learn the RPC dependency
-graph. This package provides the span data model, a sampling tracer the
-runtime reports RPCs to, and the dependency-graph extraction Ditto's
-topology analyser runs.
+Ditto reads their end-to-end traces only to learn the RPC dependency
+graph. This package provides the span data model, a tracer the runtime
+reports RPCs to when a run carries one (profiling is the run that does),
+and the reduction of spans to the :class:`Topology` a profile carries.
 """
 
 from repro.tracing.span import Span, SpanKind
 from repro.tracing.tracer import Tracer
-from repro.tracing.graph import DependencyGraph, extract_dependency_graph
+from repro.tracing.graph import Topology, analyze_topology
 
 __all__ = [
-    "DependencyGraph",
     "Span",
     "SpanKind",
+    "Topology",
     "Tracer",
-    "extract_dependency_graph",
+    "analyze_topology",
 ]

@@ -43,13 +43,6 @@ class Span:
         self.end_time = end_time
 
     @property
-    def duration(self) -> float:
-        """Span duration (0 while unfinished)."""
-        if self.end_time is None:
-            return 0.0
-        return self.end_time - self.start_time
-
-    @property
     def finished(self) -> bool:
         """True once :meth:`finish` was called."""
         return self.end_time is not None

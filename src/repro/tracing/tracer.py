@@ -4,71 +4,27 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.tracing.span import Span, SpanKind
-from repro.util.errors import ConfigurationError
 
 
 class Tracer:
-    """Collects spans with head-based sampling.
+    """Records every span of every trace.
 
-    Sampling is decided once per trace (at root creation) so sampled
-    traces are always complete — the property dependency-graph extraction
-    relies on. The paper notes properly-sampled tracing has negligible
-    overhead; here sampling simply bounds memory.
+    The one reader of traces is topology analysis, which needs complete
+    request trees, so a tracer records all of them; a run that nobody
+    reads traces from carries no tracer at all.
     """
 
-    def __init__(self, sample_rate: float = 1.0, seed: int = 7) -> None:
-        if not 0.0 <= sample_rate <= 1.0:
-            raise ConfigurationError("sample_rate must be within [0, 1]")
-        self.sample_rate = sample_rate
-        self._rng = np.random.default_rng(seed)
+    def __init__(self) -> None:
         self._next_trace_id = 1
         self._next_span_id = 1
-        self._sampled_traces: Dict[int, bool] = {}
         self.spans: List[Span] = []
 
     def start_trace(self) -> int:
-        """Open a new trace; returns its id (sampling decided here)."""
+        """Open a new trace; returns its id."""
         trace_id = self._next_trace_id
         self._next_trace_id += 1
-        self._sampled_traces[trace_id] = bool(
-            self._rng.random() < self.sample_rate
-        )
         return trace_id
-
-    def end_trace(self, trace_id: int) -> None:
-        """Close a trace, evicting its sampling verdict.
-
-        The verdict is only consulted while spans are still being
-        opened, so it is kept only while the trace is open; without this
-        eviction ``_sampled_traces`` grows by one entry per request for
-        the life of the tracer. Recorded spans are unaffected. Unknown
-        (or already-ended) trace ids are tolerated.
-        """
-        self._sampled_traces.pop(trace_id, None)
-
-    @property
-    def open_traces(self) -> int:
-        """Traces started but not yet ended."""
-        return len(self._sampled_traces)
-
-    def reset(self) -> None:
-        """Drop every collected span and open-trace verdict.
-
-        Id counters restart too, so a reset tracer behaves like a fresh
-        one (the sampling RNG keeps its state: the decision stream stays
-        one draw per ``start_trace`` with no replays).
-        """
-        self._sampled_traces.clear()
-        self.spans.clear()
-        self._next_trace_id = 1
-        self._next_span_id = 1
-
-    def is_sampled(self, trace_id: int) -> bool:
-        """Whether a trace's spans are being recorded."""
-        return self._sampled_traces.get(trace_id, False)
 
     def start_span(
         self,
@@ -79,10 +35,8 @@ class Tracer:
         start_time: float,
         parent_id: Optional[int] = None,
         tags: Optional[Dict[str, float]] = None,
-    ) -> Optional[Span]:
-        """Open a span (returns None for unsampled traces)."""
-        if not self.is_sampled(trace_id):
-            return None
+    ) -> Span:
+        """Open a span."""
         span = Span(
             trace_id=trace_id,
             span_id=self._next_span_id,
@@ -100,10 +54,3 @@ class Tracer:
     def finished_spans(self) -> List[Span]:
         """All closed spans collected so far."""
         return [span for span in self.spans if span.finished]
-
-    def traces(self) -> Dict[int, List[Span]]:
-        """Finished spans grouped by trace id."""
-        grouped: Dict[int, List[Span]] = {}
-        for span in self.finished_spans():
-            grouped.setdefault(span.trace_id, []).append(span)
-        return grouped

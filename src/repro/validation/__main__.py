@@ -11,8 +11,13 @@ generator seed, runs every tier stand-alone at its profiled load on the
 chosen platform, and gates the measured counters against the bundle's
 ``target_counters`` through :func:`~repro.validation.gate
 .gate_bundle_tiers`, the bundle gate a migration's destination stage
-runs too. Prints one per-metric table per tier and exits **0** only
-when every tier passes — wire it straight into CI.
+runs too. Prints one per-metric table per tier — wire it straight into
+CI. Exit codes:
+
+- **0** — every tier passed its gate;
+- **1** — the gate ran and at least one tier failed it;
+- **2** — the gate could not run: bad arguments (including a malformed
+  ``--tolerance``), a corrupted bundle (quarantined) or a run error.
 
 ``--json`` additionally writes the full machine-readable report (one
 :meth:`FidelityReport.to_dict` per tier plus a roll-up verdict).
@@ -86,7 +91,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         tolerances = parse_tolerances(options.tolerance)
     except ConfigurationError as error:
-        raise SystemExit(str(error)) from None
+        print(error, file=sys.stderr)
+        return 2
 
     try:
         reports = validate_bundle(

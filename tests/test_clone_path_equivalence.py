@@ -1012,3 +1012,96 @@ class TestDependencyTallyEquivalence:
             oracle = reference_dependencies(samples)
             assert _hexed(profile_dependencies(artifacts)) == \
                 _hexed(oracle), name
+
+
+# --------------------------------------------------------------------- #
+# profiles carry the topology, not the spans
+# --------------------------------------------------------------------- #
+#: the seed-7 4-node social network at 2k qps with a 0.06 s profiling
+#: window: its topology as the span reducer computed it when profiles
+#: still carried spans (profile version 4)
+SEED7_TIERS = [
+    "frontend", "user-timeline-service", "home-timeline-service",
+    "compose-post-service", "text-service", "unique-id-service",
+    "media-service", "user-service", "post-storage-service",
+    "write-home-timeline-service", "url-shorten-service",
+    "user-mention-service", "social-graph-service", "socialgraph-redis",
+]
+SEED7_EDGES = [
+    ("frontend", "user-timeline-service", 40),
+    ("frontend", "home-timeline-service", 66),
+    ("frontend", "compose-post-service", 12),
+    ("user-timeline-service", "post-storage-service", 40),
+    ("home-timeline-service", "social-graph-service", 66),
+    ("home-timeline-service", "post-storage-service", 66),
+    ("social-graph-service", "socialgraph-redis", 78),
+    ("compose-post-service", "text-service", 12),
+    ("compose-post-service", "unique-id-service", 12),
+    ("compose-post-service", "media-service", 12),
+    ("compose-post-service", "user-service", 12),
+    ("compose-post-service", "post-storage-service", 12),
+    ("compose-post-service", "write-home-timeline-service", 12),
+    ("text-service", "url-shorten-service", 12),
+    ("text-service", "user-mention-service", 12),
+    ("write-home-timeline-service", "social-graph-service", 12),
+]
+
+
+def _topology_profiles():
+    """seed -> (deployment, load, config, budget, pinned tiers, edges)."""
+    from repro import (ExperimentConfig, LoadSpec, PLATFORM_A,
+                       build_social_network, social_network_deployment)
+    from repro.profiling import ProfilingBudget
+    from tests.test_core_topology_codegen import (SEED2_EDGES, SEED2_RUN,
+                                                  SEED2_TIERS)
+
+    names = list(build_social_network())
+    four_nodes = social_network_deployment(
+        placement={name: f"node{i % 4}" for i, name in enumerate(names)})
+    return {
+        2: (social_network_deployment(),
+            LoadSpec.open_loop(SEED2_RUN["qps"]),
+            ExperimentConfig(platform=PLATFORM_A, duration_s=0.05,
+                             seed=SEED2_RUN["seed"]),
+            ProfilingBudget(sampled_requests=4,
+                            profile_duration_s=SEED2_RUN["duration_s"]),
+            SEED2_TIERS, SEED2_EDGES),
+        7: (four_nodes, LoadSpec.open_loop(2_000),
+            ExperimentConfig(platform=PLATFORM_A, duration_s=0.2, seed=7),
+            ProfilingBudget(sampled_requests=8, profile_duration_s=0.06),
+            SEED7_TIERS, SEED7_EDGES),
+    }
+
+
+class TestProfileTopologyEquivalence:
+    @pytest.mark.parametrize("seed", [2, 7])
+    def test_profile_topology_matches_span_reducer(self, seed, tmp_path):
+        from repro.profiling import profile_deployment
+        from repro.profiling.collector import load_profile, save_profile
+
+        deployment, load, config, budget, tiers, edges = \
+            _topology_profiles()[seed]
+        profile = profile_deployment(deployment, load, config,
+                                     budget=budget, seed=17)
+        assert not hasattr(profile, "spans")
+        topology = profile.topology
+        assert topology.entry_service == "frontend"
+        assert topology.tiers == tiers
+        assert topology.edges == edges
+        path = tmp_path / "profile.pkl"
+        save_profile(str(path), profile)
+        assert load_profile(str(path)).topology == topology
+
+    def test_single_tier_profile_has_a_one_tier_topology(self):
+        from repro import (Deployment, ExperimentConfig, LoadSpec,
+                           PLATFORM_A, build_memcached)
+        from repro.profiling import ProfilingBudget, profile_deployment
+
+        profile = profile_deployment(
+            Deployment.single(build_memcached()), LoadSpec.open_loop(50_000),
+            ExperimentConfig(platform=PLATFORM_A, duration_s=0.02, seed=5),
+            budget=ProfilingBudget(sampled_requests=4,
+                                   profile_duration_s=0.01))
+        assert profile.topology.tiers == ["memcached"]
+        assert profile.topology.edges == []
+        assert profile.topology.entry_service == "memcached"

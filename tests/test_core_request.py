@@ -126,12 +126,13 @@ class TestDerivedViews:
 
 
 class TestDigest:
-    #: digests of a default and an all-options request, pinned when
-    #: the options could still be set on the cloner as well
+    #: digests of a default and an all-options request, re-pinned when
+    #: the trace sampling rate left ``ExperimentConfig`` (and so every
+    #: config digest)
     DEFAULT_DIGEST = (
-        "61a56509289fac61b43fc5edbc979cc84d538be7d8c7f10f3b34deae9eceae9a")
+        "8a26167a3f38bc2ff0cd3b3fae47845aa3bbb8fe9c4ba8006848cad0604f0b2f")
     ALL_OPTIONS_DIGEST = (
-        "ab79791b8485bd8f5e29425663ef58fff59afef75db7392f09614e585270f949")
+        "e28f6a42742e43e914b1002e8970e9c15d12746124adca3b9cd10be2b95a74ba")
 
     def test_stable_across_equal_requests(self):
         assert _request(seed=7).digest() == _request(seed=7).digest()

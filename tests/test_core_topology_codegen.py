@@ -2,25 +2,57 @@
 
 import pytest
 
-from repro.core import analyze_topology, emit_assembly, generate_program
+from repro.core import emit_assembly, generate_program
 from repro.core.codegen import _bitmask_comment
 from repro.hw import PLATFORM_A
 from repro.loadgen import LoadSpec
 from repro.runtime import ExperimentConfig, run_experiment
-from repro.tracing import Tracer
+from repro.tracing import Tracer, analyze_topology
 from repro.util.errors import ProfilingError
 
 from tests._feature_factory import make_features
 
 
+#: the traced run: the single-node social network at 700 qps for
+#: 0.03 simulated seconds, seed 2
+SEED2_RUN = dict(qps=700, duration_s=0.03, seed=2)
+#: its tiers (Kahn order by generations) and edges (insertion order)
+SEED2_TIERS = [
+    "frontend", "home-timeline-service", "user-timeline-service",
+    "compose-post-service", "text-service", "unique-id-service",
+    "media-service", "user-service", "post-storage-service",
+    "write-home-timeline-service", "url-shorten-service",
+    "user-mention-service", "social-graph-service", "socialgraph-redis",
+]
+SEED2_EDGES = [
+    ("frontend", "home-timeline-service", 10),
+    ("frontend", "user-timeline-service", 4),
+    ("frontend", "compose-post-service", 3),
+    ("home-timeline-service", "social-graph-service", 10),
+    ("home-timeline-service", "post-storage-service", 10),
+    ("social-graph-service", "socialgraph-redis", 13),
+    ("user-timeline-service", "post-storage-service", 4),
+    ("compose-post-service", "text-service", 3),
+    ("compose-post-service", "unique-id-service", 3),
+    ("compose-post-service", "media-service", 3),
+    ("compose-post-service", "user-service", 3),
+    ("compose-post-service", "post-storage-service", 3),
+    ("compose-post-service", "write-home-timeline-service", 3),
+    ("text-service", "url-shorten-service", 3),
+    ("text-service", "user-mention-service", 3),
+    ("write-home-timeline-service", "social-graph-service", 3),
+]
+
+
 @pytest.fixture(scope="module")
 def socialnet_spans():
     from repro.app.workloads.socialnet import social_network_deployment
-    tracer = Tracer(sample_rate=1.0)
-    config = ExperimentConfig(platform=PLATFORM_A, duration_s=0.03, seed=2,
-                              tracer=tracer)
-    run_experiment(social_network_deployment(), LoadSpec.open_loop(700),
-                   config)
+    tracer = Tracer()
+    config = ExperimentConfig(platform=PLATFORM_A,
+                              duration_s=SEED2_RUN["duration_s"],
+                              seed=SEED2_RUN["seed"], tracer=tracer)
+    run_experiment(social_network_deployment(),
+                   LoadSpec.open_loop(SEED2_RUN["qps"]), config)
     return tracer.finished_spans()
 
 
@@ -40,32 +72,8 @@ class TestAnalyzeTopology:
         # Tiers in Kahn-by-generations order, edges in insertion order:
         # the order the synthetic tiers are generated and reported in.
         summary = analyze_topology(socialnet_spans)
-        assert summary.tiers == [
-            "frontend", "home-timeline-service", "user-timeline-service",
-            "compose-post-service", "text-service", "unique-id-service",
-            "media-service", "user-service", "post-storage-service",
-            "write-home-timeline-service", "url-shorten-service",
-            "user-mention-service", "social-graph-service",
-            "socialgraph-redis",
-        ]
-        assert summary.edges == [
-            ("frontend", "home-timeline-service", 10),
-            ("frontend", "user-timeline-service", 4),
-            ("frontend", "compose-post-service", 3),
-            ("home-timeline-service", "social-graph-service", 10),
-            ("home-timeline-service", "post-storage-service", 10),
-            ("social-graph-service", "socialgraph-redis", 13),
-            ("user-timeline-service", "post-storage-service", 4),
-            ("compose-post-service", "text-service", 3),
-            ("compose-post-service", "unique-id-service", 3),
-            ("compose-post-service", "media-service", 3),
-            ("compose-post-service", "user-service", 3),
-            ("compose-post-service", "post-storage-service", 3),
-            ("compose-post-service", "write-home-timeline-service", 3),
-            ("text-service", "url-shorten-service", 3),
-            ("text-service", "user-mention-service", 3),
-            ("write-home-timeline-service", "social-graph-service", 3),
-        ]
+        assert summary.tiers == SEED2_TIERS
+        assert summary.edges == SEED2_EDGES
 
     def test_edges_carry_call_counts(self, socialnet_spans):
         summary = analyze_topology(socialnet_spans)

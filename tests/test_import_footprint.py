@@ -26,8 +26,7 @@ print(" ".join(name for name in {HEAVY!r} if name in sys.modules))
 _TOPOLOGY_WITHOUT_NETWORKX = """
 import sys
 sys.modules["networkx"] = None  # any import of it now fails
-from repro.core import analyze_topology
-from repro.tracing import SpanKind, Tracer
+from repro.tracing import SpanKind, Tracer, analyze_topology
 
 tracer = Tracer()
 for _ in range(2):

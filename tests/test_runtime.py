@@ -172,7 +172,7 @@ class TestSocialNetworkRuntime:
     def test_end_to_end_run(self):
         deployment = social_network_deployment()
         config = ExperimentConfig(platform=PLATFORM_A, duration_s=0.05,
-                                  seed=3, trace_sample_rate=1.0)
+                                  seed=3)
         result = run_experiment(deployment, LoadSpec.open_loop(500), config)
         assert result.latency.completed > 10
         # Every tier on the read path saw traffic.

@@ -81,7 +81,7 @@ class TestExperimentCache:
     def test_traced_runs_bypass(self, memcached_point):
         deployment, load, config = memcached_point
         cache = ExperimentCache()
-        traced = replace(config, tracer=Tracer(sample_rate=0.5, seed=1))
+        traced = replace(config, tracer=Tracer())
         cache.run(deployment, load, traced)
         cache.run(deployment, load, traced)
         assert cache.stats.bypasses == 2

@@ -1,6 +1,7 @@
 """Tests for the experiment driver: config plumbing and invariants."""
 
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.hw import PLATFORM_A
 from repro.loadgen import LoadSpec
 from repro.runtime import ExperimentConfig, run_experiment
 from repro.runtime.experiment import sweep_load
+from repro.runtime.resilience import ResilienceConfig
 from repro.tracing import Tracer
 from repro.util.errors import ConfigurationError, SimBudgetExceededError
 from repro.util.spec_hash import stable_digest
@@ -80,7 +82,7 @@ def _one_request_env():
     node = Node(env, PLATFORM_A, name="node0")
     runtime = ServiceRuntime(
         env=env, spec=spec, node=node, node_state=NodeState(node=node),
-        pricer=BlockPricer(PLATFORM_A), tracer=Tracer(sample_rate=0.0))
+        pricer=BlockPricer(PLATFORM_A))
     runtime.start()
     handler = next(iter(spec.program.handlers))
     response = runtime.submit(handler, src_node="client")
@@ -204,7 +206,7 @@ class TestAccountingInvariants:
 
 class TestTracerPlumbing:
     def test_supplied_tracer_collects_spans(self):
-        tracer = Tracer(sample_rate=1.0)
+        tracer = Tracer()
         deployment = social_network_deployment()
         run_experiment(
             deployment, LoadSpec.open_loop(400),
@@ -214,14 +216,32 @@ class TestTracerPlumbing:
         services = {span.service for span in tracer.finished_spans()}
         assert "frontend" in services
 
-    def test_default_sampling_keeps_memory_bounded(self):
-        deployment = Deployment.single(build_memcached())
-        tracer = Tracer(sample_rate=0.05)
-        result = run_experiment(
-            deployment, LoadSpec.open_loop(100000),
-            ExperimentConfig(platform=PLATFORM_A, duration_s=0.02, seed=3,
-                             tracer=tracer))
-        assert len(tracer.spans) < result.latency.completed
+    @pytest.mark.parametrize("resilience", [None, ResilienceConfig(
+        rpc_timeout_s=2e-4)], ids=["bare", "retrying"])
+    def test_tracing_is_digest_neutral(self, monkeypatch, resilience):
+        # A tracer only observes: the traced run gives the result digest
+        # of the untraced one, and a run without a tracer traces nothing.
+        # The retrying run also traces timed-out and retried attempts.
+        from tests.test_perf_equivalence import _result_digest
+
+        deployment = social_network_deployment()
+        load = LoadSpec.open_loop(1500)
+        config = ExperimentConfig(platform=PLATFORM_A, duration_s=0.02,
+                                  seed=3, resilience=resilience)
+        tracer = Tracer()
+        traced = run_experiment(deployment, load,
+                                replace(config, tracer=tracer))
+        assert len(tracer.finished_spans()) > traced.latency.completed
+        if resilience is not None:
+            assert any(span.tags.get("timed_out") for span in tracer.spans)
+
+        def no_span(*_args, **_kwargs):
+            raise AssertionError("a run without a tracer opened a span")
+
+        monkeypatch.setattr(Tracer, "start_span", no_span)
+        plain = run_experiment(deployment, load, config)
+        assert _result_digest(plain) == _result_digest(traced)
+        assert plain.events_dispatched == traced.events_dispatched
 
 
 class TestSweepLoad:

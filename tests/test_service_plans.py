@@ -26,7 +26,6 @@ from repro.runtime.pricing import BlockPricer
 from repro.runtime.service import (NodeState, Request, ServiceRuntime,
                                    _cached_kernel_block, _DelayedReply)
 from repro.sim import Environment, Event
-from repro.tracing.tracer import Tracer
 from repro.util.errors import ConfigurationError, ReproError
 
 
@@ -194,7 +193,7 @@ class _World:
                                 page_cache_bytes=page_cache_bytes)
         self.rt = rt = ServiceRuntime(
             env=env, spec=spec, node=node, node_state=NodeState(node=node),
-            pricer=BlockPricer(PLATFORM_A), tracer=Tracer(sample_rate=0.0))
+            pricer=BlockPricer(PLATFORM_A))
         self.plan = plan
         self.records: List[tuple] = []
         self.rows: List[int] = []

@@ -1,8 +1,8 @@
-"""Unit tests for spans, the tracer, and dependency-graph extraction."""
+"""Unit tests for spans, the tracer, and the topology reducer."""
 
 import pytest
 
-from repro.tracing import SpanKind, Tracer, extract_dependency_graph
+from repro.tracing import SpanKind, Tracer, analyze_topology
 from repro.util.errors import ConfigurationError, ProfilingError
 
 
@@ -32,13 +32,6 @@ def _make_trace(tracer, services):
 
 
 class TestSpan:
-    def test_duration(self):
-        tracer = Tracer()
-        trace = tracer.start_trace()
-        span = tracer.start_span(trace, "svc", "op", SpanKind.SERVER, 1.0)
-        span.finish(1.5)
-        assert span.duration == pytest.approx(0.5)
-
     def test_finish_before_start_rejected(self):
         tracer = Tracer()
         trace = tracer.start_trace()
@@ -49,85 +42,10 @@ class TestSpan:
 
 class TestTracer:
     def test_full_sampling_records_all(self):
-        tracer = Tracer(sample_rate=1.0)
+        tracer = Tracer()
         for _ in range(5):
             _make_trace(tracer, [("a", "op")])
         assert len(tracer.finished_spans()) == 5
-
-    def test_zero_sampling_records_none(self):
-        tracer = Tracer(sample_rate=0.0)
-        trace = tracer.start_trace()
-        assert tracer.start_span(trace, "a", "op", SpanKind.SERVER, 0.0) is None
-
-    def test_partial_sampling_is_per_trace(self):
-        tracer = Tracer(sample_rate=0.5, seed=3)
-        sampled = sum(tracer.is_sampled(tracer.start_trace())
-                      for _ in range(200))
-        assert 50 < sampled < 150
-
-    def test_invalid_rate_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Tracer(sample_rate=1.5)
-
-    def test_traces_grouping(self):
-        tracer = Tracer()
-        _make_trace(tracer, [("a", "op"), ("b", "op2")])
-        grouped = tracer.traces()
-        assert len(grouped) == 1
-        spans = next(iter(grouped.values()))
-        assert len(spans) == 3  # server a, client, server b
-
-
-class TestTracerMemory:
-    """Regression: the per-trace verdict map must not grow unboundedly."""
-
-    def test_end_trace_evicts_verdict(self):
-        tracer = Tracer(sample_rate=1.0)
-        trace = tracer.start_trace()
-        assert tracer.open_traces == 1
-        assert tracer.is_sampled(trace)
-        tracer.end_trace(trace)
-        assert tracer.open_traces == 0
-        # Ended traces read as unsampled; spans already recorded remain.
-        assert not tracer.is_sampled(trace)
-
-    def test_end_trace_tolerates_unknown_ids(self):
-        tracer = Tracer()
-        tracer.end_trace(12345)
-        trace = tracer.start_trace()
-        tracer.end_trace(trace)
-        tracer.end_trace(trace)     # double-end is fine
-        assert tracer.open_traces == 0
-
-    def test_experiment_run_leaves_no_open_traces(self):
-        # Regression: before end_trace the verdict map kept one entry
-        # per injected request for the life of the tracer.
-        from repro.app.service import Deployment
-        from repro.app.workloads import build_redis
-        from repro.hw import PLATFORM_A
-        from repro.loadgen import LoadSpec
-        from repro.runtime import ExperimentConfig, run_experiment
-        tracer = Tracer(sample_rate=0.5, seed=11)
-        config = ExperimentConfig(platform=PLATFORM_A, duration_s=0.05,
-                                  seed=3, tracer=tracer)
-        result = run_experiment(Deployment.single(build_redis()),
-                                LoadSpec.open_loop(2000), config)
-        assert result.service("redis").requests > 10
-        assert tracer.open_traces == 0
-
-    def test_reset_restores_fresh_state(self):
-        tracer = Tracer(sample_rate=1.0)
-        _make_trace(tracer, [("a", "op"), ("b", "op2")])
-        tracer.start_trace()    # left open on purpose
-        assert tracer.spans and tracer.open_traces > 0
-        tracer.reset()
-        assert tracer.spans == []
-        assert tracer.open_traces == 0
-        # Id counters restart like a fresh tracer's.
-        trace = tracer.start_trace()
-        assert trace == 1
-        span = tracer.start_span(trace, "svc", "op", SpanKind.SERVER, 0.0)
-        assert span.span_id == 1
 
 
 class TestDependencyGraph:
@@ -135,30 +53,22 @@ class TestDependencyGraph:
         tracer = Tracer()
         for _ in range(3):
             _make_trace(tracer, [("frontend", "get"), ("backend", "fetch")])
-        graph = extract_dependency_graph(tracer.finished_spans())
-        assert graph.root_services == ["frontend"]
-        assert graph.downstreams("frontend") == ["backend"]
-        stats = graph.edge("frontend", "backend")
-        assert stats.calls == 3
-        assert stats.operations == {"fetch": 3}
-        assert stats.request_bytes.mean == pytest.approx(100.0)
+        topology = analyze_topology(tracer.finished_spans())
+        assert topology.entry_service == "frontend"
+        assert topology.tiers == ["frontend", "backend"]
+        assert topology.edges == [("frontend", "backend", 3)]
+        assert topology.fan_out("frontend") == 1
+        assert topology.fan_out("backend") == 0
 
     def test_three_tier_chain_topological_order(self):
         tracer = Tracer()
         _make_trace(tracer, [("a", "x"), ("b", "y"), ("c", "z")])
-        graph = extract_dependency_graph(tracer.finished_spans())
-        order = graph.services()
-        assert order.index("a") < order.index("b") < order.index("c")
-
-    def test_operation_mix_collected(self):
-        tracer = Tracer()
-        _make_trace(tracer, [("a", "read")])
-        _make_trace(tracer, [("a", "read")])
-        _make_trace(tracer, [("a", "write")])
-        graph = extract_dependency_graph(tracer.finished_spans())
-        assert graph.operation_mix["a"] == {"read": 2.0, "write": 1.0}
+        topology = analyze_topology(tracer.finished_spans())
+        assert topology.tiers == ["a", "b", "c"]
 
     def test_fanout_counted_per_parent(self):
+        # Three calls from one parent execution are three calls on one
+        # edge, and one distinct downstream.
         tracer = Tracer()
         trace = tracer.start_trace()
         root = tracer.start_span(trace, "root", "op", SpanKind.SERVER, 0.0)
@@ -170,19 +80,50 @@ class TestDependencyGraph:
             child.finish(0.003)
             client.finish(0.004)
         root.finish(0.01)
-        graph = extract_dependency_graph(tracer.finished_spans())
-        assert graph.edge("root", "leaf").calls_per_parent == pytest.approx(3.0)
+        topology = analyze_topology(tracer.finished_spans())
+        assert topology.edges == [("root", "leaf", 3)]
+        assert topology.fan_out("root") == 1
+
+    def test_entry_is_the_busiest_root(self):
+        tracer = Tracer()
+        _make_trace(tracer, [("batch", "op"), ("store", "op")])
+        for _ in range(2):
+            _make_trace(tracer, [("frontend", "op"), ("store", "op")])
+        topology = analyze_topology(tracer.finished_spans())
+        assert topology.entry_service == "frontend"
+        assert topology.tiers == ["batch", "frontend", "store"]
+
+    def test_unfinished_spans_ignored(self):
+        tracer = Tracer()
+        _make_trace(tracer, [("a", "op"), ("b", "op")])
+        trace = tracer.start_trace()
+        root = tracer.start_span(trace, "a", "op", SpanKind.SERVER, 0.0)
+        tracer.start_span(trace, "a", "call", SpanKind.CLIENT, 0.001,
+                          parent_id=root.span_id)    # never finished
+        root.finish(0.01)
+        topology = analyze_topology(tracer.spans)
+        assert topology.edges == [("a", "b", 1)]
 
     def test_empty_spans_rejected(self):
-        with pytest.raises(ProfilingError):
-            extract_dependency_graph([])
+        with pytest.raises(ProfilingError, match="no finished spans"):
+            analyze_topology([])
 
     def test_two_service_cycle_rejected(self):
         tracer = Tracer()
         _make_trace(tracer, [("a", "x"), ("b", "y")])
         _make_trace(tracer, [("b", "y"), ("a", "x")])
         with pytest.raises(ProfilingError, match="cycle"):
-            extract_dependency_graph(tracer.finished_spans())
+            analyze_topology(tracer.finished_spans())
+
+    def test_rootless_spans_rejected(self):
+        # A server span whose parent was not traced is not a root.
+        tracer = Tracer()
+        trace = tracer.start_trace()
+        orphan = tracer.start_span(trace, "a", "op", SpanKind.SERVER, 0.0,
+                                   parent_id=99)
+        orphan.finish(0.01)
+        with pytest.raises(ProfilingError, match="no root"):
+            analyze_topology(tracer.finished_spans())
 
     def test_order_is_kahn_by_generations(self):
         # Roots in first-seen order, then each generation's callees in
@@ -191,17 +132,10 @@ class TestDependencyGraph:
         _make_trace(tracer, [("a", "op"), ("c", "op"), ("d", "op")])
         _make_trace(tracer, [("b", "op"), ("d", "op")])
         _make_trace(tracer, [("a", "op"), ("b", "op")])
-        graph = extract_dependency_graph(tracer.finished_spans())
-        assert graph.edges() == [("a", "c"), ("a", "b"), ("c", "d"),
-                                 ("b", "d")]
-        assert graph.services() == ["a", "c", "b", "d"]
-
-    def test_missing_edge_rejected(self):
-        tracer = Tracer()
-        _make_trace(tracer, [("a", "op")])
-        graph = extract_dependency_graph(tracer.finished_spans())
-        with pytest.raises(ProfilingError):
-            graph.edge("a", "ghost")
+        topology = analyze_topology(tracer.finished_spans())
+        assert topology.edges == [("a", "c", 1), ("a", "b", 1),
+                                  ("c", "d", 1), ("b", "d", 1)]
+        assert topology.tiers == ["a", "c", "b", "d"]
 
     def test_socialnet_runtime_traces_extract_to_dag(self):
         # Integration: real runtime traces from the Social Network.
@@ -209,15 +143,15 @@ class TestDependencyGraph:
         from repro.hw import PLATFORM_A
         from repro.loadgen import LoadSpec
         from repro.runtime import ExperimentConfig, run_experiment
-        from repro.tracing import Tracer as T
-        tracer = T(sample_rate=1.0)
+        tracer = Tracer()
         config = ExperimentConfig(platform=PLATFORM_A, duration_s=0.03,
                                   seed=2, tracer=tracer)
         run_experiment(social_network_deployment(), LoadSpec.open_loop(600),
                        config)
-        graph = extract_dependency_graph(tracer.finished_spans())
-        assert "frontend" in graph.root_services
-        assert "social-graph-service" in graph.services()
+        topology = analyze_topology(tracer.finished_spans())
+        assert topology.entry_service == "frontend"
+        assert "social-graph-service" in topology.tiers
         # home-timeline calls both the social graph and post storage.
-        downstream = set(graph.downstreams("home-timeline-service"))
+        downstream = {callee for caller, callee, _ in topology.edges
+                      if caller == "home-timeline-service"}
         assert {"social-graph-service", "post-storage-service"} <= downstream

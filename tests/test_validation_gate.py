@@ -271,6 +271,14 @@ class TestValidationCLI:
         assert code == 2
         assert (tmp_path / "truncated.json.quarantined").exists()
 
+    @pytest.mark.parametrize("entry", ["ipc", "ipc=tight", "=0.1"])
+    def test_malformed_tolerance_cannot_run(self, bundle, entry, capsys):
+        # 2 is "could not run": a typo must not read as a gate failure (1)
+        code = validation_main([str(bundle), "--tolerance", entry,
+                                "--quiet"])
+        assert code == 2
+        assert "--tolerance takes METRIC=REL" in capsys.readouterr().err
+
     def test_tolerance_override_flag(self, bundle):
         # An absurdly strict CLI override must flip the verdict.
         code = validation_main([str(bundle), "--duration", "0.2",
