@@ -21,8 +21,8 @@ from repro.core import GeneratorConfig, fine_tune, generate_program, \
     generate_skeleton
 from repro.core.features import extract_service_features
 from repro.profiling import profile_deployment
-from repro.profiling.branches import profile_branches
 from repro.runtime import run_experiment
+from repro.util.stats import Histogram
 
 METRICS = ("ipc", "branch", "l1i", "l1d", "llc")
 
@@ -62,10 +62,15 @@ def test_design_ablations(benchmark):
         results["baseline_tuned"] = measure(
             features, replace(GeneratorConfig(), knobs=tuned.knobs))
         results["no_tuning"] = measure(features, GeneratorConfig())
-        # Shallow branch quantisation (2^-1..2^-3).
-        shallow = replace(features,
-                          branches=profile_branches(artifacts,
-                                                    max_exponent=3))
+        # Shallow branch quantisation (2^-1..2^-3): a site's exponent
+        # on the shallow grid is its 2^-10 exponent capped at 3.
+        shallow_rates = Histogram()
+        for (m, n, taken_dominant), weight in (
+                features.branches.rate_distribution.counts.items()):
+            shallow_rates.add((min(m, 3), min(n, 3), taken_dominant),
+                              weight)
+        shallow = replace(features, branches=replace(
+            features.branches, rate_distribution=shallow_rates))
         results["branch_grid_2^-3"] = measure(shallow, GeneratorConfig())
         # Instruction-memory granularity: one block only.
         results["single_block"] = measure(

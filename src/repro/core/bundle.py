@@ -17,9 +17,12 @@ Bundle v2 adds three things on top of v1's tier features:
   clone — v1 bundles (no stanza) still load;
 - optional per-tier **tuned knobs** (the fine-tuner's output) and
   **generator seeds** (:attr:`~repro.core.cloner.CloneReport
-  .generator_seeds`), so a consumer regenerates the calibrated clone
-  bit for bit — the program the knobs were tuned on. Bundles without
-  seeds regenerate with ``GeneratorConfig().seed``.
+  .generator_seeds`), plus the clone's non-default **generator
+  switches** (the Fig. 9 stage switches and ``max_blocks``), so a
+  consumer regenerates the calibrated clone bit for bit — the program
+  the knobs were tuned on. Bundles without seeds regenerate with
+  ``GeneratorConfig().seed``, and bundles without switches with the
+  default ones.
 
 Every consumer decodes tiers, knobs and seeds through
 :func:`bundle_tiers`.
@@ -317,6 +320,7 @@ def save_bundle(
     tuned_knobs: Optional[Dict[str, TuningKnobs]] = None,
     source_platform=None,
     generator_seeds: Optional[Dict[str, int]] = None,
+    generator_config: Optional[GeneratorConfig] = None,
 ) -> Path:
     """Write a shareable clone bundle to ``path``.
 
@@ -324,11 +328,14 @@ def save_bundle(
     an ``integrity`` stanza) and written atomically — a crash mid-write
     leaves the previous bundle, never half of the new one. Pass the
     fine-tuner's per-tier knobs as ``tuned_knobs`` and the clone
-    report's ``generator_seeds`` so consumers regenerate the clone bit
-    for bit, and the profiling platform as ``source_platform`` so
-    migration preflight knows where the ``target_counters`` were tuned.
-    The seed and platform stanzas are only added when given — bundles
-    written without them keep their historical bytes exactly.
+    report's ``generator_seeds`` and the request's ``generator_config``
+    so consumers regenerate the clone bit for bit, and the profiling
+    platform as ``source_platform`` so migration preflight knows where
+    the ``target_counters`` were tuned. The seed and platform stanzas
+    are only added when given, and the generator stanza only holds the
+    stage switches and ``max_blocks`` that differ from
+    ``GeneratorConfig()`` — bundles written without them keep their
+    historical bytes exactly.
     """
     if entry_service not in features_by_service:
         raise ConfigurationError(
@@ -353,6 +360,16 @@ def save_bundle(
     }
     if generator_seeds:
         document["generator_seeds"] = dict(generator_seeds)
+    if generator_config is not None:
+        default = GeneratorConfig()
+        changed = {
+            field.name: getattr(generator_config, field.name)
+            for field in dataclasses.fields(GeneratorConfig)
+            if field.name not in ("knobs", "seed")
+            and getattr(generator_config, field.name)
+            != getattr(default, field.name)}
+        if changed:
+            document["generator"] = changed
     if source_platform is not None:
         from repro.hw.platform import platform_to_dict
         document["source_platform"] = platform_to_dict(source_platform)
@@ -413,10 +430,13 @@ def bundle_tiers(
     """Each tier's features and the generator config of its clone.
 
     A tier is named by its key in the document. Its config carries the
-    tier's tuned knobs (default knobs when it has none) and its recorded
-    generator seed (``GeneratorConfig().seed`` for bundles written
-    before seeds were recorded).
+    bundle's recorded stage switches and ``max_blocks`` (the defaults
+    when none are recorded), the tier's tuned knobs (default knobs when
+    it has none) and its recorded generator seed
+    (``GeneratorConfig().seed`` for bundles written before seeds were
+    recorded).
     """
+    base = GeneratorConfig(**document.get("generator", {}))
     knobs = document.get("tuned_knobs", {})
     seeds = document.get("generator_seeds", {})
     features: Dict[str, ServiceFeatures] = {}
@@ -424,9 +444,9 @@ def bundle_tiers(
     for name, data in document["tiers"].items():
         features[name] = dataclasses.replace(decode_features(data),
                                              service=name)
-        generators[name] = GeneratorConfig(
-            knobs=TuningKnobs(**knobs.get(name, {})),
-            seed=seeds.get(name, GeneratorConfig().seed))
+        generators[name] = dataclasses.replace(
+            base, knobs=TuningKnobs(**knobs.get(name, {})),
+            seed=seeds.get(name, base.seed))
     return features, generators
 
 

@@ -362,14 +362,15 @@ def _run_clone(store: JobStore, record, observer: _StoreObserver,
                            for name, tuning in report.tuning.items()},
     )
     # The bundle records the job's platform, so it can go straight into
-    # a migration, and each tier's generator seed, so it regenerates
-    # this clone.
+    # a migration, and each tier's generator seed and the request's
+    # generator switches, so it regenerates this clone.
     return job_result, lambda: save_bundle(
         report.features, store.bundle_path(job_id),
         entry_service=result.synthetic.entry_service,
         placements={p.service: p.node for p in result.synthetic.placements},
         tuned_knobs=tuned, source_platform=request.config.platform,
-        generator_seeds=report.generator_seeds)
+        generator_seeds=report.generator_seeds,
+        generator_config=request.generator_config)
 
 
 def _run_migration(store: JobStore, record, observer: _StoreObserver,

@@ -30,7 +30,6 @@ from repro.hw.platform import (
     platform_from_dict,
     platform_to_dict,
     register_platform,
-    registered_platforms,
 )
 from repro.hw.topdown import TopDownBreakdown
 
@@ -60,5 +59,4 @@ __all__ = [
     "platform_from_dict",
     "platform_to_dict",
     "register_platform",
-    "registered_platforms",
 ]

@@ -59,12 +59,6 @@ class DiskSpec:
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive")
 
-    def transfer_time(self, nbytes: float, write: bool = False) -> float:
-        """Seconds to service one request of ``nbytes``."""
-        latency = self.write_latency_s if write else self.read_latency_s
-        return latency + nbytes / self.bandwidth_bytes_per_s
-
-
 @dataclass(frozen=True)
 class NetworkSpec:
     """A NIC / link: bandwidth plus per-message base latency."""
@@ -82,11 +76,6 @@ class NetworkSpec:
     def bandwidth_bytes_per_s(self) -> float:
         """Link bandwidth in bytes/second."""
         return self.bandwidth_bits_per_s / 8.0
-
-    def transfer_time(self, nbytes: float) -> float:
-        """Seconds to push ``nbytes`` onto the wire (excl. queueing)."""
-        return self.base_latency_s + nbytes / self.bandwidth_bytes_per_s
-
 
 @dataclass(frozen=True)
 class PlatformSpec:
@@ -232,11 +221,6 @@ def platform_by_name(name: str) -> PlatformSpec:
             f"unknown platform {name!r}; expected one of {sorted(_PLATFORMS)}"
         ) from None
     return spec
-
-
-def registered_platforms() -> Dict[str, PlatformSpec]:
-    """A snapshot of every registered platform (built-ins included)."""
-    return dict(_PLATFORMS)
 
 
 def register_platform(name: str, spec: PlatformSpec) -> PlatformSpec:

@@ -7,12 +7,6 @@ MongoDB/Redis) keep one outstanding request per connection, which is why
 the paper's MongoDB/Redis latencies stay flat at saturation.
 """
 
-from repro.loadgen.distributions import (
-    ConstantInterarrival,
-    ExponentialInterarrival,
-    UniformKeys,
-    ZipfKeys,
-)
 from repro.loadgen.generator import (
     REQUEST_OUTCOMES,
     ClosedLoopGenerator,
@@ -25,14 +19,10 @@ from repro.loadgen.generator import (
 
 __all__ = [
     "ClosedLoopGenerator",
-    "ConstantInterarrival",
-    "ExponentialInterarrival",
     "LatencyRecorder",
     "LoadSpec",
     "OpenLoopGenerator",
     "REQUEST_OUTCOMES",
-    "UniformKeys",
-    "ZipfKeys",
     "build_generator",
     "classify_failure",
 ]

@@ -31,7 +31,8 @@ bundle consumer — ``load_bundle``, ``deployment_from_bundle``,
 ``python -m repro.validation`` — works on it unchanged) plus a
 ``migration`` stanza embedding the preflight report, the destination
 fidelity report, and the per-knob retune deltas. The bundle's
-``generator_seeds`` record is carried through unchanged.
+``generator_seeds`` and ``generator`` records are carried through
+unchanged.
 """
 
 from __future__ import annotations
@@ -339,8 +340,9 @@ def migrate_request(
             "remediation": list(remediation_log),
         },
     }
-    if "generator_seeds" in document:
-        out_document["generator_seeds"] = document["generator_seeds"]
+    for stanza in ("generator_seeds", "generator"):
+        if stanza in document:
+            out_document[stanza] = document[stanza]
     integrity.stamp_json(out_document)
     path = None
     if out_path is not None:

@@ -2,11 +2,12 @@
 
 The collector runs the target deployment under a representative load and
 produces *execution artifacts* per service — an instruction-mix table,
-per-region data and instruction working-set statistics, per-site branch
-rates, dependency-distance tallies, syscall logs, thread observations,
-performance counters — plus the RPC topology its traces reduce to.
-Address traces, branch outcome histories and spans are reduced as they
-are collected, so a profile ships statistics, not raw samples. Feature
+per-region data and instruction working-set statistics, a branch tally,
+a dependency-distance tally, syscall logs, thread observations over a
+table of call-tree shapes, performance counters — plus the RPC topology
+its traces reduce to. Address traces, branch outcome histories, thread
+call graphs and spans are reduced as they are collected, so a profile
+ships statistics, not raw samples. Feature
 extractors then turn artifacts into the platform-independent feature set
 the generator consumes (§4.4).
 
@@ -16,7 +17,7 @@ which the fine-tuner (§4.5) subsequently reduces.
 """
 
 from repro.profiling.artifacts import (
-    BranchSiteTrace,
+    BranchTally,
     DepTally,
     ProfilingBudget,
     RegionStats,
@@ -40,7 +41,7 @@ from repro.profiling.netmodel import NetworkModelProfile, profile_network_model
 __all__ = [
     "ApplicationProfile",
     "BranchProfile",
-    "BranchSiteTrace",
+    "BranchTally",
     "DepTally",
     "DependencyDistanceProfile",
     "InstructionMixProfile",

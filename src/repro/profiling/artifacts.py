@@ -2,10 +2,12 @@
 
 Everything here is *observable* instrumentation output — the kind of data
 SystemTap probes, Intel SDE instruction logs, Valgrind cache sweeps and
-perf counters actually produce. Address traces and branch outcome
-histories are reduced as they are collected: a profile carries per-region
-working-set statistics, per-site branch rates and dependency-distance
-tallies, not raw samples.
+perf counters actually produce. Address traces, branch outcome
+histories and thread call graphs are reduced as they are collected: a
+profile carries per-region working-set statistics, one branch tally and
+one dependency-distance tally per service, and a table of distinct
+thread call-tree shapes that each thread observation points into — not
+raw samples, per-site records or per-thread trees.
 Feature extraction operates exclusively on these types; the application
 models never cross this boundary.
 """
@@ -20,7 +22,8 @@ from repro.hw.ir import DEP_DISTANCE_BINS
 from repro.kernelsim.syscalls import SyscallInvocation
 from repro.runtime.metrics import ServiceMetrics
 from repro.util.errors import ConfigurationError
-from repro.util.quantize import bin_index
+from repro.util.quantize import LogScaleQuantizer, bin_index
+from repro.util.stats import Histogram
 
 
 @dataclass(frozen=True)
@@ -76,16 +79,44 @@ class RegionStats:
     region_bytes: float
 
 
-@dataclass(frozen=True)
-class BranchSiteTrace:
-    """The outcome statistics of one static conditional-branch site."""
+#: a branch site's (taken exponent m, transition exponent n, dominant
+#: direction taken?) on the log-scale grid 2^-1 .. 2^-10
+RateBin = Tuple[int, int, bool]
 
-    pc: int
-    #: fraction of taken outcomes in the site's observed history
-    taken_rate: float
-    #: fraction of direction changes between consecutive executions
-    transition_rate: float
-    executions_weight: float       # total dynamic executions it represents
+_RATE_GRID = LogScaleQuantizer()
+
+
+@dataclass
+class BranchTally:
+    """The sampled branch sites (§4.4.3), tallied.
+
+    The branch profile needs only the execution-weighted distribution
+    of each site's :data:`RateBin`, the weighted taken and transition
+    rates and the total weight, summed in site order, and how many
+    distinct site addresses were seen, so each site is binned and
+    summed as its outcome history is measured.
+    """
+
+    rates: Histogram = field(default_factory=Histogram)
+    #: sum of taken rate x weight over the sites
+    taken: float = 0.0
+    #: sum of transition rate x weight over the sites
+    transitions: float = 0.0
+    #: sum of the sites' dynamic-execution weights
+    weight: float = 0.0
+    #: distinct static site addresses
+    static_sites: int = 0
+
+    def add(self, taken_rate: float, transition_rate: float,
+            weight: float) -> None:
+        """Tally one site's measured rates and execution weight."""
+        bin_: RateBin = (_RATE_GRID.quantize(taken_rate),
+                         _RATE_GRID.quantize(transition_rate),
+                         taken_rate >= 0.5)
+        self.rates.add(bin_, weight)
+        self.taken += taken_rate * weight
+        self.transitions += transition_rate * weight
+        self.weight += weight
 
 
 @dataclass
@@ -117,20 +148,17 @@ class DepTally:
         self.samples += 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class ThreadObservation:
-    """One observed thread: call graph plus kernel-event evidence."""
+    """One observed thread, its call tree reduced to a shape number."""
 
-    thread_id: int
-    call_tree: CallTree
-    spawned_by_clone: bool
-    lifetime_fraction: float        # lifetime / observation window
-    wakeup_trigger: str             # "socket" | "timer" | "condvar" | "signal"
-    connections_at_observation: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.lifetime_fraction <= 1.0:
-            raise ConfigurationError("lifetime_fraction must be in [0, 1]")
+    #: index of its call tree in ``ServiceArtifacts.thread_shapes``
+    shape: int
+    #: connections the prober held open when it saw the thread
+    connections: int
+    trigger: str                    # "socket" | "timer" | "condvar" | "signal"
+    #: spawned per connection, and gone before 95% of the window passed
+    short_lived: bool
 
 
 @dataclass
@@ -162,7 +190,7 @@ class ServiceArtifacts:
     data_regions: List[RegionStats] = field(default_factory=list)
     #: instruction-side working-set statistics, one per code region
     instr_regions: List[RegionStats] = field(default_factory=list)
-    branch_sites: List[BranchSiteTrace] = field(default_factory=list)
+    branches: BranchTally = field(default_factory=BranchTally)
     deps: DepTally = field(default_factory=DepTally)
     #: (request sequence number, invocation), in order
     syscall_log: List[Tuple[int, SyscallInvocation]] = field(
@@ -172,6 +200,10 @@ class ServiceArtifacts:
     #: instrumentation can attribute per-request streams to endpoints)
     handler_of_request: Dict[int, str] = field(default_factory=dict)
     requests_observed: int = 0
+    #: the distinct call-tree shapes of the observed threads, numbered
+    #: in the order each was first seen
+    thread_shapes: List[CallTree] = field(default_factory=list)
+    #: the observed threads, in observation order
     threads: List[ThreadObservation] = field(default_factory=list)
     counters: Optional[ServiceMetrics] = None
     observed_handler_mix: Dict[str, float] = field(default_factory=dict)

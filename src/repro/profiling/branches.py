@@ -1,9 +1,11 @@
 """Branch-behaviour profiling (§4.4.3).
 
-Measures per-site taken and transition rates from outcome traces,
-quantises both onto the log-scale grid 2^-1 .. 2^-10, and aggregates an
-execution-weighted distribution over (taken-exponent, transition-
-exponent, dominant-direction) tuples, plus the static-site count that
+The collector measures each sampled site's taken and transition rates
+from its outcome history, quantises both onto the log-scale grid
+2^-1 .. 2^-10 and tallies an execution-weighted distribution over
+(taken-exponent, transition-exponent, dominant-direction) tuples (a
+:class:`~repro.profiling.artifacts.BranchTally`); the profile is that
+distribution, the weighted mean rates, and the static-site count that
 drives predictor aliasing.
 """
 
@@ -12,13 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Tuple
 
-from repro.profiling.artifacts import ServiceArtifacts
+from repro.profiling.artifacts import RateBin, ServiceArtifacts
 from repro.util.errors import ProfilingError
 from repro.util.quantize import LogScaleQuantizer
 from repro.util.stats import Histogram
-
-#: (taken exponent m, transition exponent n, dominant direction taken?)
-RateBin = Tuple[int, int, bool]
 
 
 @dataclass
@@ -41,32 +40,15 @@ class BranchProfile:
         return taken, transition
 
 
-def profile_branches(
-    artifacts: ServiceArtifacts,
-    max_exponent: int = 10,
-) -> BranchProfile:
-    """Extract the branch profile from per-site outcome traces."""
-    if not artifacts.branch_sites:
+def profile_branches(artifacts: ServiceArtifacts) -> BranchProfile:
+    """Extract the branch profile from the service's branch tally."""
+    tally = artifacts.branches
+    if not tally.static_sites:
         raise ProfilingError(f"{artifacts.service}: no branch traces")
-    quantizer = LogScaleQuantizer(max_exponent=max_exponent)
-    profile = BranchProfile()
-    weighted_taken = 0.0
-    weighted_transition = 0.0
-    total_weight = 0.0
-    for site in artifacts.branch_sites:
-        taken = site.taken_rate
-        transition = site.transition_rate
-        bin_: RateBin = (
-            quantizer.quantize(taken),
-            quantizer.quantize(transition),
-            taken >= 0.5,
-        )
-        profile.rate_distribution.add(bin_, site.executions_weight)
-        weighted_taken += taken * site.executions_weight
-        weighted_transition += transition * site.executions_weight
-        total_weight += site.executions_weight
-    profile.static_sites = len({site.pc for site in artifacts.branch_sites})
-    if total_weight > 0:
-        profile.mean_taken_rate = weighted_taken / total_weight
-        profile.mean_transition_rate = weighted_transition / total_weight
+    profile = BranchProfile(
+        rate_distribution=Histogram(dict(tally.rates.counts)),
+        static_sites=tally.static_sites)
+    if tally.weight > 0:
+        profile.mean_taken_rate = tally.taken / tally.weight
+        profile.mean_transition_rate = tally.transitions / tally.weight
     return profile

@@ -4,10 +4,11 @@ Runs the target deployment under the profiling load with full tracing,
 then — playing the role of SystemTap + Intel SDE + Valgrind attached to
 each service process — materialises per-service execution artifacts:
 the sampled instruction stream as a per-iform table, per-region
-working-set statistics, per-site branch rates, dependency-distance
-tallies, syscall logs, and thread observations. Address traces, branch
-outcome histories and dependency tuples are sampled and reduced here; a
-profile carries the statistics, not the raw samples.
+working-set statistics, a branch tally, a dependency-distance tally,
+syscall logs, and thread observations over a table of call-tree shapes.
+Address traces, branch outcome histories, dependency tuples and thread
+call graphs are sampled and reduced here; a profile carries the
+statistics, not the raw samples.
 
 The harness necessarily reads the application models to synthesise the
 streams (it *is* the instrumentation, running inside the profiled
@@ -25,14 +26,13 @@ import numpy as np
 from repro.analysis.treedit import CallTree
 from repro.app.program import ComputeOp, Handler, RpcOp, SyscallOp
 from repro.app.service import Deployment, ServiceSpec
-from repro.app.skeleton import ClientNetworkModel, ThreadTrigger
+from repro.app.skeleton import ClientNetworkModel
 from repro.hw.branch import generate_branch_outcomes
 from repro.hw.cache import LINE_BYTES
 from repro.kernelsim.syscalls import SyscallInvocation
 from repro.hw.ir import BlockSpec
 from repro.loadgen.generator import LoadSpec
 from repro.profiling.artifacts import (
-    BranchSiteTrace,
     IformStats,
     ProfilingBudget,
     RegionStats,
@@ -384,7 +384,10 @@ def _collect_branch_artifacts(
     budget: ProfilingBudget,
     rng: np.random.Generator,
     executions_scale: float,
+    pcs: set,
 ) -> None:
+    """Measure each sampled site's rates and tally them; ``pcs``
+    collects the service's distinct site addresses."""
     code_base = (_name_hash(block.name) % (1 << 24)) << 8
     for pop_index, population in enumerate(block.branches):
         executions = population.executions * max(1.0, block.iterations)
@@ -401,15 +404,12 @@ def _collect_branch_artifacts(
                 population.transition_rate + rng.normal(0, 0.02), 0.0, 1.0))
             outcomes = generate_branch_outcomes(
                 taken, trans, budget.branch_outcomes_per_site, rng)
-            artifacts.branch_sites.append(BranchSiteTrace(
-                pc=code_base + 64 * (pop_index * 97 + site),
-                taken_rate=(float(np.mean(outcomes))
-                            if len(outcomes) else 0.0),
-                transition_rate=(
-                    float(np.mean(outcomes[1:] != outcomes[:-1]))
-                    if len(outcomes) >= 2 else 0.0),
-                executions_weight=weight,
-            ))
+            pcs.add(code_base + 64 * (pop_index * 97 + site))
+            artifacts.branches.add(
+                float(np.mean(outcomes)) if len(outcomes) else 0.0,
+                (float(np.mean(outcomes[1:] != outcomes[:-1]))
+                 if len(outcomes) >= 2 else 0.0),
+                weight)
 
 
 def _collect_dep_artifacts(
@@ -463,15 +463,18 @@ def _call_tree_for_worker(spec: ServiceSpec) -> CallTree:
     return loop
 
 
-def _thread_observations(
+def _observe_threads(
     spec: ServiceSpec,
     connections: int,
     rng: np.random.Generator,
-) -> List[ThreadObservation]:
-    observations: List[ThreadObservation] = []
-    thread_id = 0
-    mix = spec.mix_histogram()
-    handler_names, probs = mix.keys_and_probs()
+    artifacts: ServiceArtifacts,
+) -> None:
+    """Probe the service's threads at ``connections`` connections.
+
+    Each observed call tree is looked up in (or added to) the service's
+    shape table, and the observation keeps only its shape number.
+    """
+    shapes = artifacts.thread_shapes
     for cls in spec.skeleton.thread_classes:
         if cls.role == "worker":
             count = (min(connections, spec.skeleton.max_connections)
@@ -494,24 +497,20 @@ def _thread_observations(
             # Observation noise: an extra frame shows up occasionally.
             if rng.random() < 0.2:
                 tree.add(CallTree("gettimeofday"))
-            trigger = {
-                ThreadTrigger.SOCKET: "socket",
-                ThreadTrigger.TIMER: "timer",
-                ThreadTrigger.CONDVAR: "condvar",
-                ThreadTrigger.SIGNAL: "signal",
-            }[cls.trigger]
-            observations.append(ThreadObservation(
-                thread_id=thread_id,
-                call_tree=tree,
-                spawned_by_clone=cls.scales_with_connections,
-                lifetime_fraction=(
-                    1.0 if not cls.scales_with_connections
-                    else float(rng.uniform(0.6, 1.0))),
-                wakeup_trigger=trigger,
-                connections_at_observation=connections,
+            try:
+                shape = shapes.index(tree)
+            except ValueError:
+                shape = len(shapes)
+                shapes.append(tree)
+            # A thread spawned per connection that lives for under 95%
+            # of the window is short-lived.
+            artifacts.threads.append(ThreadObservation(
+                shape=shape,
+                connections=connections,
+                trigger=cls.trigger.value,
+                short_lived=(cls.scales_with_connections
+                             and float(rng.uniform(0.6, 1.0)) < 0.95),
             ))
-            thread_id += 1
-    return observations
 
 
 def _collect_service_artifacts(
@@ -547,6 +546,7 @@ def _collect_service_artifacts(
         name: 1.0 for name in spec.program.handlers})
     names, probs = mix_hist.keys_and_probs()
     branch_done: set = set()
+    branch_pcs: set = set()
     wait_invocation = SyscallInvocation(spec.skeleton.wait_syscall())
     for seq in range(budget.sampled_requests):
         handler_name = str(names[rng.choice(len(names), p=probs)])
@@ -564,7 +564,7 @@ def _collect_service_artifacts(
                     weight = mix_hist.probability(handler_name)
                     _collect_branch_artifacts(
                         op.block, artifacts, budget, rng,
-                        executions_scale=max(weight, 1e-6))
+                        executions_scale=max(weight, 1e-6), pcs=branch_pcs)
                     _collect_dep_artifacts(op.block, artifacts, budget, rng)
             elif isinstance(op, SyscallOp):
                 artifacts.syscall_log.append((seq, op.invocation))
@@ -587,6 +587,7 @@ def _collect_service_artifacts(
         artifacts.instructions_per_request.append(request_instructions)
         artifacts.handler_of_request[seq] = handler_name
         artifacts.requests_observed += 1
+    artifacts.branches.static_sites = len(branch_pcs)
     # Reduce each region's sampled trace to its working-set statistics.
     for (side, _), accumulator in regions.items():
         if side == "d":
@@ -598,9 +599,8 @@ def _collect_service_artifacts(
         if stats is not None:
             found.append(stats)
     # Thread probing "experiments with different connections" (§4.3.2).
-    artifacts.threads.extend(_thread_observations(spec, connections, rng))
-    artifacts.threads.extend(
-        _thread_observations(spec, max(2, connections // 2), rng))
+    _observe_threads(spec, connections, rng, artifacts)
+    _observe_threads(spec, max(2, connections // 2), rng, artifacts)
     return artifacts
 
 
@@ -675,7 +675,7 @@ PROFILE_SCHEMA = "application-profile"
 #: payload version of the pickled ApplicationProfile layout, shared by
 #: every store of profiles (bump when the layout changes; files of any
 #: other version are misses)
-PROFILE_VERSION = 5
+PROFILE_VERSION = 6
 
 
 def save_profile(path: str, profile: ApplicationProfile) -> str:

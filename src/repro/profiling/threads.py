@@ -6,11 +6,12 @@ cluster's role, lifecycle, and trigger, and detects connection-scaling
 classes by comparing thread counts across the two connection settings the
 prober experimented with.
 
-Threads of one class usually share a call-tree shape, so a service's dozens of
-observations carry only a handful of distinct trees. The distance of two
-observations depends on their shapes alone; it is computed once per
-ordered pair of shapes and reused for every other pair of observations
-with the same shapes.
+Threads of one class usually share a call-tree shape, so a service's
+dozens of observations carry only a handful of distinct trees: the
+profile keeps one table of shapes, and each observation names its shape
+by number. The distance of two observations depends on their shapes
+alone; it is computed once per ordered pair of shape numbers and reused
+for every other pair of observations with the same shapes.
 """
 
 from __future__ import annotations
@@ -25,12 +26,6 @@ from repro.util.errors import ProfilingError
 
 #: normalised tree-edit distance below which threads share a class
 CLUSTER_THRESHOLD = 0.4
-
-
-def _shape_key(tree: CallTree) -> tuple:
-    """The nested ``(label, children)`` tuple of ``tree``: equal keys,
-    equal trees."""
-    return (tree.label, tuple(_shape_key(child) for child in tree.children))
 
 
 def _tree_labels(tree: CallTree) -> List[str]:
@@ -50,7 +45,6 @@ class ReconstructedThreadClass:
     scales_with_connections: bool
     trigger: str                      # "socket" | "timer" | ...
     short_lived: bool
-    representative_tree: CallTree = None
 
 
 @dataclass
@@ -77,43 +71,33 @@ def profile_thread_model(artifacts: ServiceArtifacts) -> ThreadModelProfile:
     if not artifacts.threads:
         raise ProfilingError(f"{artifacts.service}: no thread observations")
     observations = artifacts.threads
-    # Number each distinct shape; observation -> shape number.
-    shape_ids: Dict[tuple, int] = {}
-    shape_of: Dict[int, int] = {
-        id(obs): shape_ids.setdefault(_shape_key(obs.call_tree),
-                                      len(shape_ids))
-        for obs in observations
-    }
+    shapes = artifacts.thread_shapes
     memo: Dict[Tuple[int, int], float] = {}
 
     def distance(a: ThreadObservation, b: ThreadObservation) -> float:
-        pair = (shape_of[id(a)], shape_of[id(b)])
+        pair = (a.shape, b.shape)
         found = memo.get(pair)
         if found is None:
-            found = memo[pair] = normalized_tree_distance(a.call_tree,
-                                                          b.call_tree)
+            found = memo[pair] = normalized_tree_distance(shapes[a.shape],
+                                                          shapes[b.shape])
         return found
 
     # The clustering still sees every observation, in order, with the
     # same distances, so it sums linkages and merges exactly as before.
     clusters = agglomerative_cluster(
         observations, distance=distance, threshold=CLUSTER_THRESHOLD)
-    connection_settings = sorted(
-        {obs.connections_at_observation for obs in observations})
+    connection_settings = sorted({obs.connections for obs in observations})
     profile = ThreadModelProfile()
     for index, cluster in enumerate(clusters):
-        representative: ThreadObservation = cluster[0]
-        labels = _tree_labels(representative.call_tree)
+        labels = _tree_labels(shapes[cluster[0].shape])
         trigger_votes: Dict[str, int] = {}
         for obs in cluster:
-            trigger_votes[obs.wakeup_trigger] = (
-                trigger_votes.get(obs.wakeup_trigger, 0) + 1)
+            trigger_votes[obs.trigger] = trigger_votes.get(obs.trigger, 0) + 1
         trigger = max(trigger_votes, key=trigger_votes.get)
         role = _classify_role(labels, trigger)
         # Count per connection setting to detect scaling.
         counts_by_setting = {
-            setting: sum(1 for obs in cluster
-                         if obs.connections_at_observation == setting)
+            setting: sum(1 for obs in cluster if obs.connections == setting)
             for setting in connection_settings
         }
         scales = False
@@ -126,10 +110,8 @@ def profile_thread_model(artifacts: ServiceArtifacts) -> ThreadModelProfile:
                 scales = (high_count / low_count
                           > 0.5 * (high / max(1, low)))
         count = counts_by_setting.get(connection_settings[-1], len(cluster))
-        short_lived = (
-            sum(1 for obs in cluster if obs.spawned_by_clone
-                and obs.lifetime_fraction < 0.95) > len(cluster) / 2
-        )
+        short_lived = (sum(1 for obs in cluster if obs.short_lived)
+                       > len(cluster) / 2)
         profile.classes.append(ReconstructedThreadClass(
             name=f"class_{index}",
             role=role,
@@ -137,6 +119,5 @@ def profile_thread_model(artifacts: ServiceArtifacts) -> ThreadModelProfile:
             scales_with_connections=scales,
             trigger=trigger,
             short_lived=short_lived,
-            representative_tree=representative.call_tree,
         ))
     return profile

@@ -46,8 +46,6 @@ from repro.telemetry.registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    default_registry,
-    set_default_registry,
 )
 from repro.telemetry.session import Telemetry, WorkerTelemetry
 from repro.telemetry.spans import SpanCollector, span
@@ -66,7 +64,5 @@ __all__ = [
     "WorkerTelemetry",
     "chrome_trace",
     "current_session",
-    "default_registry",
-    "set_default_registry",
     "span",
 ]

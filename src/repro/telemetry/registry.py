@@ -26,8 +26,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "default_registry",
-    "set_default_registry",
 ]
 
 #: hard ceiling on distinct label-value combinations per metric — a
@@ -419,18 +417,3 @@ def _fmt_value(value: float) -> str:
         return str(as_int)
     return repr(value)
 
-
-_default_registry = MetricsRegistry()
-
-
-def default_registry() -> MetricsRegistry:
-    """The process-global registry (ambient instrumentation target)."""
-    return _default_registry
-
-
-def set_default_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Replace the process-global registry; returns the previous one."""
-    global _default_registry
-    previous = _default_registry
-    _default_registry = registry
-    return previous

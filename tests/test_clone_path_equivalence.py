@@ -1,9 +1,12 @@
 """Bit-identity proofs for the clone critical path.
 
-Five per-tier computations are done once instead of many times:
+Several per-tier computations are done once instead of many times, and
+profiles keep what their readers read instead of raw observations:
 
-* thread clustering memoises the tree-edit distance per pair of
-  call-tree shapes;
+* the profiler keeps one table of distinct thread call-tree shapes and
+  one (shape number, connections, trigger, short-lived) record per
+  observation, and thread clustering memoises the tree-edit distance
+  per pair of shape numbers;
 * average-linkage clustering keeps a cluster-pair linkage matrix and
   recomputes only the merged cluster's row and column;
 * register assignment draws every distance target of an allocation in
@@ -13,14 +16,16 @@ Five per-tier computations are done once instead of many times:
 * the profiler keeps the sampled instruction stream as a per-iform
   table (count, REP sum, REP samples) instead of the raw samples;
 * the profiler reduces each sampled address trace to its working-set
-  statistics, and each branch site's outcome history to its taken and
-  transition rates, as it collects them;
+  statistics as it collects it, and tallies each branch site's rate bin
+  and weighted taken and transition rates as it measures them;
 * the profiler tallies each sampled dependency tuple into per-kind
   distance-bin counts and a pointer-chase count as it draws it.
 
 Each must change no result. The references below are copies of the
 code paths they replaced, kept here (not in ``src/``) as the oracle;
-the pricing digest was captured with the per-call core model.
+the raw observations they reduce are replayed from the profiler's own
+draws, and the pricing digest was captured with the per-call core
+model.
 """
 
 import copy
@@ -43,14 +48,19 @@ from repro.core.regalloc import (
     RegisterAssignment,
     assign_registers,
 )
+from repro.hw.branch import generate_branch_outcomes
 from repro.hw.ir import DEP_DISTANCE_BINS, DependencyProfile
 from repro.analysis.clustering import hierarchical_feature_clusters
 from repro.isa.instructions import feature_vector, iform
 from repro.isa.registers import RegisterFile
 from repro.profiling import collector
-from repro.profiling.artifacts import ServiceArtifacts, ThreadObservation
+from repro.profiling.artifacts import (
+    BranchTally,
+    ServiceArtifacts,
+    ThreadObservation,
+)
 from repro.hw.cache import LINE_BYTES
-from repro.profiling.branches import BranchProfile, RateBin
+from repro.profiling.branches import BranchProfile, RateBin, profile_branches
 from repro.profiling.deps import (
     DependencyDistanceProfile,
     profile_dependencies,
@@ -81,12 +91,24 @@ from repro.util.stats import Histogram
 
 
 # --------------------------------------------------------------------- #
-# thread clustering: all-pairs reference
+# thread clustering: all-pairs reference over per-observation call trees
 # --------------------------------------------------------------------- #
-def reference_thread_model(artifacts: ServiceArtifacts) -> ThreadModelProfile:
-    """The all-pairs :func:`profile_thread_model`: one tree-edit
-    distance per pair of observations."""
-    observations = artifacts.threads
+@dataclass
+class ReferenceThread:
+    """One observed thread as profiles used to carry it: its own call
+    tree plus the kernel-event evidence."""
+
+    call_tree: CallTree
+    spawned_by_clone: bool
+    lifetime_fraction: float
+    wakeup_trigger: str
+    connections_at_observation: int
+
+
+def reference_thread_model(observations: List[ReferenceThread],
+                           ) -> ThreadModelProfile:
+    """The all-pairs :func:`profile_thread_model` over per-observation
+    call trees: one tree-edit distance per pair of observations."""
     clusters = agglomerative_cluster(
         observations,
         distance=lambda a, b: normalized_tree_distance(a.call_tree,
@@ -97,7 +119,7 @@ def reference_thread_model(artifacts: ServiceArtifacts) -> ThreadModelProfile:
         {obs.connections_at_observation for obs in observations})
     profile = ThreadModelProfile()
     for index, cluster in enumerate(clusters):
-        representative: ThreadObservation = cluster[0]
+        representative: ReferenceThread = cluster[0]
         labels = _tree_labels(representative.call_tree)
         trigger_votes: Dict[str, int] = {}
         for obs in cluster:
@@ -130,19 +152,98 @@ def reference_thread_model(artifacts: ServiceArtifacts) -> ThreadModelProfile:
             scales_with_connections=scales,
             trigger=trigger,
             short_lived=short_lived,
-            representative_tree=representative.call_tree,
         ))
     return profile
 
 
 def _class_fields(profile: ThreadModelProfile):
     return [(cls.name, cls.role, cls.count, cls.scales_with_connections,
-             cls.trigger, cls.short_lived, cls.representative_tree)
+             cls.trigger, cls.short_lived)
             for cls in profile.classes]
 
 
 def _shape(tree: CallTree):
     return (tree.label, tuple(_shape(child) for child in tree.children))
+
+
+def _copy_tree(tree: CallTree) -> CallTree:
+    return CallTree(tree.label, [_copy_tree(c) for c in tree.children])
+
+
+def _reduce_threads(service: str,
+                    observations: List[ReferenceThread]) -> ServiceArtifacts:
+    """The observations as profiles store them: the distinct call-tree
+    shapes in first-seen order, and one record per observation."""
+    artifacts = ServiceArtifacts(service=service)
+    numbers: Dict[tuple, int] = {}
+    for obs in observations:
+        key = _shape(obs.call_tree)
+        if key not in numbers:
+            numbers[key] = len(artifacts.thread_shapes)
+            artifacts.thread_shapes.append(_copy_tree(obs.call_tree))
+        artifacts.threads.append(ThreadObservation(
+            shape=numbers[key],
+            connections=obs.connections_at_observation,
+            trigger=obs.wakeup_trigger,
+            short_lived=(obs.spawned_by_clone
+                         and obs.lifetime_fraction < 0.95)))
+    return artifacts
+
+
+def _threads_match(artifacts: ServiceArtifacts,
+                   observations: List[ReferenceThread]) -> bool:
+    """Whether the shape table and records are the observations'
+    reduction, and cluster into the all-pairs reference's classes."""
+    reduced = _reduce_threads(artifacts.service, observations)
+    return (artifacts.thread_shapes == reduced.thread_shapes
+            and artifacts.threads == reduced.threads
+            and _class_fields(profile_thread_model(artifacts))
+            == _class_fields(reference_thread_model(observations)))
+
+
+def _recording_thread_prober(found: Dict[str, List[ReferenceThread]]):
+    """:func:`collector._observe_threads`, also logging each observation
+    with its own call tree (replayed on a copy of the profiler's
+    generator, as the per-observation collector drew them)."""
+    observe = collector._observe_threads
+
+    def recording(spec, connections, rng, artifacts):
+        replay = copy.deepcopy(rng)
+        observed = found.setdefault(artifacts.service, [])
+        for cls in spec.skeleton.thread_classes:
+            if cls.role == "worker":
+                count = (min(connections, spec.skeleton.max_connections)
+                         if cls.scales_with_connections else cls.count)
+            else:
+                count = cls.count
+            for _ in range(max(1, count)):
+                if cls.role == "worker":
+                    tree = collector._call_tree_for_worker(spec)
+                elif cls.role == "acceptor":
+                    tree = CallTree.from_nested(
+                        ("thread_loop",
+                         [(spec.skeleton.wait_syscall(), []),
+                          ("accept", []), ("epoll_ctl", [])]))
+                else:
+                    tree = CallTree.from_nested(
+                        ("thread_loop",
+                         [("nanosleep", []),
+                          (f"fn_{int(replay.integers(0, 99991)):05d}",
+                           [])]))
+                if replay.random() < 0.2:
+                    tree.add(CallTree("gettimeofday"))
+                observed.append(ReferenceThread(
+                    call_tree=tree,
+                    spawned_by_clone=cls.scales_with_connections,
+                    lifetime_fraction=(
+                        1.0 if not cls.scales_with_connections
+                        else float(replay.uniform(0.6, 1.0))),
+                    wakeup_trigger=cls.trigger.value,
+                    connections_at_observation=connections,
+                ))
+        observe(spec, connections, rng, artifacts)
+
+    return recording
 
 
 def _counting_treedit(monkeypatch):
@@ -161,8 +262,9 @@ def _counting_treedit(monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def socialnet_artifacts():
-    """Smoke-scale profile of the 4-node social network."""
+def socialnet_threads():
+    """Smoke-scale profile of the 4-node social network: ``[(artifacts,
+    observations with their call trees)]`` per tier."""
     from repro import (ExperimentConfig, LoadSpec, PLATFORM_A,
                        build_social_network, social_network_deployment)
     from repro.profiling import ProfilingBudget, profile_deployment
@@ -170,13 +272,17 @@ def socialnet_artifacts():
     names = list(build_social_network())
     deployment = social_network_deployment(
         placement={name: f"node{i % 4}" for i, name in enumerate(names)})
-    profile = profile_deployment(
-        deployment, LoadSpec.open_loop(2_000),
-        ExperimentConfig(platform=PLATFORM_A, duration_s=0.05, seed=7),
-        budget=ProfilingBudget(sampled_requests=8,
-                               profile_duration_s=0.015),
-        seed=7)
-    return [profile.artifacts(name) for name in names]
+    observed: Dict[str, List[ReferenceThread]] = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(collector, "_observe_threads",
+                      _recording_thread_prober(observed))
+        profile = profile_deployment(
+            deployment, LoadSpec.open_loop(2_000),
+            ExperimentConfig(platform=PLATFORM_A, duration_s=0.05, seed=7),
+            budget=ProfilingBudget(sampled_requests=8,
+                                   profile_duration_s=0.015),
+            seed=7)
+    return [(profile.artifacts(name), observed[name]) for name in names]
 
 
 def _random_tree(rng, depth=0) -> CallTree:
@@ -189,51 +295,66 @@ def _random_tree(rng, depth=0) -> CallTree:
     return tree
 
 
-def _copy_tree(tree: CallTree) -> CallTree:
-    return CallTree(tree.label, [_copy_tree(c) for c in tree.children])
-
-
-def _duplicate_heavy_artifacts(seed: int, shapes: int,
-                               threads: int) -> ServiceArtifacts:
+def _duplicate_heavy_threads(seed: int, shapes: int,
+                             threads: int) -> List[ReferenceThread]:
     """Many observations over a few shapes; every tree a fresh object."""
     rng = np.random.default_rng(seed)
     pool = [_random_tree(rng) for _ in range(shapes)]
-    artifacts = ServiceArtifacts(service=f"synthetic-{seed}")
-    for thread_id in range(threads):
-        artifacts.threads.append(ThreadObservation(
-            thread_id=thread_id,
+    return [
+        ReferenceThread(
             call_tree=_copy_tree(pool[int(rng.integers(0, shapes))]),
             spawned_by_clone=bool(rng.random() < 0.5),
             lifetime_fraction=float(rng.choice([0.3, 0.9, 1.0])),
             wakeup_trigger=str(rng.choice(["socket", "timer", "condvar"])),
             connections_at_observation=int(rng.choice([16, 32])),
-        ))
-    return artifacts
+        )
+        for _ in range(threads)]
 
 
 class TestThreadModelEquivalence:
-    def test_socialnet_profile_matches_all_pairs(self, socialnet_artifacts,
+    def test_socialnet_profile_matches_all_pairs(self, socialnet_threads,
                                                  monkeypatch):
         calls = _counting_treedit(monkeypatch)
-        for artifacts in socialnet_artifacts:
+        for artifacts, observed in socialnet_threads:
             calls[0] = 0
-            got = profile_thread_model(artifacts)
-            shapes = {_shape(obs.call_tree) for obs in artifacts.threads}
-            assert calls[0] <= len(shapes) ** 2, artifacts.service
-            assert _class_fields(got) == \
-                _class_fields(reference_thread_model(artifacts))
+            profile_thread_model(artifacts)
+            assert calls[0] <= len(artifacts.thread_shapes) ** 2, \
+                artifacts.service
+            assert _threads_match(artifacts, observed), artifacts.service
 
     @pytest.mark.parametrize("seed,shapes,threads", [
         (1, 1, 12), (2, 3, 50), (3, 5, 80), (4, 8, 40), (5, 2, 3),
     ])
     def test_duplicate_heavy_observations(self, seed, shapes, threads,
                                           monkeypatch):
-        artifacts = _duplicate_heavy_artifacts(seed, shapes, threads)
-        distinct = {_shape(obs.call_tree) for obs in artifacts.threads}
-        want = _class_fields(reference_thread_model(artifacts))
+        observed = _duplicate_heavy_threads(seed, shapes, threads)
+        artifacts = _reduce_threads(f"synthetic-{seed}", observed)
+        want = _class_fields(reference_thread_model(observed))
         calls = _counting_treedit(monkeypatch)
         assert _class_fields(profile_thread_model(artifacts)) == want
-        assert calls[0] <= len(distinct) ** 2
+        assert calls[0] <= len(artifacts.thread_shapes) ** 2
+
+    def test_permuted_tables_fail_the_comparison(self, socialnet_threads):
+        several = [(artifacts, observed)
+                   for artifacts, observed in socialnet_threads
+                   if len(artifacts.thread_shapes) >= 2]
+        assert several
+        changed_classes = set()
+        for artifacts, observed in several:
+            for permuted in (
+                    dataclasses.replace(
+                        artifacts,
+                        thread_shapes=artifacts.thread_shapes[::-1]),
+                    dataclasses.replace(
+                        artifacts, threads=artifacts.threads[::-1])):
+                assert not _threads_match(permuted, observed), \
+                    artifacts.service
+                if (_class_fields(profile_thread_model(permuted))
+                        != _class_fields(profile_thread_model(artifacts))):
+                    changed_classes.add(artifacts.service)
+        # The classes themselves depend on both orders, not only the
+        # table comparison.
+        assert changed_classes
 
 
 # --------------------------------------------------------------------- #
@@ -841,13 +962,38 @@ def _recording_finalize(traces: Dict[int, ReferenceRegionTrace]):
     return recording
 
 
-def _recording_outcomes(outcomes: List[np.ndarray]):
-    generate = collector.generate_branch_outcomes
+def _recording_branch_sampler(found: Dict[str, List[ReferenceBranchSite]]):
+    """:func:`collector._collect_branch_artifacts`, also logging each
+    site's address, outcome history and weight (replayed on a copy of
+    the profiler's generator, as the per-site collector drew them)."""
+    sample_sites = collector._collect_branch_artifacts
 
-    def recording(taken, transition, length, rng):
-        drawn = generate(taken, transition, length, rng)
-        outcomes.append(drawn.copy())
-        return drawn
+    def recording(block, artifacts, budget, rng, executions_scale, pcs):
+        replay = copy.deepcopy(rng)
+        sites = found.setdefault(artifacts.service, [])
+        code_base = (collector._name_hash(block.name) % (1 << 24)) << 8
+        for pop_index, population in enumerate(block.branches):
+            executions = population.executions * max(1.0, block.iterations)
+            if executions <= 0:
+                continue
+            count = int(min(budget.max_sites_per_population,
+                            population.static_count))
+            weight = executions * executions_scale / count
+            for site in range(count):
+                taken = float(np.clip(
+                    population.taken_rate + replay.normal(0, 0.02),
+                    0.0, 1.0))
+                trans = float(np.clip(
+                    population.transition_rate + replay.normal(0, 0.02),
+                    0.0, 1.0))
+                sites.append(ReferenceBranchSite(
+                    pc=code_base + 64 * (pop_index * 97 + site),
+                    outcomes=generate_branch_outcomes(
+                        taken, trans, budget.branch_outcomes_per_site,
+                        replay),
+                    executions_weight=weight))
+        sample_sites(block, artifacts, budget, rng,
+                     executions_scale=executions_scale, pcs=pcs)
 
     return recording
 
@@ -913,23 +1059,26 @@ def _trace_deployments():
 
 @pytest.fixture(scope="module")
 def trace_profiles():
-    """``{workload: (profile, traces by stats id, sites by service,
-    dependency tuples by service)}``."""
+    """``{workload: (profile, traces by stats id, branch sites by
+    service, dependency tuples by service, threads by service)}``."""
     from repro import ExperimentConfig, PLATFORM_A
     from repro.profiling import ProfilingBudget, profile_deployment
 
     found = {}
     for workload, (deployment, load) in _trace_deployments().items():
         traces: Dict[int, ReferenceRegionTrace] = {}
-        outcomes: List[np.ndarray] = []
+        sites: Dict[str, List[ReferenceBranchSite]] = {}
         dep_samples: Dict[str, List[DepTuple]] = {}
+        threads: Dict[str, List[ReferenceThread]] = {}
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(collector._RegionAccumulator, "finalize",
                           _recording_finalize(traces))
-            patch.setattr(collector, "generate_branch_outcomes",
-                          _recording_outcomes(outcomes))
+            patch.setattr(collector, "_collect_branch_artifacts",
+                          _recording_branch_sampler(sites))
             patch.setattr(collector, "_collect_dep_artifacts",
                           _recording_dep_sampler(dep_samples))
+            patch.setattr(collector, "_observe_threads",
+                          _recording_thread_prober(threads))
             profile = profile_deployment(
                 deployment, load,
                 ExperimentConfig(platform=PLATFORM_A, duration_s=0.02,
@@ -937,18 +1086,7 @@ def trace_profiles():
                 budget=ProfilingBudget(sampled_requests=8,
                                        profile_duration_s=0.015),
                 seed=7)
-        # Services are profiled in order, each drawing its sites' outcome
-        # histories in the order it lists the sites.
-        sites: Dict[str, List[ReferenceBranchSite]] = {}
-        for name, artifacts in profile.services.items():
-            drawn, outcomes = (outcomes[:len(artifacts.branch_sites)],
-                               outcomes[len(artifacts.branch_sites):])
-            sites[name] = [
-                ReferenceBranchSite(site.pc, history,
-                                    site.executions_weight)
-                for site, history in zip(artifacts.branch_sites, drawn)]
-        assert not outcomes
-        found[workload] = (profile, traces, sites, dep_samples)
+        found[workload] = (profile, traces, sites, dep_samples, threads)
     return found
 
 
@@ -980,7 +1118,7 @@ def _hexed(value):
 class TestRegionStatsEquivalence:
     @pytest.mark.parametrize("workload", sorted(_trace_deployments()))
     def test_features_match_trace_reducers(self, trace_profiles, workload):
-        profile, traces, sites, _ = trace_profiles[workload]
+        profile, traces, sites, _, _ = trace_profiles[workload]
         for name, artifacts in profile.services.items():
             data = [traces[id(region)] for region in artifacts.data_regions]
             instr = [traces[id(region)]
@@ -992,7 +1130,7 @@ class TestRegionStatsEquivalence:
     def test_every_reducer_is_exercised(self, trace_profiles):
         features = [
             extract_service_features(artifacts)
-            for profile, _, _, _ in trace_profiles.values()
+            for profile, _, _, _, _ in trace_profiles.values()
             for artifacts in profile.services.values()]
         assert any(f.shared_ratio > 0 for f in features)
         assert any(f.chase_ratio_large > 0 for f in features)
@@ -1004,7 +1142,7 @@ class TestRegionStatsEquivalence:
 class TestDependencyTallyEquivalence:
     @pytest.mark.parametrize("workload", sorted(_trace_deployments()))
     def test_tallies_match_raw_samples(self, trace_profiles, workload):
-        profile, _, _, dep_samples = trace_profiles[workload]
+        profile, _, _, dep_samples, _ = trace_profiles[workload]
         assert set(dep_samples) == set(profile.services)
         for name, artifacts in profile.services.items():
             samples = dep_samples[name]
@@ -1012,6 +1150,95 @@ class TestDependencyTallyEquivalence:
             oracle = reference_dependencies(samples)
             assert _hexed(profile_dependencies(artifacts)) == \
                 _hexed(oracle), name
+
+
+# --------------------------------------------------------------------- #
+# profiles carry a shape table and a branch tally, not per-thread call
+# trees and per-site records
+# --------------------------------------------------------------------- #
+#: the 4-node social network profiled by :func:`trace_profiles`: its
+#: RPC edges as the span reducer computed them (profile version 5)
+TRACE_SOCIALNET_EDGES = [
+    ("frontend", "user-timeline-service", 13),
+    ("frontend", "home-timeline-service", 12),
+    ("frontend", "compose-post-service", 3),
+    ("user-timeline-service", "post-storage-service", 13),
+    ("home-timeline-service", "social-graph-service", 12),
+    ("home-timeline-service", "post-storage-service", 12),
+    ("social-graph-service", "socialgraph-redis", 15),
+    ("compose-post-service", "text-service", 3),
+    ("compose-post-service", "unique-id-service", 3),
+    ("compose-post-service", "media-service", 3),
+    ("compose-post-service", "user-service", 3),
+    ("compose-post-service", "post-storage-service", 3),
+    ("compose-post-service", "write-home-timeline-service", 3),
+    ("text-service", "url-shorten-service", 3),
+    ("text-service", "user-mention-service", 3),
+    ("write-home-timeline-service", "social-graph-service", 3),
+]
+
+
+def _tally(sites: List[ReferenceBranchSite]) -> BranchTally:
+    """The sites' tally, added in the order given."""
+    tally = BranchTally(static_sites=len({site.pc for site in sites}))
+    for site in sites:
+        tally.add(site.taken_rate, site.transition_rate,
+                  site.executions_weight)
+    return tally
+
+
+class TestShapeTableAndBranchTally:
+    @pytest.mark.parametrize("workload", sorted(_trace_deployments()))
+    def test_profile_matches_per_observation_reducers(self, trace_profiles,
+                                                      workload):
+        profile, _, sites, _, threads = trace_profiles[workload]
+        assert set(threads) == set(sites) == set(profile.services)
+        for name, artifacts in profile.services.items():
+            assert _threads_match(artifacts, threads[name]), name
+            assert _hexed(profile_branches(artifacts)) == \
+                _hexed(reference_branches(sites[name])), name
+        topology = profile.topology
+        if workload == "socialnet":
+            assert topology.tiers == SEED7_TIERS
+            assert topology.edges == TRACE_SOCIALNET_EDGES
+        else:
+            assert topology.tiers == list(profile.services)
+            assert topology.edges == []
+
+    def test_permuted_tally_fails_the_comparison(self, trace_profiles):
+        profile, traces, sites, _, _ = trace_profiles["socialnet"]
+        permuted = 0
+        for name, artifacts in profile.services.items():
+            data = [traces[id(region)] for region in artifacts.data_regions]
+            instr = [traces[id(region)]
+                     for region in artifacts.instr_regions]
+            oracle = _hexed(reference_features(artifacts, data, instr,
+                                               sites[name]))
+            in_order = dataclasses.replace(artifacts,
+                                           branches=_tally(sites[name]))
+            assert _hexed(extract_service_features(in_order)) == oracle
+            if len(_tally(sites[name]).rates.counts) < 2:
+                continue
+            reordered = dataclasses.replace(
+                artifacts, branches=_tally(sites[name][::-1]))
+            assert _hexed(extract_service_features(reordered)) != oracle, \
+                name
+            permuted += 1
+        assert permuted
+
+    def test_clone_benchmark_profile_is_at_most_200_kb(self, tmp_path):
+        # The seed-7 4-node social network at the clone benchmark's
+        # budget: 239,392 B on disk while profiles carried one call tree
+        # per thread observation and one record per branch site.
+        from repro.profiling import profile_deployment
+        from repro.profiling.collector import save_profile
+
+        deployment, load, config, budget, _, _ = _topology_profiles()[7]
+        profile = profile_deployment(deployment, load, config,
+                                     budget=budget, seed=17)
+        path = tmp_path / "profile.pkl"
+        save_profile(str(path), profile)
+        assert path.stat().st_size <= 200_000
 
 
 # --------------------------------------------------------------------- #

@@ -155,6 +155,49 @@ class TestRegenerationFromBundle:
                 != stable_digest(tuned_clone.synthetic.services["memcached"]))
 
 
+class TestGeneratorSwitches:
+    def test_bundle_regenerates_stage_clone_bit_for_bit(self, tmp_path):
+        # A clone generated with the Fig. 9 "branch" stage regenerated
+        # from its bundle as the full-stage program (14 blocks against
+        # the clone's 8) while bundles recorded only knobs and seeds.
+        request = CloneRequest(
+            deployment=Deployment.single(build_memcached()),
+            load=LoadSpec.open_loop(100_000),
+            config=ExperimentConfig(platform=PLATFORM_A, duration_s=0.02,
+                                    seed=5),
+            fine_tune_tiers=True, max_tune_iterations=3,
+            budget=ProfilingBudget(sampled_requests=8,
+                                   profile_duration_s=0.015),
+            generator_config=GeneratorConfig.stage("branch"))
+        result = DittoCloner(executor="serial").clone(request)
+        report = result.report
+        path = tmp_path / "stage.json"
+        save_bundle(report.features, path, entry_service="memcached",
+                    tuned_knobs={name: tuning.knobs
+                                 for name, tuning in report.tuning.items()},
+                    generator_seeds=report.generator_seeds,
+                    generator_config=request.generator_config)
+        assert (stable_digest(deployment_from_bundle(path))
+                == stable_digest(result.synthetic))
+        document = json.loads(path.read_text())
+        assert document["generator"] == {
+            "instruction_memory": False, "data_memory": False,
+            "data_dependencies": False}
+
+    def test_default_switches_keep_bundle_bytes(self, tuned_clone,
+                                                tmp_path):
+        report = tuned_clone.report
+        plain, explicit = tmp_path / "plain.json", tmp_path / "explicit.json"
+        _save_clone(tuned_clone, plain)
+        save_bundle(report.features, explicit, entry_service="memcached",
+                    tuned_knobs={name: tuning.knobs
+                                 for name, tuning in report.tuning.items()},
+                    generator_seeds=report.generator_seeds,
+                    generator_config=GeneratorConfig(seed=3))
+        assert plain.read_bytes() == explicit.read_bytes()
+        assert "generator" not in json.loads(plain.read_text())
+
+
 class TestConfidentiality:
     def test_no_original_identifiers_leak(self, memcached_setup,
                                           bundle_path):

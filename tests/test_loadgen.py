@@ -1,16 +1,12 @@
-"""Unit tests for load generators and distributions."""
+"""Unit tests for load generators."""
 
 import numpy as np
 import pytest
 
 from repro.loadgen import (
     ClosedLoopGenerator,
-    ConstantInterarrival,
-    ExponentialInterarrival,
     LoadSpec,
     OpenLoopGenerator,
-    UniformKeys,
-    ZipfKeys,
 )
 from repro.sim import Environment
 from repro.util.errors import ConfigurationError
@@ -31,41 +27,6 @@ def _echo_submit(env, service_time=0.001):
         return response
 
     return submit
-
-
-class TestDistributions:
-    def test_exponential_mean_rate(self):
-        rng = np.random.default_rng(0)
-        gen = ExponentialInterarrival(1000.0, rng)
-        gaps = [gen.next_gap() for _ in range(5000)]
-        assert np.mean(gaps) == pytest.approx(1e-3, rel=0.1)
-
-    def test_constant_gap(self):
-        gen = ConstantInterarrival(100.0)
-        assert gen.next_gap() == pytest.approx(0.01)
-
-    def test_uniform_keys_cover_space(self):
-        rng = np.random.default_rng(1)
-        gen = UniformKeys(10, rng)
-        seen = {gen.next_key() for _ in range(500)}
-        assert seen == set(range(10))
-
-    def test_zipf_head_heavier_than_tail(self):
-        rng = np.random.default_rng(2)
-        gen = ZipfKeys(1000, rng, s=0.99)
-        draws = [gen.next_key() for _ in range(5000)]
-        head = sum(1 for key in draws if key < 10)
-        tail = sum(1 for key in draws if key >= 990)
-        assert head > 10 * max(1, tail)
-
-    def test_invalid_parameters(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ConfigurationError):
-            ExponentialInterarrival(0.0, rng)
-        with pytest.raises(ConfigurationError):
-            UniformKeys(0, rng)
-        with pytest.raises(ConfigurationError):
-            ZipfKeys(10, rng, s=0.0)
 
 
 class TestLoadSpec:

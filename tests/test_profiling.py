@@ -198,7 +198,7 @@ class TestProfilePersistence:
         assert len(pickle.dumps(profile)) < 1_000_000
         for artifacts in profile.services.values():
             for record in (artifacts.data_regions + artifacts.instr_regions
-                           + artifacts.branch_sites):
+                           + artifacts.threads + [artifacts.branches]):
                 assert not any(isinstance(value, np.ndarray)
                                for value in vars(record).values())
 
