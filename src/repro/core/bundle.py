@@ -329,13 +329,14 @@ def save_bundle(
     leaves the previous bundle, never half of the new one. Pass the
     fine-tuner's per-tier knobs as ``tuned_knobs`` and the clone
     report's ``generator_seeds`` and the request's ``generator_config``
-    so consumers regenerate the clone bit for bit, and the profiling
-    platform as ``source_platform`` so migration preflight knows where
-    the ``target_counters`` were tuned. The seed and platform stanzas
-    are only added when given, and the generator stanza only holds the
-    stage switches and ``max_blocks`` that differ from
-    ``GeneratorConfig()`` — bundles written without them keep their
-    historical bytes exactly.
+    so consumers regenerate the clone bit for bit (a tier without tuned
+    knobs records the request's knobs when they are not the defaults),
+    and the profiling platform as ``source_platform`` so migration
+    preflight knows where the ``target_counters`` were tuned. The seed
+    and platform stanzas are only added when given, and the generator
+    stanza only holds the stage switches and ``max_blocks`` that differ
+    from ``GeneratorConfig()`` — bundles written without them keep
+    their historical bytes exactly.
     """
     if entry_service not in features_by_service:
         raise ConfigurationError(
@@ -344,6 +345,12 @@ def save_bundle(
         if name not in features_by_service:
             raise ConfigurationError(
                 f"tuned knobs or seed for unknown tier {name!r}")
+    knobs = dict(tuned_knobs or {})
+    if generator_config is not None \
+            and generator_config.knobs != TuningKnobs():
+        # An untuned tier was generated with the request's own knobs.
+        for name in features_by_service:
+            knobs.setdefault(name, generator_config.knobs)
     document = {
         "format": BUNDLE_FORMAT,
         "version": BUNDLE_VERSION,
@@ -354,8 +361,8 @@ def save_bundle(
             for name, features in features_by_service.items()
         },
         "tuned_knobs": {
-            name: dataclasses.asdict(knobs)
-            for name, knobs in (tuned_knobs or {}).items()
+            name: dataclasses.asdict(vector)
+            for name, vector in knobs.items()
         },
     }
     if generator_seeds:

@@ -11,24 +11,20 @@ that shapes the clone, comes from one
 :class:`~repro.core.request.CloneRequest`, resolved once on entry; the
 cloner itself holds only execution infrastructure.
 
-The per-tier stage runs through :mod:`repro.core.pipeline`: tiers fan
-out across a process pool (or a serial loop — see ``executor``), each
-with deterministically derived seeds and a private
-:class:`~repro.runtime.expcache.ExperimentCache` memoizing its tuning
-measurements, so parallel and serial clones are bit-identical.
-
-A gated clone on the process executor also takes the fidelity gate's
-replay of the original off its critical path: that replay depends only
-on the request, so it runs in a one-worker pool while profiling and the
-tier fan-out run (see :class:`_EarlyBaseline`).
+A clone on the process executor runs on one
+:class:`~repro.runtime.pool.WorkerPool`, remediation rungs included:
+profiling collects tier artifacts in it, the per-tier stage
+(:mod:`repro.core.pipeline`) runs there, and the fidelity gate replays
+the original there while this process replays the clone. Every stage
+is a pure function of its inputs, so process and serial clones are
+bit-identical.
 """
 
 from __future__ import annotations
 
 import contextlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Union
 
 from repro.app.service import Deployment, Placement, ServiceSpec
 from repro.core.features import ServiceFeatures
@@ -37,17 +33,15 @@ from repro.core.pipeline import (
     EXECUTOR_MODES,
     TierTask,
     derive_tier_seed,
-    resolve_executor,
     run_tier_pipeline,
 )
 from repro.core.request import CloneRequest
-from repro.loadgen.generator import LoadSpec
 from repro.profiling.collector import ApplicationProfile, profile_deployment
 from repro.runtime.expcache import CacheStats
-from repro.runtime.experiment import ExperimentConfig, run_experiment
-from repro.runtime.metrics import RunResult
+from repro.runtime.experiment import ExperimentConfig
+from repro.runtime.pool import WorkerPool, worker_pool
 from repro.telemetry.context import current_session
-from repro.telemetry.session import Telemetry, WorkerTelemetry
+from repro.telemetry.session import Telemetry
 from repro.telemetry.spans import span
 from repro.tracing.graph import Topology
 from repro.util.errors import (
@@ -125,65 +119,6 @@ class CloneObserver:
         """Called when a remediation rung has been planned."""
 
 
-def _replay_original(
-    deployment: Deployment, load: LoadSpec, config: ExperimentConfig,
-    collect_telemetry: bool,
-) -> Tuple[RunResult, Optional[WorkerTelemetry]]:
-    """The fidelity gate's replay of the original, in a pool worker."""
-    if not collect_telemetry:
-        return run_experiment(deployment, load, config), None
-    session = Telemetry.for_worker()
-    session.activate()
-    try:
-        result = run_experiment(deployment, load, config)
-    finally:
-        session.deactivate()
-    return result, session.payload()
-
-
-class _EarlyBaseline:
-    """Attempt 0's replay of the original, started before profiling.
-
-    The gate's original replay depends only on the request, so a gated
-    process-executor clone runs it in a one-worker pool of its own and
-    profiles meanwhile. The gate uses it only on attempt 0 and only for
-    the inputs it was started with; remediation rungs, a worker that
-    dies and a replay that raises all replay inline, as serial clones
-    always do.
-    """
-
-    def __init__(self, deployment: Deployment, load: LoadSpec,
-                 config: ExperimentConfig,
-                 telemetry: Optional[Telemetry]) -> None:
-        self.inputs = (deployment, load, config)
-        self._telemetry = telemetry
-        self._pool = ProcessPoolExecutor(max_workers=1)
-        self._future = self._pool.submit(
-            _replay_original, deployment, load, config,
-            telemetry is not None)
-
-    def replays(self, deployment: Deployment, load: LoadSpec,
-                config: ExperimentConfig) -> bool:
-        """Whether this is the replay of these gate inputs."""
-        started_with, started_load, started_config = self.inputs
-        return (deployment is started_with and load == started_load
-                and config == started_config)
-
-    def result(self) -> Optional[RunResult]:
-        """Wait for the replay; None when the worker failed."""
-        try:
-            result, payload = self._future.result()
-        except Exception:  # noqa: BLE001 — a broken pool or a raising run
-            return None
-        if self._telemetry is not None:
-            self._telemetry.absorb(payload)
-        return result
-
-    def close(self) -> None:
-        """Stop the pool; waits out a replay still running."""
-        self._pool.shutdown(wait=True, cancel_futures=True)
-
-
 class DittoCloner:
     """The automated cloning framework.
 
@@ -193,8 +128,9 @@ class DittoCloner:
     changes clone output. All parameters are keyword-only and validated
     here, so a bad setting fails at construction.
 
-    ``executor`` selects how the per-tier stage fans out: ``"process"``
-    (pool of worker processes), ``"serial"``, or ``"auto"`` (the
+    ``executor`` selects how the clone fans out: ``"process"`` (one
+    pool of worker processes for the whole call, shared by profiling,
+    the per-tier stage and the gate), ``"serial"``, or ``"auto"`` (the
     default: a process pool whenever there is more than one tier and
     more than one CPU, else serial).
 
@@ -202,7 +138,8 @@ class DittoCloner:
     the pipeline gives up with a
     :class:`~repro.util.errors.TierExecutionError` (which still carries
     the sibling tiers' finished outcomes); a broken worker pool falls
-    back to serial for the tiers it had not finished.
+    back to serial for the work it had not finished and for the rest
+    of the clone.
     ``checkpoint_dir`` persists each finished tier outcome to disk so a
     killed clone resumes from where it stopped instead of re-running
     completed tiers.
@@ -292,18 +229,7 @@ class DittoCloner:
         ``config.platform`` — the synthetic deployment then runs on any
         platform or load without reprofiling.
         """
-        request = self._resolve(request)
-        with self._observed(), self._early_baseline(request) as baseline:
-            self._phase("profiling")
-            with span("profiling",
-                      service=request.deployment.entry_service,
-                      tiers=len(request.deployment.services)):
-                profile = profile_deployment(
-                    request.deployment, request.load, request.config,
-                    budget=request.budget, seed=request.seed,
-                )
-            return self._clone_from_profile(profile, request,
-                                            baseline=baseline)
+        return self._clone(self._resolve(request), None)
 
     @staticmethod
     def _resolve(request: CloneRequest) -> CloneRequest:
@@ -312,27 +238,6 @@ class DittoCloner:
                 f"expected a repro.CloneRequest, got "
                 f"{type(request).__name__}")
         return request.resolved()
-
-    @contextlib.contextmanager
-    def _early_baseline(
-        self, request: CloneRequest,
-    ) -> Iterator[Optional[_EarlyBaseline]]:
-        """Attempt 0's original replay, started now on a gated process
-        clone (None otherwise); its pool closes on every exit path."""
-        mode = resolve_executor(self.executor,
-                                n_tasks=len(request.deployment.services),
-                                max_workers=self.max_workers)
-        if request.validate is None or mode != "process":
-            yield None
-            return
-        baseline = _EarlyBaseline(
-            request.deployment, request.validation_load,
-            self._gate_config(request.config, request.seed),
-            self.telemetry)
-        try:
-            yield baseline
-        finally:
-            baseline.close()
 
     def clone_from_profile(self, profile: ApplicationProfile,
                            request: CloneRequest) -> CloneResult:
@@ -345,17 +250,24 @@ class DittoCloner:
         whose profile is already in the store. A gated request is gated
         and remediated exactly as in :meth:`clone`.
         """
-        return self._clone_from_profile(profile, self._resolve(request))
+        return self._clone(self._resolve(request), profile)
 
-    def _clone_from_profile(
-        self,
-        profile: ApplicationProfile,
-        request: CloneRequest,
-        *,
-        baseline: Optional[_EarlyBaseline] = None,
-    ) -> CloneResult:
+    def _clone(self, request: CloneRequest,
+               profile: Optional[ApplicationProfile]) -> CloneResult:
+        """Profile unless ``profile`` is given, then run attempts until
+        one is accepted, all on the clone's one worker pool."""
         deployment = request.deployment
-        with self._observed():
+        with self._observed(), worker_pool(
+                self.executor, n_tasks=len(deployment.services),
+                max_workers=self.max_workers) as pool:
+            if profile is None:
+                self._phase("profiling")
+                with span("profiling", service=deployment.entry_service,
+                          tiers=len(deployment.services)):
+                    profile = profile_deployment(
+                        deployment, request.load, request.config,
+                        budget=request.budget, seed=request.seed,
+                        pool=pool)
             steps: List[RemediationStep] = []
             seed = request.seed
             max_tune_iterations = request.max_tune_iterations
@@ -365,9 +277,8 @@ class DittoCloner:
                 result: Optional[CloneResult] = None
                 try:
                     result = self._clone_attempt(
-                        profile, request, steps, seed=seed,
-                        max_tune_iterations=max_tune_iterations,
-                        baseline=baseline)
+                        profile, request, steps, pool, seed=seed,
+                        max_tune_iterations=max_tune_iterations)
                 except (SimBudgetExceededError, TierExecutionError) as error:
                     reason = self._budget_reason(error)
                     if reason is None or request.remediation is None:
@@ -407,10 +318,10 @@ class DittoCloner:
         profile: ApplicationProfile,
         request: CloneRequest,
         steps: List[RemediationStep],
+        pool: Optional[WorkerPool],
         *,
         seed: int,
         max_tune_iterations: int,
-        baseline: Optional[_EarlyBaseline] = None,
     ) -> CloneResult:
         """One pipeline pass plus (when gated) its fidelity gate."""
         self._phase("tuning", attempt=len(steps),
@@ -424,7 +335,7 @@ class DittoCloner:
         outcomes, mode = run_tier_pipeline(
             tasks, executor=self.executor, max_workers=self.max_workers,
             tier_retries=self.tier_retries,
-            checkpoint_dir=self.checkpoint_dir)
+            checkpoint_dir=self.checkpoint_dir, pool=pool)
         report = CloneReport(features={}, topology=profile.topology,
                              profile=profile, executor=mode,
                              telemetry=self.telemetry,
@@ -440,8 +351,6 @@ class DittoCloner:
             report.tier_seconds[outcome.service] = outcome.wall_clock_s
             report.cache_stats.merge(outcome.cache_stats)
             synthetic_services[outcome.service] = outcome.spec
-            if self.telemetry is not None:
-                self.telemetry.absorb(outcome.telemetry)
         self._record_report(report)
         synthetic = Deployment(
             services=synthetic_services,
@@ -453,15 +362,11 @@ class DittoCloner:
             self._validate_interfaces(synthetic)
         if request.validate is not None:
             self._phase("validating", attempt=len(steps))
-            load = request.validation_load
-            gate_config = self._gate_config(request.config, seed)
-            early = None
-            if baseline is not None and not steps \
-                    and baseline.replays(deployment, load, gate_config):
-                early = baseline.result
             report.fidelity = request.validate.validate(
-                deployment, synthetic, load, gate_config,
-                label=deployment.entry_service, baseline=early)
+                deployment, synthetic, request.validation_load,
+                self._gate_config(request.config, seed),
+                label=deployment.entry_service, pool=pool,
+                cache_dir=self.shared_cache_dir)
         return CloneResult(synthetic=synthetic, report=report)
 
     @staticmethod
@@ -563,7 +468,6 @@ class DittoCloner:
             generator_config=generator_config,
             tune_config=tune_config,
             max_tune_iterations=max_tune_iterations,
-            collect_telemetry=self.telemetry is not None,
             shared_cache_dir=self.shared_cache_dir,
         )
 

@@ -22,9 +22,10 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
+from repro.app.service import ServiceSpec
 from repro.core.body_gen import GeneratorConfig, TuningKnobs
 from repro.core.features import ServiceFeatures
-from repro.core.synthesis import measure_standalone
+from repro.core.synthesis import measure_standalone, synthesize_service
 from repro.runtime.expcache import ExperimentCache
 from repro.runtime.experiment import ExperimentConfig
 from repro.runtime.metrics import ServiceMetrics
@@ -60,6 +61,11 @@ class FineTuneResult:
     final_errors: Dict[str, float]
     error_history: List[float] = field(default_factory=list)
     converged: bool = False
+    #: the tier as generated with ``knobs`` (downstream calls kept): the
+    #: very service the loop measured them on, so the clone reuses it
+    #: instead of generating it again
+    spec: Optional[ServiceSpec] = field(default=None, repr=False,
+                                        compare=False)
 
     @property
     def mean_error(self) -> float:
@@ -135,7 +141,10 @@ def fine_tune(
     config = base_config if base_config is not None else GeneratorConfig()
     knobs = config.knobs
     history: List[float] = []
+    # the first candidate is the best so far even when no error is
+    # finite: best_knobs starts as its knobs
     best_knobs = knobs
+    best_spec: Optional[ServiceSpec] = None
     best_error = math.inf
     final_errors: Dict[str, float] = {}
     iterations_used = 0
@@ -145,7 +154,10 @@ def fine_tune(
         try:
             with span("tune_iteration", category="finetune",
                       service=features.service, iteration=iteration) as tick:
-                measured = measure_standalone(features, config,
+                with span("generation", category="tier",
+                          service=features.service):
+                    spec = synthesize_service(features, config)
+                measured = measure_standalone(features, spec,
                                               platform_config, cache=cache)
                 errors = _errors(target, measured, metrics)
                 finite = [e for e in errors.values() if e != math.inf]
@@ -168,19 +180,21 @@ def fine_tune(
             return FineTuneResult(
                 knobs=best_knobs, iterations=iterations_used,
                 final_errors=final_errors, error_history=history,
-                converged=False,
+                converged=False, spec=best_spec,
             )
         history.append(mean_error)
         final_errors = errors
-        if mean_error < best_error:
+        if best_spec is None or mean_error < best_error:
             best_error = mean_error
             best_knobs = knobs
+            best_spec = spec
         if mean_error <= tolerance:
             _record_tuning(features.service, iterations_used,
                            converged=True)
             return FineTuneResult(
                 knobs=knobs, iterations=iterations_used,
                 final_errors=errors, error_history=history, converged=True,
+                spec=spec,
             )
         # Damped multiplicative updates toward each paired target.
         updates = {}
@@ -211,4 +225,5 @@ def fine_tune(
     return FineTuneResult(
         knobs=best_knobs, iterations=iterations_used,
         final_errors=final_errors, error_history=history, converged=False,
+        spec=best_spec,
     )

@@ -4,8 +4,9 @@ Once profiling has produced per-service artifacts and RPCs have been
 stripped for stand-alone tuning, Ditto's Fig. 3 pipeline is
 embarrassingly parallel across tiers (§4.5: each tier's knobs calibrate
 independently). This module fans the per-tier stage — feature
-extraction → fine-tune → body/skeleton generation — out across a
-:mod:`concurrent.futures` executor.
+extraction → fine-tune → body/skeleton generation — out across the
+clone's :class:`~repro.runtime.pool.WorkerPool`. A tuned tier's spec is
+the one the tuner generated for the knobs it chose.
 
 Determinism: a tier's outcome is a pure function of its
 :class:`TierTask` payload. Every random stream a tier consumes is
@@ -14,12 +15,11 @@ derived from the task's own seeds via the named-stream discipline in
 mutable state, so serial and process-pool runs produce bit-identical
 clones and execution order cannot leak between tiers.
 
-Executor selection: ``"process"`` (a :class:`ProcessPoolExecutor`, the
-default on multi-core hosts), ``"serial"`` (plain loop, also the
-single-core/single-tier fallback), or ``"auto"`` (process pool whenever
-it can actually help: more than one tier and more than one CPU). There
-is no thread mode: the tier stage is pure Python, so threads only
-serialise on the interpreter lock.
+Executor selection: ``"process"`` (the clone's pool, or one opened for
+the call), ``"serial"`` (plain loop), or ``"auto"`` (a pool whenever it
+can help: more than one tier and more than one CPU). There is no
+thread mode: the tier stage is pure Python, so threads only serialise
+on the interpreter lock.
 
 Robustness: a tier that raises is retried up to ``tier_retries`` times
 before the pipeline gives up with a
@@ -35,15 +35,10 @@ resumes without re-running completed tiers (and a
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
-from concurrent.futures import (
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    wait,
-    FIRST_COMPLETED,
-)
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.app.service import ServiceSpec
@@ -63,8 +58,14 @@ from repro.runtime.expcache import (
     SharedExperimentCache,
 )
 from repro.runtime.experiment import ExperimentConfig
+from repro.runtime.pool import (
+    EXECUTOR_MODES,
+    WorkerPool,
+    fan_out,
+    resolve_executor,
+    worker_pool,
+)
 from repro.telemetry.context import current_session
-from repro.telemetry.session import Telemetry, WorkerTelemetry
 from repro.telemetry.spans import span
 from repro.util.errors import ArtifactIntegrityError, ConfigurationError, \
     TierExecutionError
@@ -82,8 +83,6 @@ __all__ = [
     "resolve_executor",
     "run_tier_pipeline",
 ]
-
-EXECUTOR_MODES = ("auto", "process", "serial")
 
 
 def derive_tier_seed(root_seed: int, tier: str, stage: str) -> int:
@@ -106,11 +105,6 @@ class TierTask:
     tune_config: Optional[ExperimentConfig] = None
     max_tune_iterations: int = DEFAULT_MAX_TUNE_ITERATIONS
     cache_max_entries: int = DEFAULT_CACHE_ENTRIES
-    #: record spans/metrics for this tier (set when the clone session
-    #: carries a :class:`~repro.telemetry.session.Telemetry`); workers
-    #: cannot see the parent's session, so the request must travel in
-    #: the task payload
-    collect_telemetry: bool = False
     #: directory of a fleet-wide digest-keyed experiment store (see
     #: :class:`~repro.runtime.expcache.SharedExperimentCache`); ``None``
     #: keeps the historical private in-memory cache. Results are
@@ -129,10 +123,6 @@ class TierOutcome:
     tuning: Optional[FineTuneResult]
     wall_clock_s: float
     cache_stats: CacheStats
-    #: spans + metrics recorded by a worker-local session, for the
-    #: parent to absorb; None when telemetry was off or the tier ran
-    #: under the parent's own session (serial mode)
-    telemetry: Optional[WorkerTelemetry] = None
 
 
 def clone_tier(task: TierTask) -> TierOutcome:
@@ -140,32 +130,9 @@ def clone_tier(task: TierTask) -> TierOutcome:
 
     Pure function of ``task``; safe to run in any executor worker.
     Telemetry observes but never steers: every random stream is derived
-    from the task's seeds, so outcomes are bit-identical with
-    ``collect_telemetry`` on or off.
+    from the task's seeds, so outcomes are bit-identical with telemetry
+    on or off.
     """
-    worker_session: Optional[Telemetry] = None
-    ambient = current_session()
-    foreign = ambient is None or ambient.pid != os.getpid()
-    if task.collect_telemetry and foreign:
-        # Running in an executor worker process: collect into a local
-        # session and ship it back with the outcome. The pid check
-        # matters on fork-start pools, where the child inherits the
-        # parent's ambient session but anything recorded into that copy
-        # would be lost. Serial mode sees the parent's own session and
-        # records straight into it.
-        worker_session = Telemetry.for_worker()
-        worker_session.activate()
-    try:
-        outcome = _clone_tier(task)
-    finally:
-        if worker_session is not None:
-            worker_session.deactivate()
-    if worker_session is not None:
-        outcome.telemetry = worker_session.payload()
-    return outcome
-
-
-def _clone_tier(task: TierTask) -> TierOutcome:
     service = task.artifacts.service
     started = time.perf_counter()
     with span(f"tier:{service}", category="tier"):
@@ -189,9 +156,12 @@ def _clone_tier(task: TierTask) -> TierOutcome:
                     max_iterations=task.max_tune_iterations,
                     cache=cache,
                 )
-            config = replace(config, knobs=tuning.knobs)
-        with span("generation", category="tier", service=service):
-            spec = synthesize_service(features, config)
+            # The tuner already generated the tier with the knobs it
+            # chose; that is the tier's spec.
+            spec = tuning.spec
+        else:
+            with span("generation", category="tier", service=service):
+                spec = synthesize_service(features, config)
     return TierOutcome(
         service=features.service,
         features=features,
@@ -200,30 +170,6 @@ def _clone_tier(task: TierTask) -> TierOutcome:
         wall_clock_s=time.perf_counter() - started,
         cache_stats=cache.stats,
     )
-
-
-def resolve_executor(
-    executor: str = "auto",
-    *,
-    n_tasks: int,
-    max_workers: Optional[int] = None,
-) -> str:
-    """Map an executor request to the concrete mode that will run.
-
-    ``"auto"`` picks ``"process"`` when fan-out can help (more than one
-    task, more than one CPU, more than one worker allowed) and
-    ``"serial"`` otherwise. Explicit modes are honoured as-is.
-    """
-    if executor not in EXECUTOR_MODES:
-        raise ConfigurationError(
-            f"unknown executor {executor!r}; expected one of {EXECUTOR_MODES}")
-    if executor != "auto":
-        return executor
-    cpus = os.cpu_count() or 1
-    workers = max_workers if max_workers is not None else cpus
-    if n_tasks > 1 and cpus > 1 and workers > 1:
-        return "process"
-    return "serial"
 
 
 class TierCheckpoint:
@@ -296,109 +242,6 @@ class TierCheckpoint:
                               version=self.SCHEMA_VERSION)
 
 
-def _count_pipeline_event(name: str, help_text: str, **labels: str) -> None:
-    session = current_session()
-    if session is None:
-        return
-    session.registry.counter(
-        name, help_text, tuple(sorted(labels))).inc(1, **labels)
-
-
-class _PipelineRun:
-    """Mutable state for one pipeline invocation (retry bookkeeping)."""
-
-    def __init__(
-        self,
-        tasks: Sequence[TierTask],
-        tier_fn: Callable[[TierTask], TierOutcome],
-        tier_retries: int,
-        checkpoint: Optional[TierCheckpoint],
-    ) -> None:
-        self.tasks = tasks
-        self.tier_fn = tier_fn
-        self.tier_retries = tier_retries
-        self.checkpoint = checkpoint
-        self.outcomes: List[Optional[TierOutcome]] = [None] * len(tasks)
-        self.failures: Dict[int, int] = {}
-        self.pending: List[int] = []
-        # Hash each task once: load and save share its checkpoint path.
-        self.paths = ([checkpoint.path(task) for task in tasks]
-                      if checkpoint is not None else [])
-        for index in range(len(tasks)):
-            cached = (checkpoint.load(self.paths[index])
-                      if checkpoint is not None else None)
-            if cached is not None:
-                self.outcomes[index] = cached
-            else:
-                self.pending.append(index)
-        self.resumed = len(tasks) - len(self.pending)
-
-    def completed(self) -> Dict[str, TierOutcome]:
-        return {outcome.service: outcome
-                for outcome in self.outcomes if outcome is not None}
-
-    def complete(self, index: int, outcome: TierOutcome) -> None:
-        self.outcomes[index] = outcome
-        self.pending.remove(index)
-        if self.checkpoint is not None:
-            self.checkpoint.save(self.paths[index], outcome)
-
-    def note_failure(self, index: int, error: Exception) -> None:
-        """Record one failed attempt; raise once the tier is exhausted."""
-        self.failures[index] = self.failures.get(index, 0) + 1
-        tier = self.tasks[index].artifacts.service
-        if self.failures[index] > self.tier_retries:
-            raise TierExecutionError(
-                f"tier {tier!r} failed after "
-                f"{self.failures[index]} attempt(s): {error}",
-                tier=tier,
-                attempts=self.failures[index],
-                outcomes=self.completed(),
-                last_error=error,
-            ) from error
-        _count_pipeline_event(
-            "ditto_tier_retries_total",
-            "per-tier pipeline attempts retried after a failure",
-            tier=tier)
-
-    def run_serial(self) -> None:
-        for index in list(self.pending):
-            while True:
-                try:
-                    outcome = self.tier_fn(self.tasks[index])
-                except Exception as error:  # noqa: BLE001 — retry boundary
-                    self.note_failure(index, error)
-                    continue
-                break
-            self.complete(index, outcome)
-
-    def run_pool(self, workers: int) -> None:
-        """Drain pending tiers through a process pool; checkpoint as
-        they finish.
-
-        Raises :class:`concurrent.futures.BrokenExecutor` when the pool
-        dies (e.g. a worker process was killed) — the caller runs
-        whatever is still pending serially.
-        """
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            active = {pool.submit(self.tier_fn, self.tasks[index]): index
-                      for index in self.pending}
-            while active:
-                done, _ = wait(set(active), return_when=FIRST_COMPLETED)
-                for future in done:
-                    index = active.pop(future)
-                    try:
-                        outcome = future.result()
-                    except BrokenExecutor:
-                        raise
-                    except Exception as error:  # noqa: BLE001
-                        self.note_failure(index, error)
-                        active[pool.submit(
-                            self.tier_fn, self.tasks[index])] = index
-                        continue
-                    self.complete(index, outcome)
-
-
 def run_tier_pipeline(
     tasks: Sequence[TierTask],
     *,
@@ -407,16 +250,20 @@ def run_tier_pipeline(
     tier_fn: Callable[[TierTask], TierOutcome] = clone_tier,
     tier_retries: int = 1,
     checkpoint_dir: Optional[str] = None,
+    pool: Optional[WorkerPool] = None,
 ) -> Tuple[List[TierOutcome], str]:
-    """Fan ``tasks`` out across the chosen executor.
+    """Fan ``tasks`` out across the clone's pool, or the chosen executor.
 
     Returns ``(outcomes, resolved_mode)`` with outcomes in task order
     regardless of completion order, so downstream assembly (and the
     clones themselves) cannot depend on scheduling.
 
-    ``tier_fn`` is the per-tier stage (default :func:`clone_tier`); it
-    must be picklable for the process mode. A tier that raises is
-    re-run up to ``tier_retries`` extra times; exhaustion raises
+    ``pool`` is the clone's shared :class:`~repro.runtime.pool.WorkerPool`;
+    without one, ``executor``/``max_workers`` open a pool for this call
+    alone when they resolve to ``"process"``. ``tier_fn`` is the
+    per-tier stage (default :func:`clone_tier`); it must be picklable
+    for the process mode. A tier that raises is re-run up to
+    ``tier_retries`` extra times; exhaustion raises
     :class:`~repro.util.errors.TierExecutionError` carrying every
     sibling outcome that did complete. A broken pool (worker killed)
     falls back to serial and re-runs only unfinished tiers —
@@ -424,32 +271,53 @@ def run_tier_pipeline(
     ``checkpoint_dir`` persists each outcome as it lands so an
     interrupted run resumes from disk (see :class:`TierCheckpoint`).
     """
-    if max_workers is not None and max_workers < 1:
-        raise ConfigurationError("max_workers must be >= 1")
     if not isinstance(tier_retries, int) or isinstance(tier_retries, bool) \
             or tier_retries < 0:
         raise ConfigurationError(
             f"tier_retries must be an int >= 0, got {tier_retries!r}")
-    mode = resolve_executor(executor, n_tasks=len(tasks),
-                            max_workers=max_workers)
-    checkpoint = (TierCheckpoint(checkpoint_dir)
-                  if checkpoint_dir is not None else None)
-    state = _PipelineRun(tasks, tier_fn, tier_retries, checkpoint)
-    with span("tier_pipeline", executor=mode, tiers=len(tasks),
-              resumed=state.resumed):
-        if mode == "serial" or not state.pending:
-            state.run_serial()
-            return list(state.outcomes), "serial"
-        workers = (max_workers if max_workers is not None
-                   else (os.cpu_count() or 1))
-        workers = max(1, min(workers, len(tasks)))
-        try:
-            state.run_pool(workers)
-        except BrokenExecutor:
-            _count_pipeline_event(
-                "ditto_pipeline_degradations_total",
-                "executor degradations after a broken worker pool",
-                from_mode="process", to_mode="serial")
-            state.run_serial()
-            mode = "serial"
-        return list(state.outcomes), mode
+    with contextlib.ExitStack() as stack:
+        if pool is None:
+            pool = stack.enter_context(worker_pool(
+                executor, n_tasks=len(tasks), max_workers=max_workers))
+        checkpoint = (TierCheckpoint(checkpoint_dir)
+                      if checkpoint_dir is not None else None)
+        # Hash each task once: load and save share its checkpoint path.
+        paths = ([checkpoint.path(task) for task in tasks]
+                 if checkpoint is not None else [])
+        outcomes: List[Optional[TierOutcome]] = (
+            [checkpoint.load(path) for path in paths]
+            if checkpoint is not None else [None] * len(tasks))
+        pending = {index: task for index, task in enumerate(tasks)
+                   if outcomes[index] is None}
+        failures: Dict[int, int] = {}
+
+        def complete(index: int, outcome: TierOutcome) -> None:
+            outcomes[index] = outcome
+            if checkpoint is not None:
+                checkpoint.save(paths[index], outcome)
+
+        def retry(index: int, error: Exception) -> None:
+            """Count one failed attempt; raise once the tier is exhausted."""
+            failures[index] = failures.get(index, 0) + 1
+            tier = tasks[index].artifacts.service
+            if failures[index] > tier_retries:
+                raise TierExecutionError(
+                    f"tier {tier!r} failed after "
+                    f"{failures[index]} attempt(s): {error}",
+                    tier=tier, attempts=failures[index],
+                    outcomes={outcome.service: outcome
+                              for outcome in outcomes if outcome is not None},
+                    last_error=error,
+                ) from error
+            session = current_session()
+            if session is not None:
+                session.registry.counter(
+                    "ditto_tier_retries_total",
+                    "per-tier pipeline attempts retried after a failure",
+                    ("tier",)).inc(1, tier=tier)
+
+        with span("tier_pipeline", tiers=len(tasks),
+                  resumed=len(tasks) - len(pending)) as tick:
+            mode = fan_out(pool, tier_fn, pending, complete, retry)
+            tick.set(executor=mode)
+        return list(outcomes), mode

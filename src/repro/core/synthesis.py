@@ -9,6 +9,7 @@ service.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from repro.app.program import Handler, Program, RpcOp
@@ -36,15 +37,14 @@ def synthesize_service(
     (fine-tuning and gating measure one tier at a time).
     """
     program, files = generate_program(features, config)
-    if standalone:
-        program = _strip_rpcs(program)
-    return ServiceSpec(
+    spec = ServiceSpec(
         name=features.service,
         skeleton=generate_skeleton(features.threads, features.network),
         program=program,
         request_mix=dict(features.handler_mix) or None,
         files=files,
     )
+    return _standalone(spec) if standalone else spec
 
 
 def tier_load(features: ServiceFeatures) -> LoadSpec:
@@ -60,14 +60,14 @@ def tier_load(features: ServiceFeatures) -> LoadSpec:
 
 def measure_standalone(
     features: ServiceFeatures,
-    config: GeneratorConfig,
+    service: ServiceSpec,
     platform_config: ExperimentConfig,
     cache: Optional[ExperimentCache] = None,
 ) -> ServiceMetrics:
-    """The tier's counters, generated with ``config`` and run alone at
-    :func:`tier_load`; ``cache`` memoizes the run."""
-    deployment = Deployment.single(
-        synthesize_service(features, config, standalone=True))
+    """The counters of ``service``, the tier generated from
+    ``features``, run alone at :func:`tier_load`; ``cache`` memoizes
+    the run."""
+    deployment = Deployment.single(_standalone(service))
     load = tier_load(features)
     if cache is not None:
         result = cache.run(deployment, load, platform_config)
@@ -76,17 +76,18 @@ def measure_standalone(
     return result.service(features.service)
 
 
-def _strip_rpcs(program: Program) -> Program:
-    """Remove downstream calls so a tier can run stand-alone."""
+def _standalone(service: ServiceSpec) -> ServiceSpec:
+    """``service`` without downstream calls, so it can run alone."""
+    program = service.program
     handlers = {}
     for name, handler in program.handlers.items():
         ops = tuple(op for op in handler.ops if not isinstance(op, RpcOp))
         if not ops:
             ops = handler.ops
         handlers[name] = Handler(name, ops)
-    return Program(
+    return replace(service, program=Program(
         handlers=handlers,
         background_blocks=program.background_blocks,
         hot_code_bytes=program.hot_code_bytes,
         resident_bytes=program.resident_bytes,
-    )
+    ))

@@ -44,7 +44,6 @@ placement, fencing and heartbeats are not inputs to any random stream.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
@@ -60,7 +59,6 @@ from repro.fleet.job import JobResult, JobState
 from repro.fleet.store import JobStore
 from repro.migrate.engine import migrate_request
 from repro.migrate.request import MigrationRequest
-from repro.telemetry.context import current_session
 from repro.telemetry.session import Telemetry, WorkerTelemetry
 from repro.util.errors import (
     ArtifactIntegrityError,
@@ -193,20 +191,10 @@ def execute_job(store_root: str, job_id: str,
     running state so :meth:`~repro.fleet.store.JobStore.recover` can
     requeue it.
     """
-    worker_session: Optional[Telemetry] = None
-    ambient = current_session()
-    foreign = ambient is None or ambient.pid != os.getpid()
-    if collect_telemetry and foreign:
-        worker_session = Telemetry.for_worker()
-        worker_session.activate()
-    try:
-        with maybe_active(chaos):
-            outcome = _execute(store_root, job_id, epoch)
-    finally:
-        if worker_session is not None:
-            worker_session.deactivate()
-    if worker_session is not None:
-        outcome.telemetry = worker_session.payload()
+    with maybe_active(chaos):
+        outcome, payload = Telemetry.record_in_worker(
+            collect_telemetry, _execute, store_root, job_id, epoch)
+    outcome.telemetry = payload
     return outcome
 
 

@@ -48,6 +48,7 @@ from repro.profiling.wset import (
     sweep_hits,
 )
 from repro.runtime.experiment import ExperimentConfig, run_experiment
+from repro.runtime.pool import WorkerPool, fan_out
 from repro.tracing.graph import Topology, analyze_topology
 from repro.tracing.span import Span, SpanKind
 from repro.tracing.tracer import Tracer
@@ -604,12 +605,19 @@ def _collect_service_artifacts(
     return artifacts
 
 
+def _collect_tier(job: tuple) -> ServiceArtifacts:
+    """One tier's artifact collection (a picklable pool task)."""
+    return _collect_service_artifacts(*job)
+
+
 def profile_deployment(
     deployment: Deployment,
     load: LoadSpec,
     config: ExperimentConfig,
     budget: Optional[ProfilingBudget] = None,
     seed: int = 17,
+    *,
+    pool: Optional[WorkerPool] = None,
 ) -> ApplicationProfile:
     """Run one instrumented profiling session over a deployment.
 
@@ -617,7 +625,8 @@ def profile_deployment(
     :data:`MAX_WINDOW_DOUBLINGS` times) until the entry service has
     served every operation its request mix gives positive weight: a
     clone of a window that never saw an entry operation would lack
-    that whole request path.
+    that whole request path. Each tier's artifacts are collected in
+    ``pool`` when one is given; the profile is the same either way.
     """
     budget = budget if budget is not None else ProfilingBudget()
     entry = deployment.services[deployment.entry_service]
@@ -644,7 +653,7 @@ def profile_deployment(
             f"{2 ** MAX_WINDOW_DOUBLINGS}x the budget's)")
     stream = RngStream(seed, "profiling")
     connections = (load.connections if load.kind == "closed" else 32)
-    services: Dict[str, ServiceArtifacts] = {}
+    jobs: Dict[str, tuple] = {}
     for name, spec in deployment.services.items():
         mix = _handler_mix_from_spans(spans, name)
         if not mix:
@@ -654,10 +663,12 @@ def profile_deployment(
         rpcs = _rpcs_from_spans(spans, name)
         counters = result.service(name)
         observed_qps = counters.requests / max(result.duration_s, 1e-9)
-        services[name] = _collect_service_artifacts(
-            spec, mix, rpcs, counters, observed_qps, connections, budget,
-            stream.child(name), closed_loop=(load.kind == "closed"),
-        )
+        jobs[name] = (spec, mix, rpcs, counters, observed_qps, connections,
+                      budget, stream.child(name), load.kind == "closed")
+    # Each tier draws only from its own stream, so the tiers collect in
+    # any order, in any process; the profile keeps deployment order.
+    services: Dict[str, ServiceArtifacts] = dict.fromkeys(jobs)
+    fan_out(pool, _collect_tier, jobs, services.__setitem__)
     return ApplicationProfile(
         entry_service=deployment.entry_service,
         services=services,

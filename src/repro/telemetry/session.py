@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.telemetry import context as _context
 from repro.telemetry.chrometrace import TraceEvent, chrome_trace
@@ -104,6 +104,24 @@ class Telemetry:
         payload shipped back to the parent.
         """
         return cls(sim_timeline=False)
+
+    @classmethod
+    def record_in_worker(cls, collect: bool, fn: Callable[..., Any],
+                         *args: Any) -> Tuple[Any, Optional[WorkerTelemetry]]:
+        """``fn(*args)``, and the payload for the parent to :meth:`absorb`
+        when ``collect`` is set and this process has no session of its
+        own (a pool worker, which on fork inherits a copy of the
+        parent's); otherwise ``fn`` records into the ambient session."""
+        ambient = current_session()
+        if not collect or (ambient is not None
+                           and ambient.pid == os.getpid()):
+            return fn(*args), None
+        session = cls.for_worker()
+        session.activate()
+        try:
+            return fn(*args), session.payload()
+        finally:
+            session.deactivate()
 
     def payload(self) -> WorkerTelemetry:
         """Snapshot for shipping across a process boundary."""

@@ -30,13 +30,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.body_gen import GeneratorConfig
 from repro.core.features import ServiceFeatures
-from repro.core.synthesis import measure_standalone
+from repro.core.synthesis import measure_standalone, synthesize_service
+from repro.runtime.expcache import SharedExperimentCache
 from repro.runtime.experiment import ExperimentConfig, run_experiment
 from repro.runtime.metrics import RunResult, ServiceMetrics
+from repro.runtime.pool import WorkerPool
 from repro.telemetry.context import current_session
 from repro.telemetry.spans import span
 from repro.util.errors import ConfigurationError
@@ -371,18 +373,19 @@ class FidelityGate:
     # end-to-end validation
     # ------------------------------------------------------------------ #
     def validate(self, original, clone, load, config: ExperimentConfig,
-                 *, label: str = "",
-                 baseline: Optional[Callable[[], Optional[RunResult]]]
-                 = None) -> FidelityReport:
+                 *, label: str = "", pool: Optional[WorkerPool] = None,
+                 cache_dir: Optional[str] = None) -> FidelityReport:
         """Replay both deployments under matched seeds and gate them.
 
         ``original`` and ``clone`` are
         :class:`~repro.app.service.Deployment` objects with the same
         services; both runs use ``config`` exactly as given (same seed —
-        the comparison is like-for-like by construction). When the
-        original's replay is already under way elsewhere, ``baseline``
-        blocks until it finishes and returns it, or None when it
-        failed; the gate then replays the original itself.
+        the comparison is like-for-like by construction). With a
+        ``pool``, the original replays in a worker while this process
+        replays the clone; a worker that fails leaves the original's
+        replay to this process. With ``cache_dir``, both replays go
+        through the :class:`~repro.runtime.expcache.SharedExperimentCache`
+        there, so a repeated gate simulates nothing.
         """
         if set(original.services) != set(clone.services):
             raise ConfigurationError(
@@ -390,14 +393,14 @@ class FidelityGate:
                 f"original tiers {sorted(original.services)}")
         with span("fidelity_gate", category="validation",
                   label=label or original.entry_service,
-                  tiers=len(original.services)):
-            measured = None
-            if baseline is not None:
-                with span("gate_baseline_wait", category="validation"):
-                    measured = baseline()
+                  tiers=len(original.services)) as tick:
+            future = (pool.submit(_replay, original, load, config, cache_dir)
+                      if pool is not None else None)
+            replayed = _replay(clone, load, config, cache_dir)
+            measured = pool.result(future) if future is not None else None
+            tick.set(original="inline" if measured is None else "worker")
             if measured is None:
-                measured = run_experiment(original, load, config)
-            replayed = run_experiment(clone, load, config)
+                measured = _replay(original, load, config, cache_dir)
             return self.compare_runs(
                 measured, replayed, label=label or original.entry_service,
                 platform=config.platform.name, seed=config.seed)
@@ -415,6 +418,15 @@ class FidelityGate:
             "individual metric checks that failed a gate", ("metric",))
         for check in report.failures():
             failed.inc(1, metric=check.metric)
+
+
+def _replay(deployment, load, config: ExperimentConfig,
+            cache_dir: Optional[str]) -> RunResult:
+    """One gate replay, through the shared cache at ``cache_dir`` if any."""
+    if cache_dir is None:
+        return run_experiment(deployment, load, config)
+    return SharedExperimentCache(cache_dir, name="gate").run(
+        deployment, load, config)
 
 
 def gate_bundle_tiers(
@@ -441,6 +453,7 @@ def gate_bundle_tiers(
             continue
         reports[name] = gate.compare_counters(
             name, tier.target_counters,
-            measure_standalone(tier, generators[name], config),
+            measure_standalone(
+                tier, synthesize_service(tier, generators[name]), config),
             platform=platform, seed=config.seed)
     return reports

@@ -19,7 +19,11 @@ profiles keep what their readers read instead of raw observations:
   statistics as it collects it, and tallies each branch site's rate bin
   and weighted taken and transition rates as it measures them;
 * the profiler tallies each sampled dependency tuple into per-kind
-  distance-bin counts and a pointer-chase count as it draws it.
+  distance-bin counts and a pointer-chase count as it draws it;
+* the profiler collects each tier's artifacts in a worker pool, in any
+  order;
+* the tier stage reuses the service the fine tuner generated for the
+  knobs it chose instead of generating it again.
 
 Each must change no result. The references below are copies of the
 code paths they replaced, kept here (not in ``src/``) as the oracle;
@@ -87,6 +91,7 @@ from repro.profiling.wset import (
     shared_ratio,
 )
 from repro.util.quantize import LogScaleQuantizer, bin_index, pow2_bins
+from repro.util.spec_hash import stable_digest
 from repro.util.stats import Histogram
 
 
@@ -1332,3 +1337,154 @@ class TestProfileTopologyEquivalence:
         assert profile.topology.tiers == ["memcached"]
         assert profile.topology.edges == []
         assert profile.topology.entry_service == "memcached"
+
+
+# --------------------------------------------------------------------- #
+# one pool per clone: pooled collection, and the tuner's spec reused
+# --------------------------------------------------------------------- #
+def _collection_inputs():
+    """name -> (deployment, load, config, budget) profiled below."""
+    from repro import (Deployment, ExperimentConfig, LoadSpec, PLATFORM_A,
+                       build_memcached)
+    from repro.profiling import ProfilingBudget
+
+    deployment, load, config, budget, _, _ = _topology_profiles()[7]
+    return {
+        "socialnet": (deployment, load, config, budget),
+        "memcached": (
+            Deployment.single(build_memcached()),
+            LoadSpec.open_loop(100_000),
+            ExperimentConfig(platform=PLATFORM_A, duration_s=0.02, seed=5),
+            ProfilingBudget(sampled_requests=8, profile_duration_s=0.015)),
+    }
+
+
+def _reversed_fan_out(pool, fn, tasks, complete, retry=None):
+    """Collect every tier in this process, last tier first."""
+    for key in reversed(list(tasks)):
+        complete(key, fn(tasks[key]))
+    return "serial"
+
+
+class TestPooledCollectionEquivalence:
+    @pytest.fixture(scope="class", params=["socialnet", "memcached"])
+    def profiled(self, request):
+        """(inputs, digest of the serially collected profile)."""
+        from repro.profiling import profile_deployment
+
+        inputs = _collection_inputs()[request.param]
+        deployment, load, config, budget = inputs
+        serial = profile_deployment(deployment, load, config,
+                                    budget=budget, seed=17)
+        return inputs, stable_digest(serial)
+
+    def test_pool_profile_equals_serial(self, profiled):
+        from repro.profiling import profile_deployment
+        from repro.runtime.pool import worker_pool
+
+        (deployment, load, config, budget), serial = profiled
+        with worker_pool("process", n_tasks=len(deployment.services),
+                         max_workers=2) as pool:
+            pooled = profile_deployment(deployment, load, config,
+                                        budget=budget, seed=17, pool=pool)
+            assert not pool.broken
+        assert list(pooled.services) == list(deployment.services)
+        assert stable_digest(pooled) == serial
+
+    def test_reverse_order_profile_equals_serial(self, profiled,
+                                                 monkeypatch):
+        from repro.profiling import profile_deployment
+
+        (deployment, load, config, budget), serial = profiled
+        monkeypatch.setattr(collector, "fan_out", _reversed_fan_out)
+        reversed_order = profile_deployment(deployment, load, config,
+                                            budget=budget, seed=17)
+        assert list(reversed_order.services) == list(deployment.services)
+        assert stable_digest(reversed_order) == serial
+
+
+class TestTunedSpecReuse:
+    """The tuner's spec for its chosen knobs is the final spec."""
+
+    @pytest.fixture(scope="class")
+    def tier(self):
+        from repro.core.body_gen import GeneratorConfig
+        from repro.profiling import profile_deployment
+
+        deployment, load, config, budget = \
+            _collection_inputs()["memcached"]
+        profile = profile_deployment(deployment, load, config,
+                                     budget=budget, seed=17)
+        features = extract_service_features(profile.artifacts("memcached"))
+        # at tune seed 1, the third of four candidates is the best
+        tune_config = dataclasses.replace(config, seed=1)
+        return features, tune_config, GeneratorConfig(seed=11)
+
+    @staticmethod
+    def _assert_reused(features, base, result):
+        from repro.core.synthesis import synthesize_service
+
+        fresh = synthesize_service(
+            features, dataclasses.replace(base, knobs=result.knobs))
+        assert stable_digest(result.spec) == stable_digest(fresh)
+
+    def test_converged(self, tier):
+        from repro.core.finetune import fine_tune
+
+        features, tune_config, base = tier
+        result = fine_tune(features, tune_config, base, max_iterations=3,
+                           tolerance=10.0)
+        assert result.converged and result.iterations == 1
+        self._assert_reused(features, base, result)
+
+    def test_best_of(self, tier):
+        from repro.core.finetune import fine_tune
+
+        features, tune_config, base = tier
+        result = fine_tune(features, tune_config, base, max_iterations=4,
+                           tolerance=0.0)
+        assert not result.converged and result.iterations == 4
+        # the best candidate is not the last one measured
+        best = result.error_history.index(min(result.error_history))
+        assert best < len(result.error_history) - 1
+        self._assert_reused(features, base, result)
+
+    def test_budget_trip(self, tier, monkeypatch):
+        from repro.core import finetune
+        from repro.util.errors import SimBudgetExceededError
+
+        features, tune_config, base = tier
+        measure, calls = finetune.measure_standalone, []
+
+        def trip_on_second(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise SimBudgetExceededError("tripped", budget="events")
+            return measure(*args, **kwargs)
+
+        monkeypatch.setattr(finetune, "measure_standalone", trip_on_second)
+        result = finetune.fine_tune(features, tune_config, base,
+                                    max_iterations=3, tolerance=0.0)
+        assert not result.converged and result.iterations == 2
+        assert result.knobs == base.knobs
+        self._assert_reused(features, base, result)
+
+    def test_every_tier_of_a_tuned_clone(self):
+        from repro import CloneRequest, DittoCloner, LoadSpec
+        from repro.app.workloads import two_tier_deployment
+        from repro.core.body_gen import GeneratorConfig
+        from repro.core.synthesis import synthesize_service
+
+        _, _, config, budget = _collection_inputs()["memcached"]
+        result = DittoCloner(executor="serial").clone(CloneRequest(
+            deployment=two_tier_deployment(),
+            load=LoadSpec.open_loop(20_000), config=config, budget=budget,
+            fine_tune_tiers=True, max_tune_iterations=2))
+        report = result.report
+        assert set(report.tuning) == set(result.synthetic.services)
+        for name, spec in result.synthetic.services.items():
+            assert report.tuning[name].spec is spec
+            fresh = synthesize_service(report.features[name], GeneratorConfig(
+                seed=report.generator_seeds[name],
+                knobs=report.tuning[name].knobs))
+            assert stable_digest(spec) == stable_digest(fresh)

@@ -10,6 +10,7 @@ from repro.core import (
     CloneRequest,
     DittoCloner,
     GeneratorConfig,
+    TuningKnobs,
     audit_bundle_confidentiality,
     deployment_from_bundle,
     extract_service_features,
@@ -183,6 +184,31 @@ class TestGeneratorSwitches:
         assert document["generator"] == {
             "instruction_memory": False, "data_memory": False,
             "data_dependencies": False}
+
+    def test_bundle_regenerates_untuned_clone_with_request_knobs(
+            self, tmp_path):
+        # An untuned clone made with non-default knobs regenerated from
+        # its bundle with TuningKnobs() while bundles recorded only the
+        # tuner's knobs, and the tuner had recorded none.
+        request = CloneRequest(
+            deployment=Deployment.single(build_memcached()),
+            load=LoadSpec.open_loop(100_000),
+            config=ExperimentConfig(platform=PLATFORM_A, duration_s=0.02,
+                                    seed=5),
+            fine_tune_tiers=False,
+            budget=ProfilingBudget(sampled_requests=8,
+                                   profile_duration_s=0.015),
+            generator_config=GeneratorConfig(
+                knobs=TuningKnobs(instr_scale=2.0)))
+        result = DittoCloner(executor="serial").clone(request)
+        report = result.report
+        assert report.tuning == {}
+        path = tmp_path / "untuned.json"
+        save_bundle(report.features, path, entry_service="memcached",
+                    generator_seeds=report.generator_seeds,
+                    generator_config=request.generator_config)
+        assert (stable_digest(deployment_from_bundle(path))
+                == stable_digest(result.synthetic))
 
     def test_default_switches_keep_bundle_bytes(self, tuned_clone,
                                                 tmp_path):

@@ -37,6 +37,7 @@ from repro.migrate import MigrationRequest
 from repro.migrate.__main__ import main as migrate_main
 from repro.profiling import ProfilingBudget
 from repro.runtime import ResilienceConfig
+from repro.runtime import expcache as expcache_module
 from repro.telemetry import Telemetry
 from repro.util.errors import (
     ArtifactIntegrityError,
@@ -45,6 +46,7 @@ from repro.util.errors import (
 )
 from repro.util.spec_hash import stable_digest
 from repro.validation import FidelityGate, RemediationPolicy
+from repro.validation import gate as gate_module
 
 FAST_BUDGET = ProfilingBudget(
     sampled_requests=6, max_accesses_per_spec=384,
@@ -437,6 +439,38 @@ class TestValidationAndFailure:
         assert document["format"] == "ditto-fleet-fidelity/1"
         assert document["report"]["passed"] is True
         assert client.result(record.job_id).fidelity["passed"] is True
+
+    def test_duplicate_gated_job_runs_no_gate_simulation(
+            self, tmp_path, monkeypatch):
+        # The fleet benchmark's duplicate job: a gated memcached clone
+        # submitted twice. The second finds its profile in the store
+        # and its tuning runs and both gate replays in the shared cache.
+        simulated = []
+
+        def counting(module):
+            real = module.run_experiment
+
+            def run(deployment, load, config):
+                simulated.append(module.__name__)
+                return real(deployment, load, config)
+            monkeypatch.setattr(module, "run_experiment", run)
+
+        counting(expcache_module)
+        counting(gate_module)
+        client = FleetClient(str(tmp_path))
+        first = client.submit(_request(validate=True), name="first")
+        client.run_until_idle(executor="serial")
+        # tuning ran one measurement, the gate two replays, all cached
+        assert simulated == ["repro.runtime.expcache"] * 3
+        simulated.clear()
+        duplicate = client.submit(_request(validate=True), name="dup")
+        outcomes = client.run_until_idle(executor="serial")
+        assert [o.state for o in outcomes] == [JobState.PUBLISHED]
+        assert simulated == []
+        assert (client.get(duplicate.job_id).result_digest
+                == client.get(first.job_id).result_digest)
+        assert (client.result(duplicate.job_id).fidelity
+                == client.result(first.job_id).fidelity)
 
     def test_unsatisfiable_gate_fails_the_job(self, tmp_path):
         impossible = FidelityGate({"ipc": 1e-12})

@@ -1,11 +1,13 @@
-"""The overlapped fidelity gate: same verdicts, original replayed early.
+"""One pool per clone: same verdicts as a serial clone, on every path.
 
-For a request with ``validate=`` set on a process executor, :class:`DittoCloner`
-replays the original in a one-worker pool while profiling runs, and
-the gate then replays only the clone. These tests hold it to the
-inline gate: equal reports on every path, no reuse of the early replay
-by a remediation rung, an inline fallback when the worker dies, and no
-child process left behind when the clone raises.
+For a gated request on the process executor, :class:`DittoCloner` opens
+one worker pool for the whole call: profiling collects each tier's
+artifacts in it, the tier stage runs there, and the gate replays the
+original in it while the parent replays the clone. These tests hold it
+to the serial clone: equal reports and profiles, a serial fallback with
+an equal report when a worker dies in any stage, a fresh replay of both
+sides on every remediation rung, and no child process left behind on
+any exit path.
 """
 
 import multiprocessing
@@ -22,11 +24,17 @@ from repro import (
     PLATFORM_A,
     build_memcached,
 )
-from repro.core import cloner as cloner_module
+from repro.core import pipeline as pipeline_module
 from repro.core.cloner import CloneObserver, DittoCloner
 from repro.profiling import ProfilingBudget
+from repro.profiling import collector as collector_module
 from repro.telemetry import Telemetry
-from repro.util.errors import FidelityGateError, JobCancelledError
+from repro.util.errors import (
+    FidelityGateError,
+    JobCancelledError,
+    TierExecutionError,
+)
+from repro.util.spec_hash import stable_digest
 from repro.validation import FidelityGate, RemediationPolicy
 from repro.validation import gate as gate_module
 from repro.validation.gate import MetricTolerance
@@ -46,6 +54,13 @@ IMPOSSIBLE = FidelityGate({
     for name in ("ipc", "l1i", "l1d", "l2", "llc", "branch_mpki",
                  "branch", "p50_latency", "p99_latency", "error_rate")
 })
+#: where each stage's pool work runs: killing a worker there breaks the
+#: pool in that stage (module, function called inside the worker task)
+STAGES = {
+    "collection": (collector_module, "_collect_service_artifacts"),
+    "tier": (pipeline_module, "extract_service_features"),
+    "gate": (gate_module, "run_experiment"),
+}
 
 
 def _cloner(executor: str, **options) -> DittoCloner:
@@ -79,12 +94,24 @@ def _experiments(telemetry: Telemetry) -> float:
     return telemetry.registry.get("ditto_experiments_total").total()
 
 
+def _degradations(telemetry: Telemetry) -> float:
+    counter = telemetry.registry.get("ditto_pipeline_degradations_total")
+    return 0 if counter is None else counter.total()
+
+
+def _gate_sides(telemetry: Telemetry) -> list:
+    """Where each gate evaluation replayed the original."""
+    return [record.args["original"]
+            for record in telemetry.spans.by_name()["fidelity_gate"]]
+
+
 @pytest.fixture(scope="module")
 def serial_clone():
-    """The inline-gate reference: its report and experiment count."""
+    """The serial reference: report, experiment count, profile digest."""
     telemetry = Telemetry()
     report = _cloner("serial", telemetry=telemetry).clone(REQUEST).report
-    return report.fidelity.to_dict(), _experiments(telemetry)
+    return (report.fidelity.to_dict(), _experiments(telemetry),
+            stable_digest(report.profile))
 
 
 @pytest.fixture(scope="module")
@@ -92,36 +119,44 @@ def serial_report(serial_clone):
     return serial_clone[0]
 
 
-def _serial_failure(policy: RemediationPolicy) -> FidelityGateError:
-    with pytest.raises(FidelityGateError) as failure:
-        _cloner("serial").clone(_impossible(policy))
-    return failure.value
+def _killing(real):
+    """``real``, except that it kills any process but this one."""
+    parent = os.getpid()
+
+    def kill_in_worker(*args):
+        if os.getpid() != parent:
+            os._exit(17)
+        return real(*args)
+
+    return kill_in_worker
 
 
-def _die(*_args, **_kwargs):
-    os._exit(17)
+def _tier_fails(_artifacts):
+    raise RuntimeError("tier keeps failing")
 
 
 class _CancelOnTuning(CloneObserver):
     def on_phase(self, phase, *, attempt=0, reason=""):
         if phase == "tuning":
-            raise JobCancelledError("cancelled while the original replays")
+            raise JobCancelledError("cancelled with the pool running")
 
 
 class TestOverlappedGate:
     def test_process_report_equals_serial(self, serial_clone,
                                           inline_replays):
-        report, experiments = serial_clone
+        report, experiments, profile = serial_clone
         before = _children()
         telemetry = Telemetry()
         result = _cloner("process", telemetry=telemetry).clone(REQUEST)
         assert result.report.executor == "process"
         assert result.report.fidelity.to_dict() == report
-        # the original was replayed early, in the baseline worker
+        assert stable_digest(result.report.profile) == profile
+        # the original replayed in a worker, the clone in this process
         assert inline_replays == {"original": 0, "clone": 1}
-        assert len(telemetry.spans.by_name()["gate_baseline_wait"]) == 1
+        assert _gate_sides(telemetry) == ["worker"]
         # the worker's replay is folded into the parent's session
         assert _experiments(telemetry) == experiments
+        assert _degradations(telemetry) == 0
         assert _children() <= before
 
     def test_serial_replays_inline(self, serial_report, inline_replays):
@@ -130,31 +165,56 @@ class TestOverlappedGate:
         assert inline_replays == {"original": 1, "clone": 1}
 
     @pytest.mark.parametrize("reseed", [True, False])
-    def test_remediation_rung_never_reuses_the_baseline(
+    def test_remediation_rung_replays_both_sides_afresh(
             self, inline_replays, reseed):
         policy = RemediationPolicy(max_attempts=1, reseed=reseed)
-        expected = _serial_failure(policy)
+        serial = Telemetry()
+        with pytest.raises(FidelityGateError) as expected:
+            _cloner("serial", telemetry=serial).clone(_impossible(policy))
         inline_replays.update(original=0, clone=0)
         before = _children()
+        telemetry = Telemetry()
         with pytest.raises(FidelityGateError) as failure:
-            _cloner("process").clone(_impossible(policy))
-        assert failure.value.attempts == expected.attempts == 2
-        assert failure.value.report.to_dict() == expected.report.to_dict()
-        # attempt 0 took the early replay; the rung replayed inline
-        assert inline_replays == {"original": 1, "clone": 2}
+            _cloner("process", telemetry=telemetry).clone(
+                _impossible(policy))
+        assert failure.value.attempts == expected.value.attempts == 2
+        assert failure.value.report.to_dict() \
+            == expected.value.report.to_dict()
+        # each attempt replayed the original in the pool, afresh
+        assert inline_replays == {"original": 0, "clone": 2}
+        assert _gate_sides(telemetry) == ["worker", "worker"]
+        assert _experiments(telemetry) == _experiments(serial)
         assert _children() <= before
 
-    def test_killed_baseline_worker_falls_back_inline(
-            self, serial_report, inline_replays, monkeypatch):
-        monkeypatch.setattr(cloner_module, "_replay_original", _die)
+    @pytest.mark.parametrize("stage", sorted(STAGES))
+    def test_killed_worker_falls_back_to_serial(
+            self, serial_clone, inline_replays, monkeypatch, stage):
+        report, _experiments_serial, profile = serial_clone
+        module, name = STAGES[stage]
+        monkeypatch.setattr(module, name, _killing(getattr(module, name)))
         before = _children()
-        result = _cloner("process").clone(REQUEST)
-        assert result.report.fidelity.to_dict() == serial_report
+        telemetry = Telemetry()
+        result = _cloner("process", telemetry=telemetry).clone(REQUEST)
+        assert result.report.fidelity.to_dict() == report
+        assert stable_digest(result.report.profile) == profile
+        # the pool broke once, and every later stage ran in the parent
+        assert _degradations(telemetry) == 1
+        assert result.report.executor == (
+            "process" if stage == "gate" else "serial")
         assert inline_replays == {"original": 1, "clone": 1}
+        assert _gate_sides(telemetry) == ["inline"]
         assert _children() <= before
 
     def test_no_child_outlives_a_cancelled_clone(self):
         before = _children()
         with pytest.raises(JobCancelledError):
             _cloner("process", observer=_CancelOnTuning()).clone(REQUEST)
+        assert _children() <= before
+
+    def test_no_child_outlives_a_raising_clone(self, monkeypatch):
+        monkeypatch.setattr(pipeline_module, "extract_service_features",
+                            _tier_fails)
+        before = _children()
+        with pytest.raises(TierExecutionError):
+            _cloner("process").clone(REQUEST)
         assert _children() <= before
