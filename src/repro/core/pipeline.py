@@ -51,12 +51,7 @@ from repro.core.finetune import (
 )
 from repro.core.synthesis import synthesize_service
 from repro.profiling.artifacts import ServiceArtifacts
-from repro.runtime.expcache import (
-    DEFAULT_CACHE_ENTRIES,
-    CacheStats,
-    ExperimentCache,
-    SharedExperimentCache,
-)
+from repro.runtime.expcache import CacheStats, SharedExperimentCache
 from repro.runtime.experiment import ExperimentConfig
 from repro.runtime.pool import (
     EXECUTOR_MODES,
@@ -104,12 +99,10 @@ class TierTask:
     #: stand-alone tuning platform; ``None`` skips fine-tuning
     tune_config: Optional[ExperimentConfig] = None
     max_tune_iterations: int = DEFAULT_MAX_TUNE_ITERATIONS
-    cache_max_entries: int = DEFAULT_CACHE_ENTRIES
     #: directory of a fleet-wide digest-keyed experiment store (see
-    #: :class:`~repro.runtime.expcache.SharedExperimentCache`); ``None``
-    #: keeps the historical private in-memory cache. Results are
-    #: bit-identical either way — the store only changes *where* a
-    #: memoized measurement is found.
+    #: :class:`~repro.runtime.expcache.SharedExperimentCache`) that the
+    #: tuning measurements go through; ``None`` simulates each one.
+    #: Results are bit-identical either way.
     shared_cache_dir: Optional[str] = None
 
 
@@ -139,13 +132,8 @@ def clone_tier(task: TierTask) -> TierOutcome:
         with span("feature_extraction", category="tier", service=service):
             features = extract_service_features(task.artifacts)
         config = task.generator_config
-        if task.shared_cache_dir is not None:
-            cache: ExperimentCache = SharedExperimentCache(
-                task.shared_cache_dir, max_entries=task.cache_max_entries,
-                name=service)
-        else:
-            cache = ExperimentCache(max_entries=task.cache_max_entries,
-                                    name=service)
+        cache = (SharedExperimentCache(task.shared_cache_dir, name=service)
+                 if task.shared_cache_dir is not None else None)
         tuning: Optional[FineTuneResult] = None
         if task.tune_config is not None:
             with span("fine_tune", category="tier", service=service):
@@ -168,7 +156,7 @@ def clone_tier(task: TierTask) -> TierOutcome:
         spec=spec,
         tuning=tuning,
         wall_clock_s=time.perf_counter() - started,
-        cache_stats=cache.stats,
+        cache_stats=cache.stats if cache is not None else CacheStats(),
     )
 
 

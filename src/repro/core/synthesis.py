@@ -18,7 +18,7 @@ from repro.core.body_gen import GeneratorConfig, generate_program
 from repro.core.features import ServiceFeatures
 from repro.core.skeleton_gen import generate_skeleton
 from repro.loadgen.generator import LoadSpec
-from repro.runtime.expcache import ExperimentCache
+from repro.runtime.expcache import ExperimentMemo
 from repro.runtime.experiment import ExperimentConfig, run_experiment
 from repro.runtime.metrics import ServiceMetrics
 
@@ -62,7 +62,7 @@ def measure_standalone(
     features: ServiceFeatures,
     service: ServiceSpec,
     platform_config: ExperimentConfig,
-    cache: Optional[ExperimentCache] = None,
+    cache: Optional[ExperimentMemo] = None,
 ) -> ServiceMetrics:
     """The counters of ``service``, the tier generated from
     ``features``, run alone at :func:`tier_load`; ``cache`` memoizes

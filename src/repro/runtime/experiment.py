@@ -275,15 +275,6 @@ def sweep_load(
     deployment: Deployment,
     loads: List[LoadSpec],
     config: ExperimentConfig,
-    cache=None,
 ) -> List[RunResult]:
-    """Run a list of load points (fresh simulation each).
-
-    Pass an :class:`~repro.runtime.expcache.ExperimentCache` as
-    ``cache`` to memoize the points: cross-figure sweeps that revisit a
-    (deployment, load, platform) combination are then served from
-    memory instead of re-simulating.
-    """
-    if cache is not None:
-        return cache.sweep(deployment, loads, config)
+    """Run a list of load points (fresh simulation each)."""
     return [run_experiment(deployment, load, config) for load in loads]

@@ -237,8 +237,3 @@ class BlockPricer:
     def seconds(self, cycles: float) -> float:
         """Convert cycles to seconds at the pricer's frequency."""
         return self.platform.cycles_to_seconds(cycles, self.frequency_ghz)
-
-    @property
-    def cache_size(self) -> int:
-        """Number of distinct pricings computed so far."""
-        return len(self.row_cycles)

@@ -155,10 +155,6 @@ class Gauge(_Metric):
                 self._values[key] = 0.0
             self._values[key] += amount
 
-    def dec(self, amount: float = 1.0, **labels: object) -> None:
-        """Adjust the gauge down by ``amount``."""
-        self.inc(-amount, **labels)
-
     def value(self, **labels: object) -> float:
         """Current value for one series (0 if never set)."""
         return self._values.get(_label_key(self, labels), 0.0)

@@ -208,10 +208,3 @@ class Histogram:
         """Return (key, count) pairs sorted by descending count."""
         ranked = sorted(self.counts.items(), key=lambda item: (-item[1], repr(item[0])))
         return ranked if n is None else ranked[:n]
-
-    def tv_distance(self, other: "Histogram") -> float:
-        """Total-variation distance between two histograms' distributions."""
-        mine = self.normalized()
-        theirs = other.normalized()
-        keys = set(mine) | set(theirs)
-        return 0.5 * sum(abs(mine.get(k, 0.0) - theirs.get(k, 0.0)) for k in keys)

@@ -36,10 +36,6 @@ class TestHandler:
         assert [inv.name for inv in handler.syscalls] == ["recv", "send"]
         assert handler.rpcs[0].target_service == "downstream"
 
-    def test_user_instructions_counts_blocks_only(self):
-        handler = _handler()
-        assert handler.user_instructions() == pytest.approx(1000, rel=0.01)
-
     def test_empty_handler_rejected(self):
         with pytest.raises(ConfigurationError):
             Handler("empty", ())
@@ -81,11 +77,6 @@ class TestProgram:
         ))
         program = Program(handlers={"h": handler})
         assert program.downstream_services() == ["a", "b"]
-
-    def test_total_code_bytes_includes_hot_code(self):
-        program = Program(handlers={"h": _handler()},
-                          hot_code_bytes=50_000)
-        assert program.total_code_bytes() > 50_000
 
 
 class TestSkeleton:

@@ -14,6 +14,7 @@ from repro.app.workloads import (
     social_network_deployment,
 )
 from repro.isa.instructions import iform
+from repro.util.dag import topological_order
 from repro.util.errors import ConfigurationError
 
 
@@ -112,7 +113,9 @@ class TestSocialNetwork:
     def test_deployment_is_a_dag(self):
         deployment = social_network_deployment()
         assert deployment.entry_service == "frontend"
-        order = deployment.tier_order()
+        order = topological_order({
+            name: spec.program.downstream_services()
+            for name, spec in deployment.services.items()})
         assert order[0] == "frontend"
         assert set(order) == set(deployment.services)
         for name, spec in deployment.services.items():

@@ -5,7 +5,11 @@ import inspect
 import pytest
 
 from repro.app.service import Deployment
-from repro.app.workloads import build_memcached, social_network_deployment
+from repro.app.workloads import (
+    build_memcached,
+    social_network_deployment,
+    two_tier_deployment,
+)
 from repro.core import (
     DEFAULT_MAX_TUNE_ITERATIONS,
     CloneRequest,
@@ -19,7 +23,7 @@ from repro.core.pipeline import resolve_executor, run_tier_pipeline
 from repro.hw import PLATFORM_A
 from repro.loadgen import LoadSpec
 from repro.profiling import ProfilingBudget, profile_deployment
-from repro.runtime import ExperimentConfig
+from repro.runtime import ExperimentCache, ExperimentConfig
 from repro.util import ConfigurationError, stable_digest
 
 FAST_BUDGET = ProfilingBudget(
@@ -48,9 +52,9 @@ def _socialnet_request(deployment, **options):
                         config=SOCIALNET_CONFIG, **options)
 
 
-def _clone_with(executor, socialnet_profile):
+def _clone_with(executor, socialnet_profile, **cloner_options):
     deployment, profile = socialnet_profile
-    cloner = DittoCloner(executor=executor, max_workers=4)
+    cloner = DittoCloner(executor=executor, max_workers=4, **cloner_options)
     return cloner.clone_from_profile(profile, _socialnet_request(
         deployment, fine_tune_tiers=True, max_tune_iterations=2,
         budget=FAST_BUDGET, seed=17))
@@ -60,6 +64,13 @@ def _clone_with(executor, socialnet_profile):
 def executor_clones(socialnet_profile):
     return {mode: _clone_with(mode, socialnet_profile)
             for mode in ("serial", "process")}
+
+
+@pytest.fixture(scope="module")
+def shared_cache_clone(socialnet_profile, tmp_path_factory):
+    """A process clone whose tiers tune through a fleet-style store."""
+    store = str(tmp_path_factory.mktemp("shared-cache"))
+    return _clone_with("process", socialnet_profile, shared_cache_dir=store)
 
 
 class TestExecutorDeterminism:
@@ -111,13 +122,41 @@ class TestCloneReportTelemetry:
             assert set(seconds) == set(deployment.services)
             assert all(s > 0 for s in seconds.values())
 
-    def test_cache_counters_surface(self, executor_clones):
+    def test_cache_counters_surface(self, shared_cache_clone,
+                                    executor_clones):
+        report = shared_cache_clone.report
+        stats = report.cache_stats
+        # One store lookup per tuning measurement on a fresh store, all
+        # misses, and the counters made it back from the workers.
+        assert stats.lookups == sum(
+            tuning.iterations for tuning in report.tuning.values())
+        assert stats.misses >= len(report.tuning)
+        # The store changes where a measurement is found, never what
+        # the clone is.
+        assert stable_digest(shared_cache_clone.synthetic) == stable_digest(
+            executor_clones["serial"].synthetic)
+
+    def test_plain_clones_use_no_cache(self, executor_clones):
         for result in executor_clones.values():
-            stats = result.report.cache_stats
-            # Two tuning iterations per tier, every knob vector fresh:
-            # all misses, and the counters made it back from the workers.
-            assert stats.misses >= len(result.report.tuning)
-            assert stats.lookups == stats.hits + stats.misses
+            assert result.report.cache_stats.lookups == 0
+
+    def test_plain_tuning_computes_no_cache_key(self, monkeypatch):
+        keys = []
+        real_key = ExperimentCache.key
+
+        def counting_key(*args):
+            keys.append(args)
+            return real_key(*args)
+        monkeypatch.setattr(ExperimentCache, "key",
+                            staticmethod(counting_key))
+        result = DittoCloner(executor="serial").clone(CloneRequest(
+            deployment=two_tier_deployment(), load=LoadSpec.open_loop(2000),
+            config=SOCIALNET_CONFIG, budget=FAST_BUDGET,
+            max_tune_iterations=2, seed=17))
+        tuning = result.report.tuning
+        assert set(tuning) == {"frontend", "memcached"}
+        assert keys == []
+        assert result.report.cache_stats.lookups == 0
 
 
 class TestCloneResultApi:

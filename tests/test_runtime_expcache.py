@@ -1,5 +1,6 @@
 """Experiment memoization: correctness, accounting, and fine-tune reuse."""
 
+import os
 from dataclasses import replace
 
 import pytest
@@ -14,9 +15,10 @@ from repro.profiling import ProfilingBudget, profile_deployment
 from repro.runtime import (
     ExperimentCache,
     ExperimentConfig,
+    expcache,
     run_experiment,
-    sweep_load,
 )
+from repro.runtime.expcache import SharedExperimentCache
 from repro.tracing.tracer import Tracer
 from repro.util import ConfigurationError
 
@@ -103,16 +105,88 @@ class TestExperimentCache:
         with pytest.raises(ConfigurationError):
             ExperimentCache(max_entries=0)
 
-    def test_sweep_load_uses_cache(self, memcached_point):
-        deployment, _load, config = memcached_point
-        cache = ExperimentCache()
-        loads = [LoadSpec.open_loop(40000), LoadSpec.open_loop(80000)]
-        first = sweep_load(deployment, loads, config, cache=cache)
-        second = sweep_load(deployment, loads, config, cache=cache)
-        assert cache.stats.misses == 2
-        assert cache.stats.hits == 2
-        assert [r.throughput for r in first] == [
-            r.throughput for r in second]
+
+def _same_run(result, expected):
+    assert (result.service("memcached").snapshot()
+            == expected.service("memcached").snapshot())
+    assert result.throughput == expected.throughput
+    assert result.latency_ms(99) == expected.latency_ms(99)
+
+
+class TestSharedExperimentCache:
+    """The fleet store keeps results on disk only: every lookup reads
+    the entry file, so the directory is the single source of truth."""
+
+    @staticmethod
+    def _entries(directory):
+        return sorted(os.listdir(directory))
+
+    @staticmethod
+    def _disk(cache, field):
+        counter = cache.registry.get(expcache.SHARED_CACHE_METRICS[field])
+        return int(counter.value(cache=cache.name))
+
+    def test_second_instance_reads_results_from_disk(
+            self, memcached_point, tmp_path, monkeypatch):
+        deployment, load, config = memcached_point
+        fresh = run_experiment(deployment, load, config)
+        SharedExperimentCache(str(tmp_path)).run(deployment, load, config)
+
+        def refuse(*_args):
+            pytest.fail("the cache simulated")
+        monkeypatch.setattr(expcache, "run_experiment", refuse)
+        cache = SharedExperimentCache(str(tmp_path))
+        first = cache.run(deployment, load, config)
+        second = cache.run(deployment, load, config)
+        for result in (first, second):
+            _same_run(result, fresh)
+        assert first is not second
+        assert (cache.stats.hits, cache.stats.misses) == (2, 0)
+        # Both hits were served by the store, not by process memory.
+        assert self._disk(cache, "disk_hits") == 2
+
+    def test_deleted_entry_is_a_miss(self, memcached_point, tmp_path):
+        deployment, load, config = memcached_point
+        cache = SharedExperimentCache(str(tmp_path))
+        cold = cache.run(deployment, load, config)
+        (entry,) = self._entries(tmp_path)
+        os.remove(tmp_path / entry)
+        again = cache.run(deployment, load, config)
+        _same_run(again, cold)
+        assert (cache.stats.hits, cache.stats.misses) == (0, 2)
+        assert self._disk(cache, "disk_stores") == 2
+        assert self._entries(tmp_path) == [entry]
+
+    def test_corrupt_entry_is_quarantined_and_remeasured(
+            self, memcached_point, tmp_path):
+        deployment, load, config = memcached_point
+        cache = SharedExperimentCache(str(tmp_path))
+        cold = cache.run(deployment, load, config)
+        (entry,) = self._entries(tmp_path)
+        path = tmp_path / entry
+        path.write_bytes(path.read_bytes()[:-7] + b"garbage")
+        again = cache.run(deployment, load, config)
+        _same_run(again, cold)
+        assert (cache.stats.hits, cache.stats.misses) == (0, 2)
+        assert self._entries(tmp_path) == sorted(
+            [entry, f"{entry}.quarantined"])
+        # The re-measured entry is whole again: the next lookup hits.
+        cache.run(deployment, load, config)
+        assert cache.stats.hits == 1
+
+    def test_traced_run_bypasses_the_store(self, memcached_point, tmp_path):
+        deployment, load, config = memcached_point
+        cache = SharedExperimentCache(str(tmp_path))
+        cache.run(deployment, load, replace(config, tracer=Tracer()))
+        assert cache.stats.bypasses == 1
+        assert cache.stats.lookups == 0
+        assert self._entries(tmp_path) == []
+        # An untraced run then stores the entry, and a repeat reads it
+        # back from disk.
+        cache.run(deployment, load, config)
+        cache.run(deployment, load, config)
+        assert len(self._entries(tmp_path)) == 1
+        assert self._disk(cache, "disk_hits") == 1
 
 
 class TestFineTuneWithCache:

@@ -58,16 +58,16 @@ class TestBlockPricer:
         # one table row per pricing; a repeat rebuilds an equal timing
         assert first == second
         assert pricer.row(block, _key()) == 0
-        assert pricer.cache_size == 1
+        assert len(pricer.row_cycles) == 1
 
     def test_distinct_keys_priced_separately(self):
         pricer = BlockPricer(PLATFORM_A)
         block = _block()
         warm = pricer.price(block, _key(cold=False))
-        cold = pricer.price(block, _key(cold=True,
-                                        code_reuse_bytes=2 * 1024 * 1024))
+        cold_key = _key(cold=True, code_reuse_bytes=2 * 1024 * 1024)
+        cold = pricer.price(block, cold_key)
         assert cold.cycles >= warm.cycles
-        assert pricer.cache_size == 2
+        assert pricer.row(block, cold_key) == 1
 
     def test_frequency_override_changes_seconds_not_cycles(self):
         base = BlockPricer(PLATFORM_A)

@@ -54,6 +54,12 @@ def serial_telemetry():
 
 
 @pytest.fixture(scope="module")
+def serial_shared_cache(tmp_path_factory):
+    store = str(tmp_path_factory.mktemp("shared-cache"))
+    return _clone(executor="serial", telemetry=True, shared_cache_dir=store)
+
+
+@pytest.fixture(scope="module")
 def process_telemetry():
     return _clone(executor="process", max_workers=2, telemetry=True)
 
@@ -98,7 +104,7 @@ class TestRegistry:
         gauge = MetricsRegistry().gauge("depth")
         gauge.set(5)
         gauge.inc(2)
-        gauge.dec(3)
+        gauge.inc(-3)
         assert gauge.value() == 4
 
     def test_histogram_buckets(self):
@@ -420,12 +426,18 @@ class TestPipelineTelemetry:
                 "tier:memcached", "feature_extraction", "generation",
                 "run_experiment"} <= names
 
-    def test_cache_stats_are_registry_backed(self, serial_telemetry):
-        report = serial_telemetry.report
+    def test_cache_stats_are_registry_backed(self, serial_shared_cache):
+        report = serial_shared_cache.report
         registry = report.telemetry.registry
         misses = registry.get("ditto_expcache_misses_total")
         assert misses is not None
-        assert report.cache_stats.misses == int(misses.total())
+        assert report.cache_stats.misses == int(misses.total()) > 0
+
+    def test_plain_clone_registers_no_cache(self, serial_telemetry):
+        report = serial_telemetry.report
+        assert report.cache_stats.lookups == 0
+        assert report.telemetry.registry.get(
+            "ditto_expcache_misses_total") is None
 
     def test_process_clone_merges_worker_spans(self, process_telemetry):
         telemetry = process_telemetry.report.telemetry

@@ -150,24 +150,3 @@ class TestHistogram:
         hist = Histogram()
         hist.update({"a": 1, "b": 5, "c": 3})
         assert [k for k, _ in hist.most_common()] == ["b", "c", "a"]
-
-    def test_tv_distance_identical_is_zero(self):
-        hist = Histogram({"a": 1, "b": 2})
-        assert hist.tv_distance(Histogram({"a": 2, "b": 4})) == pytest.approx(0.0)
-
-    def test_tv_distance_disjoint_is_one(self):
-        assert Histogram({"a": 1}).tv_distance(Histogram({"b": 1})) == pytest.approx(
-            1.0
-        )
-
-    @given(
-        st.dictionaries(st.text(min_size=1, max_size=3), st.integers(1, 100),
-                        min_size=1, max_size=8),
-        st.dictionaries(st.text(min_size=1, max_size=3), st.integers(1, 100),
-                        min_size=1, max_size=8),
-    )
-    def test_tv_distance_is_a_metric_within_bounds(self, a, b):
-        ha, hb = Histogram(dict(a)), Histogram(dict(b))
-        d = ha.tv_distance(hb)
-        assert 0.0 <= d <= 1.0 + 1e-12
-        assert d == pytest.approx(hb.tv_distance(ha))
