@@ -57,14 +57,6 @@ class ErrorReport:
             raise ConfigurationError("no finite comparisons to average")
         return sum(c.error for c in chosen) / len(chosen)
 
-    def max_error(self) -> float:
-        """Largest finite relative error."""
-        finite = [c.error for c in self.comparisons
-                  if c.error != float("inf")]
-        if not finite:
-            raise ConfigurationError("no finite comparisons")
-        return max(finite)
-
     def table(self) -> str:
         """A printable actual/synthetic/error table."""
         lines = [f"{'metric':<16}{'actual':>14}{'synthetic':>14}{'error':>9}"]

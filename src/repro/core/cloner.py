@@ -29,17 +29,12 @@ from typing import Dict, Iterator, List, Optional, Union
 from repro.app.service import Deployment, Placement, ServiceSpec
 from repro.core.features import ServiceFeatures
 from repro.core.finetune import FineTuneResult
-from repro.core.pipeline import (
-    EXECUTOR_MODES,
-    TierTask,
-    derive_tier_seed,
-    run_tier_pipeline,
-)
+from repro.core.pipeline import TierTask, derive_tier_seed, run_tier_pipeline
 from repro.core.request import CloneRequest
 from repro.profiling.collector import ApplicationProfile, profile_deployment
 from repro.runtime.expcache import CacheStats
 from repro.runtime.experiment import ExperimentConfig
-from repro.runtime.pool import WorkerPool, worker_pool
+from repro.runtime.pool import EXECUTOR_MODES, WorkerPool, worker_pool
 from repro.telemetry.context import current_session
 from repro.telemetry.session import Telemetry
 from repro.telemetry.spans import span
@@ -85,10 +80,6 @@ class CloneReport:
     #: accepted attempt's seed); a bundle records it so its consumers
     #: regenerate this exact clone
     generator_seeds: Dict[str, int] = field(default_factory=dict)
-
-    def tier_names(self) -> List[str]:
-        """Cloned tiers."""
-        return sorted(self.features)
 
 
 @dataclass(frozen=True)
@@ -136,15 +127,14 @@ class DittoCloner:
     default: a process pool whenever there is more than one tier and
     more than one CPU, else serial).
 
-    ``tier_retries`` re-runs a failed tier that many extra times before
-    the pipeline gives up with a
-    :class:`~repro.util.errors.TierExecutionError` (which still carries
-    the sibling tiers' finished outcomes); a broken worker pool falls
-    back to serial for the work it had not finished and for the rest
-    of the clone.
+    Every pool task runs once: a tier that raises fails the clone with
+    a :class:`~repro.util.errors.TierExecutionError` naming the tier,
+    and a gate replay that raises fails it with its own error. A broken
+    worker pool falls back to serial for the work it had not finished
+    and for the rest of the clone.
     ``checkpoint_dir`` persists each finished tier outcome to disk so a
-    killed clone resumes from where it stopped instead of re-running
-    completed tiers.
+    failed or killed clone resumes from where it stopped instead of
+    re-running completed tiers.
 
     ``telemetry`` opts the session into observability: pass ``True``
     (fresh :class:`~repro.telemetry.session.Telemetry`) or an existing
@@ -173,7 +163,6 @@ class DittoCloner:
         *,
         executor: str = "auto",
         max_workers: Optional[int] = None,
-        tier_retries: int = 1,
         checkpoint_dir: Optional[str] = None,
         telemetry: Union[bool, Telemetry, None] = None,
         observer: Optional[CloneObserver] = None,
@@ -186,17 +175,12 @@ class DittoCloner:
         if max_workers is not None and max_workers < 1:
             raise ConfigurationError(
                 f"max_workers must be >= 1, got {max_workers!r}")
-        if not isinstance(tier_retries, int) \
-                or isinstance(tier_retries, bool) or tier_retries < 0:
-            raise ConfigurationError(
-                f"tier_retries must be an int >= 0, got {tier_retries!r}")
         if checkpoint_dir is not None and not isinstance(checkpoint_dir, str):
             raise ConfigurationError(
                 f"checkpoint_dir must be a path string, "
                 f"got {checkpoint_dir!r}")
         self.executor = executor
         self.max_workers = max_workers
-        self.tier_retries = tier_retries
         self.checkpoint_dir = checkpoint_dir
         if telemetry is True:
             telemetry = Telemetry()
@@ -335,9 +319,7 @@ class DittoCloner:
             for name in deployment.services
         ]
         outcomes, mode = run_tier_pipeline(
-            tasks, executor=self.executor, max_workers=self.max_workers,
-            tier_retries=self.tier_retries,
-            checkpoint_dir=self.checkpoint_dir, pool=pool)
+            tasks, pool=pool, checkpoint_dir=self.checkpoint_dir)
         report = CloneReport(features={}, topology=profile.topology,
                              profile=profile, executor=mode,
                              telemetry=self.telemetry,

@@ -5,8 +5,9 @@ stripped for stand-alone tuning, Ditto's Fig. 3 pipeline is
 embarrassingly parallel across tiers (§4.5: each tier's knobs calibrate
 independently). This module fans the per-tier stage — feature
 extraction → fine-tune → body/skeleton generation — out across the
-clone's :class:`~repro.runtime.pool.WorkerPool`. A tuned tier's spec is
-the one the tuner generated for the knobs it chose.
+clone's :class:`~repro.runtime.pool.WorkerPool`, or runs it in this
+process when the clone has no pool. A tuned tier's spec is the one the
+tuner generated for the knobs it chose.
 
 Determinism: a tier's outcome is a pure function of its
 :class:`TierTask` payload. Every random stream a tier consumes is
@@ -15,31 +16,23 @@ derived from the task's own seeds via the named-stream discipline in
 mutable state, so serial and process-pool runs produce bit-identical
 clones and execution order cannot leak between tiers.
 
-Executor selection: ``"process"`` (the clone's pool, or one opened for
-the call), ``"serial"`` (plain loop), or ``"auto"`` (a pool whenever it
-can help: more than one tier and more than one CPU). There is no
-thread mode: the tier stage is pure Python, so threads only serialise
-on the interpreter lock.
-
-Robustness: a tier that raises is retried up to ``tier_retries`` times
-before the pipeline gives up with a
-:class:`~repro.util.errors.TierExecutionError` naming the tier and
-carrying every sibling outcome completed so far. A broken worker pool
-(a worker killed mid-task) falls back to serial once and re-runs only
-the unfinished tiers there. With ``checkpoint_dir`` set, each finished
-:class:`TierOutcome` is pickled under a key derived from the task's
-:func:`~repro.util.spec_hash.stable_digest`, so a killed pipeline
-resumes without re-running completed tiers (and a
-*changed* task never matches a stale checkpoint).
+Robustness: each tier runs once. A tier that raises fails the pipeline
+at once with a :class:`~repro.util.errors.TierExecutionError` naming
+the tier; re-running it on the same task would raise again. A broken
+worker pool (a worker killed mid-task) hands the unfinished tiers to
+this process, which runs them serially. With ``checkpoint_dir`` set,
+each finished :class:`TierOutcome` is pickled under a key derived from
+the task's :func:`~repro.util.spec_hash.stable_digest` as it lands, so
+a failed or killed pipeline resumes without re-running completed tiers
+(and a *changed* task never matches a stale checkpoint).
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.app.service import ServiceSpec
 from repro.core.body_gen import GeneratorConfig
@@ -53,29 +46,19 @@ from repro.core.synthesis import synthesize_service
 from repro.profiling.artifacts import ServiceArtifacts
 from repro.runtime.expcache import CacheStats, SharedExperimentCache
 from repro.runtime.experiment import ExperimentConfig
-from repro.runtime.pool import (
-    EXECUTOR_MODES,
-    WorkerPool,
-    fan_out,
-    resolve_executor,
-    worker_pool,
-)
-from repro.telemetry.context import current_session
+from repro.runtime.pool import WorkerPool, fan_out
 from repro.telemetry.spans import span
-from repro.util.errors import ArtifactIntegrityError, ConfigurationError, \
-    TierExecutionError
+from repro.util.errors import ArtifactIntegrityError, TierExecutionError
 from repro.util.rng import derive_seed
 from repro.util.spec_hash import stable_digest
 from repro.validation import integrity
 
 __all__ = [
-    "EXECUTOR_MODES",
     "TierCheckpoint",
     "TierOutcome",
     "TierTask",
     "clone_tier",
     "derive_tier_seed",
-    "resolve_executor",
     "run_tier_pipeline",
 ]
 
@@ -233,79 +216,49 @@ class TierCheckpoint:
 def run_tier_pipeline(
     tasks: Sequence[TierTask],
     *,
-    executor: str = "auto",
-    max_workers: Optional[int] = None,
-    tier_fn: Callable[[TierTask], TierOutcome] = clone_tier,
-    tier_retries: int = 1,
-    checkpoint_dir: Optional[str] = None,
     pool: Optional[WorkerPool] = None,
+    checkpoint_dir: Optional[str] = None,
+    tier_fn: Callable[[TierTask], TierOutcome] = clone_tier,
 ) -> Tuple[List[TierOutcome], str]:
-    """Fan ``tasks`` out across the clone's pool, or the chosen executor.
+    """Fan ``tasks`` out across the clone's pool, or run them serially.
 
     Returns ``(outcomes, resolved_mode)`` with outcomes in task order
     regardless of completion order, so downstream assembly (and the
     clones themselves) cannot depend on scheduling.
 
     ``pool`` is the clone's shared :class:`~repro.runtime.pool.WorkerPool`;
-    without one, ``executor``/``max_workers`` open a pool for this call
-    alone when they resolve to ``"process"``. ``tier_fn`` is the
+    ``None`` runs every tier in this process. ``tier_fn`` is the
     per-tier stage (default :func:`clone_tier`); it must be picklable
-    for the process mode. A tier that raises is re-run up to
-    ``tier_retries`` extra times; exhaustion raises
-    :class:`~repro.util.errors.TierExecutionError` carrying every
-    sibling outcome that did complete. A broken pool (worker killed)
-    falls back to serial and re-runs only unfinished tiers —
+    to run in the pool. A tier that raises raises
+    :class:`~repro.util.errors.TierExecutionError` at once. A broken
+    pool (worker killed) hands the unfinished tiers to this process —
     ``resolved_mode`` reports the mode that actually finished the work.
     ``checkpoint_dir`` persists each outcome as it lands so an
     interrupted run resumes from disk (see :class:`TierCheckpoint`).
     """
-    if not isinstance(tier_retries, int) or isinstance(tier_retries, bool) \
-            or tier_retries < 0:
-        raise ConfigurationError(
-            f"tier_retries must be an int >= 0, got {tier_retries!r}")
-    with contextlib.ExitStack() as stack:
-        if pool is None:
-            pool = stack.enter_context(worker_pool(
-                executor, n_tasks=len(tasks), max_workers=max_workers))
-        checkpoint = (TierCheckpoint(checkpoint_dir)
-                      if checkpoint_dir is not None else None)
-        # Hash each task once: load and save share its checkpoint path.
-        paths = ([checkpoint.path(task) for task in tasks]
-                 if checkpoint is not None else [])
-        outcomes: List[Optional[TierOutcome]] = (
-            [checkpoint.load(path) for path in paths]
-            if checkpoint is not None else [None] * len(tasks))
-        pending = {index: task for index, task in enumerate(tasks)
-                   if outcomes[index] is None}
-        failures: Dict[int, int] = {}
+    checkpoint = (TierCheckpoint(checkpoint_dir)
+                  if checkpoint_dir is not None else None)
+    # Hash each task once: load and save share its checkpoint path.
+    paths = ([checkpoint.path(task) for task in tasks]
+             if checkpoint is not None else [])
+    outcomes: List[Optional[TierOutcome]] = (
+        [checkpoint.load(path) for path in paths]
+        if checkpoint is not None else [None] * len(tasks))
+    pending = {index: task for index, task in enumerate(tasks)
+               if outcomes[index] is None}
 
-        def complete(index: int, outcome: TierOutcome) -> None:
-            outcomes[index] = outcome
-            if checkpoint is not None:
-                checkpoint.save(paths[index], outcome)
+    def complete(index: int, outcome: TierOutcome) -> None:
+        outcomes[index] = outcome
+        if checkpoint is not None:
+            checkpoint.save(paths[index], outcome)
 
-        def retry(index: int, error: Exception) -> None:
-            """Count one failed attempt; raise once the tier is exhausted."""
-            failures[index] = failures.get(index, 0) + 1
-            tier = tasks[index].artifacts.service
-            if failures[index] > tier_retries:
-                raise TierExecutionError(
-                    f"tier {tier!r} failed after "
-                    f"{failures[index]} attempt(s): {error}",
-                    tier=tier, attempts=failures[index],
-                    outcomes={outcome.service: outcome
-                              for outcome in outcomes if outcome is not None},
-                    last_error=error,
-                ) from error
-            session = current_session()
-            if session is not None:
-                session.registry.counter(
-                    "ditto_tier_retries_total",
-                    "per-tier pipeline attempts retried after a failure",
-                    ("tier",)).inc(1, tier=tier)
+    def fail(index: int, error: Exception) -> None:
+        tier = tasks[index].artifacts.service
+        raise TierExecutionError(f"tier {tier!r} failed: {error}",
+                                 tier=tier, last_error=error) from error
 
-        with span("tier_pipeline", tiers=len(tasks),
-                  resumed=len(tasks) - len(pending)) as tick:
-            mode = fan_out(pool, tier_fn, pending, complete, retry)
-            tick.set(executor=mode)
-        return list(outcomes), mode
+    with span("tier_pipeline", tiers=len(tasks),
+              resumed=len(tasks) - len(pending)) as tick:
+        mode = fan_out(pool, tier_fn, pending, complete, fail)
+        tick.set(executor=mode)
+    return list(outcomes), mode

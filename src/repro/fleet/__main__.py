@@ -70,7 +70,6 @@ from typing import List, Optional
 
 from repro.app.service import Deployment
 from repro.app.workloads import DEPLOYMENT_BUILDERS, WORKLOAD_BUILDERS
-from repro.core.pipeline import EXECUTOR_MODES
 from repro.core.request import CloneRequest
 from repro.fleet.client import FleetClient
 from repro.fleet.job import JobState
@@ -78,6 +77,7 @@ from repro.hw.platform import _PLATFORMS, platform_by_name
 from repro.loadgen.generator import LoadSpec
 from repro.profiling.artifacts import ProfilingBudget
 from repro.runtime.experiment import ExperimentConfig
+from repro.runtime.pool import EXECUTOR_MODES
 from repro.util.errors import ReproError
 from repro.validation.gate import FidelityGate, parse_tolerances
 

@@ -51,12 +51,12 @@ from concurrent.futures import (
 )
 from typing import Dict, List, Optional, Set, Union
 
-from repro.core.pipeline import resolve_executor
 from repro.fleet.chaos import ChaosPlan, crashpoint, maybe_active
 from repro.fleet.job import JobState
 from repro.fleet.obs.httpd import FleetStatusServer, parse_serve_address
 from repro.fleet.store import JobStore
 from repro.fleet.worker import JobWorkerOutcome, execute_job
+from repro.runtime.pool import resolve_executor
 from repro.telemetry.session import Telemetry
 from repro.util.errors import ConfigurationError
 

@@ -3,9 +3,14 @@
 Two complementary views of the same hardware:
 
 - :class:`SetAssociativeCache` — an explicit set-associative LRU cache
-  simulator. This is what the Valgrind-like working-set profiler drives
-  when it sweeps "cache sizes" (§4.4.4): it replays sampled address
-  streams and counts hits, exactly as ``cachegrind`` would.
+  simulator that replays address streams and counts hits, as
+  ``cachegrind`` would. It is the reference the tests check
+  :func:`miss_fraction` and the profiler's working-set sweep against,
+  and what the ``cache_addresses_per_s`` perf diagnostic drives. The
+  profiler itself does not run it: its cache-size sweeps (§4.4.4) use
+  :func:`repro.profiling.wset.reuse_distances` and
+  :func:`~repro.profiling.wset.sweep_hits` over
+  :func:`repro.hw.stackdist.stack_distances`.
 - closed-form hit/miss fractions for the runtime timing model
   (:func:`miss_fraction`), exploiting the paper's key observation: for a
   sequential loop over a working set of W bytes under (pseudo-)LRU, every
@@ -81,8 +86,9 @@ class SetAssociativeCache:
     """Explicit set-associative LRU cache simulator over line addresses.
 
     Addresses are byte addresses; the simulator tracks tags per set with
-    true-LRU replacement. It is used by profilers (cache-size sweeps) and
-    by tests that validate the closed-form model against simulation.
+    true-LRU replacement. No clone path runs it: tests validate the
+    closed-form model and the profiler's stack-distance sweep against
+    it, and the ``cache_addresses_per_s`` perf diagnostic times it.
     """
 
     def __init__(self, config: CacheConfig) -> None:

@@ -53,10 +53,6 @@ class ThreadModelProfile:
 
     classes: List[ReconstructedThreadClass] = field(default_factory=list)
 
-    def worker_classes(self) -> List[ReconstructedThreadClass]:
-        """All classes with the worker role."""
-        return [cls for cls in self.classes if cls.role == "worker"]
-
 
 def _classify_role(labels: List[str], trigger: str) -> str:
     if "accept" in labels:

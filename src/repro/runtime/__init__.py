@@ -14,7 +14,7 @@ the clone's program reconstructs the original's characteristics.
 
 from repro.runtime.metrics import RunResult, ServiceMetrics
 from repro.runtime.pricing import BlockPricer, PricingKey
-from repro.runtime.experiment import ExperimentConfig, run_experiment, sweep_load
+from repro.runtime.experiment import ExperimentConfig, run_experiment
 from repro.runtime.expcache import CacheStats, ExperimentCache
 from repro.runtime.resilience import CircuitBreaker, ResilienceConfig, RetryPolicy
 
@@ -30,5 +30,4 @@ __all__ = [
     "RunResult",
     "ServiceMetrics",
     "run_experiment",
-    "sweep_load",
 ]

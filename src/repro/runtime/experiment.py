@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.app.service import Deployment
 from repro.faults.injector import FaultInjector
@@ -269,12 +269,3 @@ def _run_experiment(
         },
         events_dispatched=env.dispatched_events,
     )
-
-
-def sweep_load(
-    deployment: Deployment,
-    loads: List[LoadSpec],
-    config: ExperimentConfig,
-) -> List[RunResult]:
-    """Run a list of load points (fresh simulation each)."""
-    return [run_experiment(deployment, load, config) for load in loads]

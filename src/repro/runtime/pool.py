@@ -2,8 +2,10 @@
 
 Profiling, the tier stage and the fidelity gate of a process clone all
 run tasks on one :class:`WorkerPool` (:func:`worker_pool`). A task's
-telemetry is folded into the parent's session. A worker that dies
-breaks the pool, and the rest of the clone runs in the parent.
+telemetry is folded into the parent's session. A task runs once: its
+exception fails the stage that submitted it. A worker that dies breaks
+the pool; the tasks it left unfinished, and the rest of the clone, run
+in the parent.
 """
 
 from __future__ import annotations
@@ -81,15 +83,13 @@ class WorkerPool:
             return None
 
     def result(self, future: Future) -> Optional[Any]:
-        """``future``'s result; None when its task raised or the pool
-        broke, and the caller then runs the task itself."""
+        """``future``'s result; None when the pool broke, and the caller
+        then runs the task itself. A task's own exception propagates."""
         try:
             return _unpack(future)
         except BrokenExecutor:
             self.degrade()
-        except Exception:  # noqa: BLE001 — the caller's own run re-raises
-            pass
-        return None
+            return None
 
 
 def _unpack(future: Future) -> Any:
@@ -122,20 +122,20 @@ def worker_pool(executor: str, *, n_tasks: int,
         pool.executor.shutdown(wait=True, cancel_futures=True)
 
 
-def _give_up(_key: Any, error: Exception) -> None:
+def _reraise(_key: Any, error: Exception) -> None:
     raise error
 
 
 def fan_out(pool: Optional[WorkerPool], fn: Callable[[Any], Any],
             tasks: Mapping[Any, Any], complete: Callable[[Any, Any], None],
-            retry: Callable[[Any, Exception], None] = _give_up) -> str:
-    """Run ``fn(task)`` for every task, in ``pool`` when there is one.
+            fail: Callable[[Any, Exception], None] = _reraise) -> str:
+    """Run ``fn(task)`` once for every task, in ``pool`` when there is one.
 
     ``complete(key, result)`` hears each result as it lands. A task that
-    raises goes to ``retry(key, error)``, which raises to give up or
-    returns to run the task again. A broken pool leaves its unfinished
-    tasks to this process. Returns the mode that finished the work,
-    ``"process"`` or ``"serial"``.
+    raises ends the fan-out: ``fail(key, error)`` raises in its place
+    (by default the task's own error). A broken pool hands its
+    unfinished tasks to this process, once. Returns the mode that
+    finished the work, ``"process"`` or ``"serial"``.
     """
     pending: Dict[Any, Any] = dict(tasks)
     if pool is not None and not pool.broken and pending:
@@ -152,9 +152,8 @@ def fan_out(pool: Optional[WorkerPool], fn: Callable[[Any], Any],
                     except BrokenExecutor:
                         raise
                     except Exception as error:  # noqa: BLE001
-                        retry(key, error)
-                        active[pool._submit(fn, pending[key])] = key
-                        continue
+                        fail(key, error)
+                        raise
                     del pending[key]
                     complete(key, result)
             return "process"
@@ -164,12 +163,10 @@ def fan_out(pool: Optional[WorkerPool], fn: Callable[[Any], Any],
             for future in active:
                 future.cancel()
     for key, task in pending.items():
-        while True:
-            try:
-                result = fn(task)
-            except Exception as error:  # noqa: BLE001 — retry boundary
-                retry(key, error)
-                continue
-            break
+        try:
+            result = fn(task)
+        except Exception as error:  # noqa: BLE001
+            fail(key, error)
+            raise
         complete(key, result)
     return "serial"

@@ -21,8 +21,8 @@ simulation failures.  The full tree (documented in DESIGN.md):
       attempting it
     - ``LoadSheddedError`` — a request was rejected at admission because a
       service queue exceeded its shedding bound
-    - ``TierExecutionError`` — one clone-pipeline tier failed after its
-      retry budget; preserves the sibling tiers' outcomes
+    - ``TierExecutionError`` — one clone-pipeline tier raised; names the
+      tier and carries the underlying failure
     - ``SimBudgetExceededError`` — a simulation watchdog tripped (event
       budget, sim-time deadline, or livelock detector); subclass of
       ``SimulationError`` and names the entry that was running
@@ -47,7 +47,7 @@ simulation failures.  The full tree (documented in DESIGN.md):
       that justified the refusal
 """
 
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 
 class ReproError(Exception):
@@ -235,19 +235,15 @@ class MigrationError(ReproError):
 
 
 class TierExecutionError(ReproError):
-    """One clone-pipeline tier failed after its retry budget.
+    """One clone-pipeline tier raised.
 
-    The pipeline preserves what the *other* tiers produced: ``outcomes``
-    maps completed tier names to their ``TierOutcome`` objects (typed as
-    ``Any`` here to keep this module dependency-free), so a caller can
-    checkpoint or salvage partial progress instead of losing the run.
+    ``tier`` names it and ``last_error`` is the tier's own failure (also
+    the ``__cause__``). Tiers that finished first are saved in the
+    pipeline's checkpoint directory, when it has one.
     """
 
-    def __init__(self, message: str, *, tier: str, attempts: int = 1,
-                 outcomes: Optional[Dict[str, Any]] = None,
+    def __init__(self, message: str, *, tier: str,
                  last_error: Optional[BaseException] = None) -> None:
         super().__init__(message)
         self.tier = tier
-        self.attempts = attempts
-        self.outcomes = dict(outcomes) if outcomes else {}
         self.last_error = last_error

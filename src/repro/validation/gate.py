@@ -382,10 +382,12 @@ class FidelityGate:
         services; both runs use ``config`` exactly as given (same seed —
         the comparison is like-for-like by construction). With a
         ``pool``, the original replays in a worker while this process
-        replays the clone; a worker that fails leaves the original's
-        replay to this process. With ``cache_dir``, both replays go
-        through the :class:`~repro.runtime.expcache.SharedExperimentCache`
-        there, so a repeated gate simulates nothing.
+        replays the clone. A killed worker leaves the original's replay
+        to this process; a replay that raises fails the gate with its
+        own error, without a second run. With ``cache_dir``, both
+        replays go through the
+        :class:`~repro.runtime.expcache.SharedExperimentCache` there, so
+        a repeated gate simulates nothing.
         """
         if set(original.services) != set(clone.services):
             raise ConfigurationError(

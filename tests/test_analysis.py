@@ -138,12 +138,11 @@ class TestFeatureClusters:
 
 
 class TestErrorReport:
-    def test_mean_and_max(self):
+    def test_mean_error(self):
         report = ErrorReport()
         report.add("ipc", 1.0, 1.1)
         report.add("l1d", 0.2, 0.1)
         assert report.mean_error() == pytest.approx((0.1 + 0.5) / 2)
-        assert report.max_error() == pytest.approx(0.5)
 
     def test_error_of_named_metric(self):
         report = ErrorReport()

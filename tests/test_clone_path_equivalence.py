@@ -1359,7 +1359,7 @@ def _collection_inputs():
     }
 
 
-def _reversed_fan_out(pool, fn, tasks, complete, retry=None):
+def _reversed_fan_out(pool, fn, tasks, complete, fail=None):
     """Collect every tier in this process, last tier first."""
     for key in reversed(list(tasks)):
         complete(key, fn(tasks[key]))

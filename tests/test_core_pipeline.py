@@ -19,11 +19,11 @@ from repro.core import (
 )
 from repro.core.cloner import CloneReport
 from repro.core.finetune import fine_tune
-from repro.core.pipeline import resolve_executor, run_tier_pipeline
 from repro.hw import PLATFORM_A
 from repro.loadgen import LoadSpec
 from repro.profiling import ProfilingBudget, profile_deployment
 from repro.runtime import ExperimentCache, ExperimentConfig
+from repro.runtime.pool import resolve_executor, worker_pool
 from repro.util import ConfigurationError, stable_digest
 
 FAST_BUDGET = ProfilingBudget(
@@ -218,7 +218,8 @@ class TestExecutorResolution:
         with pytest.raises(ConfigurationError):
             DittoCloner(executor="thread")
         with pytest.raises(ConfigurationError):
-            run_tier_pipeline([], executor="thread")
+            with worker_pool("thread", n_tasks=2):
+                pass
 
     def test_auto_serial_for_single_task(self):
         assert resolve_executor("auto", n_tasks=1) == "serial"

@@ -398,6 +398,9 @@ class TestFleetObservabilityEndToEnd:
         store, _, _, _, _, _, _ = observed
         frame = render_top(store, read_flight_log(store.flight_path))
         assert "published=2" in frame
+        # no line reads a counter this process never recorded
+        assert "published=0" not in frame
+        assert "remediation-attempts 0" in frame.splitlines()[1]
         assert "flight log:" in frame
         assert "job_state=" in frame
 

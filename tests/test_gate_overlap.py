@@ -5,9 +5,9 @@ one worker pool for the whole call: profiling collects each tier's
 artifacts in it, the tier stage runs there, and the gate replays the
 original in it while the parent replays the clone. These tests hold it
 to the serial clone: equal reports and profiles, a serial fallback with
-an equal report when a worker dies in any stage, a fresh replay of both
-sides on every remediation rung, and no child process left behind on
-any exit path.
+an equal report when a worker dies in any stage, a worker replay that
+raises and is not run again, a fresh replay of both sides on every
+remediation rung, and no child process left behind on any exit path.
 """
 
 import multiprocessing
@@ -131,6 +131,18 @@ def _killing(real):
     return kill_in_worker
 
 
+def _raising(real):
+    """``real``, except that it raises in any process but this one."""
+    parent = os.getpid()
+
+    def raise_in_worker(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("worker replay failed")
+        return real(*args)
+
+    return raise_in_worker
+
+
 def _tier_fails(_artifacts):
     raise RuntimeError("tier keeps failing")
 
@@ -203,6 +215,18 @@ class TestOverlappedGate:
             "process" if stage == "gate" else "serial")
         assert inline_replays == {"original": 1, "clone": 1}
         assert _gate_sides(telemetry) == ["inline"]
+        assert _children() <= before
+
+    def test_raising_worker_replay_runs_once(self, inline_replays,
+                                             monkeypatch):
+        monkeypatch.setattr(gate_module, "run_experiment",
+                            _raising(gate_module.run_experiment))
+        before = _children()
+        with pytest.raises(RuntimeError, match="worker replay failed"):
+            _cloner("process").clone(REQUEST)
+        # the original's replay raised in its worker; the parent
+        # replayed only the clone and did not run the original again
+        assert inline_replays == {"original": 0, "clone": 1}
         assert _children() <= before
 
     def test_no_child_outlives_a_cancelled_clone(self):

@@ -1,4 +1,4 @@
-"""Pipeline hardening: tier retry, serial fallback, checkpoints."""
+"""Pipeline hardening: tiers run once, serial fallback, checkpoints."""
 
 import functools
 import os
@@ -16,6 +16,7 @@ from repro.hw import PLATFORM_A
 from repro.loadgen import LoadSpec
 from repro.profiling import ProfilingBudget, profile_deployment
 from repro.runtime import ExperimentConfig, run_experiment
+from repro.runtime.pool import worker_pool
 from repro.telemetry import Telemetry
 from repro.util.errors import ConfigurationError, TierExecutionError
 from repro.util.spec_hash import stable_digest
@@ -80,10 +81,9 @@ def _note(log_path, service):
         handle.write(service + "\n")
 
 
-def _fail_n_then_clone(counter_path, failures, task):
-    if _bump(counter_path) <= failures:
-        raise RuntimeError("transient tier failure")
-    return clone_tier(task)
+def _logged_failure(log_path, task):
+    _note(log_path, task.artifacts.service)
+    raise RuntimeError(f"{task.artifacts.service} keeps failing")
 
 
 def _crash_once_then_clone(counter_path, parent_pid, task):
@@ -122,61 +122,40 @@ def _faulted_run_digest(_index=0):
         {name: m.snapshot() for name, m in result.services.items()}))
 
 
-class TestTierRetry:
-    def test_serial_retry_recovers(self, tier_tasks, tmp_path):
-        flaky = functools.partial(
-            _fail_n_then_clone, str(tmp_path / "counter"), 2)
-        outcomes, mode = run_tier_pipeline(
-            tier_tasks, executor="serial", tier_fn=flaky, tier_retries=2)
-        assert mode == "serial"
-        assert [o.service for o in outcomes] == [
-            task.artifacts.service for task in tier_tasks]
+class TestTierRunsOnce:
+    @pytest.mark.parametrize("pooled", [False, True],
+                             ids=["serial", "pool"])
+    def test_raising_tier_runs_once(self, tier_tasks, tmp_path, pooled):
+        # A tier's outcome is a pure function of its task: running a
+        # raising tier again would raise again, so nothing re-runs it.
+        log = str(tmp_path / "invocations")
+        failing = functools.partial(_logged_failure, log)
+        with worker_pool("process" if pooled else "serial",
+                         n_tasks=len(tier_tasks), max_workers=2) as pool:
+            with pytest.raises(TierExecutionError):
+                run_tier_pipeline(tier_tasks, tier_fn=failing, pool=pool)
+        with open(log) as handle:
+            ran = handle.read().split()
+        assert ran and len(ran) == len(set(ran))
 
-    def test_pool_retry_recovers(self, tier_tasks, tmp_path):
-        flaky = functools.partial(
-            _fail_n_then_clone, str(tmp_path / "counter"), 1)
-        outcomes, mode = run_tier_pipeline(
-            tier_tasks, executor="process", max_workers=2,
-            tier_fn=flaky, tier_retries=1)
-        assert mode == "process"
-        assert len(outcomes) == len(tier_tasks)
-
-    def test_exhaustion_names_tier_and_keeps_siblings(self, tier_tasks):
+    def test_failure_names_the_tier(self, tier_tasks):
         broken = functools.partial(_fail_one_service, "redis")
         with pytest.raises(TierExecutionError) as excinfo:
-            run_tier_pipeline(tier_tasks, executor="serial",
-                              tier_fn=broken, tier_retries=1)
+            run_tier_pipeline(tier_tasks, tier_fn=broken)
         error = excinfo.value
         assert error.tier == "redis"
-        assert error.attempts == 2  # first try + one retry
         assert isinstance(error.last_error, RuntimeError)
-        # The healthy sibling's outcome survives inside the error.
-        assert "memcached" in error.outcomes
-        assert error.outcomes["memcached"].spec.name == "memcached"
-
-    def test_zero_retries_fails_fast(self, tier_tasks, tmp_path):
-        flaky = functools.partial(
-            _fail_n_then_clone, str(tmp_path / "counter"), 1)
-        with pytest.raises(TierExecutionError) as excinfo:
-            run_tier_pipeline(tier_tasks, executor="serial",
-                              tier_fn=flaky, tier_retries=0)
-        assert excinfo.value.attempts == 1
-
-    def test_tier_retries_validated(self, tier_tasks):
-        with pytest.raises(ConfigurationError):
-            run_tier_pipeline(tier_tasks, tier_retries=-1)
-        with pytest.raises(ConfigurationError):
-            run_tier_pipeline(tier_tasks, tier_retries=True)
+        assert error.__cause__ is error.last_error
 
 
 class TestExecutorDegradation:
     def test_worker_crash_degrades_and_completes(self, tier_tasks, tmp_path):
         crashing = functools.partial(
             _crash_once_then_clone, str(tmp_path / "counter"), os.getpid())
-        with Telemetry() as telemetry:
+        with Telemetry() as telemetry, worker_pool(
+                "process", n_tasks=len(tier_tasks), max_workers=2) as pool:
             outcomes, mode = run_tier_pipeline(
-                tier_tasks, executor="process", max_workers=2,
-                tier_fn=crashing, tier_retries=1)
+                tier_tasks, tier_fn=crashing, pool=pool)
         # The killed worker broke the process pool; the unfinished
         # tiers were re-run serially and the clone still finished.
         assert mode == "serial"
@@ -192,13 +171,11 @@ class TestExecutorDegradation:
 class TestCheckpointResume:
     def test_outcomes_persist_and_resume(self, tier_tasks, tmp_path):
         ckpt = str(tmp_path / "ckpt")
-        first, _ = run_tier_pipeline(tier_tasks, executor="serial",
-                                     checkpoint_dir=ckpt)
+        first, _ = run_tier_pipeline(tier_tasks, checkpoint_dir=ckpt)
         assert len(os.listdir(ckpt)) == len(tier_tasks)
         log = str(tmp_path / "invocations")
         resumed, _ = run_tier_pipeline(
-            tier_tasks, executor="serial",
-            tier_fn=functools.partial(_logged_clone, log),
+            tier_tasks, tier_fn=functools.partial(_logged_clone, log),
             checkpoint_dir=ckpt)
         assert not os.path.exists(log)  # nothing re-ran
         assert stable_digest([o.spec for o in resumed]) == stable_digest(
@@ -211,14 +188,13 @@ class TestCheckpointResume:
         # but the finished tier's checkpoint has already been written.
         with pytest.raises(TierExecutionError):
             run_tier_pipeline(
-                tier_tasks, executor="serial",
+                tier_tasks,
                 tier_fn=functools.partial(_fail_one_service, "redis"),
-                checkpoint_dir=ckpt, tier_retries=0)
+                checkpoint_dir=ckpt)
         assert len(os.listdir(ckpt)) == 1
         log = str(tmp_path / "invocations")
         outcomes, _ = run_tier_pipeline(
-            tier_tasks, executor="serial",
-            tier_fn=functools.partial(_logged_clone, log),
+            tier_tasks, tier_fn=functools.partial(_logged_clone, log),
             checkpoint_dir=ckpt)
         with open(log) as handle:
             reran = handle.read().split()
@@ -228,13 +204,12 @@ class TestCheckpointResume:
     def test_changed_task_misses_stale_checkpoint(self, tier_tasks,
                                                   tmp_path):
         ckpt = str(tmp_path / "ckpt")
-        run_tier_pipeline(tier_tasks, executor="serial",
-                          checkpoint_dir=ckpt)
+        run_tier_pipeline(tier_tasks, checkpoint_dir=ckpt)
         changed = [replace(task, max_tune_iterations=
                            task.max_tune_iterations + 1)
                    for task in tier_tasks]
         log = str(tmp_path / "invocations")
-        run_tier_pipeline(changed, executor="serial",
+        run_tier_pipeline(changed,
                           tier_fn=functools.partial(_logged_clone, log),
                           checkpoint_dir=ckpt)
         with open(log) as handle:
@@ -248,11 +223,8 @@ class TestCheckpointResume:
         assert ckpt.load(ckpt.path(tier_tasks[0])) is None
 
     def test_cloner_exposes_robustness_knobs(self):
-        cloner = DittoCloner(tier_retries=3, checkpoint_dir="/tmp/x")
-        assert cloner.tier_retries == 3
+        cloner = DittoCloner(checkpoint_dir="/tmp/x")
         assert cloner.checkpoint_dir == "/tmp/x"
-        with pytest.raises(ConfigurationError):
-            DittoCloner(tier_retries=-1)
         with pytest.raises(ConfigurationError):
             DittoCloner(checkpoint_dir=123)
 
@@ -269,9 +241,10 @@ class TestCrossExecutorFaultDeterminism:
         assert inline == remote == remote2
 
     def test_clone_digest_identical_serial_and_process(self, tier_tasks):
-        serial, _ = run_tier_pipeline(tier_tasks, executor="serial")
-        pooled, mode = run_tier_pipeline(tier_tasks, executor="process",
-                                         max_workers=2)
+        serial, _ = run_tier_pipeline(tier_tasks)
+        with worker_pool("process", n_tasks=len(tier_tasks),
+                         max_workers=2) as pool:
+            pooled, mode = run_tier_pipeline(tier_tasks, pool=pool)
         assert mode == "process"
         assert stable_digest([o.spec for o in serial]) == stable_digest(
             [o.spec for o in pooled])
@@ -285,8 +258,7 @@ class TestCheckpointIntegrity:
         # digest trailer, moved aside as evidence, and treated as a
         # miss — the damaged tier re-runs, the intact one resumes.
         ckpt_dir = str(tmp_path / "ckpt")
-        run_tier_pipeline(tier_tasks, executor="serial",
-                          checkpoint_dir=ckpt_dir)
+        run_tier_pipeline(tier_tasks, checkpoint_dir=ckpt_dir)
         ckpt = TierCheckpoint(ckpt_dir)
         victim = tier_tasks[0]
         path = ckpt.path(victim)
@@ -298,7 +270,7 @@ class TestCheckpointIntegrity:
         assert not os.path.exists(path)
         assert os.path.exists(path + ".quarantined")
         log = str(tmp_path / "invocations")
-        run_tier_pipeline(tier_tasks, executor="serial",
+        run_tier_pipeline(tier_tasks,
                           tier_fn=functools.partial(_logged_clone, log),
                           checkpoint_dir=ckpt_dir)
         with open(log) as handle:
@@ -344,7 +316,7 @@ class TestCheckpointIntegrity:
         assert ckpt.load(path) is None
         assert not os.path.exists(path + ".quarantined")
         log = str(tmp_path / "invocations")
-        run_tier_pipeline([victim], executor="serial",
+        run_tier_pipeline([victim],
                           tier_fn=functools.partial(_logged_clone, log),
                           checkpoint_dir=ckpt_dir)
         with open(log) as handle:

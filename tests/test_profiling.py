@@ -366,7 +366,7 @@ class TestSyscallAndNetModel:
 class TestThreadModel:
     def test_memcached_worker_pool_recovered(self, memcached_artifacts):
         profile = profile_thread_model(memcached_artifacts)
-        workers = profile.worker_classes()
+        workers = [cls for cls in profile.classes if cls.role == "worker"]
         assert workers
         fixed = [cls for cls in workers if not cls.scales_with_connections]
         assert any(cls.count == 4 for cls in fixed)
@@ -379,7 +379,7 @@ class TestThreadModel:
                                      config)
         threads = profile_thread_model(profile.artifacts("mongodb"))
         assert any(cls.scales_with_connections
-                   for cls in threads.worker_classes())
+                   for cls in threads.classes if cls.role == "worker")
 
     def test_roles_cover_acceptor_and_background(self, memcached_artifacts):
         profile = profile_thread_model(memcached_artifacts)

@@ -11,7 +11,6 @@ from repro.app.workloads.socialnet import social_network_deployment
 from repro.hw import PLATFORM_A
 from repro.loadgen import LoadSpec
 from repro.runtime import ExperimentConfig, run_experiment
-from repro.runtime.experiment import sweep_load
 from repro.runtime.resilience import ResilienceConfig
 from repro.tracing import Tracer
 from repro.util.errors import ConfigurationError, SimBudgetExceededError
@@ -242,18 +241,6 @@ class TestTracerPlumbing:
         plain = run_experiment(deployment, load, config)
         assert _result_digest(plain) == _result_digest(traced)
         assert plain.events_dispatched == traced.events_dispatched
-
-
-class TestSweepLoad:
-    def test_returns_one_result_per_point(self):
-        deployment = Deployment.single(build_nginx())
-        config = ExperimentConfig(platform=PLATFORM_A, duration_s=0.015,
-                                  seed=3)
-        loads = [LoadSpec.open_loop(q) for q in (4000, 12000, 24000)]
-        results = sweep_load(deployment, loads, config)
-        assert len(results) == 3
-        throughputs = [r.throughput for r in results]
-        assert throughputs[0] < throughputs[-1]
 
 
 class TestNoSilentLoss:
